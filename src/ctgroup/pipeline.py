@@ -209,14 +209,21 @@ def split_for_training(cfg: PipelineConfig, trace: Trace):
     return trace.split(count)
 
 
-def run_stages(cfg: PipelineConfig, trace: Trace):
-    """In-memory pipeline: returns (txns, ctf, chunkset, grouping, train, test)."""
+def run_stages(cfg: PipelineConfig, trace: Trace, enter=lambda stage: None):
+    """In-memory pipeline: returns (txns, ctf, chunkset, grouping, train, test).
+
+    enter is called with each stage's name as the stage starts.
+    """
+    enter("extract")
     train, test = split_for_training(cfg, trace)
     txns = transactions.extract_transactions(train, cfg.extractor_config())
+    enter("ctf")
     matrix = features.build_ctf(txns, include_partial=cfg.include_partial)
+    enter("chunk")
     # Address-axis span is taken over the transacted data so the standalone
     # `chunk` subcommand (which only sees the feature artifact) agrees.
     chunkset = chunking.chunk_all(matrix, cfg.chunker_config(), metric=cfg.distance)
+    enter("group")
     grp = grouping.build_grouping(
         txns, chunkset, cfg.grouper_config(), include_partial=cfg.include_partial
     )
@@ -272,11 +279,16 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
         return os.path.join(cfg.output_dir, name)
 
     stage = "ingest"
-    try:
-        trace, _truth = load_input_trace(cfg)
 
+    def enter(name):
+        nonlocal stage
+        stage = name
+
+    try:
+        trace = load_input_trace(cfg)[0]  # the synthetic truth is not kept
+
+        txns, matrix, chunkset, grp, train, test = run_stages(cfg, trace, enter)
         stage = "extract"
-        txns, matrix, chunkset, grp, train, test = run_stages(cfg, trace)
         transactions.save_transactions(
             path_of("transactions.tsv"), txns, cfg.extractor_config(),
             trace_label=trace.source_label, config_hash=chash,
@@ -362,7 +374,7 @@ def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg.validate()
-    trace, _truth = load_input_trace(cfg)
+    trace = load_input_trace(cfg)[0]
     results = []
     for value in values:
         point = replace(cfg, **{axis: int(value) if axis == "M" else float(value)})

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InvariantError
@@ -33,6 +33,11 @@ FIFO = "fifo"
 GROUP_PREFETCH = "group_prefetch"
 GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
+
+# simulate() turns the trace's columns into Python values this many
+# accesses at a time, so a cell holds one block of them, not the whole
+# trace, on top of the pipeline's data.
+REPLAY_BLOCK = 1 << 15
 
 
 class GroupTable:
@@ -157,11 +162,17 @@ def simulate(
     occupied = hits = disk_ios = prefetched = evictions = bypasses = unknown = 0
 
     n = len(trace)
-    if cfg.write_allocate:
-        allocates = repeat(True)
-    else:
-        allocates = (trace.ops != int(Op.WRITE)).tolist()
-    records = zip(trace.addresses.tolist(), trace.sizes.tolist(), allocates)
+    addresses, sizes = trace.addresses, trace.sizes
+    allocates = None if cfg.write_allocate else trace.ops != int(Op.WRITE)
+    block = REPLAY_BLOCK
+    records = chain.from_iterable(
+        zip(
+            addresses[lo:lo + block].tolist(),
+            sizes[lo:lo + block].tolist(),
+            repeat(True) if allocates is None else allocates[lo:lo + block].tolist(),
+        )
+        for lo in range(0, n, block)
+    )
     step = window if window is not None and window >= 1 else max(n, 1)
     series: list[float] = []
 

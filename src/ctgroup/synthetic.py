@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import random
 
+import numpy as np
+
 from .errors import ConfigError, EmptyTraceError
-from .trace import AccessRecord, Op, Trace
+from .trace import Op, Trace
 
 
 @dataclass
@@ -121,59 +123,72 @@ class SyntheticTruth:
 
 
 def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
-    """Generate a trace and its planted partition. Deterministic per seed."""
+    """Generate a trace and its planted partition. Deterministic per seed.
+
+    Runs draw datum indices into one list, which numpy turns into the
+    trace's columns; no per-access record is built.
+    """
     spec.validate()
     if spec.num_accesses == 0:
         raise EmptyTraceError("num_accesses is 0")
     rng = random.Random(spec.rng_seed)
 
-    groups: list[list[int]] = []
+    addresses: list[int] = []  # per datum, in placement order
     next_region = 0
-    datum_count = 0
     sizes: dict[int, int] = {}
 
     def place(count: int) -> list[int]:
+        """Place count data in a fresh region; returns their datum indices."""
         nonlocal next_region
         base = next_region * spec.region_gap
         next_region += 1
-        addrs = [base + j * spec.address_stride for j in range(count)]
-        for a in addrs:
+        first = len(addresses)
+        addresses.extend(base + j * spec.address_stride for j in range(count))
+        for a in addresses[first:]:
             sizes[a] = rng.randint(spec.size_min, spec.size_max)
-        return addrs
+        return list(range(first, len(addresses)))
 
-    probs: list[float] = []
-    for size, prob in spec.group_structure:
-        groups.append(place(size))
-        probs.append(prob)
-        datum_count += size
-    ungrouped = []
-    for _ in range(spec.num_data - datum_count):
+    groups = [place(size) for size, _prob in spec.group_structure]
+    ungrouped: list[int] = []
+    for _ in range(spec.num_data - len(addresses)):
         ungrouped.extend(place(1))
 
     # Selection units: each planted group and each singleton, uniform.
-    units: list[tuple[list[int], float]] = [(g, p) for g, p in zip(groups, probs)]
-    units.extend(([a], 1.0) for a in ungrouped)
+    units: list[tuple[list[int], float]] = [
+        (g, prob) for g, (_size, prob) in zip(groups, spec.group_structure)
+    ]
+    units.extend(([i], 1.0) for i in ungrouped)
 
-    records = []
-    ts = 0
-    while len(records) < spec.num_accesses:
-        members, prob = units[rng.randrange(len(units))]
+    picks: list[int] = []
+    extend = picks.extend
+    randrange = rng.randrange
+    draw = rng.random
+    num_units = len(units)
+    n = spec.num_accesses
+    while len(picks) < n:
+        members, prob = units[randrange(num_units)]
         if prob >= 1.0 or len(members) == 1:
-            chosen = list(members)
+            extend(members)
         else:
-            chosen = [a for a in members if rng.random() < prob]
+            chosen = [i for i in members if draw() < prob]
             if not chosen:
-                chosen = [members[rng.randrange(len(members))]]
-        for addr in chosen:
-            if len(records) >= spec.num_accesses:
-                break
-            ts += 1
-            records.append(AccessRecord(ts, addr, sizes[addr], Op.READ))
+                chosen = [members[randrange(len(members))]]
+            extend(chosen)
+    del picks[n:]  # the last run is cut at num_accesses
 
-    trace = Trace.from_records(records, source_label=f"synthetic(seed={spec.rng_seed})")
+    picked = np.array(picks, dtype=np.intp)
+    # An address shared by two data (regions overlapping when
+    # region_gap < size * address_stride) takes the size drawn last.
+    trace = Trace(
+        timestamps=np.arange(1, n + 1, dtype=np.int64),
+        addresses=np.array(addresses, dtype=np.int64)[picked],
+        sizes=np.array([sizes[a] for a in addresses], dtype=np.int64)[picked],
+        ops=np.full(n, int(Op.READ), dtype=np.uint8),
+        source_label=f"synthetic(seed={spec.rng_seed})",
+    )
     truth = SyntheticTruth(
-        groups=[tuple(g) for g in groups],
-        ungrouped=tuple(ungrouped),
+        groups=[tuple(addresses[i] for i in g) for g in groups],
+        ungrouped=tuple(addresses[i] for i in ungrouped),
         sizes=sizes,
     )
     return trace, truth

@@ -39,7 +39,11 @@ class AccessRecord(NamedTuple):
     op: Op
 
 
+_OP_CODES = {"read": int(Op.READ), "write": int(Op.WRITE)}
+
+
 def _parse_fields(line: str, line_no=None):
+    """(timestamp, offset, size, op code, host, disk) of one CSV line."""
     fields = line.rstrip("\r\n").split(",")
     if len(fields) != 7:
         raise TraceParseError(
@@ -49,12 +53,8 @@ def _parse_fields(line: str, line_no=None):
         timestamp = int(fields[0])
     except ValueError:
         raise TraceParseError(f"non-numeric timestamp {fields[0]!r}", line_no) from None
-    op_text = fields[3].strip().lower()
-    if op_text == "read":
-        op = Op.READ
-    elif op_text == "write":
-        op = Op.WRITE
-    else:
+    op = _OP_CODES.get(fields[3].strip().lower())
+    if op is None:
         raise TraceParseError(f"unknown operation type {fields[3]!r}", line_no)
     try:
         offset = int(fields[4])
@@ -67,11 +67,7 @@ def _parse_fields(line: str, line_no=None):
         raise TraceParseError(f"negative offset {offset}", line_no)
     if size <= 0:
         raise RejectedRecordError(f"non-positive size {size}", line_no)
-    return (
-        AccessRecord(timestamp, offset, size, op),
-        fields[1].strip(),
-        fields[2].strip(),
-    )
+    return timestamp, offset, size, op, fields[1].strip(), fields[2].strip()
 
 
 def parse_record(line: str, line_no: int | None = None) -> AccessRecord:
@@ -80,8 +76,8 @@ def parse_record(line: str, line_no: int | None = None) -> AccessRecord:
     Raises TraceParseError for malformed lines and RejectedRecordError for
     records with non-positive size.
     """
-    record, _host, _disk = _parse_fields(line, line_no)
-    return record
+    timestamp, offset, size, op, _host, _disk = _parse_fields(line, line_no)
+    return AccessRecord(timestamp, offset, size, Op(op))
 
 
 @dataclass
@@ -190,11 +186,10 @@ class Trace:
         return self._unique_bytes
 
     def first_seen_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for a, s in zip(self.addresses.tolist(), self.sizes.tolist()):
-            if a not in sizes:
-                sizes[a] = s
-        return sizes
+        """{address: size at its first access}, in first-access order."""
+        _, first = np.unique(self.addresses, return_index=True)
+        first.sort()
+        return dict(zip(self.addresses[first].tolist(), self.sizes[first].tolist()))
 
     def to_csv_lines(self) -> Iterator[str]:
         host = self.source_label or "trace"
@@ -230,7 +225,10 @@ def load_trace(
     first line whose first column is not numeric is treated as a header.
     host/disk restrict the trace to records from one server/disk.
     """
-    records = []
+    timestamps: list[int] = []
+    offsets: list[int] = []
+    sizes: list[int] = []
+    op_codes: list[int] = []
     skipped = 0
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -241,7 +239,9 @@ def load_trace(
             if not line.strip():
                 continue
             try:
-                record, rec_host, rec_disk = _parse_fields(line, line_no)
+                timestamp, offset, size, op, rec_host, rec_disk = _parse_fields(
+                    line, line_no
+                )
             except TraceParseError:
                 if line_no == 1 and not line.split(",")[0].strip().isdigit():
                     continue  # header row
@@ -258,13 +258,23 @@ def load_trace(
                 continue
             if disk is not None and rec_disk != disk:
                 continue
-            records.append(record)
-            if max_records is not None and len(records) >= max_records:
+            timestamps.append(timestamp)
+            offsets.append(offset)
+            sizes.append(size)
+            op_codes.append(op)
+            if max_records is not None and len(offsets) >= max_records:
                 break
-    if not records:
+    if not offsets:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    trace = Trace.from_records(records, source_label=label, skipped=skipped)
+    trace = Trace(
+        timestamps=np.array(timestamps, dtype=np.int64),
+        addresses=np.array(offsets, dtype=np.int64),
+        sizes=np.array(sizes, dtype=np.int64),
+        ops=np.array(op_codes, dtype=np.uint8),
+        source_label=label,
+        skipped=skipped,
+    )
     if ops != "both":
         trace = trace.filter_ops(ops)
         if len(trace) == 0:

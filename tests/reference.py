@@ -8,9 +8,15 @@ wrong.
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
 
-from ctgroup.errors import InvariantError
+from ctgroup.errors import (
+    EmptyTraceError,
+    InvariantError,
+    RejectedRecordError,
+    TraceParseError,
+)
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -20,7 +26,8 @@ from ctgroup.simulator import (
     SimMetrics,
     resolve_capacity,
 )
-from ctgroup.trace import Op, Trace
+from ctgroup.synthetic import SyntheticSpec, SyntheticTruth
+from ctgroup.trace import AccessRecord, Op, Trace
 
 
 def ref_extract(accesses, m, mode):
@@ -290,3 +297,165 @@ def _group_fetch_plan(members, demand, sizes_seen, extra_sizes, metrics):
         plan.append((member, msize))
         total += msize
     return plan, total
+
+
+def ref_first_seen_sizes(trace):
+    """{address: size at its first access}, one dict probe per access."""
+    sizes: dict[int, int] = {}
+    for a, s in zip(trace.addresses.tolist(), trace.sizes.tolist()):
+        if a not in sizes:
+            sizes[a] = s
+    return sizes
+
+
+def _ref_parse_fields(line: str, line_no=None):
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != 7:
+        raise TraceParseError(
+            f"expected 7 comma-separated fields, got {len(fields)}", line_no
+        )
+    try:
+        timestamp = int(fields[0])
+    except ValueError:
+        raise TraceParseError(f"non-numeric timestamp {fields[0]!r}", line_no) from None
+    op_text = fields[3].strip().lower()
+    if op_text == "read":
+        op = Op.READ
+    elif op_text == "write":
+        op = Op.WRITE
+    else:
+        raise TraceParseError(f"unknown operation type {fields[3]!r}", line_no)
+    try:
+        offset = int(fields[4])
+        size = int(fields[5])
+    except ValueError:
+        raise TraceParseError(
+            f"non-numeric offset/size {fields[4]!r}/{fields[5]!r}", line_no
+        ) from None
+    if offset < 0:
+        raise TraceParseError(f"negative offset {offset}", line_no)
+    if size <= 0:
+        raise RejectedRecordError(f"non-positive size {size}", line_no)
+    return (
+        AccessRecord(timestamp, offset, size, op),
+        fields[1].strip(),
+        fields[2].strip(),
+    )
+
+
+def ref_load_trace(
+    path,
+    skip_malformed: bool = False,
+    ops: str = "both",
+    host: str | None = None,
+    disk: str | None = None,
+    max_records: int | None = None,
+    source_label: str | None = None,
+) -> Trace:
+    """Load an MSR-convention CSV trace through one AccessRecord per line.
+
+    Malformed lines abort with the offending line number unless
+    skip_malformed is set, in which case they are skipped and counted. A
+    first line whose first column is not numeric is treated as a header.
+    host/disk restrict the trace to records from one server/disk.
+    """
+    records = []
+    skipped = 0
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record, rec_host, rec_disk = _ref_parse_fields(line, line_no)
+            except TraceParseError:
+                if line_no == 1 and not line.split(",")[0].strip().isdigit():
+                    continue  # header row
+                if skip_malformed:
+                    skipped += 1
+                    continue
+                raise
+            except RejectedRecordError:
+                if skip_malformed:
+                    skipped += 1
+                    continue
+                raise
+            if host is not None and rec_host != host:
+                continue
+            if disk is not None and rec_disk != disk:
+                continue
+            records.append(record)
+            if max_records is not None and len(records) >= max_records:
+                break
+    if not records:
+        raise EmptyTraceError(f"no valid records in {path}")
+    label = source_label if source_label is not None else str(path)
+    trace = Trace.from_records(records, source_label=label, skipped=skipped)
+    if ops != "both":
+        trace = trace.filter_ops(ops)
+        if len(trace) == 0:
+            raise EmptyTraceError(f"no records left in {path} after ops={ops} filter")
+    return trace
+
+
+def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
+    """Generate a trace and its planted partition through one AccessRecord
+    per access. Deterministic per seed."""
+    spec.validate()
+    if spec.num_accesses == 0:
+        raise EmptyTraceError("num_accesses is 0")
+    rng = random.Random(spec.rng_seed)
+
+    groups: list[list[int]] = []
+    next_region = 0
+    datum_count = 0
+    sizes: dict[int, int] = {}
+
+    def place(count: int) -> list[int]:
+        nonlocal next_region
+        base = next_region * spec.region_gap
+        next_region += 1
+        addrs = [base + j * spec.address_stride for j in range(count)]
+        for a in addrs:
+            sizes[a] = rng.randint(spec.size_min, spec.size_max)
+        return addrs
+
+    probs: list[float] = []
+    for size, prob in spec.group_structure:
+        groups.append(place(size))
+        probs.append(prob)
+        datum_count += size
+    ungrouped = []
+    for _ in range(spec.num_data - datum_count):
+        ungrouped.extend(place(1))
+
+    # Selection units: each planted group and each singleton, uniform.
+    units: list[tuple[list[int], float]] = [(g, p) for g, p in zip(groups, probs)]
+    units.extend(([a], 1.0) for a in ungrouped)
+
+    records = []
+    ts = 0
+    while len(records) < spec.num_accesses:
+        members, prob = units[rng.randrange(len(units))]
+        if prob >= 1.0 or len(members) == 1:
+            chosen = list(members)
+        else:
+            chosen = [a for a in members if rng.random() < prob]
+            if not chosen:
+                chosen = [members[rng.randrange(len(members))]]
+        for addr in chosen:
+            if len(records) >= spec.num_accesses:
+                break
+            ts += 1
+            records.append(AccessRecord(ts, addr, sizes[addr], Op.READ))
+
+    trace = Trace.from_records(records, source_label=f"synthetic(seed={spec.rng_seed})")
+    truth = SyntheticTruth(
+        groups=[tuple(g) for g in groups],
+        ungrouped=tuple(ungrouped),
+        sizes=sizes,
+    )
+    return trace, truth

@@ -144,6 +144,23 @@ class TestRunPipeline:
         assert not (out / "metrics.csv").exists()
         assert (out / "grouping.csv").exists()
 
+    @pytest.mark.parametrize("module, attr, stage", [
+        ("transactions", "extract_transactions", "extract"),
+        ("features", "build_ctf", "ctf"),
+        ("chunking", "chunk_all", "chunk"),
+        ("grouping", "build_grouping", "group"),
+    ])
+    def test_error_names_failing_stage(self, spec_file, tmp_path, monkeypatch,
+                                       module, attr, stage):
+        def boom(*args, **kwargs):
+            raise InvariantError("forced failure")
+
+        monkeypatch.setattr(getattr(pipeline, module), attr, boom)
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(config_for(spec_file, tmp_path / "out"))
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, InvariantError)
+
 
 class TestCli:
     def run(self, *argv):

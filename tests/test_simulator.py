@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import make_trace, random_accesses
+from ctgroup import simulator
 from ctgroup.errors import ConfigError, InvariantError
 from ctgroup.simulator import (
     FIFO,
@@ -198,9 +199,8 @@ class TestReferenceReplay:
         extra = {a: rng.randint(1, 16) for a in pool if rng.random() < 0.6}
         return trace, table, extra
 
-    def test_matches_reference_replay(self):
-        rng = random.Random(15)
-        for _ in range(150):
+    def check_against_reference(self, rng, cases):
+        for _ in range(cases):
             trace, table, extra = self.random_case(rng)
             capacity = rng.randint(1, 64)  # data and groups exceed it
             window = rng.choice([None, None, 1, 7, 40])
@@ -217,6 +217,14 @@ class TestReferenceReplay:
                         got, want = (got, None), (want, None)
                     assert dataclasses.asdict(got[0]) == dataclasses.asdict(want[0])
                     assert got[1] == want[1]
+
+    def test_matches_reference_replay(self):
+        self.check_against_reference(random.Random(15), 150)
+
+    def test_replay_blocks_match_reference(self, monkeypatch):
+        # traces cut into many column blocks, windows straddling them
+        monkeypatch.setattr(simulator, "REPLAY_BLOCK", 7)
+        self.check_against_reference(random.Random(17), 60)
 
     def test_fraction_capacity_matches_reference(self):
         rng = random.Random(16)
