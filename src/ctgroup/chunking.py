@@ -23,7 +23,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, UnknownDatumError
+from . import artifacts
+from .errors import ConfigError, DataError, UnknownDatumError
 from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
@@ -379,36 +380,40 @@ def replay_audit(addr_features: Mapping[int, CtfVector], audit: Iterable[MergeRe
     return {tuple(v) for v in clusters.values()}
 
 
-def save_chunks(path, chunkset: ChunkSet, extractor_header: Mapping[str, object] = (),
+def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
                 config_hash=""):
     """Serialize as `chunk_id<TAB>addr1,addr2,...` with a metadata header."""
     cfg = chunkset.config
-    extras = " ".join(f"{k}={v}" for k, v in dict(extractor_header).items())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# q={cfg.q} p={cfg.p} sigma={cfg.sigma} "
-            f"max_address={chunkset.max_address} config_hash={config_hash} "
-            f"{extras}".rstrip() + "\n"
-        )
-        for chunk in chunkset.chunks:
-            fh.write(f"{chunk.id}\t{','.join(map(str, chunk.members))}\n")
+    header = {"q": cfg.q, "p": cfg.p, "sigma": cfg.sigma,
+              "max_address": chunkset.max_address, "config_hash": config_hash,
+              **dict(metadata)}
+    artifacts.write(path, header, (
+        f"{chunk.id}\t{','.join(map(str, chunk.members))}" for chunk in chunkset.chunks))
 
 
-def load_chunk_members(path):
+def _chunk_row(fields):
+    cid, members = fields
+    return int(cid), artifacts.ints(members)
+
+
+def load_chunk_members(path, config_hash=None):
     """Read back chunk membership (ids -> address tuples) and the header."""
-    header: dict[str, str] = {}
-    members: dict[int, tuple[int, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        header[key] = val
-                continue
-            cid_text, addr_text = line.split("\t")
-            members[int(cid_text)] = tuple(int(a) for a in addr_text.split(","))
-    return members, header
+    header, rows = artifacts.read(path, _chunk_row, config_hash)
+    return dict(rows), header
+
+
+def load_chunks(path, ctf: CtfMatrix, cfg: ChunkerConfig, config_hash=None) -> ChunkSet:
+    """The ChunkSet save_chunks wrote, rebuilt against the ctf it was chunked from."""
+    members, _header = load_chunk_members(path, config_hash)
+    max_address = max(ctf.addresses(), default=0)
+    chunks: list[Chunk] = []
+    lookup: dict[int, int] = {}
+    for cid, addrs in members.items():
+        vectors = [ctf.rows.get(a) for a in addrs]
+        if not addrs or None in vectors or cid != len(chunks):
+            raise DataError(f"{path}: chunk {cid} does not match the ctf matrix")
+        bits = sorted(set().union(*(v.bits for v in vectors)))
+        area = area_key(addrs[0], vectors[0].popcount(), cfg, max_address)
+        chunks.append(Chunk(cid, addrs, CtfVector(bits, dim=ctf.num_transactions), area))
+        lookup.update(dict.fromkeys(addrs, cid))
+    return ChunkSet(chunks, lookup, cfg, max_address)

@@ -14,24 +14,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import chunking, features, grouping, locality, pipeline, simulator, transactions
 from .errors import ConfigError, CtgroupError, DataError
 from .pipeline import PipelineConfig, PipelineStageError
 
-CONFIG_KEYS = (
-    "trace", "synthetic", "ops", "host", "disk", "max_records",
-    "train_count", "train_fraction", "M", "mode", "include_partial",
-    "q", "p", "sigma", "alpha", "mu", "distance", "sort",
-    "capacity_fractions", "policies", "write_allocate", "rng_seed",
-    "output_dir", "w_limits",
-)
-
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key=value config file")
-    for key in CONFIG_KEYS:
-        parser.add_argument(f"--{key}", dest=key, default=None)
+    for f in fields(PipelineConfig):
+        parser.add_argument(f"--{f.name}", dest=f.name, default=None)
 
 
 def build_parser():
@@ -40,18 +33,19 @@ def build_parser():
         description="Cache-transaction data grouping and prefetch evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "parse and filter a trace, write the normalized CSV"),
-        ("extract", "extract cache transactions from the training split"),
-        ("ctf", "invert the transaction log into feature vectors"),
-        ("chunk", "pre-block and cluster data into chunks"),
-        ("group", "merge chunks into disjoint groups"),
-        ("simulate", "replay the test split through the cache policies"),
-        ("analyze", "emit workload locality statistics"),
-        ("pipeline", "run every stage and write a manifest"),
-        ("sweep", "re-run grouping across one parameter axis"),
+    for name, run, help_text in (
+        ("ingest", cmd_ingest, "parse and filter a trace, write the normalized CSV"),
+        ("extract", cmd_extract, "extract cache transactions from the training split"),
+        ("ctf", cmd_ctf, "invert the transaction log into feature vectors"),
+        ("chunk", cmd_chunk, "pre-block and cluster data into chunks"),
+        ("group", cmd_group, "merge chunks into disjoint groups"),
+        ("simulate", cmd_simulate, "replay the test split through the cache policies"),
+        ("analyze", cmd_analyze, "emit workload locality statistics"),
+        ("pipeline", cmd_pipeline, "run every stage and write a manifest"),
+        ("sweep", cmd_sweep, "re-run grouping across one parameter axis"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         _add_config_flags(p)
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=pipeline.SWEEP_AXES)
@@ -61,7 +55,8 @@ def build_parser():
 
 
 def load_config(args) -> PipelineConfig:
-    overrides = {k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name) is not None}
     if args.config:
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_mapping(overrides)
@@ -70,6 +65,16 @@ def load_config(args) -> PipelineConfig:
 def _out(cfg, name):
     os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
+
+
+def _load(cfg, load, name, stage):
+    """load(output_dir/name), which must carry the stage's hash; drops the header."""
+    return load(_out(cfg, name), config_hash=cfg.stage_hash(stage))[0]
+
+
+def _write_lines(cfg, name, lines):
+    with open(_out(cfg, name), "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def cmd_ingest(cfg):
@@ -85,80 +90,50 @@ def cmd_extract(cfg):
     txns = transactions.extract_transactions(train, cfg.extractor_config())
     transactions.save_transactions(
         _out(cfg, "transactions.tsv"), txns, cfg.extractor_config(),
-        trace_label=trace.source_label, config_hash=cfg.config_hash(),
+        trace.source_label, cfg.stage_hash("extract"),
     )
     full = sum(1 for t in txns if not t.partial)
     print(f"extracted {full} transactions (+{len(txns) - full} partial)")
 
 
 def cmd_ctf(cfg):
-    path = _out(cfg, "transactions.tsv")
-    txns, header = transactions.load_transactions(path)
-    pipeline.check_artifact_hash(header, cfg, path)
+    txns = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
     matrix = features.build_ctf(txns, include_partial=cfg.include_partial)
-    features.save_ctf(_out(cfg, "ctf.tsv"),
-                      matrix, {"window_bytes": cfg.M, "mode": cfg.mode},
-                      cfg.config_hash())
+    features.save_ctf(_out(cfg, "ctf.tsv"), matrix, config_hash=cfg.stage_hash("ctf"))
     print(f"built features for {len(matrix.rows)} data over "
           f"{matrix.num_transactions} transactions")
 
 
 def cmd_chunk(cfg):
-    path = _out(cfg, "ctf.tsv")
-    matrix, header = features.load_ctf(path)
-    pipeline.check_artifact_hash(header, cfg, path)
+    matrix = _load(cfg, features.load_ctf, "ctf.tsv", "ctf")
     chunkset = chunking.chunk_all(matrix, cfg.chunker_config(), metric=cfg.distance)
     chunking.save_chunks(_out(cfg, "chunks.tsv"), chunkset,
-                         {"window_bytes": cfg.M, "mode": cfg.mode},
-                         cfg.config_hash())
+                         config_hash=cfg.stage_hash("chunk"))
     print(f"formed {len(chunkset)} chunks ({len(chunkset.excluded)} data excluded)")
 
 
 def cmd_group(cfg):
-    txn_path = _out(cfg, "transactions.tsv")
-    txns, txn_header = transactions.load_transactions(txn_path)
-    pipeline.check_artifact_hash(txn_header, cfg, txn_path)
-    ctf_path = _out(cfg, "ctf.tsv")
-    matrix, ctf_header = features.load_ctf(ctf_path)
-    pipeline.check_artifact_hash(ctf_header, cfg, ctf_path)
-    chunk_path = _out(cfg, "chunks.tsv")
-    members, chunk_header = chunking.load_chunk_members(chunk_path)
-    pipeline.check_artifact_hash(chunk_header, cfg, chunk_path)
-
-    lookup = {a: cid for cid, addrs in members.items() for a in addrs}
-    popcounts = {
-        cid: len(frozenset().union(*(matrix[a].index_set for a in addrs)))
-        for cid, addrs in members.items()
-    }
-    relations = grouping.compute_legal_relations(
-        txns, lookup, popcounts, cfg.alpha, cfg.sort, cfg.include_partial
-    )
-    grp = grouping.merge_groups(relations, members, cfg.mu, cfg.grouper_config())
+    txns = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
+    matrix = _load(cfg, features.load_ctf, "ctf.tsv", "ctf")
+    chunkset = chunking.load_chunks(_out(cfg, "chunks.tsv"), matrix, cfg.chunker_config(),
+                                    cfg.stage_hash("chunk"))
+    grp = grouping.build_grouping(txns, chunkset, cfg.grouper_config(),
+                                  include_partial=cfg.include_partial)
     grouping.save_grouping(_out(cfg, "grouping.csv"), grp,
-                           {"window_bytes": cfg.M, "mode": cfg.mode},
-                           cfg.config_hash())
-    print(f"merged {len(members)} chunks into {len(grp)} groups")
+                           config_hash=cfg.stage_hash("group"))
+    print(f"merged {len(chunkset)} chunks into {len(grp)} groups")
 
 
 def cmd_simulate(cfg):
     trace, _ = pipeline.load_input_trace(cfg)
     _train, test = pipeline.split_for_training(cfg, trace)
-    path = _out(cfg, "grouping.csv")
-    members, header = grouping.load_grouping_members(path)
-    pipeline.check_artifact_hash(header, cfg, path)
-    table = simulator.GroupTable.from_members(members)
+    members = _load(cfg, grouping.load_grouping_members, "grouping.csv", "group")
     rows = simulator.sweep(
-        test, table, cfg.capacity_fractions, cfg.policies,
-        extra_sizes=trace.first_seen_sizes(), write_allocate=cfg.write_allocate,
+        test, simulator.GroupTable.from_members(members), cfg.capacity_fractions,
+        cfg.policies, extra_sizes=trace.first_seen_sizes(),
+        write_allocate=cfg.write_allocate,
     )
-    with open(_out(cfg, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        for line in simulator.metrics_csv_lines(rows):
-            fh.write(line + "\n")
-    with open(_out(cfg, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": cfg.config_hash(),
-                   "rows": [m.as_dict() for m in rows]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pipeline.write_metrics(cfg, rows)
     for m in rows:
         print(f"{m.policy} fraction={m.capacity_fraction} "
               f"hit_rate={m.hit_rate:.4f} disk_ios={m.disk_ios}")
@@ -168,12 +143,8 @@ def cmd_analyze(cfg):
     trace, _ = pipeline.load_input_trace(cfg)
     txns = transactions.extract_transactions(trace, cfg.extractor_config())
     stats = pipeline.analyze_locality(cfg, trace, txns)
-    with open(_out(cfg, "locality_distance.csv"), "w", encoding="utf-8") as fh:
-        for line in stats["histogram"].to_csv_lines():
-            fh.write(line + "\n")
-    with open(_out(cfg, "locality_gap.csv"), "w", encoding="utf-8") as fh:
-        for line in locality.gap_report_csv_lines(stats["gap_reports"]):
-            fh.write(line + "\n")
+    _write_lines(cfg, "locality_distance.csv", stats["histogram"].to_csv_lines())
+    _write_lines(cfg, "locality_gap.csv", locality.gap_report_csv_lines(stats["gap_reports"]))
     print(f"related pairs: {stats['histogram'].total}; reports written to "
           f"{cfg.output_dir}")
 
@@ -186,12 +157,8 @@ def cmd_pipeline(cfg):
 def cmd_sweep(cfg, axis, values_text):
     values = [v.strip() for v in values_text.split(",") if v.strip()]
     results = pipeline.sweep_parameters(cfg, axis, values)
-    with open(_out(cfg, f"sweep_{axis}.csv"), "w", encoding="utf-8") as fh:
-        for line in pipeline.sweep_csv_lines(results):
-            fh.write(line + "\n")
-    with open(_out(cfg, f"sweep_{axis}_hist.csv"), "w", encoding="utf-8") as fh:
-        for line in pipeline.sweep_histogram_csv_lines(results):
-            fh.write(line + "\n")
+    _write_lines(cfg, f"sweep_{axis}.csv", pipeline.sweep_csv_lines(results))
+    _write_lines(cfg, f"sweep_{axis}_hist.csv", pipeline.sweep_histogram_csv_lines(results))
     for row in results:
         print(f"{axis}={row['value']}: {row['group_count']} groups "
               f"({row['groups_ge_4']} of size >= 4) in {row['elapsed_s']:.2f}s")
@@ -201,24 +168,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "ingest":
-            cmd_ingest(cfg)
-        elif args.command == "extract":
-            cmd_extract(cfg)
-        elif args.command == "ctf":
-            cmd_ctf(cfg)
-        elif args.command == "chunk":
-            cmd_chunk(cfg)
-        elif args.command == "group":
-            cmd_group(cfg)
-        elif args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "analyze":
-            cmd_analyze(cfg)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             cmd_sweep(cfg, args.axis, args.values)
+        else:
+            args.run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

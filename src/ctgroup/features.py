@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from . import artifacts
+from .errors import DataError, DimensionMismatchError
 from .transactions import CacheTransaction
 
 SYMMETRIC_DIFF = "symmetric_diff"
@@ -213,35 +214,26 @@ def _run_pairs(values: np.ndarray, tails: np.ndarray, positions: np.ndarray):
     return np.concatenate(left), np.concatenate(right)
 
 
-def save_ctf(path, matrix: CtfMatrix, extractor_header: Mapping[str, object] = (),
+def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
              config_hash=""):
     """Serialize as `addr<TAB>idx1,idx2,...` with a metadata header."""
-    extras = " ".join(f"{k}={v}" for k, v in dict(extractor_header).items())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# num_transactions={matrix.num_transactions} "
-                 f"config_hash={config_hash} {extras}".rstrip() + "\n")
-        for address in sorted(matrix.rows):
-            vec = matrix.rows[address]
-            fh.write(f"{address}\t{','.join(map(str, vec.bits))}\n")
+    header = {"num_transactions": matrix.num_transactions, "config_hash": config_hash,
+              **dict(metadata)}
+    artifacts.write(path, header, (
+        f"{address}\t{','.join(map(str, matrix.rows[address].bits))}"
+        for address in sorted(matrix.rows)))
 
 
-def load_ctf(path):
-    header: dict[str, str] = {}
-    rows: dict[int, CtfVector] = {}
-    num_transactions = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        header[key] = val
-                num_transactions = int(header.get("num_transactions", 0))
-                continue
-            addr_text, bits_text = line.split("\t")
-            bits = tuple(int(b) for b in bits_text.split(",")) if bits_text else ()
-            rows[int(addr_text)] = CtfVector(bits, dim=num_transactions)
-    return CtfMatrix(num_transactions=num_transactions, rows=rows), header
+def _ctf_row(fields):
+    address, bits = fields
+    return int(address), artifacts.ints(bits)
+
+
+def load_ctf(path, config_hash=None):
+    """Inverse of save_ctf; returns (matrix, header dict)."""
+    header, rows = artifacts.read(path, _ctf_row, config_hash)
+    try:
+        dim = int(header["num_transactions"])
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: header has no num_transactions count") from None
+    return CtfMatrix(dim, {a: CtfVector(bits, dim=dim) for a, bits in rows}), header

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .chunking import ChunkSet
 from .errors import ConfigError, UnknownDatumError
 from .features import shared_run_counts, sorted_distinct
@@ -357,37 +358,31 @@ def grouping_report(grouping: Grouping) -> GroupingReport:
     )
 
 
+COLUMNS = "group_id,block_address"
+
+
 def save_grouping(path, grouping: Grouping, metadata: Mapping[str, object] = (),
                   config_hash=""):
     """CSV contract consumed by the simulator: group_id,block_address rows."""
     cfg = grouping.config
-    extras = " ".join(f"{k}={v}" for k, v in dict(metadata).items())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# alpha={cfg.alpha} mu={cfg.mu} sort={cfg.sort} "
-                 f"config_hash={config_hash} {extras}".rstrip() + "\n")
-        fh.write("group_id,block_address\n")
-        for group in grouping.groups:
-            for address in group.members:
-                fh.write(f"{group.id},{address}\n")
+    header = {"alpha": cfg.alpha, "mu": cfg.mu, "sort": cfg.sort,
+              "config_hash": config_hash, **dict(metadata)}
+    artifacts.write(path, header, (
+        f"{group.id},{address}" for group in grouping.groups for address in group.members
+    ), columns=COLUMNS)
 
 
-def load_grouping_members(path):
+def _member_row(fields):
+    gid, address = fields
+    return int(gid), int(address)
+
+
+def load_grouping_members(path, config_hash=None):
     """Read back group membership (group id -> address tuple) and header."""
-    header: dict[str, str] = {}
+    header, rows = artifacts.read(path, _member_row, config_hash, sep=",", columns=COLUMNS)
     members: dict[int, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line or line == "group_id,block_address":
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        header[key] = val
-                continue
-            gid_text, addr_text = line.split(",")
-            members.setdefault(int(gid_text), []).append(int(addr_text))
+    for gid, address in rows:
+        members.setdefault(gid, []).append(address)
     return {gid: tuple(v) for gid, v in members.items()}, header
 
 

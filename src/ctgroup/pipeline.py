@@ -1,11 +1,17 @@
-"""End-to-end orchestration: ingest -> extract -> features -> chunk ->
-group -> simulate, with every intermediate artifact persisted.
+"""End-to-end orchestration: ingest -> extract -> ctf -> chunk -> group ->
+simulate, with every intermediate artifact persisted (format: artifacts.py).
 
 A pipeline run is driven by a single PipelineConfig (flat key=value file,
-every key overridable from the command line). The configuration hash covers
-every algorithmic parameter; each artifact header records it, and no stage
-will read an artifact produced under a different hash. Reruns with the same
-config and inputs produce byte-identical artifacts.
+every key overridable from the command line). Each key declares the one
+stage it shapes. A stage's hash is sha256 over the previous stage's hash and
+the stage's own keys, so it moves with those keys and every earlier stage's
+but never with a later stage's. Each artifact header records the hash of
+the stage that wrote it, and a stage reads only artifacts whose hash
+matches: `simulate` with other policies or capacities accepts a saved
+grouping.csv, while `simulate --sigma 0.3` rejects it. The metrics and the
+manifest carry the simulate stage's hash, which covers every key but
+output_dir and w_limits. Reruns with the same config and inputs, in one go
+or stage by stage, produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
-from . import chunking, features, grouping, locality, simulator, transactions
-from .errors import ConfigError, CtgroupError, InvariantError
+from . import artifacts, chunking, features, grouping, locality, simulator, transactions
+from .errors import ConfigError, CtgroupError
 from .synthetic import SyntheticSpec, synthesize_trace
 from .trace import Trace, load_trace
 
@@ -34,38 +40,51 @@ ARTIFACTS = (
     "metrics.csv",
     "metrics.json",
 )
+STAGES = ("extract", "ctf", "chunk", "group", "simulate")
+
+
+def _flag(text):
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _items(parse):
+    """Parser of a comma-separated list."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+
+
+def config_key(stage, default, parse=str):
+    """A PipelineConfig field: the stage it shapes (None: no artifact) and
+    the parser of its text form."""
+    return field(default=default, metadata={"stage": stage, "parse": parse})
 
 
 @dataclass
 class PipelineConfig:
-    trace: str | None = None
-    synthetic: str | None = None        # path to a synthetic key=value spec
-    ops: str = "both"
-    host: str | None = None
-    disk: str | None = None
-    max_records: int | None = None
-    train_count: int | None = None
-    train_fraction: float = 0.7
-    M: int = DEFAULT_WINDOW_BYTES       # transaction window bytes
-    mode: str = transactions.CUMULATIVE
-    include_partial: bool = False
-    q: int = 16
-    p: float = 2.0
-    sigma: float = 0.1
-    alpha: float = 0.5
-    mu: float = 0.5
-    distance: str = features.SYMMETRIC_DIFF
-    sort: str = grouping.DESCENDING
-    capacity_fractions: tuple = DEFAULT_FRACTIONS
-    policies: tuple = (simulator.LRU, simulator.GROUP_MERGED)
-    write_allocate: bool = True
-    rng_seed: int | None = None         # overrides the synthetic spec's seed
-    output_dir: str = "out"
-    w_limits: tuple = (20.0, 50.0, 100.0, 150.0)
-
-    _BOOL_KEYS = ("include_partial", "write_allocate")
-    _INT_KEYS = ("max_records", "train_count", "M", "q", "rng_seed")
-    _FLOAT_KEYS = ("train_fraction", "p", "sigma", "alpha", "mu")
+    trace: str | None = config_key("extract", None)
+    synthetic: str | None = config_key("extract", None)  # path to a synthetic spec
+    ops: str = config_key("extract", "both")
+    host: str | None = config_key("extract", None)
+    disk: str | None = config_key("extract", None)
+    max_records: int | None = config_key("extract", None, int)
+    train_count: int | None = config_key("extract", None, int)
+    train_fraction: float = config_key("extract", 0.7, float)
+    M: int = config_key("extract", DEFAULT_WINDOW_BYTES, int)  # transaction window bytes
+    mode: str = config_key("extract", transactions.CUMULATIVE)
+    include_partial: bool = config_key("ctf", False, _flag)
+    q: int = config_key("chunk", 16, int)
+    p: float = config_key("chunk", 2.0, float)
+    sigma: float = config_key("chunk", 0.1, float)
+    alpha: float = config_key("group", 0.5, float)
+    mu: float = config_key("group", 0.5, float)
+    distance: str = config_key("chunk", features.SYMMETRIC_DIFF)
+    sort: str = config_key("group", grouping.DESCENDING)
+    capacity_fractions: tuple = config_key("simulate", DEFAULT_FRACTIONS, _items(float))
+    policies: tuple = config_key("simulate", (simulator.LRU, simulator.GROUP_MERGED),
+                                 _items(str))
+    write_allocate: bool = config_key("simulate", True, _flag)
+    rng_seed: int | None = config_key("extract", None, int)  # overrides the spec's seed
+    output_dir: str = config_key(None, "out")
+    w_limits: tuple = config_key(None, (20.0, 50.0, 100.0, 150.0), _items(float))
 
     def validate(self):
         if self.trace is None and self.synthetic is None:
@@ -97,80 +116,45 @@ class PipelineConfig:
     def grouper_config(self) -> grouping.GrouperConfig:
         return grouping.GrouperConfig(alpha=self.alpha, mu=self.mu, sort=self.sort)
 
+    def stage_keys(self, stage: str) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata.get("stage") == stage}
+
+    def stage_hash(self, stage: str) -> str:
+        """sha256(previous stage's hash + JSON of this stage's keys), 16 hex digits."""
+        digest = ""
+        for name in STAGES[: STAGES.index(stage) + 1]:
+            canon = json.dumps(self.stage_keys(name), sort_keys=True)
+            digest = hashlib.sha256((digest + canon).encode()).hexdigest()[:16]
+        return digest
+
     def config_hash(self) -> str:
-        algorithmic = {
-            "trace": self.trace,
-            "synthetic": self.synthetic,
-            "ops": self.ops,
-            "host": self.host,
-            "disk": self.disk,
-            "max_records": self.max_records,
-            "train_count": self.train_count,
-            "train_fraction": self.train_fraction,
-            "M": self.M,
-            "mode": self.mode,
-            "include_partial": self.include_partial,
-            "q": self.q,
-            "p": self.p,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "distance": self.distance,
-            "sort": self.sort,
-            "capacity_fractions": list(self.capacity_fractions),
-            "policies": list(self.policies),
-            "write_allocate": self.write_allocate,
-            "rng_seed": self.rng_seed,
-        }
-        canon = json.dumps(algorithmic, sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        """The simulate stage's hash, which covers every staged key."""
+        return self.stage_hash(STAGES[-1])
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
-        values: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"config line without '=': {raw!r}")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
+        values = artifacts.read_keyvalues(path)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_mapping(values)
 
     @classmethod
     def from_mapping(cls, values: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
+        known = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, val in values.items():
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = cls._coerce(key, val)
+            if isinstance(val, str):
+                try:
+                    val = known[key].metadata.get("parse", str)(val)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key}: {exc}") from None
+            kwargs[key] = val
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def _coerce(cls, key, val):
-        if not isinstance(val, str):
-            return val
-        try:
-            if key in cls._BOOL_KEYS:
-                return val.lower() in ("1", "true", "yes", "on")
-            if key in cls._INT_KEYS:
-                return int(val)
-            if key in cls._FLOAT_KEYS:
-                return float(val)
-            if key in ("capacity_fractions", "w_limits"):
-                return tuple(float(v) for v in val.split(",") if v.strip())
-            if key == "policies":
-                return tuple(v.strip() for v in val.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
-        return val
 
 
 class PipelineStageError(CtgroupError):
@@ -190,14 +174,8 @@ def load_input_trace(cfg: PipelineConfig):
         if cfg.ops != "both":
             trace = trace.filter_ops(cfg.ops)
         return trace, truth
-    trace = load_trace(
-        cfg.trace,
-        skip_malformed=True,
-        ops=cfg.ops,
-        host=cfg.host,
-        disk=cfg.disk,
-        max_records=cfg.max_records,
-    )
+    trace = load_trace(cfg.trace, skip_malformed=True, ops=cfg.ops, host=cfg.host,
+                       disk=cfg.disk, max_records=cfg.max_records)
     return trace, None
 
 
@@ -238,13 +216,14 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def check_artifact_hash(header: dict, cfg: PipelineConfig, path):
-    found = header.get("config_hash", "")
-    expected = cfg.config_hash()
-    if found and found != expected:
-        raise InvariantError(
-            f"{path} was produced under config hash {found}, current is {expected}"
-        )
+def write_metrics(cfg: PipelineConfig, rows):
+    """metrics.csv and metrics.json in output_dir, under the simulate stage's hash."""
+    chash = cfg.stage_hash("simulate")
+    out = cfg.output_dir
+    artifacts.write(os.path.join(out, "metrics.csv"), {"config_hash": chash},
+                    simulator.metrics_csv_lines(rows))
+    artifacts.write_json(os.path.join(out, "metrics.json"),
+                         {"config_hash": chash, "rows": [m.as_dict() for m in rows]})
 
 
 @contextlib.contextmanager
@@ -272,7 +251,6 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
     """Execute all stages, persist artifacts, return the manifest."""
     cfg.validate()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    chash = cfg.config_hash()
     written: list[str] = []
 
     def path_of(name):
@@ -291,26 +269,22 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
         stage = "extract"
         transactions.save_transactions(
             path_of("transactions.tsv"), txns, cfg.extractor_config(),
-            trace_label=trace.source_label, config_hash=chash,
+            trace.source_label, cfg.stage_hash("extract"),
         )
         written.append("transactions.tsv")
 
         stage = "ctf"
-        extractor_meta = {"window_bytes": cfg.M, "mode": cfg.mode}
-        features.save_ctf(path_of("ctf.tsv"), matrix, extractor_meta, chash)
+        features.save_ctf(path_of("ctf.tsv"), matrix, config_hash=cfg.stage_hash("ctf"))
         written.append("ctf.tsv")
 
         stage = "chunk"
-        chunking.save_chunks(path_of("chunks.tsv"), chunkset, extractor_meta, chash)
+        chunking.save_chunks(path_of("chunks.tsv"), chunkset,
+                             config_hash=cfg.stage_hash("chunk"))
         written.append("chunks.tsv")
 
         stage = "group"
-        grouping.save_grouping(
-            path_of("grouping.csv"), grp,
-            {"window_bytes": cfg.M, "mode": cfg.mode, "q": cfg.q, "p": cfg.p,
-             "sigma": cfg.sigma, "trace": trace.source_label.replace(" ", "_")},
-            chash,
-        )
+        grouping.save_grouping(path_of("grouping.csv"), grp,
+                               config_hash=cfg.stage_hash("group"))
         written.append("grouping.csv")
 
         stage = "simulate"
@@ -321,18 +295,8 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
             write_allocate=cfg.write_allocate,
             check_invariants=check_invariants,
         )
-        with open(path_of("metrics.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            for line in simulator.metrics_csv_lines(rows):
-                fh.write(line + "\n")
-        written.append("metrics.csv")
-        with open(path_of("metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"config_hash": chash, "rows": [m.as_dict() for m in rows]},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        written.append("metrics.json")
+        write_metrics(cfg, rows)
+        written += ["metrics.csv", "metrics.json"]
     except Exception as exc:
         # Leave whatever the failing stage produced flagged as partial.
         for name in ARTIFACTS:
@@ -342,7 +306,7 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
 
     stage = "manifest"
     manifest = {
-        "config_hash": chash,
+        "config_hash": cfg.config_hash(),
         "trace_label": trace.source_label,
         "records": len(trace),
         "train_records": len(train),
@@ -355,9 +319,7 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
             {"name": name, "sha256": _digest(path_of(name))} for name in written
         ],
     }
-    with open(path_of("manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(path_of("manifest.json"), manifest)
     return manifest
 
 
@@ -383,16 +345,11 @@ def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
         _txns, _matrix, _chunkset, grp, _train, _test = run_stages(point, trace)
         elapsed = time.perf_counter() - start
         report = grouping.grouping_report(grp)
-        results.append(
-            {
-                "axis": axis,
-                "value": value,
-                "group_count": report.group_count,
-                "groups_ge_4": report.groups_of_size_at_least(4),
-                "size_histogram": report.size_histogram,
-                "elapsed_s": elapsed,
-            }
-        )
+        results.append({
+            "axis": axis, "value": value, "group_count": report.group_count,
+            "groups_ge_4": report.groups_of_size_at_least(4),
+            "size_histogram": report.size_histogram, "elapsed_s": elapsed,
+        })
     return results
 
 

@@ -13,12 +13,13 @@ platforms), so traces are bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import random
 
 import numpy as np
 
+from .artifacts import read_keyvalues
 from .errors import ConfigError, EmptyTraceError
 from .trace import Op, Trace
 
@@ -68,31 +69,20 @@ class SyntheticSpec:
         """Read a flat key=value spec file.
 
         Recognized keys: num_data, num_accesses, groups (e.g. "3x1.0,4x0.8"),
-        size_min, size_max, rng_seed, address_stride, region_gap.
+        size_min, size_max, rng_seed, address_stride, region_gap; any other
+        key is a ConfigError.
         """
-        values: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"synthetic spec line without '=': {raw!r}")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
+        values = read_keyvalues(path)
+        int_keys = {f.name for f in fields(cls)} - {"group_structure"}
+        for key in values:
+            if key not in int_keys and key != "groups":
+                raise ConfigError(f"unknown synthetic spec key {key!r}")
+        for key in ("num_data", "num_accesses"):
+            if key not in values:
+                raise ConfigError(f"synthetic spec missing key {key!r}")
         try:
-            spec = cls(
-                num_data=int(values["num_data"]),
-                num_accesses=int(values["num_accesses"]),
-                group_structure=parse_group_structure(values.get("groups", "")),
-                size_min=int(values.get("size_min", 4096)),
-                size_max=int(values.get("size_max", 4096)),
-                rng_seed=int(values.get("rng_seed", 0)),
-                address_stride=int(values.get("address_stride", 4096)),
-                region_gap=int(values.get("region_gap", 1 << 20)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic spec missing key {exc}") from None
+            spec = cls(group_structure=parse_group_structure(values.pop("groups", "")),
+                       **{key: int(val) for key, val in values.items()})
         except ValueError as exc:
             raise ConfigError(f"bad synthetic spec value: {exc}") from None
         spec.validate()

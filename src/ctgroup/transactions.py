@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from . import artifacts
 from .errors import ConfigError, EmptyTraceError
 from .trace import Trace
 
@@ -144,32 +145,24 @@ def extract_transactions(trace: Trace, cfg: ExtractorConfig) -> list[CacheTransa
 def save_transactions(path, transactions, cfg: ExtractorConfig, trace_label="",
                       config_hash=""):
     """Serialize as `txn_id<TAB>addr1,addr2,...`; partial rows are flagged."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# window_bytes={cfg.window_bytes} mode={cfg.mode} "
-                 f"trace={trace_label} config_hash={config_hash}\n")
-        for txn in transactions:
-            suffix = "\tpartial" if txn.partial else ""
-            fh.write(f"{txn.index}\t{','.join(map(str, txn.members))}{suffix}\n")
+    header = {"window_bytes": cfg.window_bytes, "mode": cfg.mode, "trace": trace_label,
+              "config_hash": config_hash}
+    artifacts.write(path, header, (
+        f"{t.index}\t{','.join(map(str, t.members))}" + ("\tpartial" if t.partial else "")
+        for t in transactions))
 
 
-def load_transactions(path):
-    """Inverse of save_transactions; returns (transactions, header dict)."""
-    transactions = []
-    header: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        header[key] = val
-                continue
-            fields = line.split("\t")
-            index = int(fields[0])
-            members = tuple(int(a) for a in fields[1].split(",")) if fields[1] else ()
-            partial = len(fields) > 2 and fields[2] == "partial"
-            transactions.append(CacheTransaction(index, members, partial))
-    return transactions, header
+def _transaction(fields):
+    index, members, *flag = fields
+    if flag not in ([], ["partial"]):
+        raise ValueError(f"unexpected field {flag[0]!r}")
+    return CacheTransaction(int(index), artifacts.ints(members), bool(flag))
+
+
+def load_transactions(path, config_hash=None):
+    """Inverse of save_transactions; returns (transactions, header dict).
+
+    With config_hash given, the artifact must have been written under it.
+    """
+    header, rows = artifacts.read(path, _transaction, config_hash)
+    return list(rows), header

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
@@ -189,6 +190,11 @@ class TestCli:
     def test_missing_source_exit_two(self, capsys):
         assert self.run("pipeline", "--output_dir", "/tmp/none") == 2
 
+    def test_unknown_spec_key_exit_two(self, spec_file, tmp_path, capsys):
+        spec_file.write_text(spec_file.read_text() + "size_mx=8192\n")
+        assert self.run("pipeline", *self.base_flags(spec_file, tmp_path / "o")) == 2
+        assert "size_mx" in capsys.readouterr().err
+
     def test_empty_trace_exit_three(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -204,12 +210,7 @@ class TestCli:
         assert self.run("pipeline", *self.base_flags(spec_file, out_a)) == 0
         for command in ("extract", "ctf", "chunk", "group", "simulate"):
             assert self.run(command, *self.base_flags(spec_file, out_b)) == 0
-        for name in ("transactions.tsv", "ctf.tsv", "chunks.tsv", "metrics.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        # grouping headers differ in metadata, membership must not
-        members_a, _ = load_grouping_members(out_a / "grouping.csv")
-        members_b, _ = load_grouping_members(out_b / "grouping.csv")
-        assert members_a == members_b
+        assert read_artifacts(out_a) == read_artifacts(out_b)
 
     def test_hash_guard_exit_four(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -265,3 +266,113 @@ class TestSweepParameters:
         for row in rows:
             assert row["group_count"] == sum(row["size_histogram"].values())
             assert row["elapsed_s"] >= 0.0
+
+
+# A data row of each artifact's own format that is not an integer, and one
+# with the wrong number of fields, per artifact and the stage that reads it.
+CORRUPTIONS = {
+    "transactions.tsv": ("ctf", "x\t1,2", "7"),
+    "ctf.tsv": ("chunk", "4096\t1,y", "4096\t1\t2"),
+    "chunks.tsv": ("group", "z\t4096", "0"),
+    "grouping.csv": ("simulate", "0,w", "0,4096,1"),
+}
+
+
+class TestArtifactGuards:
+    """Malformed, unhashed and stale artifacts end in exit 3 or 4 with a message."""
+
+    def run(self, *argv):
+        return cli.main(list(argv))
+
+    def flags(self, spec_file, out, *extra):
+        return ["--synthetic", str(spec_file), "--M", "32768",
+                "--output_dir", str(out), *extra]
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("damage", ["non_integer", "field_count", "no_header"])
+    def test_malformed_artifact_exit_three(self, spec_file, tmp_path, capsys,
+                                           name, damage):
+        out = tmp_path / "out"
+        assert self.run("pipeline", *self.flags(spec_file, out)) == 0
+        command, non_integer, field_count = CORRUPTIONS[name]
+        lines = (out / name).read_text().splitlines()
+        if damage == "no_header":
+            lines, line_no = lines[1:2], 1
+        else:
+            lines.append(non_integer if damage == "non_integer" else field_count)
+            line_no = len(lines)
+        (out / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run(command, *self.flags(spec_file, out)) == 3
+        err = capsys.readouterr().err
+        assert f"{out / name}, line {line_no}:" in err
+
+    def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("extract", "ctf"):
+            assert self.run(command, *self.flags(spec_file, out)) == 0
+        ctf = out / "ctf.tsv"
+        header, rest = ctf.read_text().split("\n", 1)
+        header = " ".join(f for f in header.split() if not f.startswith("config_hash="))
+        ctf.write_text(header + "\n" + rest)
+        assert self.run("chunk", *self.flags(spec_file, out, "--sigma", "0.3")) == 3
+        assert "has no config_hash" in capsys.readouterr().err
+
+    def test_later_stages_rerun_on_saved_artifacts(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run("pipeline", *self.flags(spec_file, out)) == 0
+        rows = json.loads((out / "metrics.json").read_text())["rows"]
+        fraction = pipeline.DEFAULT_FRACTIONS[1]
+        assert self.run("simulate", *self.flags(
+            spec_file, out, "--policies", "lru", "--capacity_fractions", str(fraction))) == 0
+        staged = json.loads((out / "metrics.json").read_text())["rows"]
+        assert staged == [r for r in rows
+                          if r["policy"] == "lru" and r["capacity_fraction"] == fraction]
+        capsys.readouterr()
+        assert self.run("simulate", *self.flags(spec_file, out, "--sigma", "0.3")) == 4
+        assert "config hash" in capsys.readouterr().err
+        assert self.run("group", *self.flags(spec_file, out, "--mu", "0.9")) == 0
+        assert self.run("chunk", *self.flags(spec_file, out, "--sigma", "0.3")) == 0
+
+
+STAGE_KEYS = {
+    "extract": {"trace", "synthetic", "rng_seed", "ops", "host", "disk", "max_records",
+                "train_count", "train_fraction", "M", "mode"},
+    "ctf": {"include_partial"},
+    "chunk": {"q", "p", "sigma", "distance"},
+    "group": {"alpha", "mu", "sort"},
+    "simulate": {"capacity_fractions", "policies", "write_allocate"},
+}
+
+
+class TestStageHashes:
+    def test_stage_of_every_key(self, spec_file, tmp_path):
+        cfg = config_for(spec_file, tmp_path / "o")
+        assert {s: set(cfg.stage_keys(s)) for s in pipeline.STAGES} == STAGE_KEYS
+        assert {f.name for f in fields(cfg)} - set().union(*STAGE_KEYS.values()) == {
+            "output_dir", "w_limits"}
+
+    @pytest.mark.parametrize("key", sorted(set().union(*STAGE_KEYS.values()))
+                             + ["output_dir", "w_limits"])
+    def test_key_moves_its_stage_and_later(self, spec_file, tmp_path, key):
+        cfg = config_for(spec_file, tmp_path / "o")
+        changed = replace(cfg, **{key: "changed"})
+        moved = [s for s in pipeline.STAGES if changed.stage_hash(s) != cfg.stage_hash(s)]
+        stage = next((s for s, keys in STAGE_KEYS.items() if key in keys), None)
+        assert moved == ([] if stage is None else
+                         list(pipeline.STAGES[pipeline.STAGES.index(stage):]))
+        assert changed.config_hash() == changed.stage_hash("simulate")
+
+    def test_new_field_gets_flag_and_stage(self, spec_file, tmp_path, monkeypatch):
+        @dataclass
+        class Extended(PipelineConfig):
+            extra: int = pipeline.config_key("chunk", 0, int)
+
+        monkeypatch.setattr(cli, "PipelineConfig", Extended)
+        args = cli.build_parser().parse_args(
+            ["chunk", "--synthetic", str(spec_file), "--extra", "3"])
+        cfg = cli.load_config(args)
+        assert cfg.extra == 3
+        base = replace(cfg, extra=0)
+        moved = [s for s in pipeline.STAGES if cfg.stage_hash(s) != base.stage_hash(s)]
+        assert moved == ["chunk", "group", "simulate"]

@@ -206,6 +206,18 @@ class TestSynthesize:
         t2, _ = synthesize_trace(self.spec())
         assert list(t1) == list(t2)
 
+    @pytest.mark.parametrize("text, message", [
+        ("num_data=6\nnum_accesses=60\nsize_mx=8192\n", "unknown synthetic spec key 'size_mx'"),
+        ("num_data=6\n", "missing key 'num_accesses'"),
+        ("num_data=6\nnum_accesses=sixty\n", "bad synthetic spec value"),
+        ("num_data=6\nnum_accesses\n", "line 2: no '='"),
+    ])
+    def test_spec_file_errors(self, tmp_path, text, message):
+        path = tmp_path / "spec.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            SyntheticSpec.from_file(path)
+
 
 def assert_same_trace(got, want):
     for column in ("timestamps", "addresses", "sizes", "ops"):
