@@ -29,7 +29,9 @@ from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
     CtfVector,
+    index_dtype,
     run_starts,
+    run_tails,
     shared_run_counts,
     sorted_distinct,
 )
@@ -143,9 +145,9 @@ def cluster_area(
     # Identical feature vectors always qualify (distance 0), so they can be
     # collapsed up front: any greedy order over the zero-distance pairs
     # yields the same clusters and leaves every feature unchanged.
-    by_feature: dict[frozenset, list[int]] = {}
+    by_feature: dict[tuple[int, ...], list[int]] = {}
     for a in addrs:
-        by_feature.setdefault(ctf[a].index_set, []).append(a)
+        by_feature.setdefault(ctf[a].bits, []).append(a)
     groups = sorted(by_feature.values(), key=lambda group: group[0])
     if audit is not None:
         for group in groups:
@@ -161,13 +163,23 @@ def cluster_area(
     members: dict[int, list[int]] = dict(enumerate(groups))
     merged_bits: dict[int, np.ndarray] = {}
     incidence = _Incidence([vec.bits for vec in initial])
-    # For sigma <= 1 a qualifying pair of non-empty vectors must share a
-    # transaction index, so only such pairs are candidates; above that
-    # every pair is. (An empty-feature cluster, if any, was collapsed above
-    # and can never qualify against a non-empty one.)
-    prune = sigma <= 1.0
     euclidean = metric != SYMMETRIC_DIFF
-    heap = incidence.first_heap([group[0] for group in groups], sigma, euclidean, prune)
+    # Candidates are the pairs that share a transaction index, plus the
+    # disjoint pairs (an empty feature among them) whose popcounts total at
+    # least min_disjoint. A disjoint pair's count distance is that total
+    # T, which is within T/2 * sigma only from sigma 2 on, so for sigma <= 1
+    # the count metric has none; above 1 every pair is a candidate. Its
+    # Euclidean distance sqrt(T) is within the threshold once
+    # T >= 4 / sigma**2 (one less covers float rounding; the exact test
+    # follows).
+    if sigma > 1.0:
+        min_disjoint = 0.0
+    elif euclidean and sigma > 0.0:
+        min_disjoint = 4.0 / sigma**2 - 1.0
+    else:
+        min_disjoint = math.inf
+    heap = incidence.first_heap([group[0] for group in groups], sigma, euclidean,
+                                min_disjoint)
     alive = set(members)
     sizes = np.zeros(2 * k, dtype=np.int64)  # popcount per cluster id
     sizes[:k] = incidence.sizes
@@ -203,14 +215,14 @@ def cluster_area(
 
         # |x ^ y| = |x| + |y| - 2|x & y|
         others, shared = incidence.overlaps(bits, cluster_of)
-        if prune:
-            keep = others != merged
-            others, shared = others[keep], shared[keep]
-        else:
-            candidates = np.array(sorted(alive), dtype=np.int64)
+        keep = others != merged
+        others, shared = others[keep], shared[keep]
+        if min_disjoint < math.inf:
+            live = np.array(sorted(alive), dtype=np.int64)
+            far = live[sizes[live] + size >= min_disjoint]
+            candidates = np.union1d(far, others)
             overlap = np.zeros(len(candidates), dtype=np.int64)
-            keep = others != merged
-            overlap[np.searchsorted(candidates, others[keep])] = shared[keep]
+            overlap[np.searchsorted(candidates, others)] = shared
             others, shared = candidates, overlap
         total = size + sizes[others]
         d = total - 2 * shared
@@ -228,10 +240,12 @@ def cluster_area(
     dim = ctf.num_transactions
     out = []
     for i in sorted(alive, key=lambda i: members[i][0]):
-        vec = initial[i] if i < k else None
-        if vec is None or vec.dim != dim:
-            bits = merged_bits[i].tolist() if i >= k else sorted(vec.index_set)
-            vec = CtfVector(bits, dim=dim)
+        if i >= k:
+            vec = CtfVector(merged_bits[i].tolist(), dim=dim)
+        elif initial[i].dim != dim:
+            vec = CtfVector(initial[i].bits, dim=dim)
+        else:
+            vec = initial[i]
         out.append((tuple(members[i]), vec))
     return out
 
@@ -245,7 +259,7 @@ class _Incidence:
         self.sizes = np.fromiter(map(len, cluster_bits), dtype=np.int64, count=k)
         bits = np.fromiter(chain.from_iterable(cluster_bits), dtype=np.int64,
                            count=int(self.sizes.sum()))
-        owner = np.repeat(np.arange(k, dtype=np.int64), self.sizes)
+        owner = np.repeat(np.arange(k, dtype=index_dtype(k)), self.sizes)
         order = np.argsort(bits, kind="stable")
         self.bits = bits[order]
         self.owner = owner[order]
@@ -254,14 +268,15 @@ class _Incidence:
         self.index_start = starts
         self.index_len = np.diff(np.append(starts, len(self.bits)))
 
-    def first_heap(self, min_addrs, sigma, euclidean, prune):
+    def first_heap(self, min_addrs, sigma, euclidean, min_disjoint):
         """Heap entries (distance, lo, hi, i, j) for every qualifying pair
         of clusters i < j; ``min_addrs[i]`` is cluster i's smallest member
         address (ascending in i). A pair's intersection size is the number
-        of transaction indices it shares."""
-        batches = shared_run_counts(self.bits, self.owner)
-        if not prune:
-            batches = [_with_disjoint_pairs(self.k, batches)]
+        of transaction indices it shares; disjoint pairs are scored only
+        where their popcounts total at least ``min_disjoint``."""
+        batches = shared_run_counts(run_tails(self.bits), self.owner)
+        if min_disjoint < math.inf:
+            batches = [_with_disjoint_pairs(self.sizes, min_disjoint, batches)]
         addrs = np.asarray(min_addrs, dtype=np.int64)
         entries = []
         for i, j, shared in batches:
@@ -294,14 +309,18 @@ class _Incidence:
         return np.unique(held % stride, return_counts=True)
 
 
-def _with_disjoint_pairs(k, batches):
-    """Every pair i < j of k clusters with its shared count, 0 if none."""
-    i, j = np.triu_indices(k, 1)
-    keys = i * k + j
-    shared = np.zeros(len(keys), dtype=np.int64)
-    for left, right, count in batches:
-        shared[np.searchsorted(keys, left * k + right)] = count
-    return i, j, shared
+def _with_disjoint_pairs(sizes, min_total, batches):
+    """The pairs i < j in ``batches`` with their shared counts, plus every
+    other pair whose ``sizes`` total at least ``min_total``, with 0."""
+    k = len(sizes)
+    none = (np.empty(0, dtype=np.int64),) * 3
+    left, right, shared = (np.concatenate(column) for column in zip(none, *batches))
+    eligible = np.flatnonzero(sizes + sizes.max(initial=0) >= min_total)
+    i, j = (eligible[side] for side in np.triu_indices(len(eligible), 1))
+    far = sizes[i] + sizes[j] >= min_total
+    disjoint = np.setdiff1d(i[far] * k + j[far], left * k + right, assume_unique=True)
+    return (np.concatenate((left, disjoint // k)), np.concatenate((right, disjoint % k)),
+            np.concatenate((shared, np.zeros(len(disjoint), dtype=np.int64))))
 
 
 @dataclass

@@ -5,6 +5,12 @@ binary vector over transaction indices: bit j is set iff the datum was a
 member of transaction j. The popcount of a vector is the datum's access
 frequency at transaction granularity.
 
+A vector is stored once, as its ascending tuple of distinct indices
+(``CtfVector.bits``) plus the log's transaction count; two vectors are
+equal iff their tuples are. Nothing keeps a set of the indices: the
+chunking and grouping stages count intersections with numpy
+(``shared_run_counts``), and ``index_set`` builds a frozenset on demand.
+
 The relationship distance between two vectors is the symmetric-difference
 count of their index sets. The alternative form (Euclidean distance on
 the binary vectors) is the square root of that count; it is
@@ -16,6 +22,7 @@ is the default so the strong-relation threshold compares like with like
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -31,27 +38,31 @@ METRICS = (SYMMETRIC_DIFF, EUCLIDEAN)
 
 
 class CtfVector:
-    """Sparse ascending list of transaction indices where a datum appears."""
+    """Sparse feature vector: the transaction indices where a datum appears.
 
-    __slots__ = ("bits", "dim", "_set")
+    ``bits`` must be strictly ascending (build_ctf and load_ctf guarantee
+    it); equality and the hash are those of the tuple, which makes them
+    the index sets' equality.
+    """
+
+    __slots__ = ("bits", "dim")
 
     def __init__(self, bits: Iterable[int], dim: int | None = None):
         self.bits = tuple(bits)
         self.dim = dim
-        self._set = frozenset(self.bits)
 
     @property
     def index_set(self) -> frozenset:
-        return self._set
+        return frozenset(self.bits)
 
     def popcount(self) -> int:
         return len(self.bits)
 
     def __eq__(self, other):
-        return isinstance(other, CtfVector) and self._set == other._set
+        return isinstance(other, CtfVector) and self.bits == other.bits
 
     def __hash__(self):
-        return hash(self._set)
+        return hash(self.bits)
 
     def __repr__(self):
         return f"CtfVector({list(self.bits)!r})"
@@ -70,7 +81,7 @@ def distance(x: CtfVector, y: CtfVector, metric: str = SYMMETRIC_DIFF) -> float:
     metric="euclidean" returns the square root of that count.
     """
     _check_dims(x, y)
-    count = len(x.index_set ^ y.index_set)
+    count = len(x.index_set.symmetric_difference(y.bits))
     if metric == EUCLIDEAN:
         return math.sqrt(count)
     return count
@@ -141,40 +152,61 @@ def build_ctf(
     )
 
 
-# Pair occurrences enumerated per batch in shared_run_counts.
-PAIR_BATCH = 1 << 18
+# Pair occurrences enumerated per batch in shared_run_counts. A batch
+# holds one int64 key per occurrence (512 KiB at this size), sorts them in
+# place, and yields at most as many counted pairs; larger batches set the
+# group stage's peak memory without making it faster.
+PAIR_BATCH = 1 << 16
 
 
-def shared_run_counts(runs: np.ndarray, values: np.ndarray):
+def shared_run_counts(tails: np.ndarray, values: np.ndarray):
     """Count, for every pair of values that occur in a common run, the
     runs holding both.
 
-    ``runs`` is sorted; within a run, ``values`` are ascending and
-    distinct. Yields (left, right, count) int arrays with left < right,
-    in batches of left values: all pairs of one left value come in one
-    batch, so each count is complete, and a batch enumerates about
-    PAIR_BATCH pair occurrences, which bounds its memory.
+    The input is a sequence of runs, as run_incidence returns it: within
+    a run, ``values`` are ascending, distinct and non-negative, and
+    ``tails[p]`` is the number of positions after p in p's run. Yields
+    (left, right, count) int64 arrays with left < right, in batches of
+    left values: all pairs of one left value come in one batch, so each
+    count is complete, and a batch enumerates about PAIR_BATCH pair
+    occurrences, which bounds its memory.
 
     The runs are transactions (values: the chunks in each) for group
-    co-occurrence, and transaction indices (values: the data holding
-    each) for feature intersections.
+    co-occurrence and address co-occurrence, and transaction indices
+    (values: the clusters holding each) for feature intersections.
     """
     stride = int(values.max()) + 1 if len(values) else 1
-    tails = _run_tails(runs)
-    starts = np.flatnonzero(tails)
+    starts = np.flatnonzero(tails).astype(index_dtype(len(tails)))
     starts = starts[np.argsort(values[starts], kind="stable")]
     lefts = values[starts]
-    load = np.cumsum(tails[starts])
+    load = np.cumsum(tails[starts], dtype=np.int64)
     lo = 0
     while lo < len(starts):
-        done = load[lo - 1] if lo else 0
+        done = int(load[lo - 1]) if lo else 0
         hi = int(np.searchsorted(load, done + PAIR_BATCH, side="right"))
         hi = int(np.searchsorted(lefts, lefts[max(hi, lo + 1) - 1], side="right"))
-        left, right = _run_pairs(values, tails, starts[lo:hi])
-        keys, counts = np.unique(left * stride + right, return_counts=True)
-        left, right = np.divmod(keys, stride)
+        keys = _pair_keys(values, tails, starts[lo:hi], stride, int(load[hi - 1]) - done)
+        keys.sort()
+        first = run_starts(keys)
+        counts = np.diff(first, append=len(keys))
+        left, right = np.divmod(keys[first], stride)
         yield left, right, counts
         lo = hi
+
+
+def run_incidence(runs: np.ndarray, values: np.ndarray, stride: int):
+    """The distinct (run, value) pairs of two aligned int arrays, sorted,
+    as shared_run_counts takes them: (tails, values). Every value lies in
+    [0, stride)."""
+    keys = sorted_distinct(runs * stride + values)
+    runs = keys // stride
+    keys -= runs * stride
+    return run_tails(runs), keys.astype(index_dtype(stride))
+
+
+def index_dtype(bound: int):
+    """The int dtype for values below ``bound``: int32 where they fit."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -190,28 +222,33 @@ def run_starts(runs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _run_tails(runs: np.ndarray) -> np.ndarray:
+def run_tails(runs: np.ndarray) -> np.ndarray:
     """For a sorted array, how many later positions hold the same value."""
     n = len(runs)
     starts = run_starts(runs)
-    ends = np.append(starts, n)[1:]
-    return np.repeat(ends, ends - starts) - np.arange(n) - 1
+    lengths = np.diff(starts, append=n)
+    dtype = index_dtype(n)
+    tails = np.repeat((starts + lengths).astype(dtype), lengths)
+    tails -= np.arange(1, n + 1, dtype=dtype)
+    return tails
 
 
-def _run_pairs(values: np.ndarray, tails: np.ndarray, positions: np.ndarray):
-    """(values[p], values[q]) for each p in ``positions`` and every later
-    q in p's run, as two arrays."""
-    left, right = [], []
+def _pair_keys(values, tails, positions, stride, count):
+    """left * stride + right for each p in ``positions`` and every later q
+    in p's run, with left = values[p] and right = values[q]; ``count`` is
+    the number of such pairs."""
+    keys = np.empty(count, dtype=np.int64)
+    at = 0
     step = 1
     while positions.size:
-        left.append(values[positions])
-        right.append(values[positions + step])
+        part = keys[at:at + positions.size]
+        part[:] = values[positions]
+        part *= stride
+        part += values[positions + step]
+        at += positions.size
         step += 1
         positions = positions[tails[positions] >= step]
-    if not left:
-        empty = np.empty(0, dtype=values.dtype)
-        return empty, empty
-    return np.concatenate(left), np.concatenate(right)
+    return keys
 
 
 def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
@@ -226,7 +263,10 @@ def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
 
 def _ctf_row(fields):
     address, bits = fields
-    return int(address), artifacts.ints(bits)
+    bits = artifacts.ints(bits)
+    if not all(map(operator.lt, bits, bits[1:])):
+        raise ValueError("transaction indices are not strictly ascending")
+    return int(address), bits
 
 
 def load_ctf(path, config_hash=None):

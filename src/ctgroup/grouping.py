@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts
 from .chunking import ChunkSet
 from .errors import ConfigError, UnknownDatumError
-from .features import shared_run_counts, sorted_distinct
+from .features import run_incidence, shared_run_counts, sorted_distinct
 from .transactions import CacheTransaction
 
 DESCENDING = "descending"
@@ -46,37 +46,6 @@ class GrouperConfig:
             raise ConfigError(f"sort must be descending|ascending, got {self.sort!r}")
 
 
-def count_cooccurrence(
-    transactions: Iterable[CacheTransaction],
-    chunk_lookup: Mapping[int, int],
-    include_partial: bool = False,
-) -> dict[tuple[int, int], int]:
-    """Per unordered chunk pair, the number of transactions containing both.
-
-    Every transacted address must resolve to a chunk; an unresolvable
-    address raises UnknownDatumError naming it (it indicates the chunking
-    was built from a different transaction log).
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for txn in transactions:
-        if txn.partial and not include_partial:
-            continue
-        seen: set[int] = set()
-        for address in txn.members:
-            try:
-                seen.add(chunk_lookup[address])
-            except KeyError:
-                raise UnknownDatumError(address) from None
-        if len(seen) < 2:
-            continue
-        chunk_ids = sorted(seen)
-        for i in range(len(chunk_ids)):
-            for j in range(i + 1, len(chunk_ids)):
-                key = (chunk_ids[i], chunk_ids[j])
-                counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
 class Relation:
     x: int  # chunk id, x < y
@@ -96,13 +65,21 @@ def compute_legal_relations(
     sort: str = DESCENDING,
     include_partial: bool = False,
 ) -> list[Relation]:
-    """count_cooccurrence + legal_relations fused on numpy arrays.
+    """The legal relations of a transaction log, strongest first.
 
-    Equivalent output. Transactions are resolved to their distinct chunks
-    in batches; the chunk pairs within each transaction are then counted
-    in batches of smaller chunk ids, and each batch is filtered by alpha
-    at once, so no table of every counted pair (most of them noise that
-    the filter drops) is ever held.
+    A chunk pair's count is the number of transactions holding both (each
+    transaction counts a pair at most once); the pair is a legal relation
+    when its count reaches max(|V_x|, |V_y|) * alpha. Relations are ordered
+    by count, descending unless ``sort`` is ascending, ties by (x, y)
+    ascending. Every transacted address must resolve to a chunk: the first
+    one in log order that does not raises UnknownDatumError (it indicates
+    the chunking was built from a different transaction log).
+
+    Transactions are resolved to their distinct chunks in batches, kept as
+    int32 chunk ids with their run tails; the chunk pairs within each
+    transaction are then counted in batches of smaller chunk ids, and each
+    batch is filtered by alpha at once, so no table of every counted pair
+    (most of them noise that the filter drops) is ever held.
     """
     addrs = np.fromiter(chunk_lookup.keys(), dtype=np.int64, count=len(chunk_lookup))
     chunk_ids = np.fromiter(chunk_lookup.values(), dtype=np.int64, count=len(addrs))
@@ -111,8 +88,7 @@ def compute_legal_relations(
     stride = int(chunk_ids.max()) + 1 if len(chunk_ids) else 1
 
     used = (t for t in transactions if include_partial or not t.partial)
-    incidence = []  # (transaction, chunk) keys, sorted and distinct
-    first = 0
+    tails, chunks = [], []  # per batch of transactions
     while batch := [t.members for t in islice(used, TXN_BATCH)]:
         lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
         flat = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
@@ -122,14 +98,18 @@ def compute_legal_relations(
         known[known] = addrs[at[known]] == flat[known]
         if not known.all():
             raise UnknownDatumError(int(flat[np.argmin(known)]))
-        txn = np.repeat(np.arange(first, first + len(batch), dtype=np.int64), lengths)
-        incidence.append(sorted_distinct(txn * stride + chunk_ids[at]))
-        first += len(batch)
-    txn, chunk = np.divmod(np.concatenate(incidence or [np.empty(0, np.int64)]), stride)
+        txn = np.repeat(np.arange(len(batch)), lengths)
+        batch_tails, batch_chunks = run_incidence(txn, chunk_ids[at], stride)
+        tails.append(batch_tails)
+        chunks.append(batch_chunks)
+    # A batch ends with a whole transaction, so the tails stay valid.
+    empty = [np.empty(0, dtype=np.int32)]
+    tails = np.concatenate(tails or empty)
+    chunks = np.concatenate(chunks or empty)
 
     pops = np.full(stride, -1, dtype=np.int64)  # looked up once per chunk
     kept = [(np.empty(0, dtype=np.int64),) * 3]
-    for x, y, counts in shared_run_counts(txn, chunk):
+    for x, y, counts in shared_run_counts(tails, chunks):
         present = sorted_distinct(np.concatenate((x, y)))
         missing = present[pops[present] < 0]
         pops[missing] = [chunk_popcounts[c] for c in missing.tolist()]
@@ -140,26 +120,6 @@ def compute_legal_relations(
     order = np.lexsort((y, x, strength))
     x, y, counts = x[order].tolist(), y[order].tolist(), counts[order].tolist()
     return [Relation(*relation) for relation in zip(x, y, counts)]
-
-
-def legal_relations(
-    counts: Mapping[tuple[int, int], int],
-    chunk_popcounts: Mapping[int, int],
-    alpha: float,
-    sort: str = DESCENDING,
-) -> list[Relation]:
-    """Filter pairs by the alpha threshold and order them by strength.
-
-    Ties are broken by (smaller chunk id, larger chunk id) ascending.
-    """
-    kept = [
-        Relation(x, y, count)
-        for (x, y), count in counts.items()
-        if count >= max(chunk_popcounts[x], chunk_popcounts[y]) * alpha
-    ]
-    reverse = sort == DESCENDING
-    kept.sort(key=lambda r: ((-r.count if reverse else r.count), r.x, r.y))
-    return kept
 
 
 @dataclass

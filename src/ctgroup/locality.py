@@ -12,9 +12,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import UnknownDatumError
+from .features import run_incidence, shared_run_counts
 from .trace import Trace
 
 
@@ -176,15 +180,20 @@ class GapReport:
 def cooccurring_pairs(transactions) -> set[tuple[int, int]]:
     """Unordered address pairs sharing at least one cache transaction.
 
-    This is the scope filter used instead of all-pairs enumeration.
+    This is the scope filter used instead of all-pairs enumeration. The
+    addresses are numbered densely in ascending order, so the pairs come
+    from the same pair counter as chunk co-occurrence.
     """
+    members = [txn.members for txn in transactions]
+    lengths = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.int64,
+                       count=int(lengths.sum()))
+    addresses, ids = np.unique(flat, return_inverse=True)
+    txn = np.repeat(np.arange(len(members)), lengths)
     pairs: set[tuple[int, int]] = set()
-    for txn in transactions:
-        members = txn.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                pairs.add((a, b) if a < b else (b, a))
+    incidence = run_incidence(txn, ids, max(len(addresses), 1))
+    for left, right, _count in shared_run_counts(*incidence):
+        pairs.update(zip(addresses[left].tolist(), addresses[right].tolist()))
     return pairs
 
 

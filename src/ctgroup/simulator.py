@@ -22,23 +22,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, InvariantError
-from .trace import Op, Trace
+from .trace import Op, Trace, column_rows
 
 LRU = "lru"
 FIFO = "fifo"
 GROUP_PREFETCH = "group_prefetch"
 GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
-
-# simulate() turns the trace's columns into Python values this many
-# accesses at a time, so a cell holds one block of them, not the whole
-# trace, on top of the pipeline's data.
-REPLAY_BLOCK = 1 << 15
-
 
 class GroupTable:
     """Address -> group membership lookup used by the prefetch policies."""
@@ -162,17 +158,11 @@ def simulate(
     occupied = hits = disk_ios = prefetched = evictions = bypasses = unknown = 0
 
     n = len(trace)
-    addresses, sizes = trace.addresses, trace.sizes
-    allocates = None if cfg.write_allocate else trace.ops != int(Op.WRITE)
-    block = REPLAY_BLOCK
-    records = chain.from_iterable(
-        zip(
-            addresses[lo:lo + block].tolist(),
-            sizes[lo:lo + block].tolist(),
-            repeat(True) if allocates is None else allocates[lo:lo + block].tolist(),
-        )
-        for lo in range(0, n, block)
-    )
+    if cfg.write_allocate:
+        allocates = np.ones(n, dtype=bool)
+    else:
+        allocates = trace.ops != int(Op.WRITE)
+    records = column_rows(trace.addresses, trace.sizes, allocates)
     step = window if window is not None and window >= 1 else max(n, 1)
     series: list[float] = []
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -23,6 +24,22 @@ from .errors import (
     RejectedRecordError,
     TraceParseError,
 )
+
+
+# Passes over a trace turn its columns into Python values this many
+# accesses at a time (column_rows), so they hold one block of Python ints
+# on top of the pipeline's data, not whole-trace lists.
+ROW_BLOCK = 1 << 15
+
+
+def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """zip(*(column.tolist() for column in columns)) for equal-length
+    numpy columns, converted ROW_BLOCK rows at a time."""
+    block = ROW_BLOCK
+    return chain.from_iterable(
+        zip(*(column[lo:lo + block].tolist() for column in columns))
+        for lo in range(0, len(columns[0]), block)
+    )
 
 
 class Op(enum.IntEnum):
@@ -122,12 +139,8 @@ class Trace:
         )
 
     def __iter__(self) -> Iterator[AccessRecord]:
-        for t, a, s, o in zip(
-            self.timestamps.tolist(),
-            self.addresses.tolist(),
-            self.sizes.tolist(),
-            self.ops.tolist(),
-        ):
+        for t, a, s, o in column_rows(self.timestamps, self.addresses, self.sizes,
+                                      self.ops):
             yield AccessRecord(t, a, s, Op(o))
 
     def split(self, train_count: int) -> tuple["Trace", "Trace"]:
@@ -194,12 +207,8 @@ class Trace:
     def to_csv_lines(self) -> Iterator[str]:
         host = self.source_label or "trace"
         host = host.replace(",", "_")
-        for t, a, s, o in zip(
-            self.timestamps.tolist(),
-            self.addresses.tolist(),
-            self.sizes.tolist(),
-            self.ops.tolist(),
-        ):
+        for t, a, s, o in column_rows(self.timestamps, self.addresses, self.sizes,
+                                      self.ops):
             op_text = "Read" if o == int(Op.READ) else "Write"
             yield f"{t},{host},0,{op_text},{a},{s},0"
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import artifacts
 from .errors import ConfigError, EmptyTraceError
-from .trace import Trace
+from .trace import Trace, column_rows
 
 SNAPSHOT = "snapshot"
 CUMULATIVE = "cumulative"
@@ -132,7 +132,7 @@ def extract_transactions(trace: Trace, cfg: ExtractorConfig) -> list[CacheTransa
     extractor = TransactionExtractor(cfg)
     out: list[CacheTransaction] = []
     feed = extractor.feed
-    for address, size in zip(trace.addresses.tolist(), trace.sizes.tolist()):
+    for address, size in column_rows(trace.addresses, trace.sizes):
         txn = feed(address, size)
         if txn is not None:
             out.append(txn)

@@ -8,6 +8,7 @@ wrong.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 
@@ -16,7 +17,9 @@ from ctgroup.errors import (
     InvariantError,
     RejectedRecordError,
     TraceParseError,
+    UnknownDatumError,
 )
+from ctgroup.grouping import DESCENDING, Relation
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -97,12 +100,13 @@ def ref_merge_groups(relations, chunk_ids, mu):
     return {tuple(sorted(g)) for g in set(group_of.values())}
 
 
-def ref_cluster(vectors, sigma):
+def ref_cluster(vectors, sigma, metric="symmetric_diff"):
     """Naive greedy agglomerative clustering of {addr: index-set} features.
 
     Repeatedly scans all cluster pairs, merging the qualifying pair with
-    the smallest symmetric-difference distance (ties: smallest min-address
-    pair). Returns the set of sorted member tuples.
+    the smallest distance (ties: smallest min-address pair). The distance
+    is the symmetric-difference count, or its square root under
+    metric="euclidean". Returns the set of sorted member tuples.
     """
     clusters = [([a], set(bits)) for a, bits in sorted(vectors.items())]
     while True:
@@ -112,6 +116,8 @@ def ref_cluster(vectors, sigma):
                 mi, fi = clusters[i]
                 mj, fj = clusters[j]
                 d = len(fi ^ fj)
+                if metric == "euclidean":
+                    d = math.sqrt(d)
                 if d <= ((len(fi) + len(fj)) / 2.0) * sigma:
                     lo, hi = sorted((min(mi), min(mj)))
                     key = (d, lo, hi)
@@ -126,6 +132,65 @@ def ref_cluster(vectors, sigma):
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
         clusters.append(merged)
     return {tuple(m) for m, _ in clusters}
+
+
+# The two-step co-occurrence count and alpha filter that grouping shipped
+# with before both were fused on numpy arrays (compute_legal_relations),
+# kept with their behaviour unchanged as its oracle.
+
+def count_cooccurrence(transactions, chunk_lookup, include_partial=False):
+    """Per unordered chunk pair, the number of transactions containing both.
+
+    Every transacted address must resolve to a chunk; an unresolvable
+    address raises UnknownDatumError naming it (it indicates the chunking
+    was built from a different transaction log).
+    """
+    counts = {}
+    for txn in transactions:
+        if txn.partial and not include_partial:
+            continue
+        seen = set()
+        for address in txn.members:
+            try:
+                seen.add(chunk_lookup[address])
+            except KeyError:
+                raise UnknownDatumError(address) from None
+        if len(seen) < 2:
+            continue
+        chunk_ids = sorted(seen)
+        for i in range(len(chunk_ids)):
+            for j in range(i + 1, len(chunk_ids)):
+                key = (chunk_ids[i], chunk_ids[j])
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def legal_relations(counts, chunk_popcounts, alpha, sort=DESCENDING):
+    """Filter pairs by the alpha threshold and order them by strength.
+
+    Ties are broken by (smaller chunk id, larger chunk id) ascending.
+    """
+    kept = [
+        Relation(x, y, count)
+        for (x, y), count in counts.items()
+        if count >= max(chunk_popcounts[x], chunk_popcounts[y]) * alpha
+    ]
+    reverse = sort == DESCENDING
+    kept.sort(key=lambda r: ((-r.count if reverse else r.count), r.x, r.y))
+    return kept
+
+
+def ref_cooccurring_pairs(transactions):
+    """Unordered address pairs sharing at least one cache transaction: the
+    nested loop locality.cooccurring_pairs shipped with."""
+    pairs = set()
+    for txn in transactions:
+        members = txn.members
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                a, b = members[i], members[j]
+                pairs.add((a, b) if a < b else (b, a))
+    return pairs
 
 
 def ref_lru_hit_rate(accesses, capacity):

@@ -28,7 +28,6 @@ from ctgroup.features import CtfVector, build_ctf, strong_relation
 from ctgroup.grouping import (
     GrouperConfig,
     build_grouping,
-    legal_relations,
     merge_groups,
     replay_group_audit,
 )
@@ -41,7 +40,7 @@ from ctgroup.transactions import (
     ExtractorConfig,
     extract_transactions,
 )
-from reference import ref_extract, ref_merge_groups
+from reference import legal_relations, ref_extract, ref_merge_groups
 
 MSR_ENV = "CTGROUP_MSR_TRACE"
 

@@ -121,6 +121,41 @@ class TestClusterArea:
         out = cluster_area([0, 4], ctf, 0.5, metric="euclidean")
         assert [m for m, _ in out] == [(0, 4)]
 
+    def test_euclidean_disjoint_pair_merges(self):
+        # sqrt(8) <= ((4+4)/2)*1: disjoint vectors qualify once
+        # |x| + |y| >= 4 / sigma**2, with or without a shared-index pair
+        # merged first
+        vectors = {0: {0, 1, 2, 3}, 4: {4, 5, 6, 7}}
+        assert strong_relation(CtfVector([0, 1, 2, 3]), CtfVector([4, 5, 6, 7]),
+                               1.0, "euclidean")
+        out = cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean")
+        assert [m for m, _ in out] == [(0, 4)]
+        assert out[0][1].bits == tuple(range(8))
+        assert [m for m, _ in cluster_area(vectors, matrix(vectors), 1.0)] == [(0,), (4,)]
+        vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5, 6, 7, 8}, 12: set()}
+        out = cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean")
+        assert {m for m, _ in out} == ref_cluster(vectors, 1.0, "euclidean")
+        assert [m for m, _ in out] == [(0, 4, 8, 12)]
+
+    @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
+    def test_matches_reference_euclidean(self, monkeypatch, pair_batch):
+        # popcounts up to 8 reach 4 / sigma**2 from sigma 0.5 on, so
+        # disjoint pairs qualify both in the first heap and after merges
+        monkeypatch.setattr(features, "PAIR_BATCH", pair_batch)
+        rng = random.Random(83)
+        for _ in range(150):
+            dim = rng.randint(3, 16)
+            vectors = {
+                a * 4: frozenset(rng.sample(range(dim), rng.randint(0, min(dim, 8))))
+                for a in rng.sample(range(60), rng.randint(2, 20))
+            }
+            sigma = rng.choice([0.0, 0.3, 0.5, 2 / 3, 0.8, 1.0, 1.5, 2.0])
+            ctf = matrix(vectors, dim=dim)
+            audit = []
+            got = {m for m, _ in cluster_area(vectors, ctf, sigma, "euclidean", audit)}
+            assert got == ref_cluster(vectors, sigma, "euclidean")
+            assert replay_audit({a: ctf[a] for a in vectors}, audit) == got
+
     def test_unknown_address_rejected(self):
         ctf = matrix({0: {0}})
         with pytest.raises(UnknownDatumError):

@@ -67,6 +67,26 @@ class TestBuild:
             build_ctf([txn(1, 5)])
 
 
+class TestVectorStorage:
+    @given(bitsets, bitsets)
+    def test_equality_hash_and_index_set(self, a, b):
+        # equal iff the index sets are, whatever the dims, as when each
+        # vector also held a frozenset of its indices
+        x, y = CtfVector(sorted(a)), CtfVector(sorted(b), dim=64)
+        assert (x == y) == (a == b)
+        assert len({x, y}) == len({frozenset(a), frozenset(b)})
+        if a == b:
+            assert hash(x) == hash(y)
+        assert x != sorted(a)
+        assert x.index_set == frozenset(a)
+        assert type(x.index_set) is frozenset
+        # the indices are stored once, as the ascending tuple
+        assert x.bits == tuple(sorted(a))
+        assert not hasattr(x, "__dict__")
+        assert not any(isinstance(getattr(x, slot), (set, frozenset))
+                       for slot in CtfVector.__slots__)
+
+
 class TestDistance:
     def test_identical(self):
         assert distance(vec(0, 1), vec(0, 1)) == 0

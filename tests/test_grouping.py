@@ -13,16 +13,14 @@ from ctgroup.grouping import (
     Relation,
     build_grouping,
     compute_legal_relations,
-    count_cooccurrence,
     grouping_report,
-    legal_relations,
     load_grouping_members,
     merge_groups,
     replay_group_audit,
     save_grouping,
 )
 from ctgroup.transactions import CacheTransaction
-from reference import ref_merge_groups
+from reference import count_cooccurrence, legal_relations, ref_merge_groups
 
 
 def txn(index, *members, partial=False):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import make_trace
+from ctgroup import features
 from ctgroup.errors import UnknownDatumError
 from ctgroup.locality import (
     AccessIndex,
@@ -15,6 +16,7 @@ from ctgroup.locality import (
     symmetric_relation_strength,
 )
 from ctgroup.transactions import CacheTransaction
+from reference import ref_cooccurring_pairs
 
 
 def index_from_seqs(seqs):
@@ -139,3 +141,19 @@ class TestScopeFilter:
     def test_cooccurring_pairs(self):
         txns = [CacheTransaction(0, (1, 2, 3)), CacheTransaction(1, (3, 4))]
         assert cooccurring_pairs(txns) == {(1, 2), (1, 3), (2, 3), (3, 4)}
+
+    @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
+    def test_matches_reference(self, monkeypatch, pair_batch):
+        # members in insertion order, large and negative addresses, empty
+        # and one-member transactions; a pair batch of 3 splits the pairs
+        monkeypatch.setattr(features, "PAIR_BATCH", pair_batch)
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 25)
+            universe = rng.sample(range(-(1 << 40), 1 << 40), n)
+            txns = [
+                CacheTransaction(i, tuple(rng.sample(universe, rng.randint(0, n))))
+                for i in range(rng.randint(0, 12))
+            ]
+            assert cooccurring_pairs(txns) == ref_cooccurring_pairs(txns)
+        assert cooccurring_pairs([]) == set()

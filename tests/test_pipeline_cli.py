@@ -307,6 +307,22 @@ class TestArtifactGuards:
         err = capsys.readouterr().err
         assert f"{out / name}, line {line_no}:" in err
 
+    @pytest.mark.parametrize("row", ["4096\t2,1", "4096\t1,1"])
+    def test_unordered_ctf_row_exit_three(self, spec_file, tmp_path, capsys, row):
+        # vectors are equal iff their index tuples are, so a row must list
+        # distinct indices in ascending order
+        out = tmp_path / "out"
+        for command in ("extract", "ctf"):
+            assert self.run(command, *self.flags(spec_file, out)) == 0
+        ctf = out / "ctf.tsv"
+        lines = ctf.read_text().splitlines() + [row]
+        ctf.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run("chunk", *self.flags(spec_file, out)) == 3
+        err = capsys.readouterr().err
+        message = "transaction indices are not strictly ascending"
+        assert f"{ctf}, line {len(lines)}: {message}" in err
+
     def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         for command in ("extract", "ctf"):

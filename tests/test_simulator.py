@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import make_trace, random_accesses
-from ctgroup import simulator
+from ctgroup import trace as trace_module
 from ctgroup.errors import ConfigError, InvariantError
 from ctgroup.simulator import (
     FIFO,
@@ -223,7 +223,7 @@ class TestReferenceReplay:
 
     def test_replay_blocks_match_reference(self, monkeypatch):
         # traces cut into many column blocks, windows straddling them
-        monkeypatch.setattr(simulator, "REPLAY_BLOCK", 7)
+        monkeypatch.setattr(trace_module, "ROW_BLOCK", 7)
         self.check_against_reference(random.Random(17), 60)
 
     def test_fraction_capacity_matches_reference(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import make_trace, random_accesses
+from ctgroup import trace as trace_module
 from ctgroup.errors import ConfigError, EmptyTraceError
 from ctgroup.transactions import (
     CUMULATIVE,
@@ -125,7 +126,16 @@ class TestInvariants:
 class TestOracle:
     @pytest.mark.parametrize("mode", [SNAPSHOT, CUMULATIVE])
     def test_matches_reference(self, mode):
-        rng = random.Random(99)
+        self.check_against_reference(random.Random(99), mode)
+
+    @pytest.mark.parametrize("mode", [SNAPSHOT, CUMULATIVE])
+    def test_matches_reference_in_row_blocks(self, monkeypatch, mode):
+        # the trace's columns are turned into Python values 7 at a time
+        monkeypatch.setattr(trace_module, "ROW_BLOCK", 7)
+        self.check_against_reference(random.Random(98), mode)
+
+    @staticmethod
+    def check_against_reference(rng, mode):
         for _ in range(100):
             m = rng.randint(4, 32)
             pairs = random_accesses(rng)
