@@ -12,6 +12,7 @@ from .transactions import (
     CacheTransaction,
     ExtractorConfig,
     TransactionExtractor,
+    TransactionLog,
     extract_transactions,
 )
 from .features import (
@@ -37,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessRecord", "Op", "Trace", "load_trace", "parse_record",
     "SyntheticSpec", "SyntheticTruth", "synthesize_trace",
-    "CacheTransaction", "ExtractorConfig", "TransactionExtractor",
+    "CacheTransaction", "ExtractorConfig", "TransactionExtractor", "TransactionLog",
     "extract_transactions",
     "CtfMatrix", "CtfVector", "access_frequency", "build_ctf", "distance",
     "strong_relation",

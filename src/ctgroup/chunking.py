@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,12 +28,12 @@ from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
     CtfVector,
-    index_dtype,
-    run_starts,
+    build_ctf,
     run_tails,
     shared_run_counts,
     sorted_distinct,
 )
+from .transactions import TransactionLog
 
 
 @dataclass(frozen=True, order=True)
@@ -109,8 +108,13 @@ def pre_block(
 class Chunk:
     id: int
     members: tuple[int, ...]       # block addresses, ascending
-    feature: CtfVector             # OR of member vectors
     area: AreaKey
+    features: CtfMatrix = field(repr=False, compare=False)  # the chunk set's
+
+    @property
+    def feature(self) -> CtfVector:
+        """The OR of the member vectors."""
+        return self.features[self.id]
 
 
 @dataclass
@@ -137,32 +141,43 @@ def cluster_area(
     ties broken by the lexicographically smallest (min-address, min-address)
     pair, which makes the result deterministic.
     """
-    addrs = sorted(set(area_addrs))
-    for a in addrs:
-        if a not in ctf:
-            raise UnknownDatumError(a)
+    addrs = np.array(sorted(set(area_addrs)), dtype=np.int64)
+    at = np.searchsorted(ctf.addresses, addrs)
+    known = at < len(ctf.addresses)
+    known[known] = ctf.addresses[at[known]] == addrs[known]
+    if not known.all():
+        raise UnknownDatumError(int(addrs[np.argmin(known)]))
 
     # Identical feature vectors always qualify (distance 0), so they can be
     # collapsed up front: any greedy order over the zero-distance pairs
-    # yields the same clusters and leaves every feature unchanged.
-    by_feature: dict[tuple[int, ...], list[int]] = {}
-    for a in addrs:
-        by_feature.setdefault(ctf[a].bits, []).append(a)
-    groups = sorted(by_feature.values(), key=lambda group: group[0])
-    if audit is not None:
-        for group in groups:
-            threshold = len(ctf[group[0]].bits) * sigma
-            for extra in group[1:]:
-                audit.append(MergeRecord((group[0],), (extra,), 0.0, threshold))
+    # yields the same clusters and leaves every feature unchanged. The
+    # groups come in order of their smallest address, as addrs ascend. A
+    # vector's key is the bytes of its index row.
+    flat, offsets = ctf.gather(at)
+    bounds = offsets.tolist()
+    by_feature: dict[bytes, list[int]] = {}
+    for a, lo, hi in zip(addrs.tolist(), bounds, bounds[1:]):
+        by_feature.setdefault(flat[lo:hi].tobytes(), []).append(a)
+    groups = list(by_feature.values())
 
     # Cluster ids: the initial clusters are 0..k-1 in address order, and
     # each merge makes the next id. Unmerged clusters keep their data's own
-    # vector; merged ones hold their OR feature as a sorted index array.
+    # vector, a row of ``rows``; merged ones hold their OR feature as a
+    # sorted index array.
     k = len(groups)
-    initial = [ctf[group[0]] for group in groups]
     members: dict[int, list[int]] = dict(enumerate(groups))
     merged_bits: dict[int, np.ndarray] = {}
-    incidence = _Incidence([vec.bits for vec in initial])
+    heads = [group[0] for group in groups]
+    rows = TransactionLog(*ctf.gather(np.searchsorted(ctf.addresses, heads)))
+    sizes = np.zeros(2 * k, dtype=np.int64)  # popcount per cluster id
+    sizes[:k] = np.diff(rows.offsets)
+    if audit is not None:
+        for group, size in zip(groups, sizes[:k].tolist()):
+            for extra in group[1:]:
+                audit.append(MergeRecord((group[0],), (extra,), 0.0, size * sigma))
+    # Inverting the initial clusters' rows, as build_ctf inverts a log,
+    # gives for each transaction index the clusters holding it, ascending.
+    holding = build_ctf(rows)
     euclidean = metric != SYMMETRIC_DIFF
     # Candidates are the pairs that share a transaction index, plus the
     # disjoint pairs (an empty feature among them) whose popcounts total at
@@ -178,11 +193,8 @@ def cluster_area(
         min_disjoint = 4.0 / sigma**2 - 1.0
     else:
         min_disjoint = math.inf
-    heap = incidence.first_heap([group[0] for group in groups], sigma, euclidean,
-                                min_disjoint)
+    heap = _first_heap(holding, sizes[:k], heads, sigma, euclidean, min_disjoint)
     alive = set(members)
-    sizes = np.zeros(2 * k, dtype=np.int64)  # popcount per cluster id
-    sizes[:k] = incidence.sizes
     cluster_of = np.arange(k)  # initial cluster -> the live cluster holding it
     parts: dict[int, list[int]] = {i: [i] for i in range(k)}
     next_id = k
@@ -190,7 +202,7 @@ def cluster_area(
     def take_bits(i):
         if i >= k:
             return merged_bits.pop(i)
-        return np.array(initial[i].bits, dtype=np.int64)
+        return rows.members[rows.offsets[i]:rows.offsets[i + 1]]
 
     while heap:
         dval, _lo, _hi, i, j = heapq.heappop(heap)
@@ -214,7 +226,7 @@ def cluster_area(
         alive.discard(j)
 
         # |x ^ y| = |x| + |y| - 2|x & y|
-        others, shared = incidence.overlaps(bits, cluster_of)
+        others, shared = _overlaps(holding, bits, cluster_of)
         keep = others != merged
         others, shared = others[keep], shared[keep]
         if min_disjoint < math.inf:
@@ -240,73 +252,49 @@ def cluster_area(
     dim = ctf.num_transactions
     out = []
     for i in sorted(alive, key=lambda i: members[i][0]):
-        if i >= k:
-            vec = CtfVector(merged_bits[i].tolist(), dim=dim)
-        elif initial[i].dim != dim:
-            vec = CtfVector(initial[i].bits, dim=dim)
-        else:
-            vec = initial[i]
-        out.append((tuple(members[i]), vec))
+        bits = merged_bits[i] if i >= k else take_bits(i)
+        out.append((tuple(members[i]), CtfVector(bits.tolist(), dim=dim)))
     return out
 
 
-class _Incidence:
-    """The (cluster, transaction index) incidences of an area's initial
-    clusters, sorted by index; cluster ids ascend within each index."""
+def _first_heap(holding, sizes, min_addrs, sigma, euclidean, min_disjoint):
+    """Heap entries (distance, lo, hi, i, j) for every qualifying pair of
+    initial clusters i < j, given ``holding``, the clusters holding each
+    transaction index, and each cluster's popcount in ``sizes``;
+    ``min_addrs[i]`` is cluster i's smallest member address (ascending in
+    i). A pair's intersection size is the number of transaction indices it
+    shares; disjoint pairs are scored only where their popcounts total at
+    least ``min_disjoint``."""
+    runs = np.repeat(holding.addresses, np.diff(holding.offsets))
+    batches = shared_run_counts(run_tails(runs), holding.indices)
+    if min_disjoint < math.inf:
+        batches = [_with_disjoint_pairs(sizes, min_disjoint, batches)]
+    addrs = np.asarray(min_addrs, dtype=np.int64)
+    entries = []
+    for i, j, shared in batches:
+        total = sizes[i] + sizes[j]
+        d = total - 2 * shared
+        dval = np.sqrt(d) if euclidean else d
+        keep = dval <= total / 2.0 * sigma
+        i, j = i[keep], j[keep]
+        entries.extend(zip(dval[keep].tolist(), addrs[i].tolist(),
+                           addrs[j].tolist(), i.tolist(), j.tolist()))
+    heapq.heapify(entries)
+    return entries
 
-    def __init__(self, cluster_bits):
-        self.k = k = len(cluster_bits)
-        self.sizes = np.fromiter(map(len, cluster_bits), dtype=np.int64, count=k)
-        bits = np.fromiter(chain.from_iterable(cluster_bits), dtype=np.int64,
-                           count=int(self.sizes.sum()))
-        owner = np.repeat(np.arange(k, dtype=index_dtype(k)), self.sizes)
-        order = np.argsort(bits, kind="stable")
-        self.bits = bits[order]
-        self.owner = owner[order]
-        starts = run_starts(self.bits)
-        self.index_bits = self.bits[starts]
-        self.index_start = starts
-        self.index_len = np.diff(np.append(starts, len(self.bits)))
 
-    def first_heap(self, min_addrs, sigma, euclidean, min_disjoint):
-        """Heap entries (distance, lo, hi, i, j) for every qualifying pair
-        of clusters i < j; ``min_addrs[i]`` is cluster i's smallest member
-        address (ascending in i). A pair's intersection size is the number
-        of transaction indices it shares; disjoint pairs are scored only
-        where their popcounts total at least ``min_disjoint``."""
-        batches = shared_run_counts(run_tails(self.bits), self.owner)
-        if min_disjoint < math.inf:
-            batches = [_with_disjoint_pairs(self.sizes, min_disjoint, batches)]
-        addrs = np.asarray(min_addrs, dtype=np.int64)
-        entries = []
-        for i, j, shared in batches:
-            total = self.sizes[i] + self.sizes[j]
-            d = total - 2 * shared
-            dval = np.sqrt(d) if euclidean else d
-            keep = dval <= total / 2.0 * sigma
-            i, j = i[keep], j[keep]
-            entries.extend(zip(dval[keep].tolist(), addrs[i].tolist(),
-                               addrs[j].tolist(), i.tolist(), j.tolist()))
-        heapq.heapify(entries)
-        return entries
-
-    def overlaps(self, bits, cluster_of):
-        """The live clusters holding any of the sorted indices ``bits`` and
-        how many of them each holds; ``cluster_of`` maps each initial
-        cluster to the live cluster it is part of."""
-        at = np.searchsorted(self.index_bits, bits)
-        lengths = self.index_len[at]
-        ends = np.cumsum(lengths)
-        positions = np.arange(int(lengths.sum())) + np.repeat(
-            self.index_start[at] - ends + lengths, lengths
-        )
-        holders = cluster_of[self.owner[positions]]
-        # one count per (index, live cluster): merged clusters may hold an
-        # index through several initial ones
-        stride = 2 * self.k
-        rows = np.repeat(np.arange(len(bits)), lengths)
-        held = sorted_distinct(rows * stride + holders)
-        return np.unique(held % stride, return_counts=True)
+def _overlaps(holding, bits, cluster_of):
+    """The live clusters holding any of the sorted indices ``bits`` and how
+    many of them each holds; ``cluster_of`` maps each initial cluster to
+    the live cluster it is part of."""
+    held, offsets = holding.gather(np.searchsorted(holding.addresses, bits))
+    holders = cluster_of[held]
+    # one count per (index, live cluster): merged clusters may hold an
+    # index through several initial ones
+    stride = 2 * holding.num_transactions
+    rows = np.repeat(np.arange(len(bits)), np.diff(offsets))
+    held = sorted_distinct(rows * stride + holders)
+    return np.unique(held % stride, return_counts=True)
 
 
 def _with_disjoint_pairs(sizes, min_total, batches):
@@ -329,6 +317,7 @@ class ChunkSet:
     lookup: dict[int, int]  # block address -> chunk id
     config: ChunkerConfig
     max_address: int
+    features: CtfMatrix     # chunk id -> OR of its members' vectors
     excluded: tuple[int, ...] = ()
     audit: list[MergeRecord] = field(default_factory=list)
 
@@ -355,26 +344,32 @@ def chunk_all(
     """
     cfg.validate()
     if max_address is None:
-        max_address = max(ctf.addresses(), default=0)
-    data = [(a, ctf[a].popcount()) for a in ctf.addresses()]
+        max_address = int(ctf.addresses[-1]) if len(ctf) else 0
+    data = zip(ctf.addresses.tolist(), np.diff(ctf.offsets).tolist())
     areas, excluded = pre_block(data, cfg, max_address)
-    chunks: list[Chunk] = []
-    lookup: dict[int, int] = {}
     audit: list[MergeRecord] = []
-    for key in sorted(areas):
-        for members, feature in cluster_area(areas[key], ctf, cfg.sigma, metric, audit):
-            cid = len(chunks)
-            chunks.append(Chunk(cid, members, feature, key))
-            for a in members:
-                lookup[a] = cid
-    return ChunkSet(
-        chunks=chunks,
-        lookup=lookup,
-        config=cfg,
-        max_address=max_address,
-        excluded=tuple(excluded),
-        audit=audit,
-    )
+    clusters = ((members, key, feature.bits) for key in sorted(areas)
+                for members, feature in cluster_area(areas[key], ctf, cfg.sigma,
+                                                     metric, audit))
+    return _chunk_set(clusters, ctf.num_transactions, cfg, max_address,
+                      excluded=tuple(excluded), audit=audit)
+
+
+def _chunk_set(clusters, dim, cfg, max_address, **extra) -> ChunkSet:
+    """The ChunkSet of (members, area, OR feature indices) clusters in chunk
+    id order. The features are stored once, as a CtfMatrix over chunk ids."""
+    parts = []
+
+    def features():
+        for cid, (members, area, bits) in enumerate(clusters):
+            parts.append((members, area))
+            yield cid, bits
+
+    matrix = CtfMatrix.from_rows(dim, features())
+    chunks = [Chunk(cid, members, area, matrix)
+              for cid, (members, area) in enumerate(parts)]
+    lookup = {a: chunk.id for chunk in chunks for a in chunk.members}
+    return ChunkSet(chunks, lookup, cfg, max_address, matrix, **extra)
 
 
 def replay_audit(addr_features: Mapping[int, CtfVector], audit: Iterable[MergeRecord]):
@@ -424,15 +419,14 @@ def load_chunk_members(path, config_hash=None):
 def load_chunks(path, ctf: CtfMatrix, cfg: ChunkerConfig, config_hash=None) -> ChunkSet:
     """The ChunkSet save_chunks wrote, rebuilt against the ctf it was chunked from."""
     members, _header = load_chunk_members(path, config_hash)
-    max_address = max(ctf.addresses(), default=0)
-    chunks: list[Chunk] = []
-    lookup: dict[int, int] = {}
-    for cid, addrs in members.items():
-        vectors = [ctf.rows.get(a) for a in addrs]
-        if not addrs or None in vectors or cid != len(chunks):
-            raise DataError(f"{path}: chunk {cid} does not match the ctf matrix")
-        bits = sorted(set().union(*(v.bits for v in vectors)))
-        area = area_key(addrs[0], vectors[0].popcount(), cfg, max_address)
-        chunks.append(Chunk(cid, addrs, CtfVector(bits, dim=ctf.num_transactions), area))
-        lookup.update(dict.fromkeys(addrs, cid))
-    return ChunkSet(chunks, lookup, cfg, max_address)
+    max_address = int(ctf.addresses[-1]) if len(ctf) else 0
+
+    def clusters():
+        for position, (cid, addrs) in enumerate(members.items()):
+            vectors = [ctf.get(a) for a in addrs]
+            if not addrs or None in vectors or cid != position:
+                raise DataError(f"{path}: chunk {cid} does not match the ctf matrix")
+            area = area_key(addrs[0], vectors[0].popcount(), cfg, max_address)
+            yield addrs, area, sorted(set().union(*(v.bits for v in vectors)))
+
+    return _chunk_set(clusters(), ctf.num_transactions, cfg, max_address)

@@ -87,20 +87,19 @@ def cmd_ingest(cfg):
 def cmd_extract(cfg):
     trace, _ = pipeline.load_input_trace(cfg)
     train, _test = pipeline.split_for_training(cfg, trace)
-    txns = transactions.extract_transactions(train, cfg.extractor_config())
+    log = transactions.extract_transactions(train, cfg.extractor_config())
     transactions.save_transactions(
-        _out(cfg, "transactions.tsv"), txns, cfg.extractor_config(),
+        _out(cfg, "transactions.tsv"), log, cfg.extractor_config(),
         trace.source_label, cfg.stage_hash("extract"),
     )
-    full = sum(1 for t in txns if not t.partial)
-    print(f"extracted {full} transactions (+{len(txns) - full} partial)")
+    print(f"extracted {log.full_count} transactions (+{int(log.partial)} partial)")
 
 
 def cmd_ctf(cfg):
-    txns = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
-    matrix = features.build_ctf(txns, include_partial=cfg.include_partial)
+    log = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
+    matrix = features.build_ctf(log, include_partial=cfg.include_partial)
     features.save_ctf(_out(cfg, "ctf.tsv"), matrix, config_hash=cfg.stage_hash("ctf"))
-    print(f"built features for {len(matrix.rows)} data over "
+    print(f"built features for {len(matrix)} data over "
           f"{matrix.num_transactions} transactions")
 
 
@@ -113,11 +112,11 @@ def cmd_chunk(cfg):
 
 
 def cmd_group(cfg):
-    txns = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
+    log = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
     matrix = _load(cfg, features.load_ctf, "ctf.tsv", "ctf")
     chunkset = chunking.load_chunks(_out(cfg, "chunks.tsv"), matrix, cfg.chunker_config(),
                                     cfg.stage_hash("chunk"))
-    grp = grouping.build_grouping(txns, chunkset, cfg.grouper_config(),
+    grp = grouping.build_grouping(log, chunkset, cfg.grouper_config(),
                                   include_partial=cfg.include_partial)
     grouping.save_grouping(_out(cfg, "grouping.csv"), grp,
                            config_hash=cfg.stage_hash("group"))
@@ -141,8 +140,8 @@ def cmd_simulate(cfg):
 
 def cmd_analyze(cfg):
     trace, _ = pipeline.load_input_trace(cfg)
-    txns = transactions.extract_transactions(trace, cfg.extractor_config())
-    stats = pipeline.analyze_locality(cfg, trace, txns)
+    log = transactions.extract_transactions(trace, cfg.extractor_config())
+    stats = pipeline.analyze_locality(cfg, trace, log)
     _write_lines(cfg, "locality_distance.csv", stats["histogram"].to_csv_lines())
     _write_lines(cfg, "locality_gap.csv", locality.gap_report_csv_lines(stats["gap_reports"]))
     print(f"related pairs: {stats['histogram'].total}; reports written to "

@@ -1,15 +1,17 @@
-"""Per-datum transaction-membership features.
+"""Per-datum transaction-membership features (the CTF).
 
 Inverting the transaction log yields, for every block address, a sparse
 binary vector over transaction indices: bit j is set iff the datum was a
 member of transaction j. The popcount of a vector is the datum's access
 frequency at transaction granularity.
 
-A vector is stored once, as its ascending tuple of distinct indices
-(``CtfVector.bits``) plus the log's transaction count; two vectors are
-equal iff their tuples are. Nothing keeps a set of the indices: the
-chunking and grouping stages count intersections with numpy
-(``shared_run_counts``), and ``index_set`` builds a frozenset on demand.
+A ``CtfMatrix`` holds that inverse as three columns: ascending addresses,
+per-address offsets and int32 transaction indices, filled by one stable
+argsort of the log (``build_ctf``). The chunking stage reads the columns
+and counts intersections with numpy (``shared_run_counts``). A
+``CtfVector``, the ascending tuple of one datum's indices, is a view made
+on demand by ``matrix[address]``; two vectors are equal iff their tuples
+are.
 
 The relationship distance between two vectors is the symmetric-difference
 count of their index sets. The alternative form (Euclidean distance on
@@ -23,14 +25,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from array import array
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import artifacts
 from .errors import DataError, DimensionMismatchError
-from .transactions import CacheTransaction
+from .transactions import CacheTransaction, TransactionLog, ragged_rows
 
 SYMMETRIC_DIFF = "symmetric_diff"
 EUCLIDEAN = "euclidean"
@@ -102,54 +106,68 @@ def strong_relation(
     return distance(x, y, metric) <= ((x.popcount() + y.popcount()) / 2.0) * sigma
 
 
-@dataclass
-class CtfMatrix:
-    """All feature vectors of a transaction log."""
+@dataclass(frozen=True, eq=False)
+class CtfMatrix(Mapping):
+    """The vector of ``addresses[k]`` holds ``indices[offsets[k]:offsets[k + 1]]``.
+    As a read-only Mapping, the matrix takes an address to its CtfVector."""
 
     num_transactions: int
-    rows: dict[int, CtfVector] = field(default_factory=dict)
+    addresses: np.ndarray  # int64, strictly ascending
+    offsets: np.ndarray    # int64, len(addresses) + 1 entries
+    indices: np.ndarray    # int32, ascending within each address
 
-    def __contains__(self, address: int) -> bool:
-        return address in self.rows
+    @classmethod
+    def from_rows(cls, num_transactions: int,
+                  rows: Iterable[tuple[int, Iterable[int]]]) -> "CtfMatrix":
+        """The matrix of (address, ascending indices) rows, given in
+        ascending address order."""
+        addresses, offsets, indices = array("q"), array("q", [0]), array("q")
+        for address, bits in rows:
+            addresses.append(address)
+            indices.extend(bits)
+            offsets.append(len(indices))
+        return cls(num_transactions, np.frombuffer(addresses, dtype=np.int64),
+                   np.frombuffer(offsets, dtype=np.int64),
+                   np.array(indices, dtype=index_dtype(num_transactions)))
+
+    @property
+    def rows(self) -> Mapping[int, CtfVector]:
+        """address -> CtfVector: the matrix itself."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __iter__(self):
+        return iter(self.addresses.tolist())
 
     def __getitem__(self, address: int) -> CtfVector:
-        return self.rows[address]
+        k = int(np.searchsorted(self.addresses, address))
+        if k == len(self.addresses) or self.addresses[k] != address:
+            raise KeyError(address)
+        bits = self.indices[self.offsets[k]:self.offsets[k + 1]].tolist()
+        return CtfVector(bits, dim=self.num_transactions)
 
-    def addresses(self):
-        return self.rows.keys()
-
-    def reconstruct_transactions(self) -> list[set[int]]:
-        """Member sets per transaction index (order within a set is lost)."""
-        members: list[set[int]] = [set() for _ in range(self.num_transactions)]
-        for address, vec in self.rows.items():
-            for j in vec.bits:
-                members[j].add(address)
-        return members
+    def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the rows at ``positions``, back to back, and their
+        offsets."""
+        starts = self.offsets[positions]
+        lengths = self.offsets[positions + 1] - starts
+        return self.indices[ranges(starts, lengths)], np.append(0, np.cumsum(lengths))
 
 
-def build_ctf(
-    transactions: Sequence[CacheTransaction], include_partial: bool = False
-) -> CtfMatrix:
-    """Invert a transaction log into per-datum vectors.
-
-    Partial (end-of-trace) transactions are excluded unless requested;
-    when included they get the next consecutive index. Full transaction
-    indices must be consecutive from 0.
-    """
-    used = [t for t in transactions if include_partial or not t.partial]
-    bits: dict[int, list[int]] = {}
-    for j, txn in enumerate(used):
-        if not txn.partial and txn.index != j:
-            raise DimensionMismatchError(
-                f"transaction indices not consecutive: expected {j}, got {txn.index}"
-            )
-        for address in txn.members:
-            bits.setdefault(address, []).append(j)
-    dim = len(used)
-    return CtfMatrix(
-        num_transactions=dim,
-        rows={a: CtfVector(idxs, dim=dim) for a, idxs in bits.items()},
-    )
+def build_ctf(transactions: TransactionLog | Iterable[CacheTransaction],
+              include_partial: bool = False) -> CtfMatrix:
+    """Invert a transaction log into per-datum vectors; the partial
+    transaction is included (as the last index) only on request."""
+    members, offsets = TransactionLog.of(transactions).used(include_partial)
+    n = len(offsets) - 1
+    # A stable sort by address keeps each address's transactions ascending.
+    order = np.argsort(members, kind="stable")
+    owners = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(offsets))[order]
+    members = members[order]
+    starts = run_starts(members)
+    return CtfMatrix(n, members[starts], np.append(starts, len(members)), owners)
 
 
 # Pair occurrences enumerated per batch in shared_run_counts. A batch
@@ -233,6 +251,14 @@ def run_tails(runs: np.ndarray) -> np.ndarray:
     return tails
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, start + 1, ..., start + length - 1 of each
+    (start, length) pair, back to back."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        starts - ends + lengths, lengths)
+
+
 def _pair_keys(values, tails, positions, stride, count):
     """left * stride + right for each p in ``positions`` and every later q
     in p's run, with left = values[p] and right = values[q]; ``count`` is
@@ -257,23 +283,34 @@ def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
     header = {"num_transactions": matrix.num_transactions, "config_hash": config_hash,
               **dict(metadata)}
     artifacts.write(path, header, (
-        f"{address}\t{','.join(map(str, matrix.rows[address].bits))}"
-        for address in sorted(matrix.rows)))
-
-
-def _ctf_row(fields):
-    address, bits = fields
-    bits = artifacts.ints(bits)
-    if not all(map(operator.lt, bits, bits[1:])):
-        raise ValueError("transaction indices are not strictly ascending")
-    return int(address), bits
+        f"{address}\t{','.join(map(str, bits))}"
+        for address, bits in zip(matrix.addresses.tolist(),
+                                 ragged_rows(matrix.indices, matrix.offsets))))
 
 
 def load_ctf(path, config_hash=None):
-    """Inverse of save_ctf; returns (matrix, header dict)."""
-    header, rows = artifacts.read(path, _ctf_row, config_hash)
+    """Inverse of save_ctf; returns (matrix, header dict).
+
+    A row's indices must be strictly ascending, and so must the rows'
+    addresses; otherwise DataError names the file and line.
+    """
+    last = None
+
+    def parse(fields):
+        nonlocal last
+        address, bits = fields
+        bits = artifacts.ints(bits)
+        if not all(map(operator.lt, bits, bits[1:])):
+            raise ValueError("transaction indices are not strictly ascending")
+        address = int(address)
+        if last is not None and address <= last:
+            raise ValueError("addresses are not strictly ascending")
+        last = address
+        return address, bits
+
+    header, rows = artifacts.read(path, parse, config_hash)
     try:
         dim = int(header["num_transactions"])
     except (KeyError, ValueError):
         raise DataError(f"{path}: header has no num_transactions count") from None
-    return CtfMatrix(dim, {a: CtfVector(bits, dim=dim) for a, bits in rows}), header
+    return CtfMatrix.from_rows(dim, rows), header

@@ -16,7 +16,6 @@ every chunk (hence every transacted datum) ends up in exactly one group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import artifacts
 from .chunking import ChunkSet
 from .errors import ConfigError, UnknownDatumError
 from .features import run_incidence, shared_run_counts, sorted_distinct
-from .transactions import CacheTransaction
+from .transactions import CacheTransaction, TransactionLog
 
 DESCENDING = "descending"
 ASCENDING = "ascending"
@@ -58,7 +57,7 @@ TXN_BATCH = 8192
 
 
 def compute_legal_relations(
-    transactions: Iterable[CacheTransaction],
+    transactions: TransactionLog | Iterable[CacheTransaction],
     chunk_lookup: Mapping[int, int],
     chunk_popcounts: Mapping[int, int],
     alpha: float,
@@ -75,6 +74,7 @@ def compute_legal_relations(
     one in log order that does not raises UnknownDatumError (it indicates
     the chunking was built from a different transaction log).
 
+    A sequence of CacheTransactions is packed by TransactionLog.of first.
     Transactions are resolved to their distinct chunks in batches, kept as
     int32 chunk ids with their run tails; the chunk pairs within each
     transaction are then counted in batches of smaller chunk ids, and each
@@ -87,18 +87,18 @@ def compute_legal_relations(
     addrs, chunk_ids = addrs[order], chunk_ids[order]
     stride = int(chunk_ids.max()) + 1 if len(chunk_ids) else 1
 
-    used = (t for t in transactions if include_partial or not t.partial)
+    members, offsets = TransactionLog.of(transactions).used(include_partial)
     tails, chunks = [], []  # per batch of transactions
-    while batch := [t.members for t in islice(used, TXN_BATCH)]:
-        lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
-        flat = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
-                           count=int(lengths.sum()))
+    for lo in range(0, len(offsets) - 1, TXN_BATCH):
+        bounds = offsets[lo:lo + TXN_BATCH + 1]
+        flat = members[bounds[0]:bounds[-1]]
+        lengths = np.diff(bounds)
         at = np.searchsorted(addrs, flat)
         known = at < len(addrs)
         known[known] = addrs[at[known]] == flat[known]
         if not known.all():
             raise UnknownDatumError(int(flat[np.argmin(known)]))
-        txn = np.repeat(np.arange(len(batch)), lengths)
+        txn = np.repeat(np.arange(len(lengths)), lengths)
         batch_tails, batch_chunks = run_incidence(txn, chunk_ids[at], stride)
         tails.append(batch_tails)
         chunks.append(batch_chunks)
@@ -271,14 +271,14 @@ def merge_groups(
 
 
 def build_grouping(
-    transactions: Iterable[CacheTransaction],
+    transactions: TransactionLog | Iterable[CacheTransaction],
     chunkset: ChunkSet,
     config: GrouperConfig,
     include_partial: bool = False,
 ) -> Grouping:
     """Convenience wrapper: count, filter, sort, merge."""
     config.validate()
-    popcounts = {c.id: c.feature.popcount() for c in chunkset.chunks}
+    popcounts = dict(enumerate(np.diff(chunkset.features.offsets).tolist()))
     relations = compute_legal_relations(
         transactions, chunkset.lookup, popcounts,
         config.alpha, config.sort, include_partial,

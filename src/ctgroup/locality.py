@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .errors import UnknownDatumError
 from .features import run_incidence, shared_run_counts
 from .trace import Trace
+from .transactions import CacheTransaction, TransactionLog
 
 
 @dataclass
@@ -177,19 +177,20 @@ class GapReport:
         return self.equal_count / self.num_pairs
 
 
-def cooccurring_pairs(transactions) -> set[tuple[int, int]]:
-    """Unordered address pairs sharing at least one cache transaction.
+def cooccurring_pairs(
+    transactions: TransactionLog | Iterable[CacheTransaction],
+) -> set[tuple[int, int]]:
+    """Unordered address pairs sharing at least one full cache transaction.
 
     This is the scope filter used instead of all-pairs enumeration. The
-    addresses are numbered densely in ascending order, so the pairs come
-    from the same pair counter as chunk co-occurrence.
+    end-of-trace partial transaction is left out, as in every stage, and a
+    sequence of CacheTransactions is packed by TransactionLog.of first.
+    The addresses are numbered densely in ascending order, so the pairs
+    come from the same pair counter as chunk co-occurrence.
     """
-    members = [txn.members for txn in transactions]
-    lengths = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
-    flat = np.fromiter(chain.from_iterable(members), dtype=np.int64,
-                       count=int(lengths.sum()))
-    addresses, ids = np.unique(flat, return_inverse=True)
-    txn = np.repeat(np.arange(len(members)), lengths)
+    members, offsets = TransactionLog.of(transactions).used()
+    addresses, ids = np.unique(members, return_inverse=True)
+    txn = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     pairs: set[tuple[int, int]] = set()
     incidence = run_incidence(txn, ids, max(len(addresses), 1))
     for left, right, _count in shared_run_counts(*incidence):

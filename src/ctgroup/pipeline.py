@@ -187,25 +187,34 @@ def split_for_training(cfg: PipelineConfig, trace: Trace):
     return trace.split(count)
 
 
-def run_stages(cfg: PipelineConfig, trace: Trace, enter=lambda stage: None):
-    """In-memory pipeline: returns (txns, ctf, chunkset, grouping, train, test).
+def run_stages(cfg: PipelineConfig, trace: Trace, enter=lambda stage: None,
+               done=lambda stage, output: None):
+    """In-memory pipeline: returns (grouping, train, test).
 
-    enter is called with each stage's name as the stage starts.
+    enter is called with each stage's name as the stage starts, and done
+    with its name and output as it ends. Each output is dropped as soon as
+    no later stage reads it.
     """
     enter("extract")
     train, test = split_for_training(cfg, trace)
-    txns = transactions.extract_transactions(train, cfg.extractor_config())
+    log = transactions.extract_transactions(train, cfg.extractor_config())
+    done("extract", log)
     enter("ctf")
-    matrix = features.build_ctf(txns, include_partial=cfg.include_partial)
+    matrix = features.build_ctf(log, include_partial=cfg.include_partial)
+    done("ctf", matrix)
     enter("chunk")
     # Address-axis span is taken over the transacted data so the standalone
     # `chunk` subcommand (which only sees the feature artifact) agrees.
     chunkset = chunking.chunk_all(matrix, cfg.chunker_config(), metric=cfg.distance)
+    del matrix
+    done("chunk", chunkset)
     enter("group")
     grp = grouping.build_grouping(
-        txns, chunkset, cfg.grouper_config(), include_partial=cfg.include_partial
+        log, chunkset, cfg.grouper_config(), include_partial=cfg.include_partial
     )
-    return txns, matrix, chunkset, grp, train, test
+    del log, chunkset
+    done("group", grp)
+    return grp, train, test
 
 
 def _digest(path) -> str:
@@ -257,38 +266,35 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
         return os.path.join(cfg.output_dir, name)
 
     stage = "ingest"
+    counts = {}
 
     def enter(name):
         nonlocal stage
         stage = name
 
+    def done(name, output):
+        """Write the stage's artifact and take its manifest count."""
+        artifact = ARTIFACTS[STAGES.index(name)]
+        path, chash = path_of(artifact), cfg.stage_hash(name)
+        if name == "extract":
+            transactions.save_transactions(path, output, cfg.extractor_config(),
+                                           trace.source_label, chash)
+            counts["transactions"] = output.full_count
+        else:
+            save, key = {"ctf": (features.save_ctf, "data"),
+                         "chunk": (chunking.save_chunks, "chunks"),
+                         "group": (grouping.save_grouping, "groups")}[name]
+            save(path, output, config_hash=chash)
+            counts[key] = len(output)
+        written.append(artifact)
+
     try:
         trace = load_input_trace(cfg)[0]  # the synthetic truth is not kept
 
-        txns, matrix, chunkset, grp, train, test = run_stages(cfg, trace, enter)
-        stage = "extract"
-        transactions.save_transactions(
-            path_of("transactions.tsv"), txns, cfg.extractor_config(),
-            trace.source_label, cfg.stage_hash("extract"),
-        )
-        written.append("transactions.tsv")
-
-        stage = "ctf"
-        features.save_ctf(path_of("ctf.tsv"), matrix, config_hash=cfg.stage_hash("ctf"))
-        written.append("ctf.tsv")
-
-        stage = "chunk"
-        chunking.save_chunks(path_of("chunks.tsv"), chunkset,
-                             config_hash=cfg.stage_hash("chunk"))
-        written.append("chunks.tsv")
-
-        stage = "group"
-        grouping.save_grouping(path_of("grouping.csv"), grp,
-                               config_hash=cfg.stage_hash("group"))
-        written.append("grouping.csv")
-
+        grp, train, test = run_stages(cfg, trace, enter, done)
         stage = "simulate"
         table = simulator.GroupTable.from_grouping(grp)
+        del grp
         rows = simulator.sweep(
             test, table, cfg.capacity_fractions, cfg.policies,
             extra_sizes=trace.first_seen_sizes(),
@@ -311,10 +317,7 @@ def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
         "records": len(trace),
         "train_records": len(train),
         "test_records": len(test),
-        "transactions": sum(1 for t in txns if not t.partial),
-        "data": len(matrix.rows),
-        "chunks": len(chunkset),
-        "groups": len(grp),
+        **counts,
         "artifacts": [
             {"name": name, "sha256": _digest(path_of(name))} for name in written
         ],
@@ -342,7 +345,7 @@ def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
         point = replace(cfg, **{axis: int(value) if axis == "M" else float(value)})
         point.validate()
         start = time.perf_counter()
-        _txns, _matrix, _chunkset, grp, _train, _test = run_stages(point, trace)
+        grp, _train, _test = run_stages(point, trace)
         elapsed = time.perf_counter() - start
         report = grouping.grouping_report(grp)
         results.append({
@@ -367,11 +370,11 @@ def sweep_histogram_csv_lines(results):
             yield f"{row['axis']},{row['value']},{size},{count}"
 
 
-def analyze_locality(cfg: PipelineConfig, trace: Trace, txns) -> dict:
+def analyze_locality(cfg: PipelineConfig, trace: Trace, log) -> dict:
     """Workload statistics: related-pair distance histogram and the
     access-count gap report under the configured W limits."""
     index = locality.AccessIndex.from_trace(trace)
     histogram = locality.related_pair_distance_histogram(trace)
-    pairs = locality.cooccurring_pairs(t for t in txns if not t.partial)
+    pairs = locality.cooccurring_pairs(log)
     gap_reports = locality.access_count_gap_report(index, pairs, cfg.w_limits)
     return {"histogram": histogram, "gap_reports": gap_reports}

@@ -98,7 +98,7 @@ class SimMetrics:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "policy": self.policy,
             "capacity_fraction": self.capacity_fraction,
             "capacity_bytes": self.capacity_bytes,
@@ -110,7 +110,6 @@ class SimMetrics:
             "prefetched_bytes": self.prefetched_bytes,
             "evictions": self.evictions,
         }
-        return d
 
 
 def resolve_capacity(cfg: SimConfig, trace: Trace) -> int:

@@ -17,15 +17,26 @@ Two emission semantics are supported:
 
 Accesses to an address currently resident in the window are no-ops: they
 neither grow the byte counter nor re-enter the pending transaction.
+
+The log is a ``TransactionLog``: every transaction's members back to back
+in one int64 array, an offsets array, and a flag for a trailing partial
+transaction, which only ``TransactionLog.used`` leaves out. A
+``CacheTransaction`` is a view of one transaction, made by iterating or
+indexing a log; ``TransactionLog.of`` packs a sequence of them into a log.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, count, starmap
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import artifacts
-from .errors import ConfigError, EmptyTraceError
+from .errors import ConfigError, DimensionMismatchError, EmptyTraceError
 from .trace import Trace, column_rows
 
 SNAPSHOT = "snapshot"
@@ -120,49 +131,116 @@ class TransactionExtractor:
         )
 
 
-def extract_transactions(trace: Trace, cfg: ExtractorConfig) -> list[CacheTransaction]:
-    """Replay a trace and return its transactions.
+def ragged_rows(values: np.ndarray, offsets: np.ndarray) -> Iterator[list]:
+    """values[offsets[i]:offsets[i + 1]].tolist() for each i."""
+    bounds = offsets.tolist()
+    return (values[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:]))
 
-    The final partial transaction (if any) is appended last with
-    ``partial=True``; downstream feature construction excludes it by
-    default.
-    """
+
+@dataclass(frozen=True, eq=False)
+class TransactionLog:
+    """Transaction i holds ``members[offsets[i]:offsets[i + 1]]``, in
+    insertion order; an empty (snapshot) transaction keeps its index. With
+    ``partial`` set, the last transaction is the end-of-trace residue."""
+
+    members: np.ndarray  # int64
+    offsets: np.ndarray  # int64, ascending from 0
+    partial: bool = False
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def full_count(self) -> int:
+        return len(self) - self.partial
+
+    def used(self, include_partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(members, offsets) of the transactions a stage reads: the full
+        ones, and the partial one too under include_partial, where it takes
+        the next consecutive index."""
+        n = len(self) - (self.partial and not include_partial)
+        return self.members[:self.offsets[n]], self.offsets[:n + 1]
+
+    def __getitem__(self, i: int) -> CacheTransaction:
+        i = range(len(self))[i]
+        members = self.members[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return CacheTransaction(i, tuple(members), self.partial and i == len(self) - 1)
+
+    def __iter__(self) -> Iterator[CacheTransaction]:
+        last = len(self) - 1
+        for i, members in enumerate(ragged_rows(self.members, self.offsets)):
+            yield CacheTransaction(i, tuple(members), self.partial and i == last)
+
+    @classmethod
+    def of(cls, transactions: "TransactionLog | Iterable[CacheTransaction]"
+           ) -> "TransactionLog":
+        """``transactions`` packed into a log; a log is returned as it is.
+
+        Indices must be consecutive from 0, and only the last transaction
+        may be partial; DimensionMismatchError otherwise.
+        """
+        if isinstance(transactions, cls):
+            return transactions
+        members, offsets = array("q"), array("q", [0])
+        partial = False
+        for j, txn in enumerate(transactions):
+            if partial or txn.index != j:
+                problem = "the partial one must be last" if partial else "indices count from 0"
+                raise DimensionMismatchError(f"transaction {txn.index} at position {j}: {problem}")
+            members.extend(txn.members)
+            offsets.append(len(members))
+            partial = txn.partial
+        return cls(np.frombuffer(members, dtype=np.int64),
+                   np.frombuffer(offsets, dtype=np.int64), partial)
+
+
+def extract_transactions(trace: Trace, cfg: ExtractorConfig) -> TransactionLog:
+    """Replay a trace and return its transaction log, the end-of-trace
+    partial transaction (if any) last."""
     if len(trace) == 0:
         raise EmptyTraceError("cannot extract transactions from an empty trace")
     extractor = TransactionExtractor(cfg)
-    out: list[CacheTransaction] = []
-    feed = extractor.feed
-    for address, size in column_rows(trace.addresses, trace.sizes):
-        txn = feed(address, size)
-        if txn is not None:
-            out.append(txn)
-    tail = extractor.finish()
-    if tail is not None:
-        out.append(tail)
-    return out
+    emitted = starmap(extractor.feed, column_rows(trace.addresses, trace.sizes))
+    tail = map(TransactionExtractor.finish, [extractor])  # runs once the trace is fed
+    return TransactionLog.of(filter(None, chain(emitted, tail)))
 
 
-def save_transactions(path, transactions, cfg: ExtractorConfig, trace_label="",
+def save_transactions(path, log: TransactionLog, cfg: ExtractorConfig, trace_label="",
                       config_hash=""):
-    """Serialize as `txn_id<TAB>addr1,addr2,...`; partial rows are flagged."""
+    """Serialize as `txn_id<TAB>addr1,addr2,...`; the partial row is flagged."""
     header = {"window_bytes": cfg.window_bytes, "mode": cfg.mode, "trace": trace_label,
               "config_hash": config_hash}
+    last = len(log) - 1 if log.partial else -1
     artifacts.write(path, header, (
-        f"{t.index}\t{','.join(map(str, t.members))}" + ("\tpartial" if t.partial else "")
-        for t in transactions))
-
-
-def _transaction(fields):
-    index, members, *flag = fields
-    if flag not in ([], ["partial"]):
-        raise ValueError(f"unexpected field {flag[0]!r}")
-    return CacheTransaction(int(index), artifacts.ints(members), bool(flag))
+        f"{i}\t{','.join(map(str, members))}" + ("\tpartial" if i == last else "")
+        for i, members in enumerate(ragged_rows(log.members, log.offsets))))
 
 
 def load_transactions(path, config_hash=None):
-    """Inverse of save_transactions; returns (transactions, header dict).
+    """Inverse of save_transactions; returns (log, header dict).
 
     With config_hash given, the artifact must have been written under it.
+    A row whose id is not its position, that lists an address twice, or
+    that follows the partial row is a DataError naming the file and line.
     """
-    header, rows = artifacts.read(path, _transaction, config_hash)
-    return list(rows), header
+    positions = count()
+    after_partial = False
+
+    def parse(fields):
+        nonlocal after_partial
+        index, members, *flag = fields
+        if flag not in ([], ["partial"]):
+            raise ValueError(f"unexpected field {flag[0]!r}")
+        position = next(positions)
+        if after_partial:
+            raise ValueError(f"partial transaction {position - 1} is not the last")
+        if int(index) != position:
+            raise ValueError(f"transaction id {index} is not its position {position}")
+        members = artifacts.ints(members)
+        if len(set(members)) < len(members):
+            raise ValueError("an address is listed twice")
+        after_partial = bool(flag)
+        return CacheTransaction(position, members, after_partial)
+
+    header, rows = artifacts.read(path, parse, config_hash)
+    return TransactionLog.of(rows), header

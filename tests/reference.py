@@ -33,6 +33,16 @@ from ctgroup.synthetic import SyntheticSpec, SyntheticTruth
 from ctgroup.trace import AccessRecord, Op, Trace
 
 
+def reconstruct_transactions(matrix):
+    """Member sets per transaction index of a CtfMatrix (order within a
+    set is lost)."""
+    members = [set() for _ in range(matrix.num_transactions)]
+    for address, vec in matrix.rows.items():
+        for j in vec.bits:
+            members[j].add(address)
+    return members
+
+
 def ref_extract(accesses, m, mode):
     """Transaction division over (addr, size) pairs.
 

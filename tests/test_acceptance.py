@@ -40,7 +40,12 @@ from ctgroup.transactions import (
     ExtractorConfig,
     extract_transactions,
 )
-from reference import legal_relations, ref_extract, ref_merge_groups
+from reference import (
+    legal_relations,
+    reconstruct_transactions,
+    ref_extract,
+    ref_merge_groups,
+)
 
 MSR_ENV = "CTGROUP_MSR_TRACE"
 
@@ -95,7 +100,7 @@ class TestExtraction:
                     make_trace(pairs), ExtractorConfig(rng.randint(4, 32), CUMULATIVE)
                 )
                 matrix = build_ctf(txns, include_partial=True)
-                assert matrix.reconstruct_transactions() == [
+                assert reconstruct_transactions(matrix) == [
                     set(t.members) for t in txns
                 ]
 
@@ -126,14 +131,14 @@ class TestGroupingInvariants:
 
         # each transacted datum lands in exactly one chunk and one group
         chunk_members = [a for c in chunkset.chunks for a in c.members]
-        assert sorted(chunk_members) == sorted(matrix.addresses())
+        assert sorted(chunk_members) == matrix.addresses.tolist()
         group_members = [a for g in grp.groups for a in g.members]
-        assert sorted(group_members) == sorted(matrix.addresses())
+        assert sorted(group_members) == matrix.addresses.tolist()
         assert len(group_members) == len(set(group_members))
 
         # the merge audits replay to the identical partitions, and every
         # recorded merge satisfied its threshold when it was executed
-        feats = {a: matrix[a] for a in matrix.addresses()}
+        feats = dict(matrix.rows)
         assert replay_audit(feats, chunkset.audit) == {
             c.members for c in chunkset.chunks
         }

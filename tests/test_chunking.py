@@ -24,10 +24,7 @@ def matrix(vectors, dim=None):
     """CtfMatrix from {addr: iterable-of-indices}."""
     if dim is None:
         dim = 1 + max((b for bits in vectors.values() for b in bits), default=-1)
-    return CtfMatrix(
-        num_transactions=dim,
-        rows={a: CtfVector(sorted(bits), dim=dim) for a, bits in vectors.items()},
-    )
+    return CtfMatrix.from_rows(dim, ((a, sorted(vectors[a])) for a in sorted(vectors)))
 
 
 class TestAreaKey:
@@ -241,7 +238,7 @@ class TestChunkAll:
         ctf = self.small_matrix()
         chunkset = chunk_all(ctf, ChunkerConfig(q=4, sigma=0.2))
         covered = [a for c in chunkset.chunks for a in c.members]
-        assert sorted(covered) == sorted(ctf.addresses())
+        assert sorted(covered) == ctf.addresses.tolist()
         assert len(covered) == len(set(covered))
         for chunk in chunkset.chunks:
             assert chunkset.lookup[chunk.members[0]] == chunk.id

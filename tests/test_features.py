@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
+from reference import reconstruct_transactions
 from ctgroup.errors import DimensionMismatchError
 from ctgroup.features import (
     EUCLIDEAN,
@@ -51,7 +52,7 @@ class TestBuild:
     def test_reconstruction_roundtrip(self):
         txns = [txn(0, 1, 2, 3), txn(1, 2), txn(2, 3, 1)]
         matrix = build_ctf(txns)
-        assert matrix.reconstruct_transactions() == [
+        assert reconstruct_transactions(matrix) == [
             set(t.members) for t in txns
         ]
 
@@ -169,7 +170,7 @@ class TestSizeEffect:
             return sum(lengths) / len(lengths)
 
         small_means = [
-            mean_comembers(a) for a in matrix.addresses() if a != big
+            mean_comembers(a) for a in matrix.rows if a != big
         ]
         assert mean_comembers(big) < sum(small_means) / len(small_means)
 

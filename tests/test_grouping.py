@@ -98,9 +98,10 @@ class TestLegalRelations:
     def random_log(rng, n_chunks, n_txns, partial_share=0.0):
         lookup = {a * 4: rng.randrange(n_chunks) for a in range(30)}
         addrs = list(lookup)
+        # only the last transaction of a log may be partial
         txns = [
             CacheTransaction(i, tuple(rng.sample(addrs, rng.randint(1, 10))),
-                             rng.random() < partial_share)
+                             rng.random() < partial_share and i == n_txns - 1)
             for i in range(n_txns)
         ]
         pops = {c: rng.randint(1, 8) for c in range(n_chunks)}

@@ -323,6 +323,41 @@ class TestArtifactGuards:
         message = "transaction indices are not strictly ascending"
         assert f"{ctf}, line {len(lines)}: {message}" in err
 
+    def test_ctf_rows_out_of_address_order_exit_three(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("extract", "ctf"):
+            assert self.run(command, *self.flags(spec_file, out)) == 0
+        ctf = out / "ctf.tsv"
+        lines = ctf.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        ctf.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run("chunk", *self.flags(spec_file, out)) == 3
+        message = "addresses are not strictly ascending"
+        assert f"{ctf}, line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, line_no, message", [
+        ("repeat", 2, "an address is listed twice"),
+        ("renumber", 2, "transaction id 5 is not its position 0"),
+        ("early_partial", 3, "partial transaction 0 is not the last"),
+    ])
+    def test_bad_transaction_row_exit_three(self, spec_file, tmp_path, capsys,
+                                            damage, line_no, message):
+        # a row lists distinct addresses, its id is its position, and only
+        # the last row may be the partial one
+        out = tmp_path / "out"
+        assert self.run("extract", *self.flags(spec_file, out)) == 0
+        path = out / "transactions.tsv"
+        lines = path.read_text().splitlines()
+        index, members = lines[1].split("\t")
+        lines[1] = {"repeat": f"{index}\t{members},{members.split(',')[0]}",
+                    "renumber": f"5\t{members}",
+                    "early_partial": f"{index}\t{members}\tpartial"}[damage]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run("ctf", *self.flags(spec_file, out)) == 3
+        assert f"{path}, line {line_no}: {message}" in capsys.readouterr().err
+
     def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         for command in ("extract", "ctf"):

@@ -28,16 +28,16 @@ class TestHandExamples:
     def test_snapshot_emits_window_contents(self):
         # admitting 16 evicts 0, admitting 24 evicts 8; Out reaches 8 = M
         txns = extract(FOUR, 8, SNAPSHOT)
-        assert txns == [CacheTransaction(0, (16, 24))]
+        assert list(txns) == [CacheTransaction(0, (16, 24))]
 
     def test_cumulative_emits_all_admitted(self):
         txns = extract(FOUR, 8, CUMULATIVE)
-        assert txns == [CacheTransaction(0, (0, 8, 16, 24))]
+        assert list(txns) == [CacheTransaction(0, (0, 8, 16, 24))]
 
     def test_resident_reaccess_is_noop(self):
         for mode in (SNAPSHOT, CUMULATIVE):
             txns = extract([(0, 4)] * 3, 8, mode)
-            assert txns == [CacheTransaction(0, (0,), partial=True)]
+            assert list(txns) == [CacheTransaction(0, (0,), partial=True)]
 
     def test_window_state_after_one_admission(self):
         ext = TransactionExtractor(ExtractorConfig(8))
@@ -77,10 +77,10 @@ class TestEdgeCases:
     def test_oversized_datum_still_joins_transaction(self):
         # a datum bigger than M drains the window immediately but is kept
         txns = extract([(0, 20)], 8, CUMULATIVE)
-        assert txns == [CacheTransaction(0, (0,))]
+        assert list(txns) == [CacheTransaction(0, (0,))]
         txns = extract([(0, 20)], 8, SNAPSHOT)
         # snapshot: the window was emptied by eviction before emission
-        assert txns == [CacheTransaction(0, ())]
+        assert list(txns) == [CacheTransaction(0, ())]
 
     def test_indices_consecutive(self):
         rng = random.Random(0)
@@ -157,7 +157,7 @@ class TestSerialization:
         path = tmp_path / "txns.tsv"
         save_transactions(path, txns, cfg, trace_label="unit", config_hash="abc")
         loaded, header = load_transactions(path)
-        assert loaded == txns
+        assert list(loaded) == list(txns)
         assert header["window_bytes"] == "16"
         assert header["mode"] == CUMULATIVE
         assert header["config_hash"] == "abc"
