@@ -47,19 +47,20 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def read(path, parse: Callable, config_hash=None, sep="\t", columns=None):
+def read(path, parse: Callable, config_hash=None, sep="\t", columns=None, numbered=None):
     """Returns (header dict, iterator of ``parse(fields)`` per data row).
 
     The header must carry ``config_hash``; when ``config_hash`` is given it
-    must also match it. A row that ``parse`` rejects (ValueError, or
-    IndexError for a missing field) raises DataError naming the file and
-    line.
+    must also match it. With ``numbered`` (the noun for a row's id), each
+    row's first field must be its position, counting from 0. A row that
+    fails that or that ``parse`` rejects (ValueError, or IndexError for a
+    missing field) raises DataError naming the file and line.
     """
-    rows = _read(path, parse, config_hash, sep, columns)
+    rows = _read(path, parse, config_hash, sep, columns, numbered)
     return next(rows), rows
 
 
-def _read(path, parse, config_hash, sep, columns):
+def _read(path, parse, config_hash, sep, columns, numbered):
     """Yields the header, then the parsed data rows."""
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -80,14 +81,20 @@ def _read(path, parse, config_hash, sep, columns):
         if columns is not None and fh.readline().rstrip("\n") != columns:
             raise DataError(f"{path}, line 2: expected the column line {columns!r}")
         yield header
+        position = 0
         for line_no, line in enumerate(fh, 2 if columns is None else 3):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
-                row = parse(line.split(sep))
+                fields = line.split(sep)
+                if numbered and int(fields[0]) != position:
+                    raise ValueError(
+                        f"{numbered} id {fields[0]} is not its position {position}")
+                row = parse(fields)
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}, line {line_no}: {exc}: {line[:80]!r}") from None
+            position += 1
             yield row
 
 

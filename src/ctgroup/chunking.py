@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import artifacts
-from .errors import ConfigError, DataError, UnknownDatumError
+from .errors import ConfigError, UnknownDatumError
 from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
@@ -330,6 +330,10 @@ class ChunkSet:
         except KeyError:
             raise UnknownDatumError(address) from None
 
+    def members(self) -> dict[int, tuple[int, ...]]:
+        """Chunk id -> member addresses, what the grouping stage reads."""
+        return {chunk.id: chunk.members for chunk in self.chunks}
+
 
 def chunk_all(
     ctf: CtfMatrix,
@@ -348,28 +352,21 @@ def chunk_all(
     data = zip(ctf.addresses.tolist(), np.diff(ctf.offsets).tolist())
     areas, excluded = pre_block(data, cfg, max_address)
     audit: list[MergeRecord] = []
-    clusters = ((members, key, feature.bits) for key in sorted(areas)
-                for members, feature in cluster_area(areas[key], ctf, cfg.sigma,
-                                                     metric, audit))
-    return _chunk_set(clusters, ctf.num_transactions, cfg, max_address,
-                      excluded=tuple(excluded), audit=audit)
-
-
-def _chunk_set(clusters, dim, cfg, max_address, **extra) -> ChunkSet:
-    """The ChunkSet of (members, area, OR feature indices) clusters in chunk
-    id order. The features are stored once, as a CtfMatrix over chunk ids."""
-    parts = []
+    parts = []  # (members, area) per chunk id
 
     def features():
-        for cid, (members, area, bits) in enumerate(clusters):
-            parts.append((members, area))
-            yield cid, bits
+        """Each chunk's OR feature, stored once as a CtfMatrix over chunk ids."""
+        for key in sorted(areas):
+            for members, feature in cluster_area(areas[key], ctf, cfg.sigma, metric, audit):
+                parts.append((members, key))
+                yield len(parts) - 1, feature.bits
 
-    matrix = CtfMatrix.from_rows(dim, features())
+    matrix = CtfMatrix.from_rows(ctf.num_transactions, features())
     chunks = [Chunk(cid, members, area, matrix)
               for cid, (members, area) in enumerate(parts)]
     lookup = {a: chunk.id for chunk in chunks for a in chunk.members}
-    return ChunkSet(chunks, lookup, cfg, max_address, matrix, **extra)
+    return ChunkSet(chunks, lookup, cfg, max_address, matrix, excluded=tuple(excluded),
+                    audit=audit)
 
 
 def replay_audit(addr_features: Mapping[int, CtfVector], audit: Iterable[MergeRecord]):
@@ -405,28 +402,28 @@ def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
         f"{chunk.id}\t{','.join(map(str, chunk.members))}" for chunk in chunkset.chunks))
 
 
-def _chunk_row(fields):
-    cid, members = fields
-    return int(cid), artifacts.ints(members)
+def load_chunk_members(path, config_hash=None, transacted=None):
+    """Read back chunk membership (ids -> address tuples) and the header.
 
+    A row whose id is not its position, that lists no address, or that
+    lists an address an earlier row or itself already listed is a
+    DataError naming the file and line. With ``transacted`` (a set of
+    addresses) given, so is a row listing an address outside it.
+    """
+    seen: set[int] = set()
 
-def load_chunk_members(path, config_hash=None):
-    """Read back chunk membership (ids -> address tuples) and the header."""
-    header, rows = artifacts.read(path, _chunk_row, config_hash)
+    def parse(fields):
+        cid, members = fields
+        members = artifacts.ints(members)
+        if not members:
+            raise ValueError(f"chunk {cid} lists no address")
+        for address in members:
+            if address in seen:
+                raise ValueError(f"address {address} is listed twice")
+            if transacted is not None and address not in transacted:
+                raise ValueError(f"address {address} is in no used transaction")
+            seen.add(address)
+        return int(cid), members
+
+    header, rows = artifacts.read(path, parse, config_hash, numbered="chunk")
     return dict(rows), header
-
-
-def load_chunks(path, ctf: CtfMatrix, cfg: ChunkerConfig, config_hash=None) -> ChunkSet:
-    """The ChunkSet save_chunks wrote, rebuilt against the ctf it was chunked from."""
-    members, _header = load_chunk_members(path, config_hash)
-    max_address = int(ctf.addresses[-1]) if len(ctf) else 0
-
-    def clusters():
-        for position, (cid, addrs) in enumerate(members.items()):
-            vectors = [ctf.get(a) for a in addrs]
-            if not addrs or None in vectors or cid != position:
-                raise DataError(f"{path}: chunk {cid} does not match the ctf matrix")
-            area = area_key(addrs[0], vectors[0].popcount(), cfg, max_address)
-            yield addrs, area, sorted(set().union(*(v.bits for v in vectors)))
-
-    return _chunk_set(clusters(), ctf.num_transactions, cfg, max_address)

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import chunking, features, grouping, locality, pipeline, simulator, transactions
+from . import locality, pipeline, transactions
 from .errors import ConfigError, CtgroupError, DataError
 from .pipeline import PipelineConfig, PipelineStageError
 
@@ -35,11 +35,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, help_text in (
         ("ingest", cmd_ingest, "parse and filter a trace, write the normalized CSV"),
-        ("extract", cmd_extract, "extract cache transactions from the training split"),
-        ("ctf", cmd_ctf, "invert the transaction log into feature vectors"),
-        ("chunk", cmd_chunk, "pre-block and cluster data into chunks"),
-        ("group", cmd_group, "merge chunks into disjoint groups"),
-        ("simulate", cmd_simulate, "replay the test split through the cache policies"),
+        ("extract", cmd_stage, "extract cache transactions from the training split"),
+        ("ctf", cmd_stage, "invert the transaction log into feature vectors"),
+        ("chunk", cmd_stage, "pre-block and cluster data into chunks"),
+        ("group", cmd_stage, "merge chunks into disjoint groups"),
+        ("simulate", cmd_stage, "replay the test split through the cache policies"),
         ("analyze", cmd_analyze, "emit workload locality statistics"),
         ("pipeline", cmd_pipeline, "run every stage and write a manifest"),
         ("sweep", cmd_sweep, "re-run grouping across one parameter axis"),
@@ -67,94 +67,50 @@ def _out(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
-def _load(cfg, load, name, stage):
-    """load(output_dir/name), which must carry the stage's hash; drops the header."""
-    return load(_out(cfg, name), config_hash=cfg.stage_hash(stage))[0]
-
-
 def _write_lines(cfg, name, lines):
     with open(_out(cfg, name), "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
 
 
-def cmd_ingest(cfg):
+def cmd_ingest(cfg, args):
     trace, _ = pipeline.load_input_trace(cfg)
     trace.save(_out(cfg, "trace.csv"))
     print(f"wrote {len(trace)} records ({trace.skipped} skipped) to "
           f"{os.path.join(cfg.output_dir, 'trace.csv')}")
 
 
-def cmd_extract(cfg):
+def cmd_stage(cfg, args):
+    """One pipeline stage: reads what it needs, writes its artifacts."""
+    stage = pipeline.STAGE_TABLE[pipeline.STAGES.index(args.command)]
+    saved = {}
+    pipeline.run_stages(cfg, [stage], {}, saved)
+    counts = "".join(f" {key}={n}" for key, n in saved[stage.name].items())
+    paths = ", ".join(os.path.join(cfg.output_dir, name) for name in stage.artifacts)
+    print(f"{stage.name}:{counts} -> {paths}")
+
+
+def cmd_analyze(cfg, args):
+    """Workload statistics: the related-pair distance histogram and the
+    access-count gap report under the configured W limits."""
     trace, _ = pipeline.load_input_trace(cfg)
-    train, _test = pipeline.split_for_training(cfg, trace)
-    log = transactions.extract_transactions(train, cfg.extractor_config())
-    transactions.save_transactions(
-        _out(cfg, "transactions.tsv"), log, cfg.extractor_config(),
-        trace.source_label, cfg.stage_hash("extract"),
-    )
-    print(f"extracted {log.full_count} transactions (+{int(log.partial)} partial)")
+    histogram = locality.related_pair_distance_histogram(trace)
+    pairs = locality.cooccurring_pairs(
+        transactions.extract_transactions(trace, cfg.extractor_config()))
+    reports = locality.access_count_gap_report(locality.AccessIndex.from_trace(trace),
+                                               pairs, cfg.w_limits)
+    _write_lines(cfg, "locality_distance.csv", histogram.to_csv_lines())
+    _write_lines(cfg, "locality_gap.csv", locality.gap_report_csv_lines(reports))
+    print(f"related pairs: {histogram.total}; reports written to {cfg.output_dir}")
 
 
-def cmd_ctf(cfg):
-    log = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
-    matrix = features.build_ctf(log, include_partial=cfg.include_partial)
-    features.save_ctf(_out(cfg, "ctf.tsv"), matrix, config_hash=cfg.stage_hash("ctf"))
-    print(f"built features for {len(matrix)} data over "
-          f"{matrix.num_transactions} transactions")
-
-
-def cmd_chunk(cfg):
-    matrix = _load(cfg, features.load_ctf, "ctf.tsv", "ctf")
-    chunkset = chunking.chunk_all(matrix, cfg.chunker_config(), metric=cfg.distance)
-    chunking.save_chunks(_out(cfg, "chunks.tsv"), chunkset,
-                         config_hash=cfg.stage_hash("chunk"))
-    print(f"formed {len(chunkset)} chunks ({len(chunkset.excluded)} data excluded)")
-
-
-def cmd_group(cfg):
-    log = _load(cfg, transactions.load_transactions, "transactions.tsv", "extract")
-    matrix = _load(cfg, features.load_ctf, "ctf.tsv", "ctf")
-    chunkset = chunking.load_chunks(_out(cfg, "chunks.tsv"), matrix, cfg.chunker_config(),
-                                    cfg.stage_hash("chunk"))
-    grp = grouping.build_grouping(log, chunkset, cfg.grouper_config(),
-                                  include_partial=cfg.include_partial)
-    grouping.save_grouping(_out(cfg, "grouping.csv"), grp,
-                           config_hash=cfg.stage_hash("group"))
-    print(f"merged {len(chunkset)} chunks into {len(grp)} groups")
-
-
-def cmd_simulate(cfg):
-    trace, _ = pipeline.load_input_trace(cfg)
-    _train, test = pipeline.split_for_training(cfg, trace)
-    members = _load(cfg, grouping.load_grouping_members, "grouping.csv", "group")
-    rows = simulator.sweep(
-        test, simulator.GroupTable.from_members(members), cfg.capacity_fractions,
-        cfg.policies, extra_sizes=trace.first_seen_sizes(),
-        write_allocate=cfg.write_allocate,
-    )
-    pipeline.write_metrics(cfg, rows)
-    for m in rows:
-        print(f"{m.policy} fraction={m.capacity_fraction} "
-              f"hit_rate={m.hit_rate:.4f} disk_ios={m.disk_ios}")
-
-
-def cmd_analyze(cfg):
-    trace, _ = pipeline.load_input_trace(cfg)
-    log = transactions.extract_transactions(trace, cfg.extractor_config())
-    stats = pipeline.analyze_locality(cfg, trace, log)
-    _write_lines(cfg, "locality_distance.csv", stats["histogram"].to_csv_lines())
-    _write_lines(cfg, "locality_gap.csv", locality.gap_report_csv_lines(stats["gap_reports"]))
-    print(f"related pairs: {stats['histogram'].total}; reports written to "
-          f"{cfg.output_dir}")
-
-
-def cmd_pipeline(cfg):
+def cmd_pipeline(cfg, args):
     manifest = pipeline.run_pipeline(cfg)
     print(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def cmd_sweep(cfg, axis, values_text):
-    values = [v.strip() for v in values_text.split(",") if v.strip()]
+def cmd_sweep(cfg, args):
+    axis = args.axis
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     results = pipeline.sweep_parameters(cfg, axis, values)
     _write_lines(cfg, f"sweep_{axis}.csv", pipeline.sweep_csv_lines(results))
     _write_lines(cfg, f"sweep_{axis}_hist.csv", pipeline.sweep_histogram_csv_lines(results))
@@ -166,27 +122,15 @@ def cmd_sweep(cfg, axis, values_text):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "sweep":
-            cmd_sweep(cfg, args.axis, args.values)
-        else:
-            args.run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ConfigError):
-            return 2
-        if isinstance(exc.cause, DataError):
-            return 3
-        return 4
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        args.run(load_config(args), args)
     except CtgroupError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        # a failed stage is reported under the kind of error that failed it
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
+        code, kind = ((2, "config error") if isinstance(cause, ConfigError) else
+                      (3, "data error") if isinstance(cause, DataError) else
+                      (4, "internal error"))
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -17,11 +17,8 @@ class DataError(CtgroupError):
     """Problem with input data (traces, artifacts)."""
 
 
-class TraceParseError(DataError):
-    """A trace line could not be parsed.
-
-    Carries the 1-based line number when known.
-    """
+class _LineError(DataError):
+    """A data error about one input line; carries its 1-based number when known."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -30,14 +27,12 @@ class TraceParseError(DataError):
         self.line_no = line_no
 
 
-class RejectedRecordError(DataError):
+class TraceParseError(_LineError):
+    """A trace line could not be parsed."""
+
+
+class RejectedRecordError(_LineError):
     """A syntactically valid record violates a field constraint (e.g. size <= 0)."""
-
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class EmptyTraceError(DataError):

@@ -3,7 +3,8 @@
 Chunk co-occurrence is counted per transaction (each transaction increments
 an unordered chunk pair at most once). Pairs whose count reaches
 max(|V_x|, |V_y|) * alpha are legal relations; |V_C| is the number of
-transactions containing the chunk, i.e. the popcount of its OR feature.
+transactions containing the chunk, i.e. the popcount of its OR feature,
+counted here from the transactions themselves.
 
 Legal relations are processed in descending strength order. Each processed
 cross-group relation increments the counter between the two groups by one;
@@ -16,14 +17,14 @@ every chunk (hence every transacted datum) ends up in exactly one group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import artifacts
-from .chunking import ChunkSet
 from .errors import ConfigError, UnknownDatumError
-from .features import run_incidence, shared_run_counts, sorted_distinct
+from .features import run_incidence, shared_run_counts
 from .transactions import CacheTransaction, TransactionLog
 
 DESCENDING = "descending"
@@ -58,31 +59,34 @@ TXN_BATCH = 8192
 
 def compute_legal_relations(
     transactions: TransactionLog | Iterable[CacheTransaction],
-    chunk_lookup: Mapping[int, int],
-    chunk_popcounts: Mapping[int, int],
+    chunk_members: Mapping[int, Sequence[int]],
     alpha: float,
     sort: str = DESCENDING,
     include_partial: bool = False,
 ) -> list[Relation]:
     """The legal relations of a transaction log, strongest first.
 
-    A chunk pair's count is the number of transactions holding both (each
-    transaction counts a pair at most once); the pair is a legal relation
-    when its count reaches max(|V_x|, |V_y|) * alpha. Relations are ordered
-    by count, descending unless ``sort`` is ascending, ties by (x, y)
-    ascending. Every transacted address must resolve to a chunk: the first
-    one in log order that does not raises UnknownDatumError (it indicates
-    the chunking was built from a different transaction log).
+    ``chunk_members`` maps each chunk id to its addresses. A chunk pair's
+    count is the number of transactions holding both (each transaction
+    counts a pair at most once), and |V_C| the number holding chunk C; the
+    pair is a legal relation when its count reaches max(|V_x|, |V_y|) *
+    alpha. Relations are ordered by count, descending unless ``sort`` is
+    ascending, ties by (x, y) ascending. Every transacted address must
+    resolve to a chunk: the first one in log order that does not raises
+    UnknownDatumError (it indicates the chunking was built from a
+    different transaction log).
 
     A sequence of CacheTransactions is packed by TransactionLog.of first.
     Transactions are resolved to their distinct chunks in batches, kept as
-    int32 chunk ids with their run tails; the chunk pairs within each
-    transaction are then counted in batches of smaller chunk ids, and each
-    batch is filtered by alpha at once, so no table of every counted pair
-    (most of them noise that the filter drops) is ever held.
+    int32 chunk ids with their run tails; |V_C| counts those ids. The chunk
+    pairs within each transaction are then counted in batches of smaller
+    chunk ids, and each batch is filtered by alpha at once, so no table of
+    every counted pair (most of them noise that the filter drops) is ever
+    held.
     """
-    addrs = np.fromiter(chunk_lookup.keys(), dtype=np.int64, count=len(chunk_lookup))
-    chunk_ids = np.fromiter(chunk_lookup.values(), dtype=np.int64, count=len(addrs))
+    addrs = np.fromiter(chain.from_iterable(chunk_members.values()), dtype=np.int64)
+    chunk_ids = np.repeat(np.fromiter(chunk_members, dtype=np.int64),
+                          list(map(len, chunk_members.values())))
     order = np.argsort(addrs)
     addrs, chunk_ids = addrs[order], chunk_ids[order]
     stride = int(chunk_ids.max()) + 1 if len(chunk_ids) else 1
@@ -107,12 +111,9 @@ def compute_legal_relations(
     tails = np.concatenate(tails or empty)
     chunks = np.concatenate(chunks or empty)
 
-    pops = np.full(stride, -1, dtype=np.int64)  # looked up once per chunk
+    pops = np.bincount(chunks, minlength=stride)
     kept = [(np.empty(0, dtype=np.int64),) * 3]
     for x, y, counts in shared_run_counts(tails, chunks):
-        present = sorted_distinct(np.concatenate((x, y)))
-        missing = present[pops[present] < 0]
-        pops[missing] = [chunk_popcounts[c] for c in missing.tolist()]
         keep = counts >= np.maximum(pops[x], pops[y]) * alpha
         kept.append((x[keep], y[keep], counts[keep]))
     x, y, counts = (np.concatenate(column) for column in zip(*kept))
@@ -143,8 +144,7 @@ class Group:
 @dataclass
 class Grouping:
     groups: list[Group]
-    lookup: dict[int, int]          # block address -> group id
-    chunk_to_group: dict[int, int]  # chunk id -> group id
+    lookup: dict[int, int]  # block address -> group id
     audit: list[GroupMergeRecord] = field(default_factory=list)
     processed_cross: int = 0
     skipped_same_group: int = 0
@@ -246,13 +246,11 @@ def merge_groups(
     ordered = sorted(roots.values(), key=lambda chunk_ids: min(chunk_ids))
     groups: list[Group] = []
     lookup: dict[int, int] = {}
-    chunk_to_group: dict[int, int] = {}
     for gid, chunk_ids in enumerate(ordered):
         chunk_ids = tuple(sorted(chunk_ids))
         members: list[int] = []
         for c in chunk_ids:
             members.extend(chunk_members[c])
-            chunk_to_group[c] = gid
         members.sort()
         groups.append(
             Group(gid, chunk_ids, tuple(members), state.internal[state.find(chunk_ids[0])])
@@ -262,7 +260,6 @@ def merge_groups(
     return Grouping(
         groups=groups,
         lookup=lookup,
-        chunk_to_group=chunk_to_group,
         audit=audit,
         processed_cross=processed_cross,
         skipped_same_group=skipped_same,
@@ -272,18 +269,16 @@ def merge_groups(
 
 def build_grouping(
     transactions: TransactionLog | Iterable[CacheTransaction],
-    chunkset: ChunkSet,
+    chunk_members: Mapping[int, Sequence[int]],
     config: GrouperConfig,
     include_partial: bool = False,
 ) -> Grouping:
-    """Convenience wrapper: count, filter, sort, merge."""
+    """Convenience wrapper: count, filter, sort, merge. ``chunk_members``
+    maps each chunk id to its addresses, as ChunkSet.members gives it."""
     config.validate()
-    popcounts = dict(enumerate(np.diff(chunkset.features.offsets).tolist()))
     relations = compute_legal_relations(
-        transactions, chunkset.lookup, popcounts,
-        config.alpha, config.sort, include_partial,
+        transactions, chunk_members, config.alpha, config.sort, include_partial,
     )
-    chunk_members = {c.id: c.members for c in chunkset.chunks}
     return merge_groups(relations, chunk_members, config.mu, config)
 
 

@@ -35,9 +35,10 @@ class AccessIndex:
             seqs.setdefault(addr, []).append(i)
         return cls(seqs)
 
-    def access_count(self, address: int) -> int:
+    def accesses(self, address: int) -> list[int]:
+        """The address's access sequence numbers, ascending."""
         try:
-            return len(self.seqs[address])
+            return self.seqs[address]
         except KeyError:
             raise UnknownDatumError(address) from None
 
@@ -59,14 +60,7 @@ def relation_strength(index: AccessIndex, x: int, y: int) -> float:
     Asymmetric (normalized by x's access count); relation_strength(x, x)
     is 0.
     """
-    try:
-        xs = index.seqs[x]
-    except KeyError:
-        raise UnknownDatumError(x) from None
-    try:
-        ys = index.seqs[y]
-    except KeyError:
-        raise UnknownDatumError(y) from None
+    xs, ys = index.accesses(x), index.accesses(y)
     return sum(_min_gap(s, ys) for s in xs) / len(xs)
 
 
@@ -106,9 +100,6 @@ class Histogram:
 
     buckets: list[tuple[int, int, int, float]]  # (lo, hi, count, cdf)
     total: int
-
-    def rows(self):
-        return list(self.buckets)
 
     def to_csv_lines(self):
         yield "bucket_lo,bucket_hi,count,cdf"
@@ -215,7 +206,7 @@ def access_count_gap_report(
     evaluated = []
     for x, y in pairs:
         w = strength(index, x, y)
-        gap = abs(index.access_count(x) - index.access_count(y))
+        gap = abs(len(index.accesses(x)) - len(index.accesses(y)))
         evaluated.append((w, gap))
     reports = {}
     for limit in w_limits:

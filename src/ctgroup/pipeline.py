@@ -23,24 +23,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
-from . import artifacts, chunking, features, grouping, locality, simulator, transactions
+from . import artifacts, chunking, features, grouping, simulator, transactions
 from .errors import ConfigError, CtgroupError
 from .synthetic import SyntheticSpec, synthesize_trace
 from .trace import Trace, load_trace
 
 DEFAULT_WINDOW_BYTES = 65536
 DEFAULT_FRACTIONS = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128)
-
-ARTIFACTS = (
-    "transactions.tsv",
-    "ctf.tsv",
-    "chunks.tsv",
-    "grouping.csv",
-    "metrics.csv",
-    "metrics.json",
-)
-STAGES = ("extract", "ctf", "chunk", "group", "simulate")
 
 
 def _flag(text):
@@ -164,6 +155,17 @@ class PipelineStageError(CtgroupError):
         self.cause = cause
 
 
+@contextlib.contextmanager
+def _failing_as(stage):
+    """Raise any error but a PipelineStageError as one naming ``stage``."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(stage, exc) from exc
+
+
 def load_input_trace(cfg: PipelineConfig):
     """Returns (trace, truth-or-None). Applies the ops/host/disk filters."""
     if cfg.synthetic is not None:
@@ -187,34 +189,123 @@ def split_for_training(cfg: PipelineConfig, trace: Trace):
     return trace.split(count)
 
 
-def run_stages(cfg: PipelineConfig, trace: Trace, enter=lambda stage: None,
-               done=lambda stage, output: None):
-    """In-memory pipeline: returns (grouping, train, test).
+def _save_metrics(paths, rows, chash, *_):
+    csv_path, json_path = paths
+    artifacts.write(csv_path, {"config_hash": chash}, simulator.metrics_csv_lines(rows))
+    artifacts.write_json(json_path, {"config_hash": chash,
+                                     "rows": [m.as_dict() for m in rows]})
 
-    enter is called with each stage's name as the stage starts, and done
-    with its name and output as it ends. Each output is dropped as soon as
-    no later stage reads it.
+
+def _load_chunks(path, chash, cfg, held):
+    """Chunk membership, every address in a transaction the group stage reads."""
+    members = held["extract"].used(cfg.include_partial)[0]
+    transacted = set(features.sorted_distinct(members).tolist())
+    return chunking.load_chunk_members(path, chash, transacted)[0]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of the chain, with the artifacts it writes.
+
+    ``reads`` lists what the stage takes, in argument order: "trace" (the
+    input trace) or an earlier stage, whose output a later stage takes in
+    the form ``hand_on`` gives it or ``load`` reads back from the first
+    artifact. The functions look the stage code up in its module when
+    called, so a patched module attribute is the one that runs.
     """
-    enter("extract")
-    train, test = split_for_training(cfg, trace)
-    log = transactions.extract_transactions(train, cfg.extractor_config())
-    done("extract", log)
-    enter("ctf")
-    matrix = features.build_ctf(log, include_partial=cfg.include_partial)
-    done("ctf", matrix)
-    enter("chunk")
-    # Address-axis span is taken over the transacted data so the standalone
-    # `chunk` subcommand (which only sees the feature artifact) agrees.
-    chunkset = chunking.chunk_all(matrix, cfg.chunker_config(), metric=cfg.distance)
-    del matrix
-    done("chunk", chunkset)
-    enter("group")
-    grp = grouping.build_grouping(
-        log, chunkset, cfg.grouper_config(), include_partial=cfg.include_partial
-    )
-    del log, chunkset
-    done("group", grp)
-    return grp, train, test
+
+    name: str
+    artifacts: tuple[str, ...]
+    reads: tuple[str, ...]
+    run: Callable                               # (cfg, *inputs) -> output
+    save: Callable                              # (paths, output, hash, cfg, *inputs)
+    counts: Callable = lambda output: {}        # output -> manifest counts
+    hand_on: Callable = lambda output: output
+    load: Callable | None = None                # (path, hash, cfg, held) -> handed on
+
+
+STAGE_TABLE = (
+    Stage("extract", ("transactions.tsv",), ("trace",),
+          run=lambda cfg, trace: transactions.extract_transactions(
+              split_for_training(cfg, trace)[0], cfg.extractor_config()),
+          save=lambda paths, log, chash, cfg, trace: transactions.save_transactions(
+              paths[0], log, cfg.extractor_config(), trace.source_label, chash),
+          counts=lambda log: {"transactions": log.full_count},
+          load=lambda path, chash, *_: transactions.load_transactions(path, chash)[0]),
+    Stage("ctf", ("ctf.tsv",), ("extract",),
+          run=lambda cfg, log: features.build_ctf(log, include_partial=cfg.include_partial),
+          save=lambda paths, matrix, chash, *_: features.save_ctf(
+              paths[0], matrix, config_hash=chash),
+          counts=lambda matrix: {"data": len(matrix)},
+          load=lambda path, chash, *_: features.load_ctf(path, chash)[0]),
+    Stage("chunk", ("chunks.tsv",), ("ctf",),
+          run=lambda cfg, matrix: chunking.chunk_all(matrix, cfg.chunker_config(),
+                                                     metric=cfg.distance),
+          save=lambda paths, chunkset, chash, *_: chunking.save_chunks(
+              paths[0], chunkset, config_hash=chash),
+          counts=lambda chunkset: {"chunks": len(chunkset)},
+          hand_on=lambda chunkset: chunkset.members(),
+          load=_load_chunks),
+    Stage("group", ("grouping.csv",), ("extract", "chunk"),
+          run=lambda cfg, log, members: grouping.build_grouping(
+              log, members, cfg.grouper_config(), include_partial=cfg.include_partial),
+          save=lambda paths, grp, chash, *_: grouping.save_grouping(
+              paths[0], grp, config_hash=chash),
+          counts=lambda grp: {"groups": len(grp)},
+          hand_on=lambda grp: simulator.GroupTable.from_grouping(grp),
+          load=lambda path, chash, *_: simulator.GroupTable.from_members(
+              grouping.load_grouping_members(path, chash)[0])),
+    Stage("simulate", ("metrics.csv", "metrics.json"), ("trace", "group"),
+          run=lambda cfg, trace, table: simulator.sweep(
+              split_for_training(cfg, trace)[1], table, cfg.capacity_fractions,
+              cfg.policies, extra_sizes=trace.first_seen_sizes(),
+              write_allocate=cfg.write_allocate),
+          save=_save_metrics),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+ARTIFACTS = tuple(name for stage in STAGE_TABLE for name in stage.artifacts)
+
+
+def run_stages(cfg: PipelineConfig, stages, held: dict, saved: dict | None = None):
+    """Run ``stages``, consecutive entries of STAGE_TABLE, and return the
+    last one's output.
+
+    ``held`` maps what the stages read to its value: "trace" to the input
+    trace, a stage's name to its handed-on output. What it lacks is read
+    when a stage first needs it: the trace by load_input_trace, a stage's
+    output from its artifact under that stage's hash. With ``saved`` (a
+    dict), each stage writes its artifacts and then records its manifest
+    counts there under its name. Each output is dropped as soon as no
+    later stage reads it. A failure is a PipelineStageError naming the
+    stage.
+    """
+    if saved is not None:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    for i, stage in enumerate(stages):
+        later = {name for s in stages[i + 1:] for name in s.reads}
+        with _failing_as(stage.name):
+            for name in stage.reads:
+                if name in held:
+                    continue
+                if name == "trace":
+                    held[name] = load_input_trace(cfg)[0]
+                else:
+                    source = STAGE_TABLE[STAGES.index(name)]
+                    path = os.path.join(cfg.output_dir, source.artifacts[0])
+                    held[name] = source.load(path, cfg.stage_hash(name), cfg, held)
+            inputs = [held.pop(name) if name not in later else held[name]
+                      for name in stage.reads]
+            output = stage.run(cfg, *inputs)
+            if saved is not None:
+                paths = [os.path.join(cfg.output_dir, name) for name in stage.artifacts]
+                stage.save(paths, output, cfg.stage_hash(stage.name), cfg, *inputs)
+                saved[stage.name] = stage.counts(output)
+            del inputs
+            if stage.name in later:
+                held[stage.name] = stage.hand_on(output)
+        if i < len(stages) - 1:
+            del output
+    return output
 
 
 def _digest(path) -> str:
@@ -223,16 +314,6 @@ def _digest(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def write_metrics(cfg: PipelineConfig, rows):
-    """metrics.csv and metrics.json in output_dir, under the simulate stage's hash."""
-    chash = cfg.stage_hash("simulate")
-    out = cfg.output_dir
-    artifacts.write(os.path.join(out, "metrics.csv"), {"config_hash": chash},
-                    simulator.metrics_csv_lines(rows))
-    artifacts.write_json(os.path.join(out, "metrics.json"),
-                         {"config_hash": chash, "rows": [m.as_dict() for m in rows]})
 
 
 @contextlib.contextmanager
@@ -256,70 +337,37 @@ def _collector_paused():
 
 
 @_collector_paused()
-def run_pipeline(cfg: PipelineConfig, check_invariants: bool = False) -> dict:
+def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute all stages, persist artifacts, return the manifest."""
     cfg.validate()
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    written: list[str] = []
+    saved: dict[str, dict] = {}
 
     def path_of(name):
         return os.path.join(cfg.output_dir, name)
 
-    stage = "ingest"
-    counts = {}
-
-    def enter(name):
-        nonlocal stage
-        stage = name
-
-    def done(name, output):
-        """Write the stage's artifact and take its manifest count."""
-        artifact = ARTIFACTS[STAGES.index(name)]
-        path, chash = path_of(artifact), cfg.stage_hash(name)
-        if name == "extract":
-            transactions.save_transactions(path, output, cfg.extractor_config(),
-                                           trace.source_label, chash)
-            counts["transactions"] = output.full_count
-        else:
-            save, key = {"ctf": (features.save_ctf, "data"),
-                         "chunk": (chunking.save_chunks, "chunks"),
-                         "group": (grouping.save_grouping, "groups")}[name]
-            save(path, output, config_hash=chash)
-            counts[key] = len(output)
-        written.append(artifact)
-
     try:
-        trace = load_input_trace(cfg)[0]  # the synthetic truth is not kept
-
-        grp, train, test = run_stages(cfg, trace, enter, done)
-        stage = "simulate"
-        table = simulator.GroupTable.from_grouping(grp)
-        del grp
-        rows = simulator.sweep(
-            test, table, cfg.capacity_fractions, cfg.policies,
-            extra_sizes=trace.first_seen_sizes(),
-            write_allocate=cfg.write_allocate,
-            check_invariants=check_invariants,
-        )
-        write_metrics(cfg, rows)
-        written += ["metrics.csv", "metrics.json"]
-    except Exception as exc:
+        with _failing_as("ingest"):
+            trace = load_input_trace(cfg)[0]  # the synthetic truth is not kept
+        run_stages(cfg, STAGE_TABLE, {"trace": trace}, saved)
+    except PipelineStageError:
         # Leave whatever the failing stage produced flagged as partial.
+        written = {name for stage in STAGE_TABLE if stage.name in saved
+                   for name in stage.artifacts}
         for name in ARTIFACTS:
             if name not in written and os.path.exists(path_of(name)):
                 os.replace(path_of(name), path_of(name) + ".partial")
-        raise PipelineStageError(stage, exc) from exc
+        raise
 
-    stage = "manifest"
+    train, test = split_for_training(cfg, trace)
     manifest = {
         "config_hash": cfg.config_hash(),
         "trace_label": trace.source_label,
         "records": len(trace),
         "train_records": len(train),
         "test_records": len(test),
-        **counts,
+        **{key: n for counts in saved.values() for key, n in counts.items()},
         "artifacts": [
-            {"name": name, "sha256": _digest(path_of(name))} for name in written
+            {"name": name, "sha256": _digest(path_of(name))} for name in ARTIFACTS
         ],
     }
     artifacts.write_json(path_of("manifest.json"), manifest)
@@ -340,12 +388,13 @@ def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg.validate()
     trace = load_input_trace(cfg)[0]
+    stages = STAGE_TABLE[:STAGES.index("group") + 1]
     results = []
     for value in values:
         point = replace(cfg, **{axis: int(value) if axis == "M" else float(value)})
         point.validate()
         start = time.perf_counter()
-        grp, _train, _test = run_stages(point, trace)
+        grp = run_stages(point, stages, {"trace": trace})
         elapsed = time.perf_counter() - start
         report = grouping.grouping_report(grp)
         results.append({
@@ -368,13 +417,3 @@ def sweep_histogram_csv_lines(results):
     for row in results:
         for size, count in row["size_histogram"].items():
             yield f"{row['axis']},{row['value']},{size},{count}"
-
-
-def analyze_locality(cfg: PipelineConfig, trace: Trace, log) -> dict:
-    """Workload statistics: related-pair distance histogram and the
-    access-count gap report under the configured W limits."""
-    index = locality.AccessIndex.from_trace(trace)
-    histogram = locality.related_pair_distance_histogram(trace)
-    pairs = locality.cooccurring_pairs(log)
-    gap_reports = locality.access_count_gap_report(index, pairs, cfg.w_limits)
-    return {"histogram": histogram, "gap_reports": gap_reports}

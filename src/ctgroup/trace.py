@@ -153,39 +153,22 @@ class Trace:
             raise ConfigError(
                 f"train_count must be in (0, {len(self)}), got {train_count}"
             )
-        first = Trace(
-            self.timestamps[:train_count],
-            self.addresses[:train_count],
-            self.sizes[:train_count],
-            self.ops[:train_count],
-            source_label=self.source_label,
-        )
-        rest = Trace(
-            self.timestamps[train_count:],
-            self.addresses[train_count:],
-            self.sizes[train_count:],
-            self.ops[train_count:],
-            source_label=self.source_label,
-        )
-        return first, rest
+        return self._take(slice(train_count)), self._take(slice(train_count, None))
 
     def filter_ops(self, ops: str) -> "Trace":
         """Keep only reads, only writes, or both ('read' | 'write' | 'both')."""
         if ops == "both":
             return self
         if ops == "read":
-            mask = self.ops == int(Op.READ)
-        elif ops == "write":
-            mask = self.ops == int(Op.WRITE)
-        else:
-            raise ConfigError(f"ops filter must be read|write|both, got {ops!r}")
-        return Trace(
-            self.timestamps[mask],
-            self.addresses[mask],
-            self.sizes[mask],
-            self.ops[mask],
-            source_label=self.source_label,
-        )
+            return self._take(self.ops == int(Op.READ))
+        if ops == "write":
+            return self._take(self.ops == int(Op.WRITE))
+        raise ConfigError(f"ops filter must be read|write|both, got {ops!r}")
+
+    def _take(self, index) -> "Trace":
+        """The records a slice or boolean mask selects, under the same label."""
+        return Trace(self.timestamps[index], self.addresses[index], self.sizes[index],
+                     self.ops[index], source_label=self.source_label)
 
     def total_unique_bytes(self) -> int:
         """Sum of first-seen sizes over distinct block addresses.

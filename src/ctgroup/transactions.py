@@ -30,7 +30,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, count, starmap
+from itertools import chain, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -223,7 +223,6 @@ def load_transactions(path, config_hash=None):
     A row whose id is not its position, that lists an address twice, or
     that follows the partial row is a DataError naming the file and line.
     """
-    positions = count()
     after_partial = False
 
     def parse(fields):
@@ -231,16 +230,13 @@ def load_transactions(path, config_hash=None):
         index, members, *flag = fields
         if flag not in ([], ["partial"]):
             raise ValueError(f"unexpected field {flag[0]!r}")
-        position = next(positions)
         if after_partial:
-            raise ValueError(f"partial transaction {position - 1} is not the last")
-        if int(index) != position:
-            raise ValueError(f"transaction id {index} is not its position {position}")
+            raise ValueError(f"partial transaction {int(index) - 1} is not the last")
         members = artifacts.ints(members)
         if len(set(members)) < len(members):
             raise ValueError("an address is listed twice")
         after_partial = bool(flag)
-        return CacheTransaction(position, members, after_partial)
+        return CacheTransaction(int(index), members, after_partial)
 
-    header, rows = artifacts.read(path, parse, config_hash)
+    header, rows = artifacts.read(path, parse, config_hash, numbered="transaction")
     return TransactionLog.of(rows), header

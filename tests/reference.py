@@ -175,6 +175,19 @@ def count_cooccurrence(transactions, chunk_lookup, include_partial=False):
     return counts
 
 
+def ref_chunk_popcounts(transactions, chunk_lookup, include_partial=False):
+    """|V_C| per chunk: the number of transactions holding any of its
+    addresses, the partial one only under include_partial. Chunks that no
+    such transaction holds are left out."""
+    popcounts = {}
+    for txn in transactions:
+        if txn.partial and not include_partial:
+            continue
+        for chunk in {chunk_lookup[address] for address in txn.members}:
+            popcounts[chunk] = popcounts.get(chunk, 0) + 1
+    return popcounts
+
+
 def legal_relations(counts, chunk_popcounts, alpha, sort=DESCENDING):
     """Filter pairs by the alpha threshold and order them by strength.
 

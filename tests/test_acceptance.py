@@ -127,7 +127,7 @@ class TestGroupingInvariants:
         txns = extract_transactions(trace, ExtractorConfig(65536))
         matrix = build_ctf(txns)
         chunkset = chunk_all(matrix, ChunkerConfig())
-        grp = build_grouping(txns, chunkset, GrouperConfig())
+        grp = build_grouping(txns, chunkset.members(), GrouperConfig())
 
         # each transacted datum lands in exactly one chunk and one group
         chunk_members = [a for c in chunkset.chunks for a in c.members]
@@ -204,7 +204,7 @@ class TestPlantedRecovery:
                 matrix = build_ctf(txns)
                 chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
                 grp = build_grouping(
-                    txns, chunkset, GrouperConfig(alpha=0.5, mu=0.5)
+                    txns, chunkset.members(), GrouperConfig(alpha=0.5, mu=0.5)
                 )
                 got = {g.members for g in grp.groups if len(g.members) > 1}
                 planted = {tuple(g) for g in truth.groups}
@@ -233,7 +233,7 @@ def cache_metric_rows():
     txns = extract_transactions(train, ExtractorConfig(65536))
     matrix = build_ctf(txns)
     chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
-    grp = build_grouping(txns, chunkset, GrouperConfig())
+    grp = build_grouping(txns, chunkset.members(), GrouperConfig())
     table = simulator.GroupTable.from_grouping(grp)
     rows = simulator.sweep(
         test, table, [0.001, 0.002, 0.004, 0.008],

@@ -1,7 +1,8 @@
 """Golden artifacts: fixed small configs whose artifact data must not change.
 
 Each case runs run_pipeline on a fixed input and compares the sha256 of
-every artifact's data lines with a recorded digest. The `# key=value`
+every artifact's data lines with a recorded digest; run stage by stage
+through the command line, it must give the same artifacts. The `# key=value`
 header lines are left out, since the stage hashes in them cover the
 input's path; metrics.json is compared by its rows, and manifest.json by
 every field but the hash, the trace label and the artifact digests. The
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from ctgroup import pipeline
+from ctgroup import cli, pipeline
 from ctgroup.pipeline import PipelineConfig, run_pipeline
 
 POLICIES = "lru,fifo,group_merged,group_prefetch"
@@ -111,9 +112,9 @@ def write_trace(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def data_digests(out_dir) -> dict:
+def data_digests(out_dir, names=pipeline.ARTIFACTS + ("manifest.json",)) -> dict:
     digests = {}
-    for name in pipeline.ARTIFACTS + ("manifest.json",):
+    for name in names:
         text = (out_dir / name).read_text()
         if name == "metrics.json":
             text = json.dumps(json.loads(text)["rows"], sort_keys=True)
@@ -129,7 +130,8 @@ def data_digests(out_dir) -> dict:
     return digests
 
 
-def run_case(tmp_path, case) -> dict:
+def case_values(tmp_path, case) -> dict:
+    """The case's config keys, its input written under tmp_path."""
     values = {"output_dir": str(tmp_path / "out")}
     if case in CSV_CASES:
         values["trace"] = str(tmp_path / "trace.csv")
@@ -138,10 +140,20 @@ def run_case(tmp_path, case) -> dict:
         values["synthetic"] = str(tmp_path / "spec.cfg")
         write_spec(tmp_path / "spec.cfg")
     values.update(CASES[case])
-    run_pipeline(PipelineConfig.from_mapping(values))
-    return data_digests(tmp_path / "out")
+    return values
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_data_unchanged(tmp_path, case):
-    assert run_case(tmp_path, case) == DIGESTS[case]
+    run_pipeline(PipelineConfig.from_mapping(case_values(tmp_path, case)))
+    assert data_digests(tmp_path / "out") == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_staged_artifact_data_unchanged(tmp_path, case, capsys):
+    flags = [arg for key, value in case_values(tmp_path, case).items()
+             for arg in (f"--{key}", value)]
+    for stage in pipeline.STAGES:
+        assert cli.main([stage, *flags]) == 0, capsys.readouterr().err
+    expected = {name: DIGESTS[case][name] for name in pipeline.ARTIFACTS}
+    assert data_digests(tmp_path / "out", pipeline.ARTIFACTS) == expected

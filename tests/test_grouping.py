@@ -19,8 +19,20 @@ from ctgroup.grouping import (
     replay_group_audit,
     save_grouping,
 )
-from ctgroup.transactions import CacheTransaction
-from reference import count_cooccurrence, legal_relations, ref_merge_groups
+from ctgroup.synthetic import SyntheticSpec, synthesize_trace
+from ctgroup.transactions import (
+    CUMULATIVE,
+    SNAPSHOT,
+    CacheTransaction,
+    ExtractorConfig,
+    extract_transactions,
+)
+from reference import (
+    count_cooccurrence,
+    legal_relations,
+    ref_chunk_popcounts,
+    ref_merge_groups,
+)
 
 
 def txn(index, *members, partial=False):
@@ -29,6 +41,14 @@ def txn(index, *members, partial=False):
 
 def singleton_members(chunk_ids):
     return {c: (c * 8,) for c in chunk_ids}
+
+
+def members_of(lookup):
+    """Chunk id -> addresses, from address -> chunk id."""
+    members = {}
+    for address, chunk in sorted(lookup.items()):
+        members.setdefault(chunk, []).append(address)
+    return members
 
 
 class TestCooccurrence:
@@ -87,11 +107,11 @@ class TestLegalRelations:
                 CacheTransaction(i, tuple(rng.sample(addrs, rng.randint(1, 6))))
                 for i in range(rng.randint(1, 15))
             ]
-            pops = {c: rng.randint(1, 8) for c in range(n_chunks)}
+            pops = ref_chunk_popcounts(txns, lookup)
             alpha = rng.choice([0.0, 0.3, 0.7])
             counts = count_cooccurrence(txns, lookup)
             expected = legal_relations(counts, pops, alpha)
-            got = compute_legal_relations(txns, lookup, pops, alpha)
+            got = compute_legal_relations(txns, members_of(lookup), alpha)
             assert got == expected
 
     @staticmethod
@@ -104,31 +124,32 @@ class TestLegalRelations:
                              rng.random() < partial_share and i == n_txns - 1)
             for i in range(n_txns)
         ]
-        pops = {c: rng.randint(1, 8) for c in range(n_chunks)}
-        return txns, lookup, pops
+        return txns, lookup
 
     def test_fused_path_matches_two_step_with_partials(self, rng):
         for _ in range(50):
-            txns, lookup, pops = self.random_log(
+            txns, lookup = self.random_log(
                 rng, rng.randint(2, 10), rng.randint(1, 20), partial_share=0.4
             )
             alpha = rng.choice([0.0, 0.3, 0.7])
             for include_partial in (False, True):
                 counts = count_cooccurrence(txns, lookup, include_partial)
+                pops = ref_chunk_popcounts(txns, lookup, include_partial)
                 expected = legal_relations(counts, pops, alpha)
                 got = compute_legal_relations(
-                    txns, lookup, pops, alpha, include_partial=include_partial
+                    txns, members_of(lookup), alpha, include_partial=include_partial
                 )
                 assert got == expected
 
     def test_fused_path_matches_two_step_ascending(self, rng):
         for _ in range(50):
-            txns, lookup, pops = self.random_log(rng, rng.randint(2, 10), 15)
+            txns, lookup = self.random_log(rng, rng.randint(2, 10), 15)
             alpha = rng.choice([0.0, 0.3, 0.7])
+            pops = ref_chunk_popcounts(txns, lookup)
             expected = legal_relations(
                 count_cooccurrence(txns, lookup), pops, alpha, sort=ASCENDING
             )
-            got = compute_legal_relations(txns, lookup, pops, alpha, sort=ASCENDING)
+            got = compute_legal_relations(txns, members_of(lookup), alpha, sort=ASCENDING)
             assert got == expected
 
     def test_fused_path_matches_two_step_in_small_batches(self, rng, monkeypatch):
@@ -137,35 +158,35 @@ class TestLegalRelations:
         monkeypatch.setattr(grouping, "TXN_BATCH", 3)
         monkeypatch.setattr(features, "PAIR_BATCH", 5)
         for _ in range(30):
-            txns, lookup, pops = self.random_log(
+            txns, lookup = self.random_log(
                 rng, rng.randint(2, 12), rng.randint(1, 25), partial_share=0.2
             )
             alpha = rng.choice([0.0, 0.3])
+            pops = ref_chunk_popcounts(txns, lookup, True)
             for sort in (DESCENDING, ASCENDING):
                 expected = legal_relations(
                     count_cooccurrence(txns, lookup, True), pops, alpha, sort
                 )
                 got = compute_legal_relations(
-                    txns, lookup, pops, alpha, sort, include_partial=True
+                    txns, members_of(lookup), alpha, sort, include_partial=True
                 )
                 assert got == expected
 
     def test_fused_path_rejects_unknown_address(self, monkeypatch):
-        lookup = {0: 0, 4: 0, 8: 1}
+        members = {0: (0, 4), 1: (8,)}
         with pytest.raises(UnknownDatumError) as exc:
-            compute_legal_relations([txn(0, 0, 8), txn(1, 4, 999)], lookup,
-                                    {0: 1, 1: 1}, 0.5)
+            compute_legal_relations([txn(0, 0, 8), txn(1, 4, 999)], members, 0.5)
         assert exc.value.address == 999
         # the first unknown address in log order is named, in any batch
         monkeypatch.setattr(grouping, "TXN_BATCH", 1)
         with pytest.raises(UnknownDatumError) as exc:
             compute_legal_relations(
-                [txn(0, 0, 8), txn(1, 4, 12), txn(2, 7, 8)], lookup, {0: 1, 1: 1}, 0.5
+                [txn(0, 0, 8), txn(1, 4, 12), txn(2, 7, 8)], members, 0.5
             )
         assert exc.value.address == 12
         # an unknown address in a skipped partial transaction is not read
         rels = compute_legal_relations(
-            [txn(0, 0, 8), txn(1, 0, 999, partial=True)], lookup, {0: 1, 1: 1}, 0.5
+            [txn(0, 0, 8), txn(1, 0, 999, partial=True)], members, 0.5
         )
         assert rels == [Relation(0, 1, 1)]
 
@@ -303,7 +324,8 @@ class TestEndToEnd:
         ]
         ctf = build_ctf(txns)
         chunkset = chunk_all(ctf, ChunkerConfig(q=2, sigma=0.0))
-        return build_grouping(txns, chunkset, GrouperConfig(alpha=0.5, mu=mu)), chunkset
+        return build_grouping(txns, chunkset.members(),
+                              GrouperConfig(alpha=0.5, mu=mu)), chunkset
 
     def test_clusters_recovered(self):
         grouping, _ = self.build()
@@ -319,6 +341,30 @@ class TestEndToEnd:
         assert report.groups_of_size_at_least(4) == 0
         # sigma=0 collapsed each cluster into one chunk: singleton density
         assert set(report.densities.values()) == {None}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode, include_partial, metric, sigma", [
+        (CUMULATIVE, False, features.SYMMETRIC_DIFF, 0.1),
+        (CUMULATIVE, True, features.SYMMETRIC_DIFF, 0.1),
+        (SNAPSHOT, False, features.SYMMETRIC_DIFF, 0.1),
+        (CUMULATIVE, False, features.EUCLIDEAN, 0.3),
+    ])
+    def test_popcounts_are_or_feature_popcounts(self, seed, mode, include_partial,
+                                                metric, sigma):
+        # |V_C| counted from the transactions equals the popcount of the
+        # chunk's OR feature, so the relations equal those filtered by it
+        spec = SyntheticSpec(num_data=300, num_accesses=8000, rng_seed=seed,
+                             group_structure=[(8, 0.8)] * 10 + [(4, 1.0)] * 10)
+        trace, _truth = synthesize_trace(spec)
+        txns = extract_transactions(trace, ExtractorConfig(32768, mode))
+        chunkset = chunk_all(build_ctf(txns, include_partial=include_partial),
+                             ChunkerConfig(sigma=sigma), metric=metric)
+        pops = {c.id: c.feature.popcount() for c in chunkset.chunks}
+        assert ref_chunk_popcounts(txns, chunkset.lookup, include_partial) == pops
+        counts = count_cooccurrence(txns, chunkset.lookup, include_partial)
+        got = compute_legal_relations(txns, chunkset.members(), 0.5,
+                                      include_partial=include_partial)
+        assert got == legal_relations(counts, pops, 0.5)
 
     def test_report_density_of_merged_chunks(self):
         rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]

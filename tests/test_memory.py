@@ -53,9 +53,7 @@ def test_chunk_all_peak(instance):
 
 def test_compute_legal_relations_peak(instance):
     txns, ctf = instance
-    chunkset = chunk_all(ctf, ChunkerConfig(sigma=0.6))
-    pops = {c.id: c.feature.popcount() for c in chunkset.chunks}
-    relations, peak = traced_peak(compute_legal_relations, txns, chunkset.lookup,
-                                  pops, 0.5)
+    members = chunk_all(ctf, ChunkerConfig(sigma=0.6)).members()
+    relations, peak = traced_peak(compute_legal_relations, txns, members, 0.5)
     assert len(relations) == 78
     assert peak <= 10 * MIB, f"compute_legal_relations peaked at {peak / MIB:.2f} MiB"

@@ -212,6 +212,42 @@ class TestCli:
             assert self.run(command, *self.base_flags(spec_file, out_b)) == 0
         assert read_artifacts(out_a) == read_artifacts(out_b)
 
+    def test_staged_stages_before_simulate_do_not_read_the_trace(self, spec_file,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run("extract", *self.base_flags(spec_file, out)) == 0
+        spec_file.unlink()
+        for command in ("ctf", "chunk"):
+            assert self.run(command, *self.base_flags(spec_file, out)) == 0
+        # group reads the transactions and the chunk membership only
+        (out / "ctf.tsv").unlink()
+        assert self.run("group", *self.base_flags(spec_file, out)) == 0
+        # simulate replays the test split, so it does read the trace
+        capsys.readouterr()
+        assert self.run("simulate", *self.base_flags(spec_file, out)) == 2
+        assert "stage 'simulate' failed" in capsys.readouterr().err
+
+    def test_failing_stage_named_with_its_exit_code(self, spec_file, tmp_path, capsys,
+                                                    monkeypatch):
+        out = tmp_path / "out"
+        # no transactions.tsv to read: a data error
+        assert self.run("ctf", *self.base_flags(spec_file, out)) == 3
+        assert "error: stage 'ctf' failed: cannot read" in capsys.readouterr().err
+        # no synthetic spec to read: a config error
+        missing = tmp_path / "missing.cfg"
+        assert self.run("extract", *self.base_flags(missing, out)) == 2
+        assert "error: stage 'extract' failed: cannot read" in capsys.readouterr().err
+
+        def boom(*args, **kwargs):
+            raise InvariantError("forced failure")
+
+        for command in ("extract", "ctf"):
+            assert self.run(command, *self.base_flags(spec_file, out)) == 0
+        monkeypatch.setattr(pipeline.chunking, "chunk_all", boom)
+        capsys.readouterr()
+        assert self.run("chunk", *self.base_flags(spec_file, out)) == 4
+        assert "error: stage 'chunk' failed: forced failure" in capsys.readouterr().err
+
     def test_hash_guard_exit_four(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run("extract", *self.base_flags(spec_file, out)) == 0
@@ -356,6 +392,34 @@ class TestArtifactGuards:
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert self.run("ctf", *self.flags(spec_file, out)) == 3
+        assert f"{path}, line {line_no}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, line_no, message", [
+        ("renumber", 2, "chunk id 5 is not its position 0"),
+        ("empty", 2, "chunk 0 lists no address"),
+        ("repeat", 3, "address {first} is listed twice"),
+        ("untransacted", 2, "address 12345 is in no used transaction"),
+    ])
+    def test_bad_chunk_row_exit_three(self, spec_file, tmp_path, capsys,
+                                      damage, line_no, message):
+        # a row's id is its position, it lists an address, no address is in
+        # two chunks, and the transactions the group stage reads hold each
+        out = tmp_path / "out"
+        for command in ("extract", "ctf", "chunk"):
+            assert self.run(command, *self.flags(spec_file, out)) == 0
+        path = out / "chunks.tsv"
+        lines = path.read_text().splitlines()
+        index, members = lines[1].split("\t")
+        first = members.split(",")[0]
+        if damage == "repeat":
+            lines[2] += f",{first}"
+        else:
+            lines[1] = {"renumber": f"5\t{members}", "empty": f"{index}\t",
+                        "untransacted": f"{index}\t{members},12345"}[damage]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run("group", *self.flags(spec_file, out)) == 3
+        message = message.format(first=first)
         assert f"{path}, line {line_no}: {message}" in capsys.readouterr().err
 
     def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
