@@ -16,6 +16,27 @@ policies); a datum's resident size is its size at admission. Prefetched
 members are admitted after the demand-missed datum, in ascending block
 address order. A datum or group larger than the cache capacity bypasses
 admission/prefetch and is counted.
+
+One-pass LRU. Byte-capacity LRU that evicts the oldest until the new datum
+fits is a stack algorithm (Mattson et al., 1970): after every access the
+cache holds the longest prefix of the recency stack that fits. So an access
+hits at capacity C iff its reuse distance is at most C: its size plus the
+bytes of the distinct data touched since the previous access to its
+address. ``build_lru_profile`` computes those distances once per trace with
+numpy and keeps only their sorted distinct values with cumulative counts,
+plus the cumulative bytes of the final recency stack. An ``lru`` cell then
+costs two binary searches: hits are the reuses at distance <= C, and
+evictions are the misses less the final stack's longest prefix that fits
+in C. The profile serves a cell only when all three of these hold, and
+the cell is replayed otherwise:
+
+* every access allocates: ``write_allocate`` is on, or the trace has no
+  writes;
+* each address keeps one size throughout the trace, so its resident size
+  does not depend on C;
+* no datum is larger than C, so nothing bypasses the cache;
+
+and also no per-window series or invariant checking is asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +157,10 @@ def simulate(
     cfg.validate()
     capacity = resolve_capacity(cfg, trace)
     policy = cfg.policy
+    if policy == LRU and window is None and not check_invariants:
+        metrics = _profiled_lru(trace, cfg, capacity)
+        if metrics is not None:
+            return metrics
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
@@ -290,6 +315,119 @@ def _fetch_plan(members, sizes_seen, extra_size):
         plan.append((member, msize))
         total += msize
     return plan, total, unknown
+
+
+class LruProfile(NamedTuple):
+    """A trace's LRU replay at every capacity (see the module docstring)."""
+
+    max_size: int
+    distances: np.ndarray     # the distinct reuse distances, ascending
+    reuses_upto: np.ndarray   # [k]: reuses at distance <= distances[k - 1]
+    stack_bytes: np.ndarray   # [k]: bytes of the k + 1 most recent data at the end
+
+
+def build_lru_profile(addresses: np.ndarray, sizes: np.ndarray) -> LruProfile | None:
+    """The LRU profile of an access sequence; None when an address is
+    accessed with two sizes.
+
+    An access i whose address was last accessed at j has reuse distance
+    seen(i) - sum(size[k] for k < j if next(k) > i), where seen(i) is the
+    bytes of the distinct data accessed up to i and next(k) is the next
+    access to k's address: the subtracted data were last touched before j
+    and not again until after i. Since next(j) = i, the sum is over the
+    earlier accesses with a larger next(), and it is taken for every j at
+    once by a stable radix partition of next() from its highest bit down.
+    Before the partition on bit b, accesses whose next() agrees above b sit
+    together in position order, and those with bit b set are larger than
+    the later ones without it.
+    """
+    n = len(addresses)
+    # int32 positions and byte sums where they fit: the profile's working
+    # set is what simulate adds to the process's peak
+    index = np.int32 if n < 1 << 31 else np.int64
+    byte = np.int32 if int(sizes.sum()) < 1 << 31 else np.int64
+    order = np.argsort(addresses, kind="stable").astype(index)
+    ordered = addresses[order]
+    repeat = ordered[1:] == ordered[:-1]
+    del ordered
+    earlier = order[:-1][repeat]
+    later = order[1:][repeat]
+    del order, repeat
+    if not np.array_equal(sizes[earlier], sizes[later]):
+        return None
+    following = np.full(n, n, dtype=index)  # next(k), or n after a last access
+    following[earlier] = later
+    del earlier
+    first = np.ones(n, dtype=bool)
+    first[later] = False
+    del later
+    stack_bytes = np.cumsum(sizes[np.flatnonzero(following == n)[::-1]])
+
+    # larger_before[k]: bytes of the accesses before k with a larger next()
+    larger_before = np.zeros(n, dtype=byte)
+    weight = sizes.astype(byte, copy=False)
+    high = np.empty(n, dtype=index)
+    ones = np.empty(n, dtype=bool)
+    zeros = np.empty(n, dtype=bool)
+    run = np.empty(n, dtype=byte)
+    block = np.empty(n, dtype=byte)
+    perm = np.empty(n, dtype=index)
+    for bit in reversed(range(n.bit_length())):
+        np.bitwise_and(following, 1 << bit, out=high)
+        np.not_equal(high, 0, out=ones)
+        np.logical_not(ones, out=zeros)
+        np.right_shift(following, bit + 1, out=high)
+        starts = np.flatnonzero(high[1:] != high[:-1]) + 1
+        # run: the bytes with the bit set before each access in its block.
+        # Sizes are not negative, so the whole-array run never falls and its
+        # running maximum over the block starts is the one at its own start.
+        np.multiply(weight, ones, out=block)
+        np.cumsum(block, out=run)
+        run -= block
+        block[:] = 0
+        block[starts] = run[starts]
+        del starts
+        np.maximum.accumulate(block, out=block)
+        run -= block
+        run *= zeros
+        larger_before += run
+        split = np.count_nonzero(zeros)
+        perm[:split] = np.flatnonzero(zeros)
+        perm[split:] = np.flatnonzero(ones)
+        following = following[perm]
+        weight = weight[perm]
+        larger_before = larger_before[perm]
+    del weight, high, ones, zeros, run, block, perm
+
+    seen = np.multiply(sizes, first, dtype=byte)
+    del first
+    np.cumsum(seen, out=seen)
+    reuse = following < n
+    distances = seen[following[reuse]]
+    distances -= larger_before[reuse]
+    del seen, following, larger_before, reuse
+    distances, counts = np.unique(distances, return_counts=True)
+    reuses_upto = np.concatenate(([0], np.cumsum(counts)))
+    return LruProfile(int(sizes.max(initial=0)), distances, reuses_upto, stack_bytes)
+
+
+def _profiled_lru(trace: Trace, cfg: SimConfig, capacity: int) -> SimMetrics | None:
+    """An lru cell from the trace's profile, or None where the profile does
+    not apply and the cell must be replayed."""
+    if not cfg.write_allocate and (trace.ops == int(Op.WRITE)).any():
+        return None
+    if trace._lru_profile is None:  # built once per trace, for every capacity
+        trace._lru_profile = (build_lru_profile(trace.addresses, trace.sizes),)
+    profile = trace._lru_profile[0]
+    if profile is None or profile.max_size > capacity:
+        return None
+    within = np.searchsorted(profile.distances, capacity, "right")
+    hits = int(profile.reuses_upto[within])
+    misses = len(trace) - hits
+    residents = int(np.searchsorted(profile.stack_bytes, capacity, "right"))
+    return SimMetrics(LRU, cfg.capacity_fraction, capacity, accesses=len(trace),
+                      hits=hits, misses=misses, disk_ios=misses,
+                      evictions=misses - residents)
 
 
 def rolling_hit_rate(trace: Trace, cfg: SimConfig, window: int) -> list[float]:

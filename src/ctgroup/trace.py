@@ -114,6 +114,9 @@ class Trace:
     # total_unique_bytes, once computed; the arrays are never modified
     _unique_bytes: int | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    # (simulator.build_lru_profile of the columns,) once computed; it may be None
+    _lru_profile: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @classmethod
     def from_records(cls, records: Iterable[AccessRecord], source_label="", skipped=0):

@@ -1,4 +1,4 @@
-"""Working-set bounds of the chunking and grouping kernels.
+"""Working-set bounds of the chunking, grouping and LRU profile kernels.
 
 tracemalloc counts every block Python and numpy allocate, so the peak of
 one call on a fixed input repeats exactly. The instance is a smaller
@@ -8,6 +8,10 @@ transactions. The bounds sit between the peaks of the numpy kernels with
 and without their full-size int64 temporaries and unbounded pair batches:
 chunk_all peaked at 5.0 MiB and compute_legal_relations at 16.2 MiB with
 them, and at 2.8 and 6.7 MiB without (numpy 2.4, Python 3.11).
+
+build_lru_profile runs on the same instance's 80k-access trace. Its bound
+sits between its peak with int64 positions and byte sums throughout, 5.1
+MiB, and with the int32 ones it ships with, 3.0 MiB.
 """
 
 import tracemalloc
@@ -17,6 +21,7 @@ import pytest
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import build_ctf
 from ctgroup.grouping import compute_legal_relations
+from ctgroup.simulator import build_lru_profile
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.transactions import ExtractorConfig, extract_transactions
 
@@ -35,11 +40,15 @@ def traced_peak(fn, *args):
 
 
 @pytest.fixture(scope="module")
-def instance():
+def trace():
     groups = [(8, 0.8)] * 30 + [(16, 0.8)] * 20 + [(32, 0.8)] * 10
     spec = SyntheticSpec(num_data=1600, num_accesses=80000, group_structure=groups,
                          rng_seed=7)
-    trace, _truth = synthesize_trace(spec)
+    return synthesize_trace(spec)[0]
+
+
+@pytest.fixture(scope="module")
+def instance(trace):
     txns = extract_transactions(trace, ExtractorConfig(65536))
     return txns, build_ctf(txns)
 
@@ -57,3 +66,9 @@ def test_compute_legal_relations_peak(instance):
     relations, peak = traced_peak(compute_legal_relations, txns, members, 0.5)
     assert len(relations) == 78
     assert peak <= 10 * MIB, f"compute_legal_relations peaked at {peak / MIB:.2f} MiB"
+
+
+def test_build_lru_profile_peak(trace):
+    profile, peak = traced_peak(build_lru_profile, trace.addresses, trace.sizes)
+    assert profile.reuses_upto[-1] == len(trace) - 1600  # every non-first access
+    assert peak <= 4 * MIB, f"build_lru_profile peaked at {peak / MIB:.2f} MiB"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import make_trace, random_accesses
+from ctgroup import simulator
 from ctgroup import trace as trace_module
 from ctgroup.errors import ConfigError, InvariantError
 from ctgroup.simulator import (
@@ -234,6 +235,133 @@ class TestReferenceReplay:
                 cfg = SimConfig(GROUP_MERGED, capacity_fraction=fraction,
                                 grouping=table, extra_sizes=extra)
                 assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+
+
+class TestOnePassLru:
+    """lru cells served from the trace's reuse-distance profile, against the
+    replay oracles, on both sides of each condition for the profile."""
+
+    SHAPES = ("mixed", "zero", "no_reuse", "single", "empty", "two_sizes",
+              "writes", "large")
+
+    @staticmethod
+    def random_case(rng, shape):
+        """The records of a random trace of the given shape."""
+        n = {"single": 1, "empty": 0}.get(shape, rng.randint(2, 160))
+        distinct = n if shape == "no_reuse" else rng.randint(1, 30)
+        addrs = rng.sample(range(1000), distinct)
+        if shape == "zero":
+            base = {a: rng.choice([0, 0, 1, 5]) for a in addrs}
+        elif shape == "large":  # byte sums beyond 32 bits
+            base = {a: rng.randint(1 << 28, 1 << 30) for a in addrs}
+        else:
+            base = {a: rng.randint(0, 16) for a in addrs}
+        seq = addrs if shape == "no_reuse" else [rng.choice(addrs) for _ in range(n)]
+        records = [AccessRecord(t + 1, a, base[a], Op.READ) for t, a in enumerate(seq)]
+        if shape == "two_sizes":
+            t = rng.randrange(n)
+            a = records[t].block_address
+            records[t] = records[t]._replace(size=base[a] + rng.randint(1, 4))
+            records.append(AccessRecord(n + 1, a, base[a], Op.READ))
+        if shape == "writes":
+            for t in rng.sample(range(n), rng.randint(1, n)):
+                records[t] = records[t]._replace(op=Op.WRITE)
+        return records
+
+    @staticmethod
+    def capacities(rng, trace):
+        """Fractions with repeats and two that resolve to one byte capacity,
+        and byte capacities below, at and above the largest datum."""
+        total = trace.total_unique_bytes()
+        fractions = [rng.choice([0.01, 0.1, 0.3, 1.0]) for _ in range(3)]
+        fractions.append(fractions[0])
+        if total > 1:
+            c = rng.randint(1, total - 1)
+            fractions += [(c + 0.2) / total, (c + 0.7) / total]
+            same = [resolve_capacity(SimConfig(LRU, capacity_fraction=f), trace)
+                    for f in fractions[-2:]]
+            assert same == [c, c]
+        largest = int(trace.sizes.max(initial=0))
+        sizes = {1, largest, largest + 1, largest - 1, rng.randint(1, 200)}
+        return fractions, sorted(c for c in sizes if c > 0)
+
+    @staticmethod
+    def assert_equal(got, want):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+    def test_matches_replay_oracles(self):
+        rng = random.Random(31)
+        served = replayed = 0
+        for case in range(200):
+            shape = self.SHAPES[case % len(self.SHAPES)]
+            records = self.random_case(rng, shape)
+            trace = Trace.from_records(records)
+            pairs = [(r.block_address, r.size) for r in records]
+            one_size = shape != "two_sizes"
+            has_writes = any(r.op == Op.WRITE for r in records)
+            fractions, byte_capacities = self.capacities(rng, trace)
+            for allocate in (True, False):
+                cfgs = [SimConfig(LRU, capacity_fraction=f, write_allocate=allocate)
+                        for f in fractions]
+                cfgs += [SimConfig(LRU, capacity_bytes=c, write_allocate=allocate)
+                         for c in byte_capacities]
+                for cfg in cfgs:
+                    capacity = resolve_capacity(cfg, trace)
+                    applies = (one_size and (allocate or not has_writes)
+                               and trace.sizes.max(initial=0) <= capacity)
+                    profiled = simulator._profiled_lru(trace, cfg, capacity)
+                    assert (profiled is not None) == applies, (shape, capacity)
+                    served += applies
+                    replayed += not applies
+                    got = simulate(trace, cfg)
+                    self.assert_equal(got, ref_simulate(trace, cfg))
+                    if not has_writes:
+                        want = ref_lru_hit_rate(pairs, capacity)
+                        assert (got.hits, got.misses, got.evictions) == want
+                rows = sweep(trace, None, fractions, [LRU], write_allocate=allocate)
+                for fraction, row in zip(fractions, rows):
+                    cfg = SimConfig(LRU, capacity_fraction=fraction,
+                                    write_allocate=allocate)
+                    self.assert_equal(row, ref_simulate(trace, cfg))
+        assert served > 1000 and replayed > 500
+
+    def test_profile_built_once_per_trace(self, monkeypatch):
+        builds = []
+        build = simulator.build_lru_profile
+        monkeypatch.setattr(simulator, "build_lru_profile",
+                            lambda *args: builds.append(1) or build(*args))
+        calls = []
+        replay = simulator.simulate
+
+        def recording(trace, cfg, *args, **kwargs):
+            row = replay(trace, cfg, *args, **kwargs)
+            calls.append((cfg.capacity_fraction, cfg.policy, row))
+            return row
+
+        monkeypatch.setattr(simulator, "simulate", recording)
+        accesses = random_accesses(random.Random(32), n=400)
+        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
+        table = GroupTable([(0, 4, 8), (12, 16)])
+        fractions = [0.05, 0.1, 0.1, 0.2, 0.4, 0.8, 1.0]
+        policies = [LRU, GROUP_MERGED, FIFO]
+        rows = sweep(trace, table, fractions, policies)
+        assert len(builds) == 1 and trace._lru_profile[0] is not None
+        # one simulate call per (fraction, policy) cell, returning sweep's row
+        assert [(f, p) for f, p, _ in calls] == [(f, p) for f in fractions
+                                                 for p in policies]
+        assert [row for *_, row in calls] == rows
+        sweep(trace, table, fractions, [LRU])
+        assert len(builds) == 1
+
+    def test_window_and_invariant_checks_replay(self, monkeypatch):
+        def unused(addresses, sizes):
+            raise AssertionError("profile used")
+
+        monkeypatch.setattr(simulator, "build_lru_profile", unused)
+        trace = make_trace(random_accesses(random.Random(33), n=120, max_size=4))
+        cfg = SimConfig(LRU, capacity_bytes=40)
+        assert simulate(trace, cfg, window=7) == ref_simulate(trace, cfg, window=7)
+        assert simulate(trace, cfg, check_invariants=True) == ref_simulate(trace, cfg)
 
 
 class TestCapacity:
