@@ -7,6 +7,15 @@ Traces follow the 7-column MSR Cambridge CSV convention:
 Timestamps are integer ticks (100 ns units), Offset/Size are bytes. A datum
 is identified by its starting block address alone; accesses to the same
 offset with different sizes are accesses to the same datum.
+
+load_trace parses a file in blocks of whole lines with numpy. A line in
+canonical form, which real MSR traces are made of, goes straight into the
+int64 columns: 7 ASCII fields, timestamp, offset and size of 1 to 18
+digits, a size above 0 and an op of exactly Read or Write. Every other
+line (a header, a blank line, padded or signed numbers, lowercase ops,
+non-ASCII text, bytes that are not UTF-8, a malformed record) takes the
+per-line parser that parse_record uses, in file order, so the rules for
+errors, skips and filters are those of that parser.
 """
 
 from __future__ import annotations
@@ -30,6 +39,11 @@ from .errors import (
 # accesses at a time (column_rows), so they hold one block of Python ints
 # on top of the pipeline's data, not whole-trace lists.
 ROW_BLOCK = 1 << 15
+
+# load_trace reads its file this many bytes at a time and parses the
+# block's whole lines together, so it holds one block's temporaries on top
+# of the columns it builds.
+READ_BLOCK = 1 << 18
 
 
 def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
@@ -57,6 +71,7 @@ class AccessRecord(NamedTuple):
 
 
 _OP_CODES = {"read": int(Op.READ), "write": int(Op.WRITE)}
+_INT64 = 1 << 63
 
 
 def _parse_fields(line: str, line_no=None):
@@ -84,14 +99,16 @@ def _parse_fields(line: str, line_no=None):
         raise TraceParseError(f"negative offset {offset}", line_no)
     if size <= 0:
         raise RejectedRecordError(f"non-positive size {size}", line_no)
+    if not -_INT64 <= timestamp < _INT64 or offset >= _INT64 or size >= _INT64:
+        raise TraceParseError("timestamp, offset or size out of int64 range", line_no)
     return timestamp, offset, size, op, fields[1].strip(), fields[2].strip()
 
 
 def parse_record(line: str, line_no: int | None = None) -> AccessRecord:
     """Parse one MSR-convention CSV line into an AccessRecord.
 
-    Raises TraceParseError for malformed lines and RejectedRecordError for
-    records with non-positive size.
+    Raises TraceParseError for malformed lines, a value outside int64
+    among them, and RejectedRecordError for records with non-positive size.
     """
     timestamp, offset, size, op, _host, _disk = _parse_fields(line, line_no)
     return AccessRecord(timestamp, offset, size, Op(op))
@@ -204,6 +221,128 @@ class Trace:
                 fh.write(line + "\n")
 
 
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of whole lines, each about
+    READ_BLOCK bytes or one line that is longer. Only the last block may
+    end without a line end, and no block ends inside a \\r\\n."""
+    carry = b""
+    while data := fh.read(READ_BLOCK):
+        buf = carry + data
+        # a final \r may be the first half of a \r\n
+        search_end = len(buf) - buf.endswith(b"\r")
+        cut = 1 + max(buf.rfind(b"\n", 0, search_end), buf.rfind(b"\r", 0, search_end))
+        if cut:
+            yield buf[:cut]
+        carry = buf[cut:]
+    if carry:
+        yield carry
+
+
+def _line_bounds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the lines of a block, line ends excluded.
+
+    As in text mode with universal newlines, \\n, \\r and \\r\\n each end
+    a line.
+    """
+    ends_line = b == ord("\n")
+    cr = b == ord("\r")
+    crlf = None
+    if cr.any():
+        crlf = np.append(cr[:-1] & ends_line[1:], False)  # the \r of each \r\n
+        ends_line[1:] &= ~crlf[:-1]  # whose \n ends no line of its own
+        ends_line |= cr
+    ends = np.flatnonzero(ends_line)
+    starts = np.concatenate(([0], ends + 1))
+    if crlf is not None:
+        starts[1:] += crlf[ends]
+    if starts[-1] == len(b):
+        return starts[:-1], ends
+    return starts, np.append(ends, len(b))  # the file's last line has no line end
+
+
+def _per_line(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many of the sorted positions, none of them a line end, fall in
+    each line."""
+    return np.diff(np.searchsorted(positions, ends), prepend=0)
+
+
+def _uint_fields(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(values, which are valid) of the fields b[lo:hi], valid when made of
+    1 to 18 ASCII digits, a value that always fits int64."""
+    width = hi - lo
+    valid = (width >= 1) & (width <= 18)
+    value = np.zeros(len(lo), np.int64)
+    for k in range(int(width[valid].max(initial=0))):
+        live = k < width
+        digit = b.take(lo + k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
+        valid &= (digit <= 9) | ~live
+        value = np.where(live, value * 10 + digit, value)
+    return value, valid
+
+
+def _fields_equal(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: bytes):
+    """Which fields b[lo:hi] are exactly the bytes of text."""
+    equal = (hi - lo) == len(text)
+    for k, byte in enumerate(text):
+        equal &= b.take(lo + k, mode="clip") == byte
+    return equal
+
+
+def _parse_block(b, starts, ends, filters):
+    """The columns of a block's lines in canonical MSR form.
+
+    Returns (columns, keep, canonical): timestamps, offsets, sizes and op
+    codes with a row per line, set on the canonical lines; which of those
+    pass the (field index, bytes) filters; and which lines are canonical.
+    Every other line is left to _parse_fields.
+    """
+    n = len(starts)
+    columns = (np.zeros(n, np.int64), np.zeros(n, np.int64), np.zeros(n, np.int64),
+               np.zeros(n, np.uint8))
+    comma = np.flatnonzero(b == ord(","))
+    counts = _per_line(comma, ends)
+    ascii_line = _per_line(np.flatnonzero(b >= 0x80), ends) == 0
+    rows = np.flatnonzero((counts == 6) & ascii_line)
+    c = comma[(np.cumsum(counts) - counts)[rows, None] + np.arange(6)].T
+    # field k of a row is b[lo[k]:hi[k]]
+    lo = [starts[rows]] + [c_k + 1 for c_k in c]
+    hi = list(c) + [ends[rows]]
+    timestamp, ok = _uint_fields(b, lo[0], hi[0])
+    offset, ok_offset = _uint_fields(b, lo[4], hi[4])
+    size, ok_size = _uint_fields(b, lo[5], hi[5])
+    write = _fields_equal(b, lo[3], hi[3], b"Write")
+    ok &= ok_offset & ok_size & (size > 0)
+    ok &= write | _fields_equal(b, lo[3], hi[3], b"Read")
+    keep = np.ones(len(rows), bool)
+    for k, text in filters:
+        # _parse_fields strips the field; one with space or control bytes
+        # at either end takes that path
+        padded = (hi[k] > lo[k]) & ((b.take(lo[k], mode="clip") <= 0x20)
+                                    | (b.take(hi[k] - 1, mode="clip") <= 0x20))
+        ok &= ~padded
+        keep &= _fields_equal(b, lo[k], hi[k], text)
+    rows, keep = rows[ok], keep[ok]
+    for column, values in zip(columns, (timestamp, offset, size, write)):
+        column[rows] = values[ok]
+    canonical = np.zeros(n, bool)
+    canonical[rows] = True
+    kept = np.zeros(n, bool)
+    kept[rows] = keep
+    return columns, kept, canonical
+
+
+def _utf8(line: str, line_no) -> str:
+    """A line decoded with surrogateescape, if its bytes were all UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise TraceParseError(f"byte 0x{byte:02x} is not valid UTF-8",
+                                  line_no) from None
+    return line
+
+
 def load_trace(
     path,
     skip_malformed: bool = False,
@@ -217,59 +356,83 @@ def load_trace(
 
     Malformed lines abort with the offending line number unless
     skip_malformed is set, in which case they are skipped and counted. A
-    first line whose first column is not numeric is treated as a header.
-    host/disk restrict the trace to records from one server/disk.
+    line holding a byte that is not UTF-8 is malformed. A first line whose
+    first column is not numeric is treated as a header. host/disk restrict
+    the trace to records from one server/disk. Lines end at \\n, \\r or
+    \\r\\n.
+
+    The file is read READ_BLOCK bytes at a time. numpy parses each block's
+    lines in canonical form (see the module docstring), and a host or disk
+    filter compares the field's bytes, if it has no space or control byte
+    at either end. Every other line goes, in file order, through the
+    per-line parser, which decides the blank lines, the header, the errors
+    and the skips. No line after the max_records-th record is parsed.
     """
-    timestamps: list[int] = []
-    offsets: list[int] = []
-    sizes: list[int] = []
-    op_codes: list[int] = []
-    skipped = 0
+    filters = [(k, value.encode("utf-8")) for k, value in ((1, host), (2, disk))
+               if value is not None]
+    # records are kept up to and including the max_records-th, and the
+    # first one always
+    limit = None if max_records is None else max(max_records, 1)
+    blocks: list[tuple] = []
+    total = skipped = line_count = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                timestamp, offset, size, op, rec_host, rec_disk = _parse_fields(
-                    line, line_no
-                )
-            except TraceParseError:
-                if line_no == 1 and not line.split(",")[0].strip().isdigit():
-                    continue  # header row
-                if skip_malformed:
-                    skipped += 1
+        for block in _blocks(fh):
+            b = np.frombuffer(block, np.uint8)
+            starts, ends = _line_bounds(b)
+            columns, keep, canonical = _parse_block(b, starts, ends, filters)
+            odd = np.flatnonzero(~canonical)
+            # canonical records kept in this block before each odd line
+            kept_before = np.cumsum(keep)[odd].tolist()
+            odd_kept = 0
+            for i, before in zip(odd.tolist(), kept_before):
+                if limit is not None and total + before + odd_kept >= limit:
+                    break
+                line_no = line_count + i + 1
+                line = block[starts[i]:ends[i]].decode("utf-8", "surrogateescape")
+                if not line.strip():
                     continue
-                raise
-            except RejectedRecordError:
-                if skip_malformed:
-                    skipped += 1
+                try:
+                    timestamp, offset, size, op, rec_host, rec_disk = _parse_fields(
+                        _utf8(line, line_no), line_no
+                    )
+                except TraceParseError:
+                    if line_no == 1 and not line.split(",")[0].strip().isdigit():
+                        continue  # header row
+                    if skip_malformed:
+                        skipped += 1
+                        continue
+                    raise
+                except RejectedRecordError:
+                    if skip_malformed:
+                        skipped += 1
+                        continue
+                    raise
+                if host is not None and rec_host != host:
                     continue
-                raise
-            if host is not None and rec_host != host:
-                continue
-            if disk is not None and rec_disk != disk:
-                continue
-            timestamps.append(timestamp)
-            offsets.append(offset)
-            sizes.append(size)
-            op_codes.append(op)
-            if max_records is not None and len(offsets) >= max_records:
+                if disk is not None and rec_disk != disk:
+                    continue
+                for column, value in zip(columns, (timestamp, offset, size, op)):
+                    column[i] = value
+                keep[i] = True
+                odd_kept += 1
+            rows = np.flatnonzero(keep)
+            if limit is not None:
+                rows = rows[:limit - total]
+            blocks.append(tuple(column[rows] for column in columns))
+            total += len(rows)
+            line_count += len(starts)
+            if total == limit:
                 break
-    if not offsets:
+    if not total:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    trace = Trace(
-        timestamps=np.array(timestamps, dtype=np.int64),
-        addresses=np.array(offsets, dtype=np.int64),
-        sizes=np.array(sizes, dtype=np.int64),
-        ops=np.array(op_codes, dtype=np.uint8),
-        source_label=label,
-        skipped=skipped,
-    )
+    timestamps, addresses, sizes, op_codes = (np.concatenate(c) for c in zip(*blocks))
+    trace = Trace(timestamps, addresses, sizes, op_codes, source_label=label,
+                  skipped=skipped)
     if ops != "both":
         trace = trace.filter_ops(ops)
         if len(trace) == 0:

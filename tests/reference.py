@@ -424,6 +424,9 @@ def _ref_parse_fields(line: str, line_no=None):
         raise TraceParseError(f"negative offset {offset}", line_no)
     if size <= 0:
         raise RejectedRecordError(f"non-positive size {size}", line_no)
+    int64 = range(-(1 << 63), 1 << 63)
+    if timestamp not in int64 or offset not in int64 or size not in int64:
+        raise TraceParseError("timestamp, offset or size out of int64 range", line_no)
     return (
         AccessRecord(timestamp, offset, size, op),
         fields[1].strip(),
@@ -444,20 +447,31 @@ def ref_load_trace(
 
     Malformed lines abort with the offending line number unless
     skip_malformed is set, in which case they are skipped and counted. A
-    first line whose first column is not numeric is treated as a header.
-    host/disk restrict the trace to records from one server/disk.
+    line holding a byte that is not UTF-8 is malformed. A first line whose
+    first column is not numeric is treated as a header. host/disk restrict
+    the trace to records from one server/disk.
     """
     records = []
     skipped = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # latin-1 maps each byte to one character, so text mode's
+        # universal-newline split hands back each line's bytes, ended by \n
+        fh = open(path, "r", encoding="latin-1")
     except OSError as exc:
         raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, latin in enumerate(fh, start=1):
+            raw = latin.encode("latin-1")
+            try:
+                line, bad_byte = raw.decode("utf-8"), None
+            except UnicodeDecodeError as exc:
+                line, bad_byte = raw.decode("utf-8", "replace"), raw[exc.start]
             if not line.strip():
                 continue
             try:
+                if bad_byte is not None:
+                    raise TraceParseError(
+                        f"byte 0x{bad_byte:02x} is not valid UTF-8", line_no)
                 record, rec_host, rec_disk = _ref_parse_fields(line, line_no)
             except TraceParseError:
                 if line_no == 1 and not line.split(",")[0].strip().isdigit():

@@ -12,6 +12,10 @@ them, and at 2.8 and 6.7 MiB without (numpy 2.4, Python 3.11).
 build_lru_profile runs on the same instance's 80k-access trace. Its bound
 sits between its peak with int64 positions and byte sums throughout, 5.1
 MiB, and with the int32 ones it ships with, 3.0 MiB.
+
+load_trace reads a 100k-line canonical CSV (4.8 MB). Its bound sits
+between its peak when it built four Python int lists of the whole file,
+13.6 MiB, and when it parses 256 KiB blocks with numpy, 4.9 MiB.
 """
 
 import tracemalloc
@@ -23,6 +27,7 @@ from ctgroup.features import build_ctf
 from ctgroup.grouping import compute_legal_relations
 from ctgroup.simulator import build_lru_profile
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
+from ctgroup.trace import load_trace
 from ctgroup.transactions import ExtractorConfig, extract_transactions
 
 MIB = 1 << 20
@@ -72,3 +77,14 @@ def test_build_lru_profile_peak(trace):
     profile, peak = traced_peak(build_lru_profile, trace.addresses, trace.sizes)
     assert profile.reuses_upto[-1] == len(trace) - 1600  # every non-first access
     assert peak <= 4 * MIB, f"build_lru_profile peaked at {peak / MIB:.2f} MiB"
+
+
+def test_load_trace_peak(tmp_path):
+    spec = SyntheticSpec(num_data=1600, num_accesses=100000,
+                         group_structure=[(8, 0.8)] * 30, rng_seed=7)
+    trace = synthesize_trace(spec)[0]
+    path = tmp_path / "trace.csv"
+    trace.save(path)  # 100k canonical lines, 4.8 MB
+    loaded, peak = traced_peak(load_trace, path)
+    assert len(loaded) == len(trace)
+    assert peak <= 8 * MIB, f"load_trace peaked at {peak / MIB:.2f} MiB"

@@ -263,6 +263,20 @@ class TestCli:
         assert self.run("ingest", *self.base_flags(spec_file, out)) == 0
         assert sum(1 for _ in open(out / "trace.csv")) == 2000
 
+    def test_undecodable_trace_line_is_skipped(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.run("ingest", *self.base_flags(spec_file, out)) == 0
+        lines = (out / "trace.csv").read_bytes().splitlines(keepends=True)
+        lines.insert(10, b"5,h\xff,0,Read,0,4096,0\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"".join(lines))
+        flags = ["--trace", str(trace), "--M", "32768", "--output_dir", str(out)]
+        capsys.readouterr()
+        assert self.run("ingest", *flags) == 0
+        assert "wrote 2000 records (1 skipped)" in capsys.readouterr().out
+        assert self.run("pipeline", *flags) == 0
+        assert json.loads(capsys.readouterr().out)["records"] == 2000
+
     def test_analyze_outputs(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.run("analyze", *self.base_flags(spec_file, out)) == 0

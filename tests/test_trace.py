@@ -15,6 +15,7 @@ from ctgroup.trace import AccessRecord, Op, Trace, load_trace, parse_record
 from reference import ref_first_seen_sizes, ref_load_trace, ref_synthesize_trace
 
 MSR_LINE = "128166372003061629,hm,0,Read,383496192,32768,1331"
+HEADER = "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime"
 
 
 class TestParseRecord:
@@ -113,6 +114,24 @@ class TestLoadTrace:
         assert len(load_trace(path, ops="read")) == 1
         assert len(load_trace(path, ops="write")) == 1
         assert len(load_trace(path, ops="both")) == 2
+
+    def test_undecodable_byte_is_a_line_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"1,h,0,Read,0,4096,0\n2,h\xff,0,Read,8,1,0\n"
+                         b"3,h,0,Read,9,1,0\n")
+        with pytest.raises(TraceParseError, match="line 2: byte 0xff") as err:
+            load_trace(path)
+        assert err.value.line_no == 2
+        trace = load_trace(path, skip_malformed=True)
+        assert [r.block_address for r in trace] == [0, 9]
+        assert trace.skipped == 1
+
+    def test_value_beyond_int64_is_a_line_error(self, tmp_path):
+        path = self.write(tmp_path,
+                          "1,h,0,Read,0,1,0\n99999999999999999999,h,0,Read,8,1,0\n")
+        with pytest.raises(TraceParseError, match="line 2: .*out of int64 range"):
+            load_trace(path)
+        assert load_trace(path, skip_malformed=True).skipped == 1
 
     def test_roundtrip(self, tmp_path):
         rng = random.Random(7)
@@ -219,6 +238,15 @@ class TestSynthesize:
             SyntheticSpec.from_file(path)
 
 
+def assert_same_outcome(got, want, kwargs=None):
+    """Both loaders returned equal traces or raised the same error."""
+    if isinstance(want, Trace):
+        assert isinstance(got, Trace), (got, kwargs)
+        assert_same_trace(got, want)
+    else:
+        assert got == want, kwargs
+
+
 def assert_same_trace(got, want):
     for column in ("timestamps", "addresses", "sizes", "ops"):
         a, b = getattr(got, column), getattr(want, column)
@@ -315,7 +343,7 @@ def random_csv_line(rng: random.Random) -> str:
 def random_csv(rng: random.Random) -> bytes:
     lines = [random_csv_line(rng) for _ in range(rng.randint(0, 30))]
     if rng.random() < 0.3:
-        lines.insert(0, "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime")
+        lines.insert(0, HEADER)
     newline = rng.choice(["\n", "\r\n"])
     text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
     return text.encode()
@@ -327,6 +355,56 @@ def outcome(load, path, **kwargs):
         return load(path, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def canonical_line(rng: random.Random) -> bytes:
+    """A line the block parser takes: digits, Read or Write, ASCII host."""
+    return (f"{rng.randrange(10**18)},{rng.choice('ab')},{rng.choice('01')},"
+            f"{rng.choice(['Read', 'Write'])},{rng.randrange(1 << 40)},"
+            f"{rng.randint(1, 1 << 16)},{rng.choice(['0', '17', 'n/a', ''])}").encode()
+
+
+def odd_line(rng: random.Random) -> bytes:
+    """A line that takes the per-line path: blank, header, padded or signed
+    ints, long values, non-ASCII text, odd ops, or a byte that is not UTF-8."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([b"", b"  ", b"\t", b"\x0c", b"\xc2\xa0", HEADER.encode()])
+    if kind == 1:
+        return random_csv_line(rng).encode()
+    fields = canonical_line(rng).split(b",")
+    if kind == 2:  # 19 digits or more, in or out of int64
+        fields[rng.choice([0, 4, 5])] = rng.choice([
+            str(rng.randrange(10**18, 10**24)), "0" * 19 + "7", str((1 << 63) - 1),
+            str(1 << 63), f"-{1 << 63}", f"-{(1 << 63) + 1}"]).encode()
+    elif kind == 3:
+        k = rng.choice([1, 2, 6])
+        fields[k] = rng.choice(["hôst", "主机", "a ", " b", "\x1fa", "٣"]).encode()
+    elif kind == 4:
+        k = rng.choice([0, 3, 4, 5])
+        fields[k] = rng.choice(
+            {0: [b"+5", b"1_000", b" 7", b"-3", b"\xd9\xa3"],
+             3: [b"read", b"WRITE", b" Read"],
+             4: [b"-4096", b"+8", b"0x10"],
+             5: [b"0", b"00", b"-1", b"1_024"]}[k])
+    else:  # bytes that are not UTF-8
+        line = b",".join(fields)
+        at = rng.randrange(len(line) + 1)
+        bad = rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80x"])
+        return line[:at] + bad + line[at:]
+    return b",".join(fields)
+
+
+def long_csv(rng: random.Random, lines: int) -> bytes:
+    odd_share = rng.choice([0.0, 0.002, 0.05, 0.3])
+    ends = [b"\n"] * 8 + [b"\r\n", b"\r"]
+    out = [HEADER.encode() + b"\n"] if rng.random() < 0.3 else []
+    for _ in range(lines):
+        line = odd_line(rng) if rng.random() < odd_share else canonical_line(rng)
+        out.append(line + rng.choice(ends))
+    if out and rng.random() < 0.3:
+        out[-1] = out[-1].rstrip(b"\r\n")
+    return b"".join(out)
 
 
 class TestLoadTraceOracle:
@@ -375,6 +453,57 @@ class TestLoadTraceOracle:
         got = outcome(load_trace, path, ops="write")
         assert got == outcome(ref_load_trace, path, ops="write")
         assert got[0] is EmptyTraceError
+
+    def check_long_csvs(self, path, rng, files, lines):
+        """Compare both loaders on random CSVs of lines[0] to lines[1] lines
+        under random options, every other one with max_records; returns how
+        many loaded, and how many of those max_records cut."""
+        loaded = cut = 0
+        for i in range(files):
+            n = rng.randint(*lines)
+            path.write_bytes(long_csv(rng, n))
+            kwargs = {
+                "skip_malformed": rng.random() < 0.7,
+                "ops": rng.choice(["both", "both", "read", "write"]),
+                "host": rng.choice([None, None, None, "a", "b", " a", "hôst"]),
+                "disk": rng.choice([None, None, "0", "1"]),
+                "max_records": rng.choice([0, 1, rng.randint(1, n)]) if i % 2 else None,
+            }
+            want = outcome(ref_load_trace, path, **kwargs)
+            assert_same_outcome(outcome(load_trace, path, **kwargs), want, kwargs)
+            if isinstance(want, Trace):
+                loaded += 1
+                cut += kwargs["max_records"] is not None
+        return loaded, cut
+
+    @pytest.mark.parametrize("block, lines", [(1, 150), (7, 150), (64, 200),
+                                              (1000, 3000)])
+    def test_long_csvs_in_small_blocks(self, tmp_path, monkeypatch, block, lines):
+        monkeypatch.setattr("ctgroup.trace.READ_BLOCK", block)
+        loaded, cut = self.check_long_csvs(tmp_path / "trace.csv", random.Random(block),
+                                           files=24, lines=(1, lines))
+        assert 6 < loaded < 22 and cut > 3
+
+    def test_long_csvs_in_default_blocks(self, tmp_path):
+        # 8k lines or more, about 400 kB, span two READ_BLOCKs or more
+        loaded, cut = self.check_long_csvs(tmp_path / "trace.csv", random.Random(9),
+                                           files=8, lines=(8000, 16000))
+        assert 1 < loaded < 8 and cut > 0
+
+    @pytest.mark.parametrize("skip_malformed", [False, True])
+    def test_cut_before_a_malformed_line_in_its_block(self, tmp_path, skip_malformed):
+        rng = random.Random(5)
+        lines = [canonical_line(rng) for _ in range(6)]
+        lines.insert(3, b"7,h,0,Read,\xff,1,0")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got = load_trace(path, skip_malformed=skip_malformed, max_records=3)
+        assert len(got) == 3 and got.skipped == 0  # line 4 is never parsed
+        assert_same_trace(got, ref_load_trace(path, skip_malformed=skip_malformed,
+                                              max_records=3))
+        kwargs = {"skip_malformed": skip_malformed, "max_records": 4}
+        assert_same_outcome(outcome(load_trace, path, **kwargs),
+                            outcome(ref_load_trace, path, **kwargs))
 
 
 class TestFirstSeenSizes:
