@@ -84,6 +84,8 @@ class PipelineConfig:
             raise ConfigError("trace= and synthetic= are mutually exclusive")
         if self.ops not in ("read", "write", "both"):
             raise ConfigError(f"ops must be read|write|both, got {self.ops!r}")
+        if self.max_records is not None and self.max_records < 1:
+            raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
         if self.train_count is None and not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must be in (0,1)")
         if self.distance not in features.METRICS:

@@ -37,6 +37,18 @@ the cell is replayed otherwise:
 * no datum is larger than C, so nothing bypasses the cache;
 
 and also no per-window series or invariant checking is asked for.
+
+The group column. The group policies replay from a per-access int32
+column that ``group_column`` builds with numpy once per trace and
+``GroupTable`` (a sweep's group cells share it): the gid of the access's
+datum when its group has two or more members, else -1, and -2 - gid at
+the first access to each member of such a group. At that first access the
+loop records the member's size and drops its group's cached plan when the
+size is not its extra size; that is all the per-access bookkeeping the
+group policies need. Data in one-member groups are -1 and take the demand
+path: such a group's plan is the demanded datum alone, so the group path
+would admit that datum alone, prefetch 0 bytes, skip nothing and bypass
+when it does. ``lru`` and ``fifo`` replays carry a column of -1 instead.
 """
 
 from __future__ import annotations
@@ -49,7 +61,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .trace import Op, Trace, column_rows
+from . import trace as _trace
+from .trace import Op, Trace, column_rows, first_access_positions
 
 LRU = "lru"
 FIFO = "fifo"
@@ -58,16 +71,16 @@ GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
 
 class GroupTable:
-    """Address -> group membership lookup used by the prefetch policies."""
+    """Group id -> member addresses, ascending, for the prefetch policies.
+
+    A table is not changed once built: a trace caches the group column it
+    replays the group policies from under the table object itself.
+    """
 
     def __init__(self, groups: Iterable[Sequence[int]]):
-        self.members: dict[int, tuple[int, ...]] = {}
-        self.group_of: dict[int, int] = {}
-        for gid, addrs in enumerate(groups):
-            addrs = tuple(sorted(addrs))
-            self.members[gid] = addrs
-            for a in addrs:
-                self.group_of[a] = gid
+        self.members: dict[int, tuple[int, ...]] = {
+            gid: tuple(sorted(addrs)) for gid, addrs in enumerate(groups)
+        }
 
     @classmethod
     def from_grouping(cls, grouping) -> "GroupTable":
@@ -164,7 +177,6 @@ def simulate(
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
-    group_of = cfg.grouping.group_of if grouped else {}
     group_members = cfg.grouping.members if grouped else {}
     extra_size = (cfg.extra_sizes or {}).get
     # A member's fetch size is its first size seen so far in this replay,
@@ -186,17 +198,21 @@ def simulate(
         allocates = np.ones(n, dtype=bool)
     else:
         allocates = trace.ops != int(Op.WRITE)
-    records = column_rows(trace.addresses, trace.sizes, allocates)
+    if grouped:
+        groups = _group_column(trace, cfg.grouping)
+    else:
+        groups = np.full(n, -1, dtype=np.int8)
+    records = column_rows(trace.addresses, trace.sizes, allocates, groups)
     step = window if window is not None and window >= 1 else max(n, 1)
     series: list[float] = []
 
     for start in range(0, n, step):
         window_start_hits = hits
-        for address, size, allocate in islice(records, step):
-            if grouped and address not in sizes_seen:
+        for address, size, allocate, gid in islice(records, step):
+            if gid < -1:  # the first access to a member of a group
+                gid = -2 - gid
                 sizes_seen[address] = size
-                gid = group_of.get(address)
-                if gid is not None and extra_size(address) != size:
+                if extra_size(address) != size:
                     plans[gid] = None
             if address in entries:
                 hits += 1
@@ -205,8 +221,7 @@ def simulate(
                 continue
 
             disk_ios += 1
-            gid = group_of.get(address)
-            if gid is None or (prefetch and not allocate):
+            if gid < 0 or (prefetch and not allocate):
                 # demand fetch only
                 if size > capacity:
                     if allocate or prefetch:
@@ -236,10 +251,11 @@ def simulate(
                 # No member is resident (a member of unknown size never
                 # is), so admitting the demanded datum and then the others
                 # and evicting after all gives the same cache as evicting
-                # after each. update() rewrites the demanded datum's size
+                # after each. The plan rewrites the demanded datum's size
                 # in place, so it is set again.
                 entries[address] = size
-                entries.update(plan)
+                for member, msize in plan:
+                    entries[member] = msize
                 entries[address] = size
                 occupied += size + total
                 prefetched += total
@@ -298,6 +314,38 @@ def simulate(
     if window is not None:
         return metrics, series
     return metrics
+
+
+def group_column(addresses: np.ndarray, table: GroupTable) -> np.ndarray:
+    """The group column of an access sequence (see the module docstring):
+    int32, per access the gid of its datum's group when that group has two
+    or more members, else -1, and -2 - gid at the first access to each
+    member of such a group."""
+    grouped = sorted((address, gid) for gid, members in table.members.items()
+                     if len(members) > 1 for address in members)
+    column = np.full(len(addresses), -1, dtype=np.int32)
+    if not grouped:
+        return column
+    keys, gids = np.array(grouped, dtype=np.int64).T
+    block = _trace.ROW_BLOCK
+    for lo in range(0, len(addresses), block):
+        part = addresses[lo:lo + block]
+        at = np.searchsorted(keys, part)
+        at[at == len(keys)] = 0
+        member = keys[at] == part
+        column[lo:lo + block][member] = gids[at[member]]
+    first = first_access_positions(addresses)
+    first = first[column[first] >= 0]
+    column[first] = -2 - column[first]
+    return column
+
+
+def _group_column(trace: Trace, table: GroupTable) -> np.ndarray:
+    """The trace's group column under ``table``, built once per trace and
+    table: a sweep's group cells share it."""
+    if trace._group_column is None or trace._group_column[0] is not table:
+        trace._group_column = (table, group_column(trace.addresses, table))
+    return trace._group_column[1]
 
 
 def _fetch_plan(members, sizes_seen, extra_size):

@@ -56,6 +56,34 @@ def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
     )
 
 
+def first_access_positions(addresses: np.ndarray) -> np.ndarray:
+    """The positions of the first access to each distinct address, ascending.
+
+    The addresses are taken ROW_BLOCK at a time, with a sorted array of
+    those seen in earlier blocks. A block's distinct addresses and the
+    first position of each come from one sort of the block; a binary
+    search keeps those not seen before. So the temporaries are one block's
+    plus the distinct addresses, not a sort of the whole column.
+    """
+    seen = addresses[:0]
+    found = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(addresses), ROW_BLOCK):
+        block = addresses[lo:lo + ROW_BLOCK]
+        order = np.argsort(block)
+        ordered = block[order]
+        starts = np.flatnonzero(np.insert(ordered[1:] != ordered[:-1], 0, True))
+        values = ordered[starts]
+        at = np.searchsorted(seen, values)
+        new = at == len(seen)
+        new[~new] = seen[at[~new]] != values[~new]
+        if new.any():
+            seen = np.insert(seen, at[new], values[new])
+            first = np.minimum.reduceat(order, starts)[new]
+            first.sort()
+            found.append(first + lo)
+    return np.concatenate(found)
+
+
 class Op(enum.IntEnum):
     READ = 0
     WRITE = 1
@@ -134,6 +162,10 @@ class Trace:
     # (simulator.build_lru_profile of the columns,) once computed; it may be None
     _lru_profile: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    # (table, simulator.group_column of the addresses under it), for the
+    # last GroupTable a group policy replayed this trace with
+    _group_column: tuple | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @classmethod
     def from_records(cls, records: Iterable[AccessRecord], source_label="", skipped=0):
@@ -197,14 +229,13 @@ class Trace:
         taken of it.
         """
         if self._unique_bytes is None:
-            _, first = np.unique(self.addresses, return_index=True)
+            first = first_access_positions(self.addresses)
             self._unique_bytes = int(self.sizes[first].sum())
         return self._unique_bytes
 
     def first_seen_sizes(self) -> dict[int, int]:
         """{address: size at its first access}, in first-access order."""
-        _, first = np.unique(self.addresses, return_index=True)
-        first.sort()
+        first = first_access_positions(self.addresses)
         return dict(zip(self.addresses[first].tolist(), self.sizes[first].tolist()))
 
     def to_csv_lines(self) -> Iterator[str]:

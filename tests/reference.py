@@ -279,6 +279,8 @@ def ref_simulate(
     cache = _CacheState(capacity, metrics)
     lru_order = cfg.policy != FIFO
     table = cfg.grouping
+    group_of = {} if table is None else {
+        a: gid for gid, members in table.members.items() for a in members}
     extra_sizes = cfg.extra_sizes or {}
     sizes_seen: dict[int, int] = {}
     series: list[float] = []
@@ -313,7 +315,7 @@ def ref_simulate(
                     cache.admit(address, size)
                 elif size > capacity:
                     metrics.bypasses += 1
-                gid = table.group_of.get(address)
+                gid = group_of.get(address)
                 if gid is not None and allocate:
                     members, total = _group_fetch_plan(
                         table.members[gid], address, sizes_seen, extra_sizes, metrics
@@ -327,7 +329,7 @@ def ref_simulate(
                     elif members:
                         metrics.bypasses += 1
             else:  # GROUP_MERGED
-                gid = table.group_of.get(address)
+                gid = group_of.get(address)
                 if gid is None:
                     metrics.disk_ios += 1
                     if allocate:
@@ -385,6 +387,24 @@ def _group_fetch_plan(members, demand, sizes_seen, extra_sizes, metrics):
         plan.append((member, msize))
         total += msize
     return plan, total
+
+
+def ref_group_column(addresses, groups):
+    """Per access: the index of its datum's group in ``groups`` when that
+    group has two or more members, else -1; -2 - index at the first access
+    to each member of such a group."""
+    column = []
+    seen = set()
+    for address in addresses:
+        gid = -1
+        for index, members in enumerate(groups):
+            if address in members and len(members) > 1:
+                gid = index
+        if gid >= 0 and address not in seen:
+            seen.add(address)
+            gid = -2 - gid
+        column.append(gid)
+    return column
 
 
 def ref_first_seen_sizes(trace):

@@ -187,6 +187,14 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_records_below_one_exit_two(self, spec_file, tmp_path, capsys, value):
+        rc = self.run("pipeline", *self.base_flags(spec_file, tmp_path / "o"),
+                      "--max_records", value)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "max_records" in err
+
     def test_missing_source_exit_two(self, capsys):
         assert self.run("pipeline", "--output_dir", "/tmp/none") == 2
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from conftest import make_trace, random_accesses
@@ -21,7 +22,7 @@ from ctgroup.simulator import (
     sweep,
 )
 from ctgroup.trace import AccessRecord, Op, Trace
-from reference import ref_lru_hit_rate, ref_simulate
+from reference import ref_group_column, ref_lru_hit_rate, ref_simulate
 
 A, B, C = 0, 8, 16
 
@@ -362,6 +363,96 @@ class TestOnePassLru:
         cfg = SimConfig(LRU, capacity_bytes=40)
         assert simulate(trace, cfg, window=7) == ref_simulate(trace, cfg, window=7)
         assert simulate(trace, cfg, check_invariants=True) == ref_simulate(trace, cfg)
+
+
+class TestGroupColumn:
+    """The per-access group column the group policies replay from, and its
+    cache on the trace."""
+
+    def test_matches_oracle(self, monkeypatch):
+        rng = random.Random(41)
+        for case in range(120):
+            monkeypatch.setattr(trace_module, "ROW_BLOCK", rng.choice([1, 7, 1 << 15]))
+            trace, table, _ = TestReferenceReplay.random_case(rng)
+            groups = [table.members[gid] for gid in sorted(table.members)]
+            got = simulator.group_column(trace.addresses, table)
+            assert got.dtype == np.int32
+            assert got.tolist() == ref_group_column(trace.addresses.tolist(), groups)
+
+    def test_alternating_keys_match_reference(self):
+        # one trace replayed under two tables, two extra-size maps and both
+        # write_allocate values in turn, so a stale column or plan shows
+        rng = random.Random(42)
+        for _ in range(40):
+            trace, table, extra = TestReferenceReplay.random_case(rng)
+            _, other_table, other_extra = TestReferenceReplay.random_case(rng)
+            capacity = rng.randint(1, 64)
+            for _ in range(3):
+                for grouping in (table, other_table):
+                    for extra_sizes in (extra, other_extra):
+                        for write_allocate in (True, False):
+                            for policy in (GROUP_PREFETCH, GROUP_MERGED):
+                                cfg = SimConfig(policy, capacity_bytes=capacity,
+                                                grouping=grouping,
+                                                extra_sizes=extra_sizes,
+                                                write_allocate=write_allocate)
+                                assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+                assert trace._group_column[0] is other_table
+
+    def test_new_tables_of_dropped_ones_match_reference(self):
+        # a table made after the last one is dropped may reuse its id()
+        rng = random.Random(43)
+        trace, _, extra = TestReferenceReplay.random_case(rng)
+        addrs = sorted(set(trace.addresses.tolist()))
+        for _ in range(30):
+            rng.shuffle(addrs)
+            cut = rng.randint(1, len(addrs))
+            cfg = SimConfig(GROUP_MERGED, capacity_bytes=rng.randint(1, 64),
+                            grouping=GroupTable([addrs[:cut], addrs[cut:]]),
+                            extra_sizes=extra)
+            assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+            del cfg  # the table too, unless the trace holds it
+
+    def test_built_once_per_trace_in_a_sweep(self, monkeypatch):
+        builds = []
+        build = simulator.group_column
+        monkeypatch.setattr(simulator, "group_column",
+                            lambda *args: builds.append(1) or build(*args))
+        accesses = random_accesses(random.Random(44), n=400)
+        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
+        table = GroupTable([(0, 4, 8), (12, 16), (20,)])
+        fractions = [0.05, 0.1, 0.2, 0.4, 1.0]
+        policies = [LRU, GROUP_PREFETCH, FIFO, GROUP_MERGED]
+        rows = sweep(trace, table, fractions, policies, extra_sizes={40: 3})
+        assert len(builds) == 1
+        want = [ref_simulate(trace, SimConfig(
+            p, capacity_fraction=f, grouping=table if p.startswith("group") else None,
+            extra_sizes={40: 3})) for f in fractions for p in policies]
+        assert rows == want
+        sweep(trace, table, fractions, [GROUP_MERGED], write_allocate=False)
+        assert len(builds) == 1
+        sweep(trace, GroupTable([(0, 4)]), fractions, [GROUP_MERGED])
+        assert len(builds) == 2
+        # lru and fifo replays never build it
+        sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
+        assert len(builds) == 2
+
+    def test_one_member_groups_take_the_demand_path(self):
+        # one-member groups replay as no groups at all, oversized data too
+        rng = random.Random(45)
+        for _ in range(30):
+            trace, _, extra = TestReferenceReplay.random_case(rng)
+            singles = GroupTable([(a,) for a in set(trace.addresses.tolist())])
+            assert (simulator.group_column(trace.addresses, singles) == -1).all()
+            for write_allocate in (True, False):
+                capacity = rng.randint(1, 40)
+                for policy in (GROUP_PREFETCH, GROUP_MERGED):
+                    cfgs = [SimConfig(policy, capacity_bytes=capacity, grouping=table,
+                                      extra_sizes=extra, write_allocate=write_allocate)
+                            for table in (singles, GroupTable([]))]
+                    got = simulate(trace, cfgs[0])
+                    assert got == ref_simulate(trace, cfgs[0])
+                    assert got == simulate(trace, cfgs[1])
 
 
 class TestCapacity:

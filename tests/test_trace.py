@@ -520,3 +520,21 @@ class TestFirstSeenSizes:
             got = trace.first_seen_sizes()
             want = ref_first_seen_sizes(trace)
             assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_first_access_loop_in_small_blocks(self, monkeypatch, block):
+        # addresses first seen in later blocks, and blocks with none new
+        monkeypatch.setattr("ctgroup.trace.ROW_BLOCK", block)
+        rng = random.Random(32 + block)
+        for _ in range(100):
+            n = rng.randint(1, 400)
+            distinct = rng.choice([1, 5, 60, n])
+            records = [
+                AccessRecord(i, rng.randrange(distinct) * 4096 + rng.choice([0, 1 << 40]),
+                             rng.randint(1, 64), Op.READ)
+                for i in range(n)
+            ]
+            trace = Trace.from_records(records)
+            want = ref_first_seen_sizes(trace)
+            assert list(trace.first_seen_sizes().items()) == list(want.items())
+            assert trace.total_unique_bytes() == sum(want.values())
