@@ -11,7 +11,6 @@ from .synthetic import SyntheticSpec, SyntheticTruth, synthesize_trace
 from .transactions import (
     CacheTransaction,
     ExtractorConfig,
-    TransactionExtractor,
     TransactionLog,
     extract_transactions,
 )
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessRecord", "Op", "Trace", "load_trace", "parse_record",
     "SyntheticSpec", "SyntheticTruth", "synthesize_trace",
-    "CacheTransaction", "ExtractorConfig", "TransactionExtractor", "TransactionLog",
-    "extract_transactions",
+    "CacheTransaction", "ExtractorConfig", "TransactionLog", "extract_transactions",
     "CtfMatrix", "CtfVector", "access_frequency", "build_ctf", "distance",
     "strong_relation",
     "Chunk", "ChunkerConfig", "ChunkSet", "chunk_all",

@@ -327,14 +327,23 @@ def save_grouping(path, grouping: Grouping, metadata: Mapping[str, object] = (),
     ), columns=COLUMNS)
 
 
-def _member_row(fields):
-    gid, address = fields
-    return int(gid), int(address)
-
-
 def load_grouping_members(path, config_hash=None):
-    """Read back group membership (group id -> address tuple) and header."""
-    header, rows = artifacts.read(path, _member_row, config_hash, sep=",", columns=COLUMNS)
+    """Read back group membership (group id -> address tuple) and header.
+
+    A row listing an address that an earlier row listed, in its group or
+    another, is a DataError naming the file and line.
+    """
+    seen: set[int] = set()
+
+    def parse(fields):
+        gid, address = fields
+        gid, address = int(gid), int(address)
+        if address in seen:
+            raise ValueError(f"address {address} is listed twice")
+        seen.add(address)
+        return gid, address
+
+    header, rows = artifacts.read(path, parse, config_hash, sep=",", columns=COLUMNS)
     members: dict[int, list[int]] = {}
     for gid, address in rows:
         members.setdefault(gid, []).append(address)

@@ -55,12 +55,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, DataError, InvariantError
 from . import trace as _trace
 from .trace import Op, Trace, column_rows, first_access_positions
 
@@ -74,13 +74,19 @@ class GroupTable:
     """Group id -> member addresses, ascending, for the prefetch policies.
 
     A table is not changed once built: a trace caches the group column it
-    replays the group policies from under the table object itself.
+    replays the group policies from under the table object itself. An
+    address listed twice, in one group or in two, is a DataError.
     """
 
     def __init__(self, groups: Iterable[Sequence[int]]):
         self.members: dict[int, tuple[int, ...]] = {
             gid: tuple(sorted(addrs)) for gid, addrs in enumerate(groups)
         }
+        seen: set[int] = set()
+        for address in chain.from_iterable(self.members.values()):
+            if address in seen:
+                raise DataError(f"address {address} is listed twice in the grouping")
+            seen.add(address)
 
     @classmethod
     def from_grouping(cls, grouping) -> "GroupTable":

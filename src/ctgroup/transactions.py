@@ -1,6 +1,6 @@
 """Cache transaction extraction over a size-bounded FIFO window.
 
-The extractor replays the access stream through a FIFO queue holding at
+Extraction replays the access stream through a FIFO queue holding at
 most M bytes. Every time a further M bytes have been evicted it emits a
 transaction: a duplicate-free, insertion-ordered set of block addresses.
 
@@ -21,8 +21,8 @@ neither grow the byte counter nor re-enter the pending transaction.
 The log is a ``TransactionLog``: every transaction's members back to back
 in one int64 array, an offsets array, and a flag for a trailing partial
 transaction, which only ``TransactionLog.used`` leaves out. A
-``CacheTransaction`` is a view of one transaction, made by iterating or
-indexing a log; ``TransactionLog.of`` packs a sequence of them into a log.
+``CacheTransaction`` is only a view of one transaction of a log, made by
+iterating or indexing it; ``TransactionLog.of`` packs a sequence of them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,74 +60,6 @@ class CacheTransaction:
     index: int
     members: tuple[int, ...]  # block addresses, insertion order, no duplicates
     partial: bool = False
-
-
-@dataclass(frozen=True)
-class FifoWindow:
-    """Read-only view of the extractor state, for step-wise inspection."""
-
-    entries: tuple[tuple[int, int], ...]  # (block_address, admitted_size)
-    occupied: int
-    evicted_since_emit: int
-
-
-class TransactionExtractor:
-    """Incremental form of the transaction division algorithm."""
-
-    def __init__(self, cfg: ExtractorConfig):
-        cfg.validate()
-        self.cfg = cfg
-        self._window: OrderedDict[int, int] = OrderedDict()
-        self._occupied = 0
-        self._out = 0  # bytes evicted since the last emission
-        self._pending: list[int] = []  # cumulative mode only
-        self._pending_set: set[int] = set()
-        self._next_index = 0
-
-    def feed(self, address: int, size: int) -> CacheTransaction | None:
-        """Process one access; return the transaction emitted by it, if any."""
-        if address not in self._window:
-            self._window[address] = size
-            self._occupied += size
-            if self.cfg.mode == CUMULATIVE and address not in self._pending_set:
-                self._pending.append(address)
-                self._pending_set.add(address)
-        m = self.cfg.window_bytes
-        while self._occupied > m:
-            _, evicted_size = self._window.popitem(last=False)
-            self._occupied -= evicted_size
-            self._out += evicted_size
-        if self._out >= m:
-            self._out = 0
-            if self.cfg.mode == SNAPSHOT:
-                members = tuple(self._window.keys())
-                self._window.clear()
-                self._occupied = 0
-            else:
-                members = tuple(self._pending)
-                self._pending = []
-                self._pending_set = set()
-            txn = CacheTransaction(self._next_index, members)
-            self._next_index += 1
-            return txn
-        return None
-
-    def finish(self) -> CacheTransaction | None:
-        """Emit the end-of-trace residue as a partial transaction, if any."""
-        if self.cfg.mode == SNAPSHOT:
-            members = tuple(self._window.keys())
-        else:
-            members = tuple(self._pending)
-        if not members:
-            return None
-        return CacheTransaction(self._next_index, members, partial=True)
-
-    def window_state(self) -> FifoWindow:
-        return FifoWindow(
-            entries=tuple(self._window.items()),
-            occupied=self._occupied,
-            evicted_since_emit=self._out,
-        )
 
 
 def ragged_rows(values: np.ndarray, offsets: np.ndarray) -> Iterator[list]:
@@ -199,10 +130,38 @@ def extract_transactions(trace: Trace, cfg: ExtractorConfig) -> TransactionLog:
     partial transaction (if any) last."""
     if len(trace) == 0:
         raise EmptyTraceError("cannot extract transactions from an empty trace")
-    extractor = TransactionExtractor(cfg)
-    emitted = starmap(extractor.feed, column_rows(trace.addresses, trace.sizes))
-    tail = map(TransactionExtractor.finish, [extractor])  # runs once the trace is fed
-    return TransactionLog.of(filter(None, chain(emitted, tail)))
+    cfg.validate()
+    m = cfg.window_bytes
+    snapshot = cfg.mode == SNAPSHOT
+    window: OrderedDict[int, int] = OrderedDict()  # address -> admitted size
+    pop_oldest = window.popitem
+    pending: dict[int, None] = {}  # cumulative: admitted since the last emission
+    emitted = window if snapshot else pending  # what a transaction holds
+    members, offsets = array("q"), array("q", [0])
+    occupied = out = 0  # out: bytes evicted since the last emission
+    for address, size in column_rows(trace.addresses, trace.sizes):
+        if address in window:  # a no-op: occupied <= m and out < m still hold
+            continue
+        window[address] = size
+        occupied += size
+        if not snapshot:
+            pending[address] = None
+        while occupied > m:
+            evicted = pop_oldest(False)[1]
+            occupied -= evicted
+            out += evicted
+        if out >= m:
+            members.extend(emitted)
+            offsets.append(len(members))
+            emitted.clear()
+            out = 0
+            if snapshot:
+                occupied = 0
+    if emitted:
+        members.extend(emitted)
+        offsets.append(len(members))
+    return TransactionLog(np.frombuffer(members, dtype=np.int64),
+                          np.frombuffer(offsets, dtype=np.int64), bool(emitted))
 
 
 def save_transactions(path, log: TransactionLog, cfg: ExtractorConfig, trace_label="",
@@ -236,7 +195,12 @@ def load_transactions(path, config_hash=None):
         if len(set(members)) < len(members):
             raise ValueError("an address is listed twice")
         after_partial = bool(flag)
-        return CacheTransaction(int(index), members, after_partial)
+        return members
 
     header, rows = artifacts.read(path, parse, config_hash, numbered="transaction")
-    return TransactionLog.of(rows), header
+    packed, offsets = array("q"), array("q", [0])
+    for members in rows:
+        packed.extend(members)
+        offsets.append(len(packed))
+    return TransactionLog(np.frombuffer(packed, dtype=np.int64),
+                          np.frombuffer(offsets, dtype=np.int64), after_partial), header

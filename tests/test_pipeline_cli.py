@@ -444,6 +444,24 @@ class TestArtifactGuards:
         message = message.format(first=first)
         assert f"{path}, line {line_no}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("same_group", [True, False])
+    def test_grouping_address_listed_twice_exit_three(self, spec_file, tmp_path, capsys,
+                                                      same_group):
+        # in one group or across two, a repeated address would be replayed
+        # twice in a group's prefetch plan
+        out = tmp_path / "out"
+        assert self.run("pipeline", *self.flags(spec_file, out)) == 0
+        path = out / "grouping.csv"
+        lines = path.read_text().splitlines()
+        gid, address = lines[2].split(",")
+        other = int(lines[-1].split(",")[0]) + 1
+        lines.append(f"{gid if same_group else other},{address}")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run("simulate", *self.flags(spec_file, out)) == 3
+        message = f"address {address} is listed twice"
+        assert f"{path}, line {len(lines)}: {message}" in capsys.readouterr().err
+
     def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
         for command in ("extract", "ctf"):

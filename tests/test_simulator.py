@@ -7,7 +7,7 @@ import pytest
 from conftest import make_trace, random_accesses
 from ctgroup import simulator
 from ctgroup import trace as trace_module
-from ctgroup.errors import ConfigError, InvariantError
+from ctgroup.errors import ConfigError, DataError, InvariantError
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -87,6 +87,13 @@ class TestBaselines:
 class TestGroupPolicies:
     def table(self):
         return GroupTable([(A, B)])
+
+    @pytest.mark.parametrize("groups", [[[5, 5, 8]], [[5, 8], [16, 5]]])
+    def test_address_listed_twice_rejected(self, groups):
+        # the replay would count a repeated member twice where the oracle
+        # skips it, so the table refuses it
+        with pytest.raises(DataError, match="address 5 is listed twice"):
+            GroupTable(groups)
 
     def test_merged_single_io_fetches_group(self):
         cfg = SimConfig(

@@ -10,7 +10,6 @@ from ctgroup.transactions import (
     SNAPSHOT,
     CacheTransaction,
     ExtractorConfig,
-    TransactionExtractor,
     extract_transactions,
     load_transactions,
     save_transactions,
@@ -39,28 +38,19 @@ class TestHandExamples:
             txns = extract([(0, 4)] * 3, 8, mode)
             assert list(txns) == [CacheTransaction(0, (0,), partial=True)]
 
-    def test_window_state_after_one_admission(self):
-        ext = TransactionExtractor(ExtractorConfig(8))
-        ext.feed(0, 4)
-        state = ext.window_state()
-        assert state.occupied == 4
-        assert state.evicted_since_emit == 0
-        assert state.entries == ((0, 4),)
-
-    def test_fresh_extractor_state(self):
-        state = TransactionExtractor(ExtractorConfig(8)).window_state()
-        assert state.occupied == 0
-        assert state.evicted_since_emit == 0
-        assert state.entries == ()
-
     def test_snapshot_window_cleared_after_emission(self):
-        ext = TransactionExtractor(ExtractorConfig(8, SNAPSHOT))
-        for addr, size in FOUR:
-            ext.feed(addr, size)
-        state = ext.window_state()
-        assert state.entries == ()
-        assert state.occupied == 0
-        assert state.evicted_since_emit == 0
+        # the emission empties the window, so 16 is admitted again and 32
+        # fits beside it; had 16 and 24 stayed, 32 would have evicted 16
+        txns = extract(FOUR + [(16, 4), (32, 4)], 8, SNAPSHOT)
+        assert list(txns) == [CacheTransaction(0, (16, 24)),
+                              CacheTransaction(1, (16, 32), partial=True)]
+
+    def test_cumulative_readmission_listed_once(self):
+        # 24 evicts 0 and 0 comes back before 32 brings Out to 12 = M: the
+        # transaction lists 0 once, where it was first admitted
+        pairs = FOUR + [(0, 4), (32, 4)]
+        txns = extract(pairs, 12, CUMULATIVE)
+        assert list(txns) == [CacheTransaction(0, (0, 8, 16, 24, 32))]
 
 
 class TestEdgeCases:
@@ -98,14 +88,6 @@ class TestEdgeCases:
 
 
 class TestInvariants:
-    def test_occupied_bounded_by_window(self):
-        rng = random.Random(2)
-        pairs = random_accesses(rng, n=200, max_size=8)
-        ext = TransactionExtractor(ExtractorConfig(16))
-        for addr, size in pairs:
-            ext.feed(addr, size)
-            assert ext.window_state().occupied <= 16
-
     def test_cumulative_covers_every_address(self):
         rng = random.Random(3)
         pairs = random_accesses(rng, n=250)
