@@ -3,9 +3,10 @@
 An artifact is a text file whose first line is a header of
 space-separated ``key=value`` fields, always including ``config_hash``,
 optionally followed by one line of column names; every further non-blank
-line is a data row. Writes go to a temporary file in the same directory
-that replaces the target only once complete, so a reader never sees half
-an artifact.
+line is a data row (grammar: README). Writes go to a temporary file in the
+same directory that replaces the target only once complete, so a reader
+never sees half an artifact. read_rows parses the rows with numpy, a block
+of whole lines at a time, with the byte helpers load_trace uses too.
 """
 
 from __future__ import annotations
@@ -13,9 +14,88 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError
+
+# Files are read this many bytes at a time and each block's whole lines
+# are parsed together, so a reader holds one block's temporaries on top
+# of the columns it builds.
+READ_BLOCK = 1 << 18
+
+
+def _blocks(fh, size: int) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of whole lines, each about
+    ``size`` bytes or one line that is longer. Only the last block may end
+    without a line end, and no block ends inside a \\r\\n."""
+    carry = b""
+    while data := fh.read(size):
+        buf = carry + data
+        # a final \r may be the first half of a \r\n
+        search_end = len(buf) - buf.endswith(b"\r")
+        cut = 1 + max(buf.rfind(b"\n", 0, search_end), buf.rfind(b"\r", 0, search_end))
+        if cut:
+            yield buf[:cut]
+        carry = buf[cut:]
+    if carry:
+        yield carry
+
+
+def _line_bounds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the lines of a block, line ends excluded.
+
+    As in text mode with universal newlines, \\n, \\r and \\r\\n each end
+    a line.
+    """
+    ends_line = b == ord("\n")
+    cr = b == ord("\r")
+    crlf = None
+    if cr.any():
+        crlf = np.append(cr[:-1] & ends_line[1:], False)  # the \r of each \r\n
+        ends_line[1:] &= ~crlf[:-1]  # whose \n ends no line of its own
+        ends_line |= cr
+    ends = np.flatnonzero(ends_line)
+    starts = np.concatenate(([0], ends + 1))
+    if crlf is not None:
+        starts[1:] += crlf[ends]
+    if starts[-1] == len(b):
+        return starts[:-1], ends
+    return starts, np.append(ends, len(b))  # the file's last line has no line end
+
+
+def _per_line(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many of the sorted positions, none of them a line end, fall in
+    each line."""
+    return np.diff(np.searchsorted(positions, ends), prepend=0)
+
+
+def _uint_fields(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(values, which are valid) of the fields b[lo:hi] as int64, valid
+    when made of 1 to 19 ASCII digits with a value of at most 2**63 - 1."""
+    width = hi - lo
+    bad = (width < 1) | (width > 19)
+    value = np.zeros(len(lo), np.uint64)  # 19 digits never overflow it
+    at = hi - 1
+    for k in range(int(width[~bad].max(initial=0))):  # digit k from the right
+        digit = b.take(at, mode="clip")
+        digit -= np.uint8(ord("0"))  # wraps below "0"
+        digit *= k < width  # nothing from before the field's start
+        bad |= digit > 9
+        value += digit * np.uint64(10**k)
+        at -= 1
+    return value.view(np.int64), ~bad & (value <= np.iinfo(np.int64).max)
+
+
+def _fields_equal(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: bytes):
+    """Which fields b[lo:hi] are exactly the bytes of text."""
+    equal = (hi - lo) == len(text)
+    for k, byte in enumerate(text):
+        equal &= b.take(lo + k, mode="clip") == byte
+    return equal
 
 
 @contextmanager
@@ -41,66 +121,147 @@ def write(path, header: Mapping[str, object], lines: Iterable[str], columns=None
             fh.write(line + "\n")
 
 
+def list_lines(rows: Iterable[tuple[int, Iterable[int]]]) -> Iterator[str]:
+    """``id<TAB>v1,v2,...`` for each (id, values) row."""
+    return (f"{row_id}\t{','.join(map(str, values))}" for row_id, values in rows)
+
+
 def write_json(path, obj):
     with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read(path, parse: Callable, config_hash=None, sep="\t", columns=None, numbered=None):
-    """Returns (header dict, iterator of ``parse(fields)`` per data row).
-
-    The header must carry ``config_hash``; when ``config_hash`` is given it
-    must also match it. With ``numbered`` (the noun for a row's id), each
-    row's first field must be its position, counting from 0. A row that
-    fails that or that ``parse`` rejects (ValueError, or IndexError for a
-    missing field) raises DataError naming the file and line.
-    """
-    rows = _read(path, parse, config_hash, sep, columns, numbered)
-    return next(rows), rows
+def first(mask: np.ndarray) -> int | None:
+    """The position of the first True in ``mask``, or None."""
+    at = int(np.argmax(mask)) if len(mask) else 0
+    return at if len(mask) and mask[at] else None
 
 
-def _read(path, parse, config_hash, sep, columns, numbered):
-    """Yields the header, then the parsed data rows."""
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """An artifact's header and data rows: row i, on line ``lines[i]``, is
+    the id ``ids[i]`` and the values ``values[offsets[i]:offsets[i + 1]]``,
+    then the flag if ``flagged[i]``. ``check`` takes problems: the first
+    row that breaks a rule (or None) and its message, a function of it."""
+
+    path: str
+    header: dict
+    ids: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    flagged: np.ndarray
+    lines: np.ndarray
+
+    def numbered(self, noun: str):
+        """The problem of the first row whose id is not its position."""
+        return (first(self.ids != np.arange(len(self.ids))),
+                lambda r: f"{noun} id {self.ids[r]} is not its position {r}")
+
+    def at_value(self, mask: np.ndarray, message: Callable[[int], str]):
+        """The problem of the first value in ``mask``, named by position."""
+        p = first(mask)
+        row = None if p is None else int(np.searchsorted(self.offsets, p, "right")) - 1
+        return row, lambda r: message(p)
+
+    def repeated(self, within_rows=False) -> np.ndarray:
+        """Which values equal an earlier one (of their row: within_rows)."""
+        # a stable sort keeps a value's repeats in file order, a row's side by side
+        order = np.argsort(self.values, kind="stable")
+        same = np.diff(self.values[order]) == 0  # values are non-negative
+        if within_rows:
+            row_of = np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))[order]
+            same &= row_of[1:] == row_of[:-1]
+        mask = np.zeros(len(order), bool)
+        mask[order[1:][same]] = True
+        return mask
+
+    def check(self, *problems: tuple[int | None, Callable[[int], str]]):
+        """Raise a DataError naming the file and line of the earliest
+        problem; of two on one row, the one listed first."""
+        found = [(row, k) for k, (row, _) in enumerate(problems) if row is not None]
+        if found:
+            row, k = min(found)
+            _fail(self.path, int(self.lines[row]), problems[k][1](row))
+
+
+def _fail(path, line_no: int, message: str):
+    """Raise a DataError naming the file and the line, with its text."""
+    with open(path, encoding="utf-8", errors="replace") as fh:  # universal newlines
+        text = next(islice(fh, line_no - 1, None)).rstrip("\n")
+    raise DataError(f"{path}, line {line_no}: {message}: {text[:80]!r}")
+
+
+def read_rows(path, config_hash=None, sep="\t", columns=None, flag=None) -> Rows:
+    """The header and data rows of an artifact, whose header must carry
+    ``config_hash`` (equal to ``config_hash``, when given). With ``columns``,
+    line 2 must be exactly that; with ``flag``, a row may end in a tab and
+    that word. A file that cannot be read, or a line that breaks the
+    grammar, is a DataError naming the file and line."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            first_line, column_line = fh.readline().rstrip("\n"), fh.readline().rstrip("\n")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        first = fh.readline()
-        if not first.startswith("#"):
+        if not first_line.startswith("#"):
             raise DataError(f"{path}, line 1: no '# key=value' header line")
-        header = dict(part.split("=", 1) for part in first[1:].split() if "=" in part)
+        header = dict(part.split("=", 1) for part in first_line[1:].split() if "=" in part)
         found = header.get("config_hash")
         if not found:
             raise DataError(f"{path}, line 1: header has no config_hash")
         if config_hash is not None and found != config_hash:
             raise InvariantError(
-                f"{path} was produced under config hash {found}, current is {config_hash}"
-            )
-        if columns is not None and fh.readline().rstrip("\n") != columns:
+                f"{path} was produced under config hash {found}, current is {config_hash}")
+        if columns is not None and column_line != columns:
             raise DataError(f"{path}, line 2: expected the column line {columns!r}")
-        yield header
-        position = 0
-        for line_no, line in enumerate(fh, 2 if columns is None else 3):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                fields = line.split(sep)
-                if numbered and int(fields[0]) != position:
-                    raise ValueError(
-                        f"{numbered} id {fields[0]} is not its position {position}")
-                row = parse(fields)
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}, line {line_no}: {exc}: {line[:80]!r}") from None
-            position += 1
-            yield row
+        lead = 1 if columns is None else 2  # lines before the data
+        parts, line_count = [], 0
+        for block in _blocks(fh, READ_BLOCK):
+            b = np.frombuffer(block, np.uint8)
+            starts, ends = _line_bounds(b)
+            skip = min(max(lead - line_count, 0), len(starts))
+            parts.append(_parse_rows(path, b, starts[skip:], ends[skip:], sep, flag,
+                                     line_count + skip))
+            line_count += len(starts)
+    ids, values, counts, flagged, lines = (np.concatenate(c) for c in zip(*parts))
+    return Rows(str(path), header, ids, values, np.append(0, np.cumsum(counts)),
+                flagged, lines)
 
 
-def ints(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer list; the empty string is ()."""
-    return tuple(map(int, text.split(","))) if text else ()
+def _parse_rows(path, b, starts, ends, sep, flag, before):
+    """(ids, values, value counts, flagged, line numbers) of the non-blank
+    lines among starts/ends of a block, which ``before`` lines precede."""
+    rows = np.flatnonzero(ends > starts)
+    starts, ends = starts[rows], ends[rows]
+    # a field ends at the separator, a comma or its line's end
+    cuts = np.flatnonzero((b == ord(sep)) | (b == ord(",")))
+    cuts = cuts[np.searchsorted(cuts, starts[0] if len(starts) else len(b)):]
+    per = _per_line(cuts, ends)
+    lo = np.insert(cuts + 1, np.cumsum(per) - per, starts)
+    hi = np.insert(cuts, np.cumsum(per), ends)
+    id_at = np.cumsum(per + 1) - per - 1  # each line's first field
+    last = id_at + per
+    seps = _per_line(cuts[b[cuts] == ord(sep)], ends)
+    flagged = (seps == 2) & (b[lo[last] - 1] == ord(sep)) & (
+        _fields_equal(b, lo[last], hi[last], flag.encode()) if flag else False)
+    well = (b.take(hi[id_at], mode="clip") == ord(sep)) & ((seps == 1) | flagged)
+    counts = per - flagged
+    # a tab-separated row whose list is empty
+    counts -= (sep == "\t") & (counts == 1) & ((hi - lo).take(id_at + 1, mode="clip") == 0)
+    value_at = np.arange(counts.sum()) + np.repeat(id_at + 1 - np.cumsum(counts) + counts,
+                                                   counts)
+    # ids and values apart, so short values take fewer digit passes
+    ids, ok = _uint_fields(b, lo[id_at], hi[id_at])
+    values, ok_values = _uint_fields(b, lo[value_at], hi[value_at])
+    bad = ~(well & ok)
+    bad[np.repeat(np.arange(len(rows)), counts)[~ok_values]] = True
+    r = first(bad)
+    if r is not None:
+        form = "id,value" if sep == "," else "id\tv1,v2,..." + f"[\t{flag}]" * bool(flag)
+        _fail(path, before + rows[r] + 1, f"not a row of the form {form!r}")
+    return ids, values, counts, flagged, rows + before + 1
 
 
 def read_keyvalues(path) -> dict[str, str]:

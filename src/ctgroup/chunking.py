@@ -33,7 +33,7 @@ from .features import (
     shared_run_counts,
     sorted_distinct,
 )
-from .transactions import TransactionLog
+from .transactions import TransactionLog, ragged_rows
 
 
 @dataclass(frozen=True, order=True)
@@ -369,28 +369,6 @@ def chunk_all(
                     audit=audit)
 
 
-def replay_audit(addr_features: Mapping[int, CtfVector], audit: Iterable[MergeRecord]):
-    """Re-derive cluster membership by applying an audit log in order.
-
-    Returns the set of final member tuples. Used by tests to check that the
-    recorded merges reproduce the chunking result.
-    """
-    clusters: dict[int, list[int]] = {a: [a] for a in addr_features}
-    owner = {a: a for a in addr_features}
-    for record in audit:
-        ra = owner[record.members_a[0]]
-        rb = owner[record.members_b[0]]
-        if ra == rb:
-            raise ValueError("audit merges an already-merged pair")
-        merged = clusters.pop(ra) + clusters.pop(rb)
-        merged.sort()
-        root = merged[0]
-        clusters[root] = merged
-        for a in merged:
-            owner[a] = root
-    return {tuple(v) for v in clusters.values()}
-
-
 def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
                 config_hash=""):
     """Serialize as `chunk_id<TAB>addr1,addr2,...` with a metadata header."""
@@ -398,8 +376,8 @@ def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
     header = {"q": cfg.q, "p": cfg.p, "sigma": cfg.sigma,
               "max_address": chunkset.max_address, "config_hash": config_hash,
               **dict(metadata)}
-    artifacts.write(path, header, (
-        f"{chunk.id}\t{','.join(map(str, chunk.members))}" for chunk in chunkset.chunks))
+    artifacts.write(path, header, artifacts.list_lines(
+        (chunk.id, chunk.members) for chunk in chunkset.chunks))
 
 
 def load_chunk_members(path, config_hash=None, transacted=None):
@@ -407,23 +385,19 @@ def load_chunk_members(path, config_hash=None, transacted=None):
 
     A row whose id is not its position, that lists no address, or that
     lists an address an earlier row or itself already listed is a
-    DataError naming the file and line. With ``transacted`` (a set of
-    addresses) given, so is a row listing an address outside it.
+    DataError naming the file and line. With ``transacted`` (a sorted
+    array of addresses) given, so is a row listing an address outside it.
     """
-    seen: set[int] = set()
-
-    def parse(fields):
-        cid, members = fields
-        members = artifacts.ints(members)
-        if not members:
-            raise ValueError(f"chunk {cid} lists no address")
-        for address in members:
-            if address in seen:
-                raise ValueError(f"address {address} is listed twice")
-            if transacted is not None and address not in transacted:
-                raise ValueError(f"address {address} is in no used transaction")
-            seen.add(address)
-        return int(cid), members
-
-    header, rows = artifacts.read(path, parse, config_hash, numbered="chunk")
-    return dict(rows), header
+    rows = artifacts.read_rows(path, config_hash)
+    members, offsets = rows.values, rows.offsets
+    repeated = rows.repeated()
+    outside = False
+    if transacted is not None:
+        known = np.append(transacted, -1)  # -1 stands for every address past the end
+        outside = known[np.searchsorted(transacted, members)] != members
+    rows.check(rows.numbered("chunk"),
+               (artifacts.first(offsets[1:] == offsets[:-1]),
+                lambda r: f"chunk {rows.ids[r]} lists no address"),
+               rows.at_value(repeated | outside, lambda p: f"address {members[p]} is " + (
+                   "listed twice" if repeated[p] else "in no used transaction")))
+    return dict(zip(rows.ids.tolist(), map(tuple, ragged_rows(members, offsets)))), rows.header

@@ -24,7 +24,6 @@ is the default so the strong-relation threshold compares like with like
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -282,35 +281,30 @@ def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
     """Serialize as `addr<TAB>idx1,idx2,...` with a metadata header."""
     header = {"num_transactions": matrix.num_transactions, "config_hash": config_hash,
               **dict(metadata)}
-    artifacts.write(path, header, (
-        f"{address}\t{','.join(map(str, bits))}"
-        for address, bits in zip(matrix.addresses.tolist(),
-                                 ragged_rows(matrix.indices, matrix.offsets))))
+    artifacts.write(path, header, artifacts.list_lines(
+        zip(matrix.addresses.tolist(), ragged_rows(matrix.indices, matrix.offsets))))
 
 
 def load_ctf(path, config_hash=None):
     """Inverse of save_ctf; returns (matrix, header dict).
 
-    A row's indices must be strictly ascending, and so must the rows'
-    addresses; otherwise DataError names the file and line.
+    A row's indices must be strictly ascending and below num_transactions,
+    and the rows' addresses must ascend strictly; otherwise DataError names
+    the file and line.
     """
-    last = None
-
-    def parse(fields):
-        nonlocal last
-        address, bits = fields
-        bits = artifacts.ints(bits)
-        if not all(map(operator.lt, bits, bits[1:])):
-            raise ValueError("transaction indices are not strictly ascending")
-        address = int(address)
-        if last is not None and address <= last:
-            raise ValueError("addresses are not strictly ascending")
-        last = address
-        return address, bits
-
-    header, rows = artifacts.read(path, parse, config_hash)
+    rows = artifacts.read_rows(path, config_hash)
     try:
-        dim = int(header["num_transactions"])
+        dim = int(rows.header["num_transactions"])
     except (KeyError, ValueError):
         raise DataError(f"{path}: header has no num_transactions count") from None
-    return CtfMatrix.from_rows(dim, rows), header
+    addresses, indices, offsets = rows.ids, rows.values, rows.offsets
+    # each index but a row's first must exceed the one before it
+    unordered = np.append(False, indices[1:] <= indices[:-1])
+    unordered[offsets[:-1][offsets[:-1] < len(indices)]] = False
+    beyond = indices >= dim
+    rows.check(rows.at_value(unordered | beyond, lambda p: (
+                   f"transaction index {indices[p]} is not below num_transactions={dim}"
+                   if beyond[p] else "transaction indices are not strictly ascending")),
+               (artifacts.first(np.append(False, addresses[1:] <= addresses[:-1])),
+                lambda r: "addresses are not strictly ascending"))
+    return CtfMatrix(dim, addresses, offsets, indices.astype(index_dtype(dim))), rows.header

@@ -333,38 +333,10 @@ def load_grouping_members(path, config_hash=None):
     A row listing an address that an earlier row listed, in its group or
     another, is a DataError naming the file and line.
     """
-    seen: set[int] = set()
-
-    def parse(fields):
-        gid, address = fields
-        gid, address = int(gid), int(address)
-        if address in seen:
-            raise ValueError(f"address {address} is listed twice")
-        seen.add(address)
-        return gid, address
-
-    header, rows = artifacts.read(path, parse, config_hash, sep=",", columns=COLUMNS)
+    rows = artifacts.read_rows(path, config_hash, sep=",", columns=COLUMNS)
+    rows.check(rows.at_value(rows.repeated(),
+                             lambda p: f"address {rows.values[p]} is listed twice"))
     members: dict[int, list[int]] = {}
-    for gid, address in rows:
+    for gid, address in zip(rows.ids.tolist(), rows.values.tolist()):
         members.setdefault(gid, []).append(address)
-    return {gid: tuple(v) for gid, v in members.items()}, header
-
-
-def replay_group_audit(chunk_ids: Iterable[int], audit: Iterable[GroupMergeRecord]):
-    """Re-derive the chunk partition from an audit log (tests use this)."""
-    owner = {c: c for c in chunk_ids}
-    groups: dict[int, list[int]] = {c: [c] for c in owner}
-
-    def find(c):
-        while owner[c] != c:
-            c = owner[c]
-        return c
-
-    for record in audit:
-        ra = find(record.chunks_a[0])
-        rb = find(record.chunks_b[0])
-        if ra == rb:
-            raise ValueError("audit merges an already-merged pair")
-        groups[ra].extend(groups.pop(rb))
-        owner[rb] = ra
-    return {tuple(sorted(v)) for v in groups.values()}
+    return {gid: tuple(v) for gid, v in members.items()}, rows.header

@@ -201,8 +201,7 @@ def _save_metrics(paths, rows, chash, *_):
 def _load_chunks(path, chash, cfg, held):
     """Chunk membership, every address in a transaction the group stage reads."""
     members = held["extract"].used(cfg.include_partial)[0]
-    transacted = set(features.sorted_distinct(members).tolist())
-    return chunking.load_chunk_members(path, chash, transacted)[0]
+    return chunking.load_chunk_members(path, chash, features.sorted_distinct(members))[0]
 
 
 @dataclass(frozen=True)

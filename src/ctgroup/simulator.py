@@ -36,7 +36,7 @@ the cell is replayed otherwise:
   does not depend on C;
 * no datum is larger than C, so nothing bypasses the cache;
 
-and also no per-window series or invariant checking is asked for.
+and also no invariant checking is asked for.
 
 The group column. The group policies replay from a per-access int32
 column that ``group_column`` builds with numpy once per trace and
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -160,14 +160,8 @@ def resolve_capacity(cfg: SimConfig, trace: Trace) -> int:
     return max(capacity, 1)
 
 
-def simulate(
-    trace: Trace,
-    cfg: SimConfig,
-    check_invariants: bool = False,
-    window: int | None = None,
-) -> SimMetrics | tuple[SimMetrics, list[float]]:
-    """Replay a trace; returns metrics (plus a per-window hit-rate series
-    when ``window`` is given).
+def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> SimMetrics:
+    """Replay a trace; returns its metrics.
 
     One loop serves every policy: hits take the short path, and a miss
     admits the demanded datum, then (group policies) the group plan.
@@ -176,7 +170,7 @@ def simulate(
     cfg.validate()
     capacity = resolve_capacity(cfg, trace)
     policy = cfg.policy
-    if policy == LRU and window is None and not check_invariants:
+    if policy == LRU and not check_invariants:
         metrics = _profiled_lru(trace, cfg, capacity)
         if metrics is not None:
             return metrics
@@ -208,108 +202,101 @@ def simulate(
         groups = _group_column(trace, cfg.grouping)
     else:
         groups = np.full(n, -1, dtype=np.int8)
-    records = column_rows(trace.addresses, trace.sizes, allocates, groups)
-    step = window if window is not None and window >= 1 else max(n, 1)
-    series: list[float] = []
+    for address, size, allocate, gid in column_rows(trace.addresses, trace.sizes,
+                                                    allocates, groups):
+        if gid < -1:  # the first access to a member of a group
+            gid = -2 - gid
+            sizes_seen[address] = size
+            if extra_size(address) != size:
+                plans[gid] = None
+        if address in entries:
+            hits += 1
+            if lru_order:
+                move_to_end(address)
+            continue
 
-    for start in range(0, n, step):
-        window_start_hits = hits
-        for address, size, allocate, gid in islice(records, step):
-            if gid < -1:  # the first access to a member of a group
-                gid = -2 - gid
-                sizes_seen[address] = size
-                if extra_size(address) != size:
-                    plans[gid] = None
-            if address in entries:
-                hits += 1
-                if lru_order:
-                    move_to_end(address)
-                continue
-
-            disk_ios += 1
-            if gid < 0 or (prefetch and not allocate):
-                # demand fetch only
-                if size > capacity:
-                    if allocate or prefetch:
-                        bypasses += 1
-                elif allocate:
-                    entries[address] = size
-                    occupied += size
-                    while occupied > capacity:
-                        occupied -= pop_oldest(False)[1]
-                        evictions += 1
-                if check_invariants and occupied > capacity:
-                    raise InvariantError("cache occupancy exceeds capacity")
-                continue
-
-            cached = plans[gid]
-            if cached is None:
-                cached = plans[gid] = _fetch_plan(
-                    group_members[gid], sizes_seen, extra_size
-                )
-            # The plan lists the demanded datum too: it has been seen.
-            plan, total, skips = cached
-            total -= sizes_seen[address]
-            unknown += skips
-            if not allocate:  # group_merged: nothing is admitted
-                pass
-            elif total + size <= capacity and keys.isdisjoint(group_members[gid]):
-                # No member is resident (a member of unknown size never
-                # is), so admitting the demanded datum and then the others
-                # and evicting after all gives the same cache as evicting
-                # after each. The plan rewrites the demanded datum's size
-                # in place, so it is set again.
+        disk_ios += 1
+        if gid < 0 or (prefetch and not allocate):
+            # demand fetch only
+            if size > capacity:
+                if allocate or prefetch:
+                    bypasses += 1
+            elif allocate:
                 entries[address] = size
-                for member, msize in plan:
-                    entries[member] = msize
-                entries[address] = size
-                occupied += size + total
-                prefetched += total
-                if prefetch:
-                    disk_ios += len(plan) - 1
+                occupied += size
                 while occupied > capacity:
                     occupied -= pop_oldest(False)[1]
                     evictions += 1
-            else:
-                if size <= capacity:
-                    entries[address] = size
-                    occupied += size
+            if check_invariants and occupied > capacity:
+                raise InvariantError("cache occupancy exceeds capacity")
+            continue
+
+        cached = plans[gid]
+        if cached is None:
+            cached = plans[gid] = _fetch_plan(
+                group_members[gid], sizes_seen, extra_size
+            )
+        # The plan lists the demanded datum too: it has been seen.
+        plan, total, skips = cached
+        total -= sizes_seen[address]
+        unknown += skips
+        if not allocate:  # group_merged: nothing is admitted
+            pass
+        elif total + size <= capacity and keys.isdisjoint(group_members[gid]):
+            # No member is resident (a member of unknown size never
+            # is), so admitting the demanded datum and then the others
+            # and evicting after all gives the same cache as evicting
+            # after each. The plan rewrites the demanded datum's size
+            # in place, so it is set again.
+            entries[address] = size
+            for member, msize in plan:
+                entries[member] = msize
+            entries[address] = size
+            occupied += size + total
+            prefetched += total
+            if prefetch:
+                disk_ios += len(plan) - 1
+            while occupied > capacity:
+                occupied -= pop_oldest(False)[1]
+                evictions += 1
+        else:
+            if size <= capacity:
+                entries[address] = size
+                occupied += size
+                while occupied > capacity:
+                    occupied -= pop_oldest(False)[1]
+                    evictions += 1
+            if total + size > capacity:
+                if prefetch:
+                    bypasses += (size > capacity) + (len(plan) > 1)
+                else:
+                    bypasses += 1
+            elif prefetch:  # one I/O per non-resident member
+                for member, msize in plan:
+                    if member in entries:  # so is the demanded datum
+                        continue
+                    disk_ios += 1
+                    prefetched += msize
+                    entries[member] = msize
+                    occupied += msize
                     while occupied > capacity:
                         occupied -= pop_oldest(False)[1]
                         evictions += 1
-                if total + size > capacity:
-                    if prefetch:
-                        bypasses += (size > capacity) + (len(plan) > 1)
-                    else:
-                        bypasses += 1
-                elif prefetch:  # one I/O per non-resident member
-                    for member, msize in plan:
-                        if member in entries:  # so is the demanded datum
-                            continue
-                        disk_ios += 1
-                        prefetched += msize
-                        entries[member] = msize
-                        occupied += msize
-                        while occupied > capacity:
-                            occupied -= pop_oldest(False)[1]
-                            evictions += 1
-                else:  # the demand I/O fetched the whole group
-                    prefetched += total
-                    for member, msize in plan:
-                        if member == address:
-                            continue
-                        old = pop_entry(member, None)
-                        if old is not None:
-                            occupied -= old
-                        entries[member] = msize
-                        occupied += msize
-                        while occupied > capacity:
-                            occupied -= pop_oldest(False)[1]
-                            evictions += 1
-            if check_invariants and occupied > capacity:
-                raise InvariantError("cache occupancy exceeds capacity")
-        if window is not None:
-            series.append((hits - window_start_hits) / min(step, n - start))
+            else:  # the demand I/O fetched the whole group
+                prefetched += total
+                for member, msize in plan:
+                    if member == address:
+                        continue
+                    old = pop_entry(member, None)
+                    if old is not None:
+                        occupied -= old
+                    entries[member] = msize
+                    occupied += msize
+                    while occupied > capacity:
+                        occupied -= pop_oldest(False)[1]
+                        evictions += 1
+        if check_invariants and occupied > capacity:
+            raise InvariantError("cache occupancy exceeds capacity")
 
     metrics = SimMetrics(
         cfg.policy, cfg.capacity_fraction, capacity,
@@ -317,8 +304,6 @@ def simulate(
         prefetched_bytes=prefetched, evictions=evictions, bypasses=bypasses,
         unknown_size_skips=unknown,
     )
-    if window is not None:
-        return metrics, series
     return metrics
 
 
@@ -482,15 +467,6 @@ def _profiled_lru(trace: Trace, cfg: SimConfig, capacity: int) -> SimMetrics | N
     return SimMetrics(LRU, cfg.capacity_fraction, capacity, accesses=len(trace),
                       hits=hits, misses=misses, disk_ios=misses,
                       evictions=misses - residents)
-
-
-def rolling_hit_rate(trace: Trace, cfg: SimConfig, window: int) -> list[float]:
-    """Hit rate per consecutive window of ``window`` accesses; the final
-    partial window uses its own denominator."""
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    _, series = simulate(trace, cfg, window=window)
-    return series
 
 
 def sweep(

@@ -10,12 +10,12 @@ offset with different sizes are accesses to the same datum.
 
 load_trace parses a file in blocks of whole lines with numpy. A line in
 canonical form, which real MSR traces are made of, goes straight into the
-int64 columns: 7 ASCII fields, timestamp, offset and size of 1 to 18
-digits, a size above 0 and an op of exactly Read or Write. Every other
-line (a header, a blank line, padded or signed numbers, lowercase ops,
-non-ASCII text, bytes that are not UTF-8, a malformed record) takes the
-per-line parser that parse_record uses, in file order, so the rules for
-errors, skips and filters are those of that parser.
+int64 columns: 7 ASCII fields, timestamp, offset and size of 1 to 19
+digits within int64, a size above 0 and an op of exactly Read or Write.
+Every other line (a header, a blank line, padded or signed numbers,
+lowercase ops, non-ASCII text, bytes that are not UTF-8, a malformed
+record) takes the per-line parser that parse_record uses, in file order,
+so the rules for errors, skips and filters are those of that parser.
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .artifacts import (
+    READ_BLOCK,
+    _blocks,
+    _fields_equal,
+    _line_bounds,
+    _per_line,
+    _uint_fields,
+)
 from .errors import (
     ConfigError,
     EmptyTraceError,
@@ -39,11 +47,6 @@ from .errors import (
 # accesses at a time (column_rows), so they hold one block of Python ints
 # on top of the pipeline's data, not whole-trace lists.
 ROW_BLOCK = 1 << 15
-
-# load_trace reads its file this many bytes at a time and parses the
-# block's whole lines together, so it holds one block's temporaries on top
-# of the columns it builds.
-READ_BLOCK = 1 << 18
 
 
 def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
@@ -252,73 +255,6 @@ class Trace:
                 fh.write(line + "\n")
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """The bytes of a binary file in blocks of whole lines, each about
-    READ_BLOCK bytes or one line that is longer. Only the last block may
-    end without a line end, and no block ends inside a \\r\\n."""
-    carry = b""
-    while data := fh.read(READ_BLOCK):
-        buf = carry + data
-        # a final \r may be the first half of a \r\n
-        search_end = len(buf) - buf.endswith(b"\r")
-        cut = 1 + max(buf.rfind(b"\n", 0, search_end), buf.rfind(b"\r", 0, search_end))
-        if cut:
-            yield buf[:cut]
-        carry = buf[cut:]
-    if carry:
-        yield carry
-
-
-def _line_bounds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the lines of a block, line ends excluded.
-
-    As in text mode with universal newlines, \\n, \\r and \\r\\n each end
-    a line.
-    """
-    ends_line = b == ord("\n")
-    cr = b == ord("\r")
-    crlf = None
-    if cr.any():
-        crlf = np.append(cr[:-1] & ends_line[1:], False)  # the \r of each \r\n
-        ends_line[1:] &= ~crlf[:-1]  # whose \n ends no line of its own
-        ends_line |= cr
-    ends = np.flatnonzero(ends_line)
-    starts = np.concatenate(([0], ends + 1))
-    if crlf is not None:
-        starts[1:] += crlf[ends]
-    if starts[-1] == len(b):
-        return starts[:-1], ends
-    return starts, np.append(ends, len(b))  # the file's last line has no line end
-
-
-def _per_line(positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """How many of the sorted positions, none of them a line end, fall in
-    each line."""
-    return np.diff(np.searchsorted(positions, ends), prepend=0)
-
-
-def _uint_fields(b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(values, which are valid) of the fields b[lo:hi], valid when made of
-    1 to 18 ASCII digits, a value that always fits int64."""
-    width = hi - lo
-    valid = (width >= 1) & (width <= 18)
-    value = np.zeros(len(lo), np.int64)
-    for k in range(int(width[valid].max(initial=0))):
-        live = k < width
-        digit = b.take(lo + k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
-        valid &= (digit <= 9) | ~live
-        value = np.where(live, value * 10 + digit, value)
-    return value, valid
-
-
-def _fields_equal(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: bytes):
-    """Which fields b[lo:hi] are exactly the bytes of text."""
-    equal = (hi - lo) == len(text)
-    for k, byte in enumerate(text):
-        equal &= b.take(lo + k, mode="clip") == byte
-    return equal
-
-
 def _parse_block(b, starts, ends, filters):
     """The columns of a block's lines in canonical MSR form.
 
@@ -411,7 +347,7 @@ def load_trace(
     except OSError as exc:
         raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
     with fh:
-        for block in _blocks(fh):
+        for block in _blocks(fh, READ_BLOCK):
             b = np.frombuffer(block, np.uint8)
             starts, ends = _line_bounds(b)
             columns, keep, canonical = _parse_block(b, starts, ends, filters)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -169,38 +170,23 @@ def save_transactions(path, log: TransactionLog, cfg: ExtractorConfig, trace_lab
     """Serialize as `txn_id<TAB>addr1,addr2,...`; the partial row is flagged."""
     header = {"window_bytes": cfg.window_bytes, "mode": cfg.mode, "trace": trace_label,
               "config_hash": config_hash}
-    last = len(log) - 1 if log.partial else -1
-    artifacts.write(path, header, (
-        f"{i}\t{','.join(map(str, members))}" + ("\tpartial" if i == last else "")
-        for i, members in enumerate(ragged_rows(log.members, log.offsets))))
+    lines = artifacts.list_lines(enumerate(ragged_rows(log.members, log.offsets)))
+    if log.partial:  # the last line is flagged
+        lines = chain(islice(lines, len(log) - 1), (f"{line}\tpartial" for line in lines))
+    artifacts.write(path, header, lines)
 
 
 def load_transactions(path, config_hash=None):
     """Inverse of save_transactions; returns (log, header dict).
 
-    With config_hash given, the artifact must have been written under it.
     A row whose id is not its position, that lists an address twice, or
     that follows the partial row is a DataError naming the file and line.
     """
-    after_partial = False
-
-    def parse(fields):
-        nonlocal after_partial
-        index, members, *flag = fields
-        if flag not in ([], ["partial"]):
-            raise ValueError(f"unexpected field {flag[0]!r}")
-        if after_partial:
-            raise ValueError(f"partial transaction {int(index) - 1} is not the last")
-        members = artifacts.ints(members)
-        if len(set(members)) < len(members):
-            raise ValueError("an address is listed twice")
-        after_partial = bool(flag)
-        return members
-
-    header, rows = artifacts.read(path, parse, config_hash, numbered="transaction")
-    packed, offsets = array("q"), array("q", [0])
-    for members in rows:
-        packed.extend(members)
-        offsets.append(len(packed))
-    return TransactionLog(np.frombuffer(packed, dtype=np.int64),
-                          np.frombuffer(offsets, dtype=np.int64), after_partial), header
+    rows = artifacts.read_rows(path, config_hash, flag="partial")
+    rows.check(rows.numbered("transaction"),
+               (artifacts.first(np.append(False, rows.flagged[:-1])),
+                lambda r: f"partial transaction {r - 1} is not the last"),
+               rows.at_value(rows.repeated(within_rows=True),
+                             lambda p: "an address is listed twice"))
+    partial = bool(rows.flagged[-1:].any())
+    return TransactionLog(rows.values, rows.offsets, partial), rows.header

@@ -269,10 +269,8 @@ def ref_simulate(
     trace: Trace,
     cfg: SimConfig,
     check_invariants: bool = False,
-    window: int | None = None,
-) -> SimMetrics | tuple[SimMetrics, list[float]]:
-    """Replay a trace; returns metrics (plus a per-window hit-rate series
-    when ``window`` is given)."""
+) -> SimMetrics:
+    """Replay a trace; returns its metrics."""
     cfg.validate()
     capacity = resolve_capacity(cfg, trace)
     metrics = SimMetrics(cfg.policy, cfg.capacity_fraction, capacity)
@@ -283,9 +281,6 @@ def ref_simulate(
         a: gid for gid, members in table.members.items() for a in members}
     extra_sizes = cfg.extra_sizes or {}
     sizes_seen: dict[int, int] = {}
-    series: list[float] = []
-    window_hits = 0
-    window_count = 0
 
     for address, size, op in zip(
         trace.addresses.tolist(), trace.sizes.tolist(), trace.ops.tolist()
@@ -295,7 +290,6 @@ def ref_simulate(
             sizes_seen[address] = size
         if address in cache.entries:
             metrics.hits += 1
-            window_hits += 1
             if lru_order:
                 cache.entries.move_to_end(address)
         else:
@@ -354,16 +348,6 @@ def ref_simulate(
                             metrics.bypasses += 1
         if check_invariants and cache.occupied > capacity:
             raise InvariantError("cache occupancy exceeds capacity")
-        window_count += 1
-        if window is not None and window_count == window:
-            series.append(window_hits / window_count)
-            window_hits = 0
-            window_count = 0
-
-    if window is not None:
-        if window_count:
-            series.append(window_hits / window_count)
-        return metrics, series
     return metrics
 
 
@@ -581,3 +565,42 @@ def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
         sizes=sizes,
     )
     return trace, truth
+
+
+def replay_audit(addr_features, audit):
+    """Re-derive cluster membership by applying a chunking audit log in
+    order; returns the set of final member tuples."""
+    clusters: dict[int, list[int]] = {a: [a] for a in addr_features}
+    owner = {a: a for a in addr_features}
+    for record in audit:
+        ra = owner[record.members_a[0]]
+        rb = owner[record.members_b[0]]
+        if ra == rb:
+            raise ValueError("audit merges an already-merged pair")
+        merged = clusters.pop(ra) + clusters.pop(rb)
+        merged.sort()
+        root = merged[0]
+        clusters[root] = merged
+        for a in merged:
+            owner[a] = root
+    return {tuple(v) for v in clusters.values()}
+
+
+def replay_group_audit(chunk_ids, audit):
+    """Re-derive the chunk partition from a grouping audit log."""
+    owner = {c: c for c in chunk_ids}
+    groups: dict[int, list[int]] = {c: [c] for c in owner}
+
+    def find(c):
+        while owner[c] != c:
+            c = owner[c]
+        return c
+
+    for record in audit:
+        ra = find(record.chunks_a[0])
+        rb = find(record.chunks_b[0])
+        if ra == rb:
+            raise ValueError("audit merges an already-merged pair")
+        groups[ra].extend(groups.pop(rb))
+        owner[rb] = ra
+    return {tuple(sorted(v)) for v in groups.values()}

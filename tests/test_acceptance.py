@@ -23,13 +23,12 @@ import pytest
 import conftest
 from conftest import make_trace, random_accesses
 from ctgroup import simulator
-from ctgroup.chunking import ChunkerConfig, chunk_all, replay_audit
+from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import CtfVector, build_ctf, strong_relation
 from ctgroup.grouping import (
     GrouperConfig,
     build_grouping,
     merge_groups,
-    replay_group_audit,
 )
 from ctgroup.pipeline import PipelineConfig, run_pipeline, sweep_parameters
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
@@ -45,6 +44,8 @@ from reference import (
     reconstruct_transactions,
     ref_extract,
     ref_merge_groups,
+    replay_audit,
+    replay_group_audit,
 )
 
 MSR_ENV = "CTGROUP_MSR_TRACE"

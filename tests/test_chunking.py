@@ -11,13 +11,12 @@ from ctgroup.chunking import (
     cluster_area,
     load_chunk_members,
     pre_block,
-    replay_audit,
     save_chunks,
 )
 from ctgroup.errors import ConfigError, UnknownDatumError
 from ctgroup.features import CtfMatrix, CtfVector, build_ctf, strong_relation
 from ctgroup.transactions import CacheTransaction
-from reference import ref_cluster
+from reference import ref_cluster, replay_audit
 
 
 def matrix(vectors, dim=None):

@@ -16,7 +16,6 @@ from ctgroup.grouping import (
     grouping_report,
     load_grouping_members,
     merge_groups,
-    replay_group_audit,
     save_grouping,
 )
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
@@ -32,6 +31,7 @@ from reference import (
     legal_relations,
     ref_chunk_popcounts,
     ref_merge_groups,
+    replay_group_audit,
 )
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import dataclass, fields, replace
 
 import pytest
@@ -219,6 +220,27 @@ class TestCli:
         for command in ("extract", "ctf", "chunk", "group", "simulate"):
             assert self.run(command, *self.base_flags(spec_file, out_b)) == 0
         assert read_artifacts(out_a) == read_artifacts(out_b)
+
+    def test_stagewise_equals_pipeline_at_19_digit_addresses(self, tmp_path, capsys):
+        # datum d sits at offset 2**63 - 1 - 4096 d, so the artifacts list
+        # addresses of 19 digits up to int64's maximum
+        top = (1 << 63) - 1
+        rng = random.Random(8)
+        lines = []
+        for t in range(1, 1500):
+            first = rng.randrange(0, 120, 4)
+            for datum in range(first, first + 4):
+                lines.append(f"{t},h,0,Read,{top - 4096 * datum},4096,0")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        flags = ["--trace", str(trace), "--M", "32768"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert self.run("pipeline", *flags, "--output_dir", str(out_a)) == 0
+        for command in ("extract", "ctf", "chunk", "group", "simulate"):
+            assert self.run(command, *flags, "--output_dir", str(out_b)) == 0
+        assert read_artifacts(out_a) == read_artifacts(out_b)
+        for name in ("transactions.tsv", "chunks.tsv", "grouping.csv"):
+            assert str(top) in (out_b / name).read_text()
 
     def test_staged_stages_before_simulate_do_not_read_the_trace(self, spec_file,
                                                                  tmp_path, capsys):

@@ -17,7 +17,6 @@ from ctgroup.simulator import (
     SimConfig,
     metrics_csv_lines,
     resolve_capacity,
-    rolling_hit_rate,
     simulate,
     sweep,
 )
@@ -212,7 +211,6 @@ class TestReferenceReplay:
         for _ in range(cases):
             trace, table, extra = self.random_case(rng)
             capacity = rng.randint(1, 64)  # data and groups exceed it
-            window = rng.choice([None, None, 1, 7, 40])
             for policy in (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED):
                 for write_allocate in (True, False):
                     cfg = SimConfig(
@@ -220,18 +218,15 @@ class TestReferenceReplay:
                         extra_sizes=extra, write_allocate=write_allocate,
                     )
                     check = rng.random() < 0.5
-                    got = simulate(trace, cfg, check, window)
-                    want = ref_simulate(trace, cfg, check, window)
-                    if window is None:
-                        got, want = (got, None), (want, None)
-                    assert dataclasses.asdict(got[0]) == dataclasses.asdict(want[0])
-                    assert got[1] == want[1]
+                    got = simulate(trace, cfg, check)
+                    want = ref_simulate(trace, cfg, check)
+                    assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
     def test_matches_reference_replay(self):
         self.check_against_reference(random.Random(15), 150)
 
     def test_replay_blocks_match_reference(self, monkeypatch):
-        # traces cut into many column blocks, windows straddling them
+        # traces cut into many column blocks
         monkeypatch.setattr(trace_module, "ROW_BLOCK", 7)
         self.check_against_reference(random.Random(17), 60)
 
@@ -361,14 +356,13 @@ class TestOnePassLru:
         sweep(trace, table, fractions, [LRU])
         assert len(builds) == 1
 
-    def test_window_and_invariant_checks_replay(self, monkeypatch):
+    def test_invariant_checks_replay(self, monkeypatch):
         def unused(addresses, sizes):
             raise AssertionError("profile used")
 
         monkeypatch.setattr(simulator, "build_lru_profile", unused)
         trace = make_trace(random_accesses(random.Random(33), n=120, max_size=4))
         cfg = SimConfig(LRU, capacity_bytes=40)
-        assert simulate(trace, cfg, window=7) == ref_simulate(trace, cfg, window=7)
         assert simulate(trace, cfg, check_invariants=True) == ref_simulate(trace, cfg)
 
 
@@ -483,29 +477,6 @@ class TestCapacity:
             SimConfig(LRU, capacity_fraction=1.5).validate()
         with pytest.raises(ConfigError):
             SimConfig(GROUP_MERGED, capacity_bytes=8).validate()
-
-
-class TestRolling:
-    def test_windows_partition_trace(self):
-        trace = unit_trace(A, A, A, B, B)
-        series = rolling_hit_rate(trace, SimConfig(LRU, capacity_bytes=4), window=2)
-        # windows: (A,A) -> 0.5, (A,B) -> 0.5, (B,) -> 1.0
-        assert series == [0.5, 0.5, 1.0]
-
-    def test_weighted_mean_equals_overall_rate(self):
-        rng = random.Random(12)
-        pairs = random_accesses(rng, n=101)
-        trace = make_trace(pairs)
-        cfg = SimConfig(LRU, capacity_bytes=32)
-        m = simulate(trace, cfg)
-        series = rolling_hit_rate(trace, cfg, window=10)
-        weights = [10] * 10 + [1]
-        total = sum(r * w for r, w in zip(series, weights))
-        assert total / 101 == pytest.approx(m.hit_rate)
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            rolling_hit_rate(unit_trace(A), SimConfig(LRU, capacity_bytes=4), 0)
 
 
 class TestSweep:
