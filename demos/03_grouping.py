@@ -31,8 +31,9 @@ matrix = build_ctf(txns)
 chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.1))
 print(f"{len(matrix.rows)} data -> {len(chunkset)} chunks")
 
-# grouping reads the transactions and the chunk membership (id -> addresses)
-grouping = build_grouping(txns, chunkset.members(), GrouperConfig(alpha=0.5, mu=0.5))
+# grouping reads the transactions and the chunks, a Partition of the
+# addresses whose part ids are the chunk ids
+grouping = build_grouping(txns, chunkset.partition, GrouperConfig(alpha=0.5, mu=0.5))
 report = grouping_report(grouping)
 print(f"-> {report.group_count} groups; sizes {report.size_histogram}")
 

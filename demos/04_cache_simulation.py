@@ -30,7 +30,7 @@ train, test = trace.split(int(len(trace) * 0.7))
 txns = extract_transactions(train, ExtractorConfig(window_bytes=65536))
 matrix = build_ctf(txns)
 chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
-grouping = build_grouping(txns, chunkset.members(), GrouperConfig())
+grouping = build_grouping(txns, chunkset.partition, GrouperConfig())
 table = GroupTable.from_grouping(grouping)
 print(f"learned {len(table.members)} groups from the training split\n")
 

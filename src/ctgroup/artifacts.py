@@ -138,6 +138,16 @@ def first(mask: np.ndarray) -> int | None:
     return at if len(mask) and mask[at] else None
 
 
+def find(keys: np.ndarray, values) -> np.ndarray:
+    """The position of each of ``values`` in the sorted array ``keys``, or
+    -1 where it is not there."""
+    if not len(keys):
+        return np.full(np.shape(values), -1, dtype=np.intp)
+    at = np.searchsorted(keys, values)
+    at[keys.take(at, mode="clip") != values] = -1
+    return at
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """An artifact's header and data rows: row i, on line ``lines[i]``, is
@@ -165,15 +175,22 @@ class Rows:
         return row, lambda r: message(p)
 
     def repeated(self, within_rows=False) -> np.ndarray:
-        """Which values equal an earlier one (of their row: within_rows)."""
-        # a stable sort keeps a value's repeats in file order, a row's side by side
-        order = np.argsort(self.values, kind="stable")
-        same = np.diff(self.values[order]) == 0  # values are non-negative
-        if within_rows:
-            row_of = np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))[order]
-            same &= row_of[1:] == row_of[:-1]
-        mask = np.zeros(len(order), bool)
-        mask[order[1:][same]] = True
+        """Which values equal an earlier one (of their row: within_rows).
+        Within rows, whole rows of about READ_BLOCK values are sorted at a
+        time, so the temporaries are one such slice's."""
+        offsets = self.offsets if within_rows else np.array([0, len(self.values)])
+        mask = np.zeros(len(self.values), bool)
+        lo = 0
+        while lo < len(offsets) - 1:
+            hi = max(int(np.searchsorted(offsets, offsets[lo] + READ_BLOCK, "right")) - 1, lo + 1)
+            values = self.values[offsets[lo]:offsets[hi]]
+            # a stable sort keeps a value's repeats in order, a row's side by side
+            order = np.argsort(values, kind="stable")
+            same = np.diff(values[order]) == 0
+            rows = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(offsets[lo:hi + 1]))[order]
+            same &= rows[1:] == rows[:-1]
+            mask[offsets[lo]:offsets[hi]][order[1:][same]] = True
+            lo = hi
         return mask
 
     def check(self, *problems: tuple[int | None, Callable[[int], str]]):

@@ -11,6 +11,10 @@ the pair of clusters with the smallest feature distance among the pairs
 passing the strong-relation predicate is merged (cluster feature = bitwise
 OR of member vectors) until no pair qualifies. Cross-area pairs are never
 considered here; the grouping stage handles them.
+
+The chunks are one ``Partition`` of the transacted addresses (chunk id =
+part id), which the grouping stage reads and ``chunks.tsv`` holds; the OR
+features live only while an area is clustered.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from .errors import ConfigError, UnknownDatumError
 from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
-    CtfVector,
+    Partition,
     build_ctf,
     run_tails,
     shared_run_counts,
     sorted_distinct,
 )
-from .transactions import TransactionLog, ragged_rows
+from .transactions import TransactionLog
 
 
 @dataclass(frozen=True, order=True)
@@ -109,12 +113,6 @@ class Chunk:
     id: int
     members: tuple[int, ...]       # block addresses, ascending
     area: AreaKey
-    features: CtfMatrix = field(repr=False, compare=False)  # the chunk set's
-
-    @property
-    def feature(self) -> CtfVector:
-        """The OR of the member vectors."""
-        return self.features[self.id]
 
 
 @dataclass
@@ -133,20 +131,20 @@ def cluster_area(
     sigma: float,
     metric: str = SYMMETRIC_DIFF,
     audit: list[MergeRecord] | None = None,
-) -> list[tuple[tuple[int, ...], CtfVector]]:
+) -> list[tuple[int, ...]]:
     """Greedy agglomerative clustering of one area's data.
 
-    Returns (members, OR-feature) pairs ordered by smallest member
+    Returns each cluster's members, clusters ordered by smallest member
     address. Merge order: smallest distance first among qualifying pairs,
     ties broken by the lexicographically smallest (min-address, min-address)
-    pair, which makes the result deterministic.
+    pair, which makes the result deterministic. ``sigma`` must lie in
+    [0, 1], as ChunkerConfig requires.
     """
+    ChunkerConfig(sigma=sigma).validate()
     addrs = np.array(sorted(set(area_addrs)), dtype=np.int64)
-    at = np.searchsorted(ctf.addresses, addrs)
-    known = at < len(ctf.addresses)
-    known[known] = ctf.addresses[at[known]] == addrs[known]
-    if not known.all():
-        raise UnknownDatumError(int(addrs[np.argmin(known)]))
+    at = artifacts.find(ctf.addresses, addrs)
+    if (at < 0).any():
+        raise UnknownDatumError(int(addrs[np.argmin(at)]))
 
     # Identical feature vectors always qualify (distance 0), so they can be
     # collapsed up front: any greedy order over the zero-distance pairs
@@ -182,14 +180,11 @@ def cluster_area(
     # Candidates are the pairs that share a transaction index, plus the
     # disjoint pairs (an empty feature among them) whose popcounts total at
     # least min_disjoint. A disjoint pair's count distance is that total
-    # T, which is within T/2 * sigma only from sigma 2 on, so for sigma <= 1
-    # the count metric has none; above 1 every pair is a candidate. Its
-    # Euclidean distance sqrt(T) is within the threshold once
+    # T, which exceeds T/2 * sigma at every sigma <= 1, so the count metric
+    # has none. Its Euclidean distance sqrt(T) is within the threshold once
     # T >= 4 / sigma**2 (one less covers float rounding; the exact test
     # follows).
-    if sigma > 1.0:
-        min_disjoint = 0.0
-    elif euclidean and sigma > 0.0:
+    if euclidean and sigma > 0.0:
         min_disjoint = 4.0 / sigma**2 - 1.0
     else:
         min_disjoint = math.inf
@@ -249,12 +244,7 @@ def cluster_area(
                 heapq.heappush(heap, (dval, hi, lo, other, merged))
         alive.add(merged)
 
-    dim = ctf.num_transactions
-    out = []
-    for i in sorted(alive, key=lambda i: members[i][0]):
-        bits = merged_bits[i] if i >= k else take_bits(i)
-        out.append((tuple(members[i]), CtfVector(bits.tolist(), dim=dim)))
-    return out
+    return sorted(tuple(members[i]) for i in alive)
 
 
 def _first_heap(holding, sizes, min_addrs, sigma, euclidean, min_disjoint):
@@ -313,26 +303,21 @@ def _with_disjoint_pairs(sizes, min_total, batches):
 
 @dataclass
 class ChunkSet:
-    chunks: list[Chunk]
-    lookup: dict[int, int]  # block address -> chunk id
+    partition: Partition    # chunk id -> block addresses
+    areas: list[AreaKey]    # chunk id -> its area
     config: ChunkerConfig
     max_address: int
-    features: CtfMatrix     # chunk id -> OR of its members' vectors
     excluded: tuple[int, ...] = ()
     audit: list[MergeRecord] = field(default_factory=list)
 
     def __len__(self):
-        return len(self.chunks)
+        return len(self.partition)
 
-    def chunk_of(self, address: int) -> Chunk:
-        try:
-            return self.chunks[self.lookup[address]]
-        except KeyError:
-            raise UnknownDatumError(address) from None
-
-    def members(self) -> dict[int, tuple[int, ...]]:
-        """Chunk id -> member addresses, what the grouping stage reads."""
-        return {chunk.id: chunk.members for chunk in self.chunks}
+    @property
+    def chunks(self) -> list[Chunk]:
+        """Each chunk as a Chunk, built from the partition."""
+        return [Chunk(cid, members, area)
+                for cid, (members, area) in enumerate(zip(self.partition.parts(), self.areas))]
 
 
 def chunk_all(
@@ -352,21 +337,11 @@ def chunk_all(
     data = zip(ctf.addresses.tolist(), np.diff(ctf.offsets).tolist())
     areas, excluded = pre_block(data, cfg, max_address)
     audit: list[MergeRecord] = []
-    parts = []  # (members, area) per chunk id
-
-    def features():
-        """Each chunk's OR feature, stored once as a CtfMatrix over chunk ids."""
-        for key in sorted(areas):
-            for members, feature in cluster_area(areas[key], ctf, cfg.sigma, metric, audit):
-                parts.append((members, key))
-                yield len(parts) - 1, feature.bits
-
-    matrix = CtfMatrix.from_rows(ctf.num_transactions, features())
-    chunks = [Chunk(cid, members, area, matrix)
-              for cid, (members, area) in enumerate(parts)]
-    lookup = {a: chunk.id for chunk in chunks for a in chunk.members}
-    return ChunkSet(chunks, lookup, cfg, max_address, matrix, excluded=tuple(excluded),
-                    audit=audit)
+    chunks = [(members, key) for key in sorted(areas)
+              for members in cluster_area(areas[key], ctf, cfg.sigma, metric, audit)]
+    return ChunkSet(Partition.of(members for members, _ in chunks),
+                    [key for _, key in chunks], cfg, max_address,
+                    excluded=tuple(excluded), audit=audit)
 
 
 def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
@@ -376,12 +351,11 @@ def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
     header = {"q": cfg.q, "p": cfg.p, "sigma": cfg.sigma,
               "max_address": chunkset.max_address, "config_hash": config_hash,
               **dict(metadata)}
-    artifacts.write(path, header, artifacts.list_lines(
-        (chunk.id, chunk.members) for chunk in chunkset.chunks))
+    artifacts.write(path, header, artifacts.list_lines(enumerate(chunkset.partition.parts())))
 
 
 def load_chunk_members(path, config_hash=None, transacted=None):
-    """Read back chunk membership (ids -> address tuples) and the header.
+    """Read back chunk membership, as a Partition, and the header.
 
     A row whose id is not its position, that lists no address, or that
     lists an address an earlier row or itself already listed is a
@@ -393,11 +367,11 @@ def load_chunk_members(path, config_hash=None, transacted=None):
     repeated = rows.repeated()
     outside = False
     if transacted is not None:
-        known = np.append(transacted, -1)  # -1 stands for every address past the end
-        outside = known[np.searchsorted(transacted, members)] != members
+        outside = artifacts.find(transacted, members) < 0
     rows.check(rows.numbered("chunk"),
                (artifacts.first(offsets[1:] == offsets[:-1]),
                 lambda r: f"chunk {rows.ids[r]} lists no address"),
                rows.at_value(repeated | outside, lambda p: f"address {members[p]} is " + (
                    "listed twice" if repeated[p] else "in no used transaction")))
-    return dict(zip(rows.ids.tolist(), map(tuple, ragged_rows(members, offsets)))), rows.header
+    return Partition.by_label(np.repeat(rows.ids, np.diff(offsets)), members,
+                              len(rows.ids)), rows.header

@@ -24,9 +24,10 @@ is the default so the strong-relation threshold compares like with like
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -115,20 +116,6 @@ class CtfMatrix(Mapping):
     offsets: np.ndarray    # int64, len(addresses) + 1 entries
     indices: np.ndarray    # int32, ascending within each address
 
-    @classmethod
-    def from_rows(cls, num_transactions: int,
-                  rows: Iterable[tuple[int, Iterable[int]]]) -> "CtfMatrix":
-        """The matrix of (address, ascending indices) rows, given in
-        ascending address order."""
-        addresses, offsets, indices = array("q"), array("q", [0]), array("q")
-        for address, bits in rows:
-            addresses.append(address)
-            indices.extend(bits)
-            offsets.append(len(indices))
-        return cls(num_transactions, np.frombuffer(addresses, dtype=np.int64),
-                   np.frombuffer(offsets, dtype=np.int64),
-                   np.array(indices, dtype=index_dtype(num_transactions)))
-
     @property
     def rows(self) -> Mapping[int, CtfVector]:
         """address -> CtfVector: the matrix itself."""
@@ -141,8 +128,8 @@ class CtfMatrix(Mapping):
         return iter(self.addresses.tolist())
 
     def __getitem__(self, address: int) -> CtfVector:
-        k = int(np.searchsorted(self.addresses, address))
-        if k == len(self.addresses) or self.addresses[k] != address:
+        k = int(artifacts.find(self.addresses, [address])[0])
+        if k < 0:
             raise KeyError(address)
         bits = self.indices[self.offsets[k]:self.offsets[k + 1]].tolist()
         return CtfVector(bits, dim=self.num_transactions)
@@ -153,6 +140,54 @@ class CtfMatrix(Mapping):
         starts = self.offsets[positions]
         lengths = self.offsets[positions + 1] - starts
         return self.indices[ranges(starts, lengths)], np.append(0, np.cumsum(lengths))
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Disjoint parts of a set of addresses: part i is
+    ``members[offsets[i]:offsets[i + 1]]``, ascending. The chunk stage's
+    chunks are one, over chunk ids, and the group stage's groups another."""
+
+    members: np.ndarray  # int64
+    offsets: np.ndarray  # int64, len(self) + 1 entries
+
+    @classmethod
+    def of(cls, parts: Iterable[Iterable[int]]) -> "Partition":
+        """The partition into ``parts``, in order; an address listed twice,
+        in one part or in two, is a DataError naming it."""
+        parts = [sorted(part) for part in parts]
+        partition = cls(np.fromiter(chain.from_iterable(parts), dtype=np.int64),
+                        np.cumsum([0, *map(len, parts)], dtype=np.int64))
+        keys = partition._index[0]
+        if (twice := keys[1:][keys[1:] == keys[:-1]]).size:
+            raise DataError(f"address {twice[0]} is listed twice")
+        return partition
+
+    @classmethod
+    def by_label(cls, labels: np.ndarray, members: np.ndarray, count: int) -> "Partition":
+        """The partition whose part i, for i below ``count``, holds the
+        ``members`` labelled i."""
+        order = np.lexsort((members, labels))
+        return cls(members[order], np.searchsorted(labels[order], np.arange(count + 1)))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def parts(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, ragged_rows(self.members, self.offsets)))
+
+    def labels(self, addresses: np.ndarray) -> np.ndarray:
+        """The part id of each address, or -1 for one in no part."""
+        keys, owners = self._index
+        return owners[artifacts.find(keys, addresses)]
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted members and their part ids, then the -1 that find's -1 selects."""
+        order = np.argsort(self.members, kind="stable")
+        dtype = index_dtype(len(self))
+        owners = np.repeat(np.arange(len(self), dtype=dtype), np.diff(self.offsets))
+        return self.members[order], np.append(owners[order], dtype(-1))
 
 
 def build_ctf(transactions: TransactionLog | Iterable[CacheTransaction],

@@ -12,19 +12,22 @@ when the counter reaches |G_x| * |G_y| * mu the groups merge, and the
 merged group's counters toward third parties are the sums of the
 constituents' counters. Processing order plus immediate merging guarantees
 every chunk (hence every transacted datum) ends up in exactly one group.
+
+The chunks come in as a ``Partition`` (chunk id = part id), and the groups
+go out as another, numbered by smallest chunk id, which ``grouping.csv``
+holds and the simulator replays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import artifacts
 from .errors import ConfigError, UnknownDatumError
-from .features import run_incidence, shared_run_counts
+from .features import Partition, run_incidence, shared_run_counts
 from .transactions import CacheTransaction, TransactionLog
 
 DESCENDING = "descending"
@@ -59,22 +62,22 @@ TXN_BATCH = 8192
 
 def compute_legal_relations(
     transactions: TransactionLog | Iterable[CacheTransaction],
-    chunk_members: Mapping[int, Sequence[int]],
+    chunks: Partition,
     alpha: float,
     sort: str = DESCENDING,
     include_partial: bool = False,
 ) -> list[Relation]:
     """The legal relations of a transaction log, strongest first.
 
-    ``chunk_members`` maps each chunk id to its addresses. A chunk pair's
-    count is the number of transactions holding both (each transaction
-    counts a pair at most once), and |V_C| the number holding chunk C; the
-    pair is a legal relation when its count reaches max(|V_x|, |V_y|) *
-    alpha. Relations are ordered by count, descending unless ``sort`` is
-    ascending, ties by (x, y) ascending. Every transacted address must
-    resolve to a chunk: the first one in log order that does not raises
-    UnknownDatumError (it indicates the chunking was built from a
-    different transaction log).
+    ``chunks`` holds each chunk's addresses (chunk id = part id). A chunk
+    pair's count is the number of transactions holding both (each
+    transaction counts a pair at most once), and |V_C| the number holding
+    chunk C; the pair is a legal relation when its count reaches
+    max(|V_x|, |V_y|) * alpha. Relations are ordered by count, descending
+    unless ``sort`` is ascending, ties by (x, y) ascending. Every
+    transacted address must resolve to a chunk: the first one in log order
+    that does not raises UnknownDatumError (it indicates the chunking was
+    built from a different transaction log).
 
     A sequence of CacheTransactions is packed by TransactionLog.of first.
     Transactions are resolved to their distinct chunks in batches, kept as
@@ -84,36 +87,28 @@ def compute_legal_relations(
     every counted pair (most of them noise that the filter drops) is ever
     held.
     """
-    addrs = np.fromiter(chain.from_iterable(chunk_members.values()), dtype=np.int64)
-    chunk_ids = np.repeat(np.fromiter(chunk_members, dtype=np.int64),
-                          list(map(len, chunk_members.values())))
-    order = np.argsort(addrs)
-    addrs, chunk_ids = addrs[order], chunk_ids[order]
-    stride = int(chunk_ids.max()) + 1 if len(chunk_ids) else 1
-
+    stride = max(len(chunks), 1)
     members, offsets = TransactionLog.of(transactions).used(include_partial)
-    tails, chunks = [], []  # per batch of transactions
+    tails, held = [], []  # per batch of transactions
     for lo in range(0, len(offsets) - 1, TXN_BATCH):
         bounds = offsets[lo:lo + TXN_BATCH + 1]
         flat = members[bounds[0]:bounds[-1]]
         lengths = np.diff(bounds)
-        at = np.searchsorted(addrs, flat)
-        known = at < len(addrs)
-        known[known] = addrs[at[known]] == flat[known]
-        if not known.all():
-            raise UnknownDatumError(int(flat[np.argmin(known)]))
+        labels = chunks.labels(flat)
+        if (labels < 0).any():
+            raise UnknownDatumError(int(flat[np.argmin(labels)]))
         txn = np.repeat(np.arange(len(lengths)), lengths)
-        batch_tails, batch_chunks = run_incidence(txn, chunk_ids[at], stride)
+        batch_tails, batch_chunks = run_incidence(txn, labels, stride)
         tails.append(batch_tails)
-        chunks.append(batch_chunks)
+        held.append(batch_chunks)
     # A batch ends with a whole transaction, so the tails stay valid.
     empty = [np.empty(0, dtype=np.int32)]
     tails = np.concatenate(tails or empty)
-    chunks = np.concatenate(chunks or empty)
+    held = np.concatenate(held or empty)
 
-    pops = np.bincount(chunks, minlength=stride)
+    pops = np.bincount(held, minlength=stride)
     kept = [(np.empty(0, dtype=np.int64),) * 3]
-    for x, y, counts in shared_run_counts(tails, chunks):
+    for x, y, counts in shared_run_counts(tails, held):
         keep = counts >= np.maximum(pops[x], pops[y]) * alpha
         kept.append((x[keep], y[keep], counts[keep]))
     x, y, counts = (np.concatenate(column) for column in zip(*kept))
@@ -143,21 +138,22 @@ class Group:
 
 @dataclass
 class Grouping:
-    groups: list[Group]
-    lookup: dict[int, int]  # block address -> group id
+    partition: Partition       # group id -> block addresses
+    chunk_ids: Partition       # group id -> chunk ids
+    internal_edges: list[int]  # group id -> its Group.internal_edges
     audit: list[GroupMergeRecord] = field(default_factory=list)
     processed_cross: int = 0
     skipped_same_group: int = 0
     config: GrouperConfig = field(default_factory=GrouperConfig)
 
     def __len__(self):
-        return len(self.groups)
+        return len(self.partition)
 
-    def group_of(self, address: int) -> Group:
-        try:
-            return self.groups[self.lookup[address]]
-        except KeyError:
-            raise UnknownDatumError(address) from None
+    @property
+    def groups(self) -> list[Group]:
+        """Each group as a Group, built from the partitions."""
+        return [Group(gid, *group) for gid, group in enumerate(zip(
+            self.chunk_ids.parts(), self.partition.parts(), self.internal_edges))]
 
 
 class _DisjointGroups:
@@ -204,19 +200,19 @@ class _DisjointGroups:
 
 def merge_groups(
     relations: Sequence[Relation],
-    chunk_members: Mapping[int, tuple[int, ...]],
+    chunks: Partition,
     mu: float,
     config: GrouperConfig | None = None,
 ) -> Grouping:
     """Run the ordered merge procedure over all chunks.
 
-    chunk_members must cover every chunk (never-merged chunks come out as
-    singleton groups). Relations must already be sorted; they are processed
-    in the order given.
+    Every chunk ends in a group, numbered by smallest chunk id (never-merged
+    chunks come out as singleton groups). Relations must already be
+    sorted; they are processed in the order given.
     """
     if config is None:
         config = GrouperConfig(mu=mu)
-    state = _DisjointGroups(sorted(chunk_members))
+    state = _DisjointGroups(range(len(chunks)))
     audit: list[GroupMergeRecord] = []
     processed_cross = 0
     skipped_same = 0
@@ -240,26 +236,14 @@ def merge_groups(
             )
             state.merge(ra, rb)
 
-    roots: dict[int, list[int]] = {}
-    for c in chunk_members:
-        roots.setdefault(state.find(c), []).append(c)
-    ordered = sorted(roots.values(), key=lambda chunk_ids: min(chunk_ids))
-    groups: list[Group] = []
-    lookup: dict[int, int] = {}
-    for gid, chunk_ids in enumerate(ordered):
-        chunk_ids = tuple(sorted(chunk_ids))
-        members: list[int] = []
-        for c in chunk_ids:
-            members.extend(chunk_members[c])
-        members.sort()
-        groups.append(
-            Group(gid, chunk_ids, tuple(members), state.internal[state.find(chunk_ids[0])])
-        )
-        for a in members:
-            lookup[a] = gid
+    gids: dict[int, int] = {}  # root -> group id, in order of smallest chunk id
+    group_of = np.array([gids.setdefault(state.find(c), len(gids)) for c in range(len(chunks))],
+                        dtype=np.int64)
     return Grouping(
-        groups=groups,
-        lookup=lookup,
+        partition=Partition.by_label(np.repeat(group_of, np.diff(chunks.offsets)),
+                                     chunks.members, len(gids)),
+        chunk_ids=Partition.by_label(group_of, np.arange(len(chunks)), len(gids)),
+        internal_edges=[state.internal[root] for root in gids],
         audit=audit,
         processed_cross=processed_cross,
         skipped_same_group=skipped_same,
@@ -269,17 +253,17 @@ def merge_groups(
 
 def build_grouping(
     transactions: TransactionLog | Iterable[CacheTransaction],
-    chunk_members: Mapping[int, Sequence[int]],
+    chunks: Partition,
     config: GrouperConfig,
     include_partial: bool = False,
 ) -> Grouping:
-    """Convenience wrapper: count, filter, sort, merge. ``chunk_members``
-    maps each chunk id to its addresses, as ChunkSet.members gives it."""
+    """Convenience wrapper: count, filter, sort, merge. ``chunks`` is the
+    chunk stage's partition, ChunkSet.partition."""
     config.validate()
     relations = compute_legal_relations(
-        transactions, chunk_members, config.alpha, config.sort, include_partial,
+        transactions, chunks, config.alpha, config.sort, include_partial,
     )
-    return merge_groups(relations, chunk_members, config.mu, config)
+    return merge_groups(relations, chunks, config.mu, config)
 
 
 @dataclass
@@ -328,15 +312,14 @@ def save_grouping(path, grouping: Grouping, metadata: Mapping[str, object] = (),
 
 
 def load_grouping_members(path, config_hash=None):
-    """Read back group membership (group id -> address tuple) and header.
+    """Read back group membership, as a Partition, and the header.
 
-    A row listing an address that an earlier row listed, in its group or
+    Groups are ordered by the file's group ids and numbered from 0. A row
+    listing an address that an earlier row listed, in its group or
     another, is a DataError naming the file and line.
     """
     rows = artifacts.read_rows(path, config_hash, sep=",", columns=COLUMNS)
     rows.check(rows.at_value(rows.repeated(),
                              lambda p: f"address {rows.values[p]} is listed twice"))
-    members: dict[int, list[int]] = {}
-    for gid, address in zip(rows.ids.tolist(), rows.values.tolist()):
-        members.setdefault(gid, []).append(address)
-    return {gid: tuple(v) for gid, v in members.items()}, rows.header
+    gids, labels = np.unique(rows.ids, return_inverse=True)
+    return Partition.by_label(labels, rows.values, len(gids)), rows.header

@@ -245,16 +245,16 @@ STAGE_TABLE = (
           save=lambda paths, chunkset, chash, *_: chunking.save_chunks(
               paths[0], chunkset, config_hash=chash),
           counts=lambda chunkset: {"chunks": len(chunkset)},
-          hand_on=lambda chunkset: chunkset.members(),
+          hand_on=lambda chunkset: chunkset.partition,
           load=_load_chunks),
     Stage("group", ("grouping.csv",), ("extract", "chunk"),
-          run=lambda cfg, log, members: grouping.build_grouping(
-              log, members, cfg.grouper_config(), include_partial=cfg.include_partial),
+          run=lambda cfg, log, chunks: grouping.build_grouping(
+              log, chunks, cfg.grouper_config(), include_partial=cfg.include_partial),
           save=lambda paths, grp, chash, *_: grouping.save_grouping(
               paths[0], grp, config_hash=chash),
           counts=lambda grp: {"groups": len(grp)},
           hand_on=lambda grp: simulator.GroupTable.from_grouping(grp),
-          load=lambda path, chash, *_: simulator.GroupTable.from_members(
+          load=lambda path, chash, *_: simulator.GroupTable(
               grouping.load_grouping_members(path, chash)[0])),
     Stage("simulate", ("metrics.csv", "metrics.json"), ("trace", "group"),
           run=lambda cfg, trace, table: simulator.sweep(

@@ -39,10 +39,11 @@ the cell is replayed otherwise:
 and also no invariant checking is asked for.
 
 The group column. The group policies replay from a per-access int32
-column that ``group_column`` builds with numpy once per trace and
-``GroupTable`` (a sweep's group cells share it): the gid of the access's
-datum when its group has two or more members, else -1, and -2 - gid at
-the first access to each member of such a group. At that first access the
+column that ``group_column`` builds with the lookup of the ``GroupTable``'s
+``Partition`` (gid = part id) once per trace and table (a sweep's group
+cells share it): the gid of the access's datum when its group has two or
+more members, else -1, and -2 - gid at the first access to each member of
+such a group. At that first access the
 loop records the member's size and drops its group's cached plan when the
 size is not its extra size; that is all the per-access bookkeeping the
 group policies need. Data in one-member groups are -1 and take the demand
@@ -55,13 +56,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, InvariantError
 from . import trace as _trace
+from .features import Partition
 from .trace import Op, Trace, column_rows, first_access_positions
 
 LRU = "lru"
@@ -71,30 +72,22 @@ GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
 
 class GroupTable:
-    """Group id -> member addresses, ascending, for the prefetch policies.
+    """The grouping for the prefetch policies: ``partition``, and
+    ``members[gid]``, the group's addresses, ascending, as a tuple.
 
     A table is not changed once built: a trace caches the group column it
-    replays the group policies from under the table object itself. An
-    address listed twice, in one group or in two, is a DataError.
+    replays the group policies from under the table object itself. Given
+    lists of groups, an address listed twice, in one group or in two, is a
+    DataError.
     """
 
-    def __init__(self, groups: Iterable[Sequence[int]]):
-        self.members: dict[int, tuple[int, ...]] = {
-            gid: tuple(sorted(addrs)) for gid, addrs in enumerate(groups)
-        }
-        seen: set[int] = set()
-        for address in chain.from_iterable(self.members.values()):
-            if address in seen:
-                raise DataError(f"address {address} is listed twice in the grouping")
-            seen.add(address)
+    def __init__(self, groups: Partition | Iterable[Sequence[int]]):
+        self.partition = groups if isinstance(groups, Partition) else Partition.of(groups)
+        self.members = self.partition.parts()
 
     @classmethod
     def from_grouping(cls, grouping) -> "GroupTable":
-        return cls(group.members for group in grouping.groups)
-
-    @classmethod
-    def from_members(cls, members: Mapping[int, Sequence[int]]) -> "GroupTable":
-        return cls(members[gid] for gid in sorted(members))
+        return cls(grouping.partition)
 
 
 @dataclass
@@ -177,7 +170,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
-    group_members = cfg.grouping.members if grouped else {}
+    group_members = cfg.grouping.members if grouped else []
     extra_size = (cfg.extra_sizes or {}).get
     # A member's fetch size is its first size seen so far in this replay,
     # else its extra size; members with neither are skipped and counted.
@@ -312,19 +305,16 @@ def group_column(addresses: np.ndarray, table: GroupTable) -> np.ndarray:
     int32, per access the gid of its datum's group when that group has two
     or more members, else -1, and -2 - gid at the first access to each
     member of such a group."""
-    grouped = sorted((address, gid) for gid, members in table.members.items()
-                     if len(members) > 1 for address in members)
+    # per gid, then for the -1 of an address in no group
+    shared = np.append(np.diff(table.partition.offsets) > 1, False)
     column = np.full(len(addresses), -1, dtype=np.int32)
-    if not grouped:
+    if not shared.any():
         return column
-    keys, gids = np.array(grouped, dtype=np.int64).T
     block = _trace.ROW_BLOCK
     for lo in range(0, len(addresses), block):
-        part = addresses[lo:lo + block]
-        at = np.searchsorted(keys, part)
-        at[at == len(keys)] = 0
-        member = keys[at] == part
-        column[lo:lo + block][member] = gids[at[member]]
+        gids = table.partition.labels(addresses[lo:lo + block])
+        gids[~shared[gids]] = -1
+        column[lo:lo + block] = gids
     first = first_access_positions(addresses)
     first = first[column[first] >= 0]
     column[first] = -2 - column[first]

@@ -34,6 +34,7 @@ from .artifacts import (
     _line_bounds,
     _per_line,
     _uint_fields,
+    find,
 )
 from .errors import (
     ConfigError,
@@ -76,11 +77,9 @@ def first_access_positions(addresses: np.ndarray) -> np.ndarray:
         ordered = block[order]
         starts = np.flatnonzero(np.insert(ordered[1:] != ordered[:-1], 0, True))
         values = ordered[starts]
-        at = np.searchsorted(seen, values)
-        new = at == len(seen)
-        new[~new] = seen[at[~new]] != values[~new]
+        new = find(seen, values) < 0
         if new.any():
-            seen = np.insert(seen, at[new], values[new])
+            seen = np.insert(seen, np.searchsorted(seen, values[new]), values[new])
             first = np.minimum.reduceat(order, starts)[new]
             first.sort()
             found.append(first + lo)

@@ -278,7 +278,7 @@ def ref_simulate(
     lru_order = cfg.policy != FIFO
     table = cfg.grouping
     group_of = {} if table is None else {
-        a: gid for gid, members in table.members.items() for a in members}
+        a: gid for gid, members in enumerate(table.members) for a in members}
     extra_sizes = cfg.extra_sizes or {}
     sizes_seen: dict[int, int] = {}
 

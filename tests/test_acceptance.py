@@ -18,13 +18,14 @@ import resource
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 import conftest
 from conftest import make_trace, random_accesses
 from ctgroup import simulator
 from ctgroup.chunking import ChunkerConfig, chunk_all
-from ctgroup.features import CtfVector, build_ctf, strong_relation
+from ctgroup.features import CtfVector, Partition, build_ctf, strong_relation
 from ctgroup.grouping import (
     GrouperConfig,
     build_grouping,
@@ -67,8 +68,9 @@ def verdict(name):
     _announce(name, "PASS")
 
 
-def singleton_members(chunk_ids):
-    return {c: (c * 8,) for c in chunk_ids}
+def singleton_members(count):
+    """Chunks 0..count-1, chunk c holding address c * 8 alone."""
+    return Partition.of((c * 8,) for c in range(count))
 
 
 class TestExtraction:
@@ -128,7 +130,7 @@ class TestGroupingInvariants:
         txns = extract_transactions(trace, ExtractorConfig(65536))
         matrix = build_ctf(txns)
         chunkset = chunk_all(matrix, ChunkerConfig())
-        grp = build_grouping(txns, chunkset.members(), GrouperConfig())
+        grp = build_grouping(txns, chunkset.partition, GrouperConfig())
 
         # each transacted datum lands in exactly one chunk and one group
         chunk_members = [a for c in chunkset.chunks for a in c.members]
@@ -183,7 +185,7 @@ class TestGroupingInvariants:
                 alpha = rng.choice([0.0, 0.3, 0.6])
                 mu = rng.choice([0.0, 0.3, 0.5, 1.0])
                 rels = legal_relations(counts, pops, alpha)
-                grp = merge_groups(rels, singleton_members(chunk_ids), mu)
+                grp = merge_groups(rels, singleton_members(n), mu)
                 expected = ref_merge_groups(
                     [(r.x, r.y) for r in rels], chunk_ids, mu
                 )
@@ -205,14 +207,13 @@ class TestPlantedRecovery:
                 matrix = build_ctf(txns)
                 chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
                 grp = build_grouping(
-                    txns, chunkset.members(), GrouperConfig(alpha=0.5, mu=0.5)
+                    txns, chunkset.partition, GrouperConfig(alpha=0.5, mu=0.5)
                 )
                 got = {g.members for g in grp.groups if len(g.members) > 1}
                 planted = {tuple(g) for g in truth.groups}
-                singles_ok = all(
-                    len(grp.group_of(a).members) == 1
-                    for a in truth.ungrouped if a in grp.lookup
-                )
+                group_sizes = np.diff(grp.partition.offsets)
+                labels = grp.partition.labels(np.array(truth.ungrouped, dtype=np.int64))
+                singles_ok = all(group_sizes[labels[labels >= 0]] == 1)
                 if got == planted and singles_ok:
                     successes += 1
             assert successes >= 95
@@ -234,7 +235,7 @@ def cache_metric_rows():
     txns = extract_transactions(train, ExtractorConfig(65536))
     matrix = build_ctf(txns)
     chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
-    grp = build_grouping(txns, chunkset.members(), GrouperConfig())
+    grp = build_grouping(txns, chunkset.partition, GrouperConfig())
     table = simulator.GroupTable.from_grouping(grp)
     rows = simulator.sweep(
         test, table, [0.001, 0.002, 0.004, 0.008],

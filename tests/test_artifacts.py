@@ -4,7 +4,7 @@ import pytest
 from ctgroup import artifacts
 from ctgroup.chunking import load_chunk_members
 from ctgroup.errors import ConfigError, DataError, InvariantError
-from ctgroup.features import load_ctf
+from ctgroup.features import Partition, load_ctf
 from ctgroup.grouping import load_grouping_members
 from ctgroup.pipeline import PipelineConfig, run_pipeline
 from ctgroup.transactions import (
@@ -201,6 +201,23 @@ class TestChecks:
         assert rows.repeated(within_rows=True).tolist() == [False, False, True, False,
                                                             False, False, False, True, True]
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 18])
+    def test_repeats_within_rows_over_slices(self, monkeypatch, block):
+        # slices of about ``block`` values, cut only between rows, some of
+        # them empty or longer than a slice
+        monkeypatch.setattr(artifacts, "READ_BLOCK", block)
+        rng = np.random.default_rng(block)
+        lengths = rng.choice([0, 1, 2, 4, 9], size=60)
+        values = rng.integers(0, 6, lengths.sum())
+        offsets = np.append(0, np.cumsum(lengths))
+        rows = artifacts.Rows("x", {}, np.arange(60), values, offsets,
+                              np.zeros(60, bool), np.arange(60) + 2)
+        expected = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            row = values[lo:hi].tolist()
+            expected += [v in row[:k] for k, v in enumerate(row)]
+        assert rows.repeated(within_rows=True).tolist() == expected
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
@@ -232,7 +249,9 @@ def loaded(name, path):
     value, header = LOADERS[name](path)
     if isinstance(value, TransactionLog):
         value = (value.members.tolist(), value.offsets.tolist(), value.partial)
-    elif not isinstance(value, dict):  # a CtfMatrix
+    elif isinstance(value, Partition):
+        value = (value.members.tolist(), value.offsets.tolist())
+    else:  # a CtfMatrix
         value = (value.num_transactions, value.addresses.tolist(),
                  value.offsets.tolist(), value.indices.tolist(), value.indices.dtype)
     return value, header

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ctgroup import features
@@ -14,8 +15,9 @@ from ctgroup.chunking import (
     save_chunks,
 )
 from ctgroup.errors import ConfigError, UnknownDatumError
-from ctgroup.features import CtfMatrix, CtfVector, build_ctf, strong_relation
-from ctgroup.transactions import CacheTransaction
+from ctgroup.features import CtfMatrix, CtfVector, build_ctf, distance, strong_relation
+from ctgroup.synthetic import SyntheticSpec, synthesize_trace
+from ctgroup.transactions import CacheTransaction, ExtractorConfig, extract_transactions
 from reference import ref_cluster, replay_audit
 
 
@@ -23,7 +25,15 @@ def matrix(vectors, dim=None):
     """CtfMatrix from {addr: iterable-of-indices}."""
     if dim is None:
         dim = 1 + max((b for bits in vectors.values() for b in bits), default=-1)
-    return CtfMatrix.from_rows(dim, ((a, sorted(vectors[a])) for a in sorted(vectors)))
+    rows = [sorted(vectors[a]) for a in sorted(vectors)]
+    return CtfMatrix(dim, np.array(sorted(vectors), dtype=np.int64),
+                     np.cumsum([0, *map(len, rows)], dtype=np.int64),
+                     np.array([b for row in rows for b in row], dtype=np.int32))
+
+
+def or_feature(ctf, members):
+    """The OR of the members' vectors."""
+    return CtfVector(sorted(set().union(*(ctf[a].bits for a in members))))
 
 
 class TestAreaKey:
@@ -87,35 +97,28 @@ class TestPreBlock:
 class TestClusterArea:
     def test_identical_vectors_collapse(self):
         ctf = matrix({0: {0, 1}, 4: {0, 1}, 8: {2}})
-        out = cluster_area([0, 4, 8], ctf, sigma=0.0)
-        assert [m for m, _ in out] == [(0, 4), (8,)]
-        assert out[0][1].bits == (0, 1)
+        assert cluster_area([0, 4, 8], ctf, sigma=0.0) == [(0, 4), (8,)]
 
     def test_qualifying_pair_merges(self):
         # distance 1 <= ((4+3)/2)*0.5
         ctf = matrix({0: {0, 1, 2, 3}, 4: {0, 1, 2}})
-        out = cluster_area([0, 4], ctf, sigma=0.5)
-        assert [m for m, _ in out] == [(0, 4)]
-        assert out[0][1].bits == (0, 1, 2, 3)
+        assert cluster_area([0, 4], ctf, sigma=0.5) == [(0, 4)]
 
     def test_non_qualifying_pair_stays_split(self):
         ctf = matrix({0: {0}, 4: {1}})
-        out = cluster_area([0, 4], ctf, sigma=0.9)
-        assert [m for m, _ in out] == [(0,), (4,)]
+        assert cluster_area([0, 4], ctf, sigma=0.9) == [(0,), (4,)]
 
     def test_smallest_distance_merges_first(self):
         # b is distance 1 from a and 2 from c; after (a, b) merges the
         # combined feature no longer qualifies with c
         ctf = matrix({0: {0, 1, 2}, 4: {0, 1, 2, 3}, 8: {0, 1, 4, 5}})
-        out = cluster_area([0, 4, 8], ctf, sigma=0.35)
-        assert [m for m, _ in out] == [(0, 4), (8,)]
+        assert cluster_area([0, 4, 8], ctf, sigma=0.35) == [(0, 4), (8,)]
 
     def test_euclidean_metric_admits_more(self):
         # count 4 > ((4+8)/2)*0.5 = 3, but sqrt(4) = 2 <= 3
         ctf = matrix({0: set(range(4)), 4: set(range(8))})
-        assert [m for m, _ in cluster_area([0, 4], ctf, 0.5)] == [(0,), (4,)]
-        out = cluster_area([0, 4], ctf, 0.5, metric="euclidean")
-        assert [m for m, _ in out] == [(0, 4)]
+        assert cluster_area([0, 4], ctf, 0.5) == [(0,), (4,)]
+        assert cluster_area([0, 4], ctf, 0.5, metric="euclidean") == [(0, 4)]
 
     def test_euclidean_disjoint_pair_merges(self):
         # sqrt(8) <= ((4+4)/2)*1: disjoint vectors qualify once
@@ -124,14 +127,12 @@ class TestClusterArea:
         vectors = {0: {0, 1, 2, 3}, 4: {4, 5, 6, 7}}
         assert strong_relation(CtfVector([0, 1, 2, 3]), CtfVector([4, 5, 6, 7]),
                                1.0, "euclidean")
-        out = cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean")
-        assert [m for m, _ in out] == [(0, 4)]
-        assert out[0][1].bits == tuple(range(8))
-        assert [m for m, _ in cluster_area(vectors, matrix(vectors), 1.0)] == [(0,), (4,)]
+        assert cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean") == [(0, 4)]
+        assert cluster_area(vectors, matrix(vectors), 1.0) == [(0,), (4,)]
         vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5, 6, 7, 8}, 12: set()}
         out = cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean")
-        assert {m for m, _ in out} == ref_cluster(vectors, 1.0, "euclidean")
-        assert [m for m, _ in out] == [(0, 4, 8, 12)]
+        assert set(out) == ref_cluster(vectors, 1.0, "euclidean")
+        assert out == [(0, 4, 8, 12)]
 
     @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
     def test_matches_reference_euclidean(self, monkeypatch, pair_batch):
@@ -145,10 +146,10 @@ class TestClusterArea:
                 a * 4: frozenset(rng.sample(range(dim), rng.randint(0, min(dim, 8))))
                 for a in rng.sample(range(60), rng.randint(2, 20))
             }
-            sigma = rng.choice([0.0, 0.3, 0.5, 2 / 3, 0.8, 1.0, 1.5, 2.0])
+            sigma = rng.choice([0.0, 0.3, 0.5, 2 / 3, 0.8, 1.0])
             ctf = matrix(vectors, dim=dim)
             audit = []
-            got = {m for m, _ in cluster_area(vectors, ctf, sigma, "euclidean", audit)}
+            got = set(cluster_area(vectors, ctf, sigma, "euclidean", audit))
             assert got == ref_cluster(vectors, sigma, "euclidean")
             assert replay_audit({a: ctf[a] for a in vectors}, audit) == got
 
@@ -169,20 +170,15 @@ class TestClusterArea:
             }
             sigma = rng.choice([0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
             ctf = matrix(vectors, dim=10)
-            got = {m for m, _ in cluster_area(vectors, ctf, sigma)}
+            got = set(cluster_area(vectors, ctf, sigma))
             assert got == ref_cluster(vectors, sigma)
 
-    def test_disjoint_pairs_qualify_from_sigma_two(self):
-        # d = |x| + |y| for disjoint vectors, within the threshold once
-        # sigma >= 2: after (0, 4) merges, 8 and the empty 12 still join
+    @pytest.mark.parametrize("sigma", [-0.1, 1.5, 2.0])
+    def test_sigma_outside_unit_interval_rejected(self, sigma):
+        # as ChunkerConfig rejects it: no config selects such a sigma
         vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5}, 12: set()}
-        ctf = matrix(vectors, dim=6)
-        out = cluster_area(vectors, ctf, sigma=2.0)
-        assert [m for m, _ in out] == [(0, 4, 8, 12)]
-        assert {m for m, _ in out} == ref_cluster(vectors, 2.0)
-        # the OR feature stays a tuple of int indices, the empty one included
-        assert out[0][1].bits == (0, 1, 2, 5)
-        assert all(type(b) is int for b in out[0][1].bits)
+        with pytest.raises(ConfigError, match="sigma must be in"):
+            cluster_area(vectors, matrix(vectors, dim=6), sigma)
 
     @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
     def test_matches_reference_on_ties(self, monkeypatch, pair_batch):
@@ -198,11 +194,10 @@ class TestClusterArea:
                 a * 4: frozenset(rng.sample(range(dim), rng.randint(1, min(dim, 4))))
                 for a in rng.sample(range(60), rng.randint(2, 30))
             }
-            # above 1 every pair is a candidate; from 2 disjoint ones qualify
-            sigma = rng.choice([0.4, 0.5, 2 / 3, 0.8, 1.0, 1.5, 2.0])
+            sigma = rng.choice([0.4, 0.5, 2 / 3, 0.8, 1.0])
             ctf = matrix(vectors, dim=dim)
             audit = []
-            got = {m for m, _ in cluster_area(vectors, ctf, sigma, audit=audit)}
+            got = set(cluster_area(vectors, ctf, sigma, audit=audit))
             assert got == ref_cluster(vectors, sigma)
             assert replay_audit({a: ctf[a] for a in vectors}, audit) == got
 
@@ -217,7 +212,7 @@ class TestClusterArea:
             audit = []
             out = cluster_area(vectors, ctf, 0.6, audit=audit)
             feats = {a: ctf[a] for a in vectors}
-            assert replay_audit(feats, audit) == {m for m, _ in out}
+            assert replay_audit(feats, audit) == set(out)
             # every recorded merge satisfied the predicate when executed
             for rec in audit:
                 assert rec.distance <= rec.threshold
@@ -240,8 +235,9 @@ class TestChunkAll:
         assert sorted(covered) == ctf.addresses.tolist()
         assert len(covered) == len(set(covered))
         for chunk in chunkset.chunks:
-            assert chunkset.lookup[chunk.members[0]] == chunk.id
-            assert chunkset.chunk_of(chunk.members[-1]) is chunk
+            assert chunkset.partition.labels(np.array(chunk.members)).tolist() == [
+                chunk.id] * len(chunk.members)
+        assert chunkset.partition.labels(np.array([4, 1 << 30])).tolist() == [-1, -1]
 
     def test_chunks_never_cross_areas(self):
         ctf = self.small_matrix()
@@ -255,13 +251,18 @@ class TestChunkAll:
             assert keys == {chunk.area}
 
     def test_feature_is_or_of_members(self):
-        ctf = self.small_matrix()
-        chunkset = chunk_all(ctf, ChunkerConfig(q=4, sigma=1.0))
-        for chunk in chunkset.chunks:
-            union = set()
-            for a in chunk.members:
-                union |= ctf[a].index_set
-            assert set(chunk.feature.bits) == union
+        # each audited merge is scored on the distance between the two
+        # clusters' OR features, computed here from the CTF
+        spec = SyntheticSpec(num_data=120, num_accesses=4000, rng_seed=1,
+                             group_structure=[(8, 0.8)] * 6)
+        ctf = build_ctf(extract_transactions(synthesize_trace(spec)[0],
+                                             ExtractorConfig(32768)))
+        chunkset = chunk_all(ctf, ChunkerConfig(q=2, sigma=0.6))
+        assert any(len(rec.members_a) > 1 or len(rec.members_b) > 1
+                   for rec in chunkset.audit)
+        for rec in chunkset.audit:
+            assert rec.distance == distance(or_feature(ctf, rec.members_a),
+                                            or_feature(ctf, rec.members_b))
 
     def test_sigma_zero_only_identical_merge(self):
         ctf = self.small_matrix()
@@ -278,7 +279,8 @@ class TestChunkAll:
         for c in singles:
             for other in chunkset.chunks:
                 if other.id != c.id and other.area == c.area:
-                    assert not strong_relation(c.feature, other.feature, 0.3)
+                    assert not strong_relation(or_feature(ctf, c.members),
+                                               or_feature(ctf, other.members), 0.3)
 
     def test_ids_deterministic(self):
         ctf = self.small_matrix()
@@ -301,8 +303,10 @@ class TestSerialization:
         chunkset = chunk_all(build_ctf(txns), ChunkerConfig(q=2, sigma=0.5))
         path = tmp_path / "chunks.tsv"
         save_chunks(path, chunkset, {"window_bytes": 8}, config_hash="qq")
-        members, header = load_chunk_members(path)
-        assert members == {c.id: c.members for c in chunkset.chunks}
+        chunks, header = load_chunk_members(path)
+        assert chunks.parts() == [c.members for c in chunkset.chunks]
+        assert chunks.members.tolist() == chunkset.partition.members.tolist()
+        assert chunks.offsets.tolist() == chunkset.partition.offsets.tolist()
         assert header["config_hash"] == "qq"
         assert header["q"] == "2"
         assert header["window_bytes"] == "8"

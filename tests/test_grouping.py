@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from ctgroup import features, grouping
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.errors import ConfigError, UnknownDatumError
-from ctgroup.features import build_ctf
+from ctgroup.features import Partition, build_ctf
 from ctgroup.grouping import (
     ASCENDING,
     DESCENDING,
@@ -39,16 +40,16 @@ def txn(index, *members, partial=False):
     return CacheTransaction(index, members, partial)
 
 
-def singleton_members(chunk_ids):
-    return {c: (c * 8,) for c in chunk_ids}
+def singleton_members(count):
+    """Chunks 0..count-1, chunk c holding address c * 8 alone."""
+    return Partition.of((c * 8,) for c in range(count))
 
 
 def members_of(lookup):
-    """Chunk id -> addresses, from address -> chunk id."""
-    members = {}
-    for address, chunk in sorted(lookup.items()):
-        members.setdefault(chunk, []).append(address)
-    return members
+    """The chunks of address -> chunk id; a chunk id no address maps to
+    is an empty chunk."""
+    return Partition.of([a for a, c in lookup.items() if c == chunk]
+                        for chunk in range(max(lookup.values()) + 1))
 
 
 class TestCooccurrence:
@@ -173,7 +174,7 @@ class TestLegalRelations:
                 assert got == expected
 
     def test_fused_path_rejects_unknown_address(self, monkeypatch):
-        members = {0: (0, 4), 1: (8,)}
+        members = Partition.of([(0, 4), (8,)])
         with pytest.raises(UnknownDatumError) as exc:
             compute_legal_relations([txn(0, 0, 8), txn(1, 4, 999)], members, 0.5)
         assert exc.value.address == 999
@@ -202,46 +203,50 @@ class TestLegalRelations:
 class TestMergeGroups:
     def test_single_relation_merges_at_mu_one(self):
         rels = [Relation(0, 1, 9)]
-        grouping = merge_groups(rels, singleton_members([0, 1]), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(2), mu=1.0)
         assert [g.chunk_ids for g in grouping.groups] == [(0, 1)]
 
     def test_growing_groups_need_more_edges(self):
         # after (0,1) merge, {0,1} vs {2} needs 2 edges at mu=1: the first
         # cross relation only bumps the counter, the second completes it
         rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members([0, 1, 2]), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
         assert [g.chunk_ids for g in grouping.groups] == [(0, 1, 2)]
         assert grouping.processed_cross == 3
         assert grouping.groups[0].internal_edges == 3
 
     def test_insufficient_edges_leave_groups_apart(self):
         rels = [Relation(0, 1, 9), Relation(0, 2, 8)]
-        grouping = merge_groups(rels, singleton_members([0, 1, 2]), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
         assert [g.chunk_ids for g in grouping.groups] == [(0, 1), (2,)]
 
     def test_mu_zero_merges_on_first_contact(self):
         rels = [Relation(0, 1, 5), Relation(2, 3, 4), Relation(1, 2, 1)]
-        grouping = merge_groups(rels, singleton_members([0, 1, 2, 3]), mu=0.0)
+        grouping = merge_groups(rels, singleton_members(4), mu=0.0)
         assert [g.chunk_ids for g in grouping.groups] == [(0, 1, 2, 3)]
 
     def test_unrelated_chunks_become_singletons(self):
-        grouping = merge_groups([], singleton_members([3, 1, 7]), mu=0.5)
-        assert [g.chunk_ids for g in grouping.groups] == [(1,), (3,), (7,)]
+        grouping = merge_groups([], singleton_members(3), mu=0.5)
+        assert [g.chunk_ids for g in grouping.groups] == [(0,), (1,), (2,)]
         assert all(g.internal_edges == 0 for g in grouping.groups)
 
-    def test_members_sorted_and_lookup_complete(self):
-        members = {0: (16, 0), 1: (8,)}
-        grouping = merge_groups([Relation(0, 1, 3)], members, mu=1.0)
+    def test_groups_ordered_by_smallest_chunk_id(self):
+        rels = [Relation(1, 3, 9), Relation(0, 2, 8)]
+        grouping = merge_groups(rels, singleton_members(4), mu=1.0)
+        assert [g.chunk_ids for g in grouping.groups] == [(0, 2), (1, 3)]
+        assert [g.members for g in grouping.groups] == [(0, 16), (8, 24)]
+
+    def test_members_sorted_and_labels_complete(self):
+        chunks = Partition.of([(16, 0), (8,)])
+        grouping = merge_groups([Relation(0, 1, 3)], chunks, mu=1.0)
         (group,) = grouping.groups
         assert group.members == (0, 8, 16)
-        assert grouping.lookup == {0: 0, 8: 0, 16: 0}
-        assert grouping.group_of(8) is group
-        with pytest.raises(UnknownDatumError):
-            grouping.group_of(24)
+        labels = grouping.partition.labels(np.array([0, 8, 16, 24]))
+        assert labels.tolist() == [0, 0, 0, -1]
 
     def test_same_group_relations_skipped(self):
         rels = [Relation(0, 1, 9), Relation(0, 1, 2)]
-        grouping = merge_groups(rels, singleton_members([0, 1]), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(2), mu=1.0)
         assert grouping.skipped_same_group == 1
         assert grouping.processed_cross == 1
 
@@ -264,7 +269,7 @@ class TestOracle:
     def test_matches_reference(self, rng):
         for _ in range(200):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(chunk_ids), mu)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
             got = {g.chunk_ids for g in grouping.groups}
             expected = ref_merge_groups([(r.x, r.y) for r in rels], chunk_ids, mu)
             assert got == expected
@@ -272,7 +277,7 @@ class TestOracle:
     def test_audit_replays_partition(self, rng):
         for _ in range(100):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(chunk_ids), mu)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
             replayed = replay_group_audit(chunk_ids, grouping.audit)
             assert replayed == {g.chunk_ids for g in grouping.groups}
             for rec in grouping.audit:
@@ -283,14 +288,14 @@ class TestOracle:
         # them end up counted as internal edges
         for _ in range(50):
             chunk_ids, rels, _ = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(chunk_ids), 0.0)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), 0.0)
             total = sum(g.internal_edges for g in grouping.groups)
             assert total == grouping.processed_cross
 
     def test_internal_edges_bounded(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(chunk_ids), mu)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
             assert sum(g.internal_edges for g in grouping.groups) <= grouping.processed_cross
             for g in grouping.groups:
                 n = len(g.chunk_ids)
@@ -298,17 +303,17 @@ class TestOracle:
 
     def test_deterministic(self, rng):
         chunk_ids, rels, mu = self.random_instance(rng)
-        a = merge_groups(rels, singleton_members(chunk_ids), mu)
-        b = merge_groups(rels, singleton_members(chunk_ids), mu)
+        a = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
+        b = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
         assert [g.chunk_ids for g in a.groups] == [g.chunk_ids for g in b.groups]
 
     def test_partition_invariant(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
-            members = {c: (c * 8, c * 8 + 4) for c in chunk_ids}
-            grouping = merge_groups(rels, members, mu)
+            chunks = Partition.of((c * 8, c * 8 + 4) for c in chunk_ids)
+            grouping = merge_groups(rels, chunks, mu)
             covered = [a for g in grouping.groups for a in g.members]
-            assert sorted(covered) == sorted(a for v in members.values() for a in v)
+            assert sorted(covered) == sorted(chunks.members.tolist())
             assert len(covered) == len(set(covered))
 
 
@@ -324,7 +329,7 @@ class TestEndToEnd:
         ]
         ctf = build_ctf(txns)
         chunkset = chunk_all(ctf, ChunkerConfig(q=2, sigma=0.0))
-        return build_grouping(txns, chunkset.members(),
+        return build_grouping(txns, chunkset.partition,
                               GrouperConfig(alpha=0.5, mu=mu)), chunkset
 
     def test_clusters_recovered(self):
@@ -357,18 +362,21 @@ class TestEndToEnd:
                              group_structure=[(8, 0.8)] * 10 + [(4, 1.0)] * 10)
         trace, _truth = synthesize_trace(spec)
         txns = extract_transactions(trace, ExtractorConfig(32768, mode))
-        chunkset = chunk_all(build_ctf(txns, include_partial=include_partial),
-                             ChunkerConfig(sigma=sigma), metric=metric)
-        pops = {c.id: c.feature.popcount() for c in chunkset.chunks}
-        assert ref_chunk_popcounts(txns, chunkset.lookup, include_partial) == pops
-        counts = count_cooccurrence(txns, chunkset.lookup, include_partial)
-        got = compute_legal_relations(txns, chunkset.members(), 0.5,
+        ctf = build_ctf(txns, include_partial=include_partial)
+        chunkset = chunk_all(ctf, ChunkerConfig(sigma=sigma), metric=metric)
+        # the popcount of each chunk's OR feature, from the CTF
+        pops = {c.id: len(set().union(*(ctf[a].bits for a in c.members)))
+                for c in chunkset.chunks}
+        lookup = {a: c.id for c in chunkset.chunks for a in c.members}
+        assert ref_chunk_popcounts(txns, lookup, include_partial) == pops
+        counts = count_cooccurrence(txns, lookup, include_partial)
+        got = compute_legal_relations(txns, chunkset.partition, 0.5,
                                       include_partial=include_partial)
         assert got == legal_relations(counts, pops, 0.5)
 
     def test_report_density_of_merged_chunks(self):
         rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members([0, 1, 2]), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
         report = grouping_report(grouping)
         assert report.chunk_size_histogram == {3: 1}
         assert report.densities[0] == 1.0
@@ -377,12 +385,13 @@ class TestEndToEnd:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         rels = [Relation(0, 1, 3)]
-        members = {0: (0, 4), 1: (8,), 2: (1000,)}
-        grouping = merge_groups(rels, members, mu=1.0)
+        chunks = Partition.of([(0, 4), (8,), (1000,)])
+        grouping = merge_groups(rels, chunks, mu=1.0)
         path = tmp_path / "grouping.csv"
         save_grouping(path, grouping, {"window_bytes": 64}, config_hash="gg")
         loaded, header = load_grouping_members(path)
-        assert loaded == {g.id: g.members for g in grouping.groups}
+        assert loaded.parts() == [g.members for g in grouping.groups] == [
+            (0, 4, 8), (1000,)]
         assert header["config_hash"] == "gg"
         assert header["mu"] == "1.0"
         assert header["window_bytes"] == "64"

@@ -120,8 +120,8 @@ class TestRunPipeline:
         out = tmp_path / "out"
         cfg = config_for(spec_file, out)
         run_pipeline(cfg)
-        members, _ = load_grouping_members(out / "grouping.csv")
-        got = {v for v in members.values() if len(v) > 1}
+        groups, _ = load_grouping_members(out / "grouping.csv")
+        got = {v for v in groups.parts() if len(v) > 1}
         stride, gap = 4096, 1 << 20
         planted = {
             tuple(base * gap + j * stride for j in range(4))
@@ -483,6 +483,27 @@ class TestArtifactGuards:
         assert self.run("simulate", *self.flags(spec_file, out)) == 3
         message = f"address {address} is listed twice"
         assert f"{path}, line {len(lines)}: {message}" in capsys.readouterr().err
+
+    def test_grouping_rows_load_in_gid_order(self, spec_file, tmp_path, capsys):
+        # gids out of order, not contiguous and interleaved: groups are
+        # ordered by gid and numbered from 0, members ascending
+        out = tmp_path / "out"
+        assert self.run("pipeline", *self.flags(spec_file, out)) == 0
+        path = out / "grouping.csv"
+        head = path.read_text().splitlines()[:2]
+        rows = ["5,16", "2,8", "5,0", "9,40", "2,4", "5,12"]
+        path.write_text("\n".join(head + rows) + "\n")
+        group = next(stage for stage in pipeline.STAGE_TABLE if stage.name == "group")
+        table = group.load(path, None, None, {})
+        assert len(table.members) == 3
+        assert [table.members[gid] for gid in range(3)] == [(4, 8), (0, 12, 16), (40,)]
+        assert self.run("simulate", *self.flags(spec_file, out)) == 0
+        # an address repeated under another, interleaved gid
+        path.write_text("\n".join(head + rows + ["2,0", "9,48"]) + "\n")
+        capsys.readouterr()
+        assert self.run("simulate", *self.flags(spec_file, out)) == 3
+        line = len(head) + len(rows) + 1
+        assert f"{path}, line {line}: address 0 is listed twice" in capsys.readouterr().err
 
     def test_missing_hash_exit_three(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -375,10 +375,9 @@ class TestGroupColumn:
         for case in range(120):
             monkeypatch.setattr(trace_module, "ROW_BLOCK", rng.choice([1, 7, 1 << 15]))
             trace, table, _ = TestReferenceReplay.random_case(rng)
-            groups = [table.members[gid] for gid in sorted(table.members)]
             got = simulator.group_column(trace.addresses, table)
             assert got.dtype == np.int32
-            assert got.tolist() == ref_group_column(trace.addresses.tolist(), groups)
+            assert got.tolist() == ref_group_column(trace.addresses.tolist(), table.members)
 
     def test_alternating_keys_match_reference(self):
         # one trace replayed under two tables, two extra-size maps and both
