@@ -45,6 +45,41 @@ def _blocks(fh, size: int) -> Iterator[bytes]:
         yield carry
 
 
+class _Columns:
+    """Columns of one length, filled a file block at a time. When a block
+    does not fit, room is made for as many rows as the file read so far
+    predicts for the whole file, and at least a quarter more; the columns
+    are trimmed once at the end. So the rows are copied once, into place,
+    and the columns are never joined from pieces."""
+
+    def __init__(self, fh, dtypes, most: int | None = None):
+        self.size = os.fstat(fh.fileno()).st_size  # the file's bytes
+        self.most = most  # a cap on the rows, if any
+        self.columns = [np.empty(0, dtype) for dtype in dtypes]
+        self.length = 0
+
+    def extend(self, read: int, count: int) -> list[np.ndarray]:
+        """Views of ``count`` more rows of each column, to be filled, once
+        ``read`` bytes of the file are read."""
+        end = self.length + count
+        if end > len(self.columns[0]):
+            room = max(end * self.size // max(read, 1) + 1, len(self.columns[0]) * 5 // 4)
+            room = max(end, room if self.most is None else min(room, self.most))
+            grown = [np.empty(room, column.dtype) for column in self.columns]
+            for new, column in zip(grown, self.columns):
+                new[:self.length] = column[:self.length]
+            self.columns = grown
+        views = [column[self.length:end] for column in self.columns]
+        self.length = end
+        return views
+
+    def trimmed(self) -> list[np.ndarray]:
+        """The columns, cut to the rows filled."""
+        for column in self.columns:
+            column.resize(self.length, refcheck=False)  # shrinks in place
+        return self.columns
+
+
 def _line_bounds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the lines of a block, line ends excluded.
 
@@ -234,17 +269,24 @@ def read_rows(path, config_hash=None, sep="\t", columns=None, flag=None) -> Rows
         if columns is not None and column_line != columns:
             raise DataError(f"{path}, line 2: expected the column line {columns!r}")
         lead = 1 if columns is None else 2  # lines before the data
-        parts, line_count = [], 0
+        rows = _Columns(fh, (np.int64, np.int64, bool, np.int64))
+        values = _Columns(fh, (np.int64,))
+        line_count = read = 0
         for block in _blocks(fh, READ_BLOCK):
             b = np.frombuffer(block, np.uint8)
             starts, ends = _line_bounds(b)
             skip = min(max(lead - line_count, 0), len(starts))
-            parts.append(_parse_rows(path, b, starts[skip:], ends[skip:], sep, flag,
-                                     line_count + skip))
+            ids, block_values, counts, flagged, lines = _parse_rows(
+                path, b, starts[skip:], ends[skip:], sep, flag, line_count + skip)
+            read += len(block)
+            pieces = (ids, counts, flagged, lines)
+            for out, piece in zip(rows.extend(read, len(ids)), pieces):
+                out[:] = piece
+            values.extend(read, len(block_values))[0][:] = block_values
             line_count += len(starts)
-    ids, values, counts, flagged, lines = (np.concatenate(c) for c in zip(*parts))
-    return Rows(str(path), header, ids, values, np.append(0, np.cumsum(counts)),
-                flagged, lines)
+    ids, counts, flagged, lines = rows.trimmed()
+    return Rows(str(path), header, ids, values.trimmed()[0],
+                np.append(0, np.cumsum(counts)), flagged, lines)
 
 
 def _parse_rows(path, b, starts, ends, sep, flag, before):

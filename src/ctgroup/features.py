@@ -289,8 +289,9 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions start, start + 1, ..., start + length - 1 of each
     (start, length) pair, back to back."""
     ends = np.cumsum(lengths)
-    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
-        starts - ends + lengths, lengths)
+    positions = np.repeat(starts - ends + lengths, lengths)
+    positions += np.arange(len(positions))
+    return positions
 
 
 def _pair_keys(values, tails, positions, stride, count):

@@ -30,6 +30,7 @@ import numpy as np
 from .artifacts import (
     READ_BLOCK,
     _blocks,
+    _Columns,
     _fields_equal,
     _line_bounds,
     _per_line,
@@ -333,19 +334,21 @@ def load_trace(
     at either end. Every other line goes, in file order, through the
     per-line parser, which decides the blank lines, the header, the errors
     and the skips. No line after the max_records-th record is parsed.
+    Each block's records go straight into the columns, which are trimmed
+    once at the end.
     """
     filters = [(k, value.encode("utf-8")) for k, value in ((1, host), (2, disk))
                if value is not None]
     # records are kept up to and including the max_records-th, and the
     # first one always
     limit = None if max_records is None else max(max_records, 1)
-    blocks: list[tuple] = []
-    total = skipped = line_count = 0
+    skipped = line_count = read = 0
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
     with fh:
+        kept = _Columns(fh, (np.int64, np.int64, np.int64, np.uint8), limit)
         for block in _blocks(fh, READ_BLOCK):
             b = np.frombuffer(block, np.uint8)
             starts, ends = _line_bounds(b)
@@ -355,7 +358,7 @@ def load_trace(
             kept_before = np.cumsum(keep)[odd].tolist()
             odd_kept = 0
             for i, before in zip(odd.tolist(), kept_before):
-                if limit is not None and total + before + odd_kept >= limit:
+                if limit is not None and kept.length + before + odd_kept >= limit:
                     break
                 line_no = line_count + i + 1
                 line = block[starts[i]:ends[i]].decode("utf-8", "surrogateescape")
@@ -387,18 +390,17 @@ def load_trace(
                 odd_kept += 1
             rows = np.flatnonzero(keep)
             if limit is not None:
-                rows = rows[:limit - total]
-            blocks.append(tuple(column[rows] for column in columns))
-            total += len(rows)
+                rows = rows[:limit - kept.length]
+            read += len(block)
+            for out, column in zip(kept.extend(read, len(rows)), columns):
+                np.take(column, rows, out=out, mode="clip")  # unbuffered
             line_count += len(starts)
-            if total == limit:
+            if kept.length == limit:
                 break
-    if not total:
+    if not kept.length:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    timestamps, addresses, sizes, op_codes = (np.concatenate(c) for c in zip(*blocks))
-    trace = Trace(timestamps, addresses, sizes, op_codes, source_label=label,
-                  skipped=skipped)
+    trace = Trace(*kept.trimmed(), source_label=label, skipped=skipped)
     if ops != "both":
         trace = trace.filter_ops(ops)
         if len(trace) == 0:

@@ -22,11 +22,23 @@ load_trace reads a 100k-line canonical CSV (4.8 MB). Its bound sits
 between its peak when it built four Python int lists of the whole file,
 13.6 MiB, and when it parses 256 KiB blocks with numpy, 4.9 MiB.
 
+At 250k lines (12.2 MB, 6.0 MiB of columns) the columns dominate
+load_trace's peak: 12.1 MiB when it joined per-block pieces at the end,
+holding the columns twice, and 8.6 MiB when it fills them in place.
+
 load_transactions reads the instance's transaction log back (0.8 MB, 79k
 members). Its bound sits between its peak when artifacts.read_rows parsed
 the whole file as one block, 6.5 MiB, and in 256 KiB blocks, 3.2 MiB; the
 log's own arrays are 0.6 MiB. The row-by-row parser it replaced peaked at
-1.0 MiB.
+1.0 MiB. Since read_rows fills its columns in place, the peak is 4.1 MiB:
+the columns are reserved while the first block's temporaries peak, so
+this bound stays as it was.
+
+synthesize_trace runs at perfbench's planted-300k shape (20,000 data,
+2,000 groups of 8 at probability 1.0, 300k accesses; 7.2 MiB of trace
+columns). Its bound sits between its peak when it drew one access at a
+time into a Python list, 15.7 MiB, and when it decodes blocks of
+WORD_BLOCK words into columns filled in place, 11.5 MiB.
 
 Rows.repeated(within_rows=True), load_transactions' repeat check, runs on
 50,000 rows of 20 values built in memory. Its bound sits between its peak
@@ -128,6 +140,17 @@ def test_load_trace_peak(tmp_path):
     assert peak <= 8 * MIB, f"load_trace peaked at {peak / MIB:.2f} MiB"
 
 
+def test_load_trace_columns_peak(tmp_path):
+    spec = SyntheticSpec(num_data=1600, num_accesses=250000,
+                         group_structure=[(8, 0.8)] * 30, rng_seed=7)
+    trace = synthesize_trace(spec)[0]
+    path = tmp_path / "trace.csv"
+    trace.save(path)  # 250k canonical lines, 12.2 MB
+    loaded, peak = traced_peak(load_trace, path)
+    assert np.array_equal(loaded.addresses, trace.addresses)
+    assert peak <= 10 * MIB, f"load_trace peaked at {peak / MIB:.2f} MiB"
+
+
 def test_load_transactions_peak(instance, tmp_path):
     txns, _ctf = instance
     path = tmp_path / "transactions.tsv"
@@ -147,3 +170,11 @@ def test_repeated_within_rows_peak():
     ordered = np.sort(values.reshape(count, width), axis=1)
     assert mask.sum() == (ordered[:, 1:] == ordered[:, :-1]).sum()
     assert peak <= 14 * MIB, f"Rows.repeated peaked at {peak / MIB:.2f} MiB"
+
+
+def test_synthesize_peak():
+    spec = SyntheticSpec(num_data=20000, num_accesses=300000,
+                         group_structure=[(8, 1.0)] * 2000, rng_seed=1)
+    (trace, _truth), peak = traced_peak(synthesize_trace, spec)
+    assert len(trace) == 300000
+    assert peak <= 14 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"

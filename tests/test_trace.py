@@ -10,6 +10,7 @@ from ctgroup.errors import (
     RejectedRecordError,
     TraceParseError,
 )
+from ctgroup import synthetic
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.trace import AccessRecord, Op, Trace, load_trace, parse_record
 from reference import ref_first_seen_sizes, ref_load_trace, ref_synthesize_trace
@@ -315,6 +316,106 @@ class TestSynthesizeOracle:
         self.check(spec)
         _, truth = synthesize_trace(spec)
         assert truth.ungrouped == ()
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_tiny_word_blocks(self, monkeypatch, block):
+        # blocks end inside runs, member draws and fallback draws alike
+        monkeypatch.setattr(synthetic, "WORD_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(40):
+            self.check(random_spec(rng))
+        self.check(SyntheticSpec(num_data=60, num_accesses=2000, rng_seed=block,
+                                 group_structure=[(8, 0.4), (16, 0.0), (32, 0.9)]))
+
+    @pytest.mark.parametrize("size_max", [2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3,
+                                          2**63 - 1])
+    def test_wide_size_range(self, size_max):
+        # size_max - size_min >= 2**32 makes randint take two words a try
+        spec = SyntheticSpec(num_data=30, num_accesses=500, size_min=1, size_max=size_max,
+                             group_structure=[(5, 0.5), (5, 1.0)], rng_seed=9)
+        self.check(spec)
+
+    def test_prob_zero_groups(self):
+        # every run of a group draws its fallback member
+        spec = SyntheticSpec(num_data=300, num_accesses=20000, rng_seed=4,
+                             group_structure=[(3, 0.0), (8, 0.0), (32, 0.0)] * 5)
+        self.check(spec)
+
+    @pytest.mark.parametrize("size, prob", [(1, 1.0), (1, 0.3), (7, 1.0), (7, 0.0),
+                                            (40, 0.5)])
+    def test_one_unit(self, size, prob):
+        spec = SyntheticSpec(num_data=size, num_accesses=3000, rng_seed=2,
+                             group_structure=[(size, prob)])
+        self.check(spec)
+
+    @pytest.mark.parametrize("shape", ["planted", "cluster"])
+    def test_benchmark_shapes(self, shape):
+        # perfbench's planted-300k and cluster-heavy specs at 20k accesses
+        if shape == "planted":
+            spec = SyntheticSpec(num_data=20000, num_accesses=20000, rng_seed=11,
+                                 group_structure=[(8, 1.0)] * 2000)
+        else:
+            spec = SyntheticSpec(num_data=8000, num_accesses=20000, rng_seed=11,
+                                 group_structure=[(8, 0.8)] * 150 + [(16, 0.8)] * 100
+                                 + [(32, 0.8)] * 50)
+        self.check(spec)
+
+    def test_spec_outside_int64(self):
+        with pytest.raises(ConfigError, match="below 2"):
+            synthesize_trace(SyntheticSpec(num_data=2, num_accesses=5, size_max=2**63))
+        with pytest.raises(ConfigError, match="below 2"):
+            synthesize_trace(SyntheticSpec(num_data=3, num_accesses=5, region_gap=2**62))
+
+
+class TestMersenneStream:
+    """The words synthetic unpacks from one getrandbits call, and the draw
+    rules it copies from CPython's random module, equal random.Random's own
+    draws, so a change to either in CPython fails here."""
+
+    SEEDS = [0, 1, 7, 2**40 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words(self, seed):
+        words = synthetic._words(random.Random(seed), 2000)
+        rng = random.Random(seed)
+        assert words.tolist() == [rng.getrandbits(32) for _ in range(2000)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random(self, seed):
+        uniform = synthetic._uniform(synthetic._words(random.Random(seed), 2000))
+        rng = random.Random(seed)
+        assert uniform[::2].tolist() == [rng.random() for _ in range(1000)]
+
+    @pytest.mark.parametrize("k", range(33))
+    def test_randrange_around_powers_of_two(self, k):
+        for n in sorted({max(2**k - 1, 1), 2**k, 2**k + 1}):
+            rng = random.Random(k)
+            values, accepted = synthetic._tries(synthetic._words(random.Random(k), 400), n)
+            drawn = values[accepted].tolist()
+            assert drawn == [rng.randrange(n) for _ in drawn], n
+            if n >= 2**32:
+                continue
+            # the fallback rule: the first accepted try from each start
+            words = synthetic._words(random.Random(k), 400)
+            start = np.arange(8)
+            found, value = synthetic._first_below(words, start, np.full(8, n))
+            for s, at, v in zip(start.tolist(), found.tolist(), value.tolist()):
+                rng = random.Random(k)
+                for _ in range(s):
+                    rng.getrandbits(32)
+                assert v == rng.randrange(n), n
+                assert words[at + 1] == rng.getrandbits(32), n
+
+    @pytest.mark.parametrize("k", range(0, 64, 3))
+    def test_randint(self, k):
+        for low, high in ((5, 5 + 2**k - 1), (1, 2**k), (3, 2**k + 3)):
+            if high >= 2**63:
+                continue
+            drawn, rest = synthetic._randint(random.Random(k), low, high, 100)
+            rng = random.Random(k)
+            assert drawn.tolist() == [rng.randint(low, high) for _ in range(100)]
+            # the words left over continue the stream
+            assert rest.tolist() == [rng.getrandbits(32) for _ in range(len(rest))]
 
 
 def random_csv_line(rng: random.Random) -> str:
