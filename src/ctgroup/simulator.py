@@ -38,32 +38,35 @@ the cell is replayed otherwise:
 
 and also no invariant checking is asked for.
 
-The group column. The group policies replay from a per-access int32
-column that ``group_column`` builds with the lookup of the ``GroupTable``'s
-``Partition`` (gid = part id) once per trace and table (a sweep's group
-cells share it): the gid of the access's datum when its group has two or
+The replay rows. Every replayed cell iterates Python rows that
+``ReplayRows`` builds once per trace: each access's datum as a dense id
+(id k is the k-th smallest address) and its size, as objects shared from a
+pool, so no cell converts numpy columns. The cache, plans and sizes seen
+key on ids. Per ``GroupTable`` object, the rows also keep its
+``group_column`` (the gid of the datum's group when that group has two or
 more members, else -1, and -2 - gid at the first access to each member of
-such a group. At that first access the
-loop records the member's size and drops its group's cached plan when the
-size is not its extra size; that is all the per-access bookkeeping the
-group policies need. Data in one-member groups are -1 and take the demand
-path: such a group's plan is the demanded datum alone, so the group path
-would admit that datum alone, prefetch 0 bytes, skip nothing and bypass
-when it does. ``lru`` and ``fifo`` replays carry a column of -1 instead.
+such a group) and those groups' members as ids, a member the trace never
+accesses taking an id after the trace's. At that first access the loop
+records the member's size and drops its group's cached plan when the size
+is not its extra size, which each cell maps to ids afresh. Data in
+one-member groups take the demand path: such a group's plan is the datum
+alone, so the group path would admit it alone and prefetch nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .artifacts import find
 from .errors import ConfigError, InvariantError
 from . import trace as _trace
 from .features import Partition
-from .trace import Op, Trace, column_rows, first_access_positions
+from .trace import Op, Trace, first_access_positions
 
 LRU = "lru"
 FIFO = "fifo"
@@ -75,10 +78,9 @@ class GroupTable:
     """The grouping for the prefetch policies: ``partition``, and
     ``members[gid]``, the group's addresses, ascending, as a tuple.
 
-    A table is not changed once built: a trace caches the group column it
-    replays the group policies from under the table object itself. Given
-    lists of groups, an address listed twice, in one group or in two, is a
-    DataError.
+    A table is not changed once built: the replay rows of a trace keep its
+    group column under the table object itself. Given lists of groups, an
+    address listed twice, in one group or in two, is a DataError.
     """
 
     def __init__(self, groups: Partition | Iterable[Sequence[int]]):
@@ -170,8 +172,13 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
-    group_members = cfg.grouping.members if grouped else []
-    extra_size = (cfg.extra_sizes or {}).get
+    rows = trace._replay = trace._replay or ReplayRows(trace)
+    if grouped:
+        _, groups, group_members, addresses, ids = rows.under(cfg.grouping, trace.addresses)
+        extra_size = dict(zip(ids.tolist(), map((cfg.extra_sizes or {}).get,
+                                                addresses.tolist()))).get
+    else:
+        groups, group_members, extra_size = repeat(-1), [], None
     # A member's fetch size is its first size seen so far in this replay,
     # else its extra size; members with neither are skipped and counted.
     # Each group's plan is cached until one of its members is first seen
@@ -179,7 +186,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     sizes_seen: dict[int, int] = {}
     plans: list[tuple | None] = [None] * len(group_members)
 
-    entries: OrderedDict[int, int] = OrderedDict()  # address -> resident size
+    entries: OrderedDict[int, int] = OrderedDict()  # datum id -> resident size
     pop_oldest = entries.popitem
     pop_entry = entries.pop
     keys = entries.keys()
@@ -187,25 +194,19 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     occupied = hits = disk_ios = prefetched = evictions = bypasses = unknown = 0
 
     n = len(trace)
-    if cfg.write_allocate:
-        allocates = np.ones(n, dtype=bool)
-    else:
-        allocates = trace.ops != int(Op.WRITE)
-    if grouped:
-        groups = _group_column(trace, cfg.grouping)
-    else:
-        groups = np.full(n, -1, dtype=np.int8)
-    for address, size, allocate, gid in column_rows(trace.addresses, trace.sizes,
-                                                    allocates, groups):
+    # bytes iterate as the cached ints 0 and 1, so the flags make no objects
+    allocates = (repeat(True) if cfg.write_allocate
+                 else (trace.ops != int(Op.WRITE)).tobytes())
+    for datum, size, allocate, gid in zip(rows.ids, rows.sizes, allocates, groups):
         if gid < -1:  # the first access to a member of a group
             gid = -2 - gid
-            sizes_seen[address] = size
-            if extra_size(address) != size:
+            sizes_seen[datum] = size
+            if extra_size(datum) != size:
                 plans[gid] = None
-        if address in entries:
+        if datum in entries:
             hits += 1
             if lru_order:
-                move_to_end(address)
+                move_to_end(datum)
             continue
 
         disk_ios += 1
@@ -215,7 +216,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
                 if allocate or prefetch:
                     bypasses += 1
             elif allocate:
-                entries[address] = size
+                entries[datum] = size
                 occupied += size
                 while occupied > capacity:
                     occupied -= pop_oldest(False)[1]
@@ -231,7 +232,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
             )
         # The plan lists the demanded datum too: it has been seen.
         plan, total, skips = cached
-        total -= sizes_seen[address]
+        total -= sizes_seen[datum]
         unknown += skips
         if not allocate:  # group_merged: nothing is admitted
             pass
@@ -241,10 +242,10 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
             # and evicting after all gives the same cache as evicting
             # after each. The plan rewrites the demanded datum's size
             # in place, so it is set again.
-            entries[address] = size
+            entries[datum] = size
             for member, msize in plan:
                 entries[member] = msize
-            entries[address] = size
+            entries[datum] = size
             occupied += size + total
             prefetched += total
             if prefetch:
@@ -254,7 +255,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
                 evictions += 1
         else:
             if size <= capacity:
-                entries[address] = size
+                entries[datum] = size
                 occupied += size
                 while occupied > capacity:
                     occupied -= pop_oldest(False)[1]
@@ -278,7 +279,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
             else:  # the demand I/O fetched the whole group
                 prefetched += total
                 for member, msize in plan:
-                    if member == address:
+                    if member == datum:
                         continue
                     old = pop_entry(member, None)
                     if old is not None:
@@ -321,12 +322,47 @@ def group_column(addresses: np.ndarray, table: GroupTable) -> np.ndarray:
     return column
 
 
-def _group_column(trace: Trace, table: GroupTable) -> np.ndarray:
-    """The trace's group column under ``table``, built once per trace and
-    table: a sweep's group cells share it."""
-    if trace._group_column is None or trace._group_column[0] is not table:
-        trace._group_column = (table, group_column(trace.addresses, table))
-    return trace._group_column[1]
+class ReplayRows:
+    """A trace's accesses as the Python rows that every replayed cell
+    iterates, built once per trace (see the module docstring)."""
+
+    def __init__(self, trace: Trace):
+        addresses = trace.addresses
+        self.distinct = np.sort(addresses[first_access_positions(addresses)])  # id k: [k]
+        self.ids = _pooled(addresses, self.distinct, np.arange(len(self.distinct)).astype(object))
+        self.sizes = _pooled(trace.sizes)
+        self.grouped = None
+
+    def under(self, table: GroupTable, addresses: np.ndarray) -> tuple:
+        """(table, group column, member ids per gid or None for a one-member
+        group, the other groups' members, their ids), kept in ``grouped``
+        for the last table: a sweep's group cells share it."""
+        if self.grouped is None or self.grouped[0] is not table:
+            part = table.partition
+            ids = find(self.distinct, part.members)
+            absent = ids < 0
+            ids[absent] = len(self.distinct) + np.arange(np.count_nonzero(absent))
+            bounds, flat = part.offsets.tolist(), ids.tolist()
+            members = [tuple(flat[lo:hi]) if hi - lo > 1 else None
+                       for lo, hi in zip(bounds, bounds[1:])]
+            shared = np.repeat(np.diff(part.offsets) > 1, np.diff(part.offsets))
+            self.grouped = (table, _pooled(group_column(addresses, table)), members,
+                            part.members[shared], ids[shared])
+        return self.grouped
+
+
+def _pooled(column: np.ndarray, keys: np.ndarray | None = None, pool=None) -> list:
+    """pool[keys.searchsorted(column)].tolist() for sorted ``keys`` and an
+    object array ``pool`` (by default the column's distinct values), taken
+    ROW_BLOCK values at a time: no whole-column temporary is made."""
+    if keys is None:
+        keys = np.unique(column)
+        pool = keys.astype(object)
+    rows = [None] * len(column)
+    block = _trace.ROW_BLOCK
+    for lo in range(0, len(column), block):
+        rows[lo:lo + block] = pool[keys.searchsorted(column[lo:lo + block])].tolist()
+    return rows
 
 
 def _fetch_plan(members, sizes_seen, extra_size):
@@ -394,7 +430,7 @@ def build_lru_profile(addresses: np.ndarray, sizes: np.ndarray) -> LruProfile | 
 
     # larger_before[k]: bytes of the accesses before k with a larger next()
     larger_before = np.zeros(n, dtype=byte)
-    weight = sizes.astype(byte, copy=False)
+    weight = sizes.astype(byte)  # a copy: it swaps with run, which is written
     high = np.empty(n, dtype=index)
     ones = np.empty(n, dtype=bool)
     zeros = np.empty(n, dtype=bool)
@@ -423,9 +459,11 @@ def build_lru_profile(addresses: np.ndarray, sizes: np.ndarray) -> LruProfile | 
         split = np.count_nonzero(zeros)
         perm[:split] = np.flatnonzero(zeros)
         perm[split:] = np.flatnonzero(ones)
-        following = following[perm]
-        weight = weight[perm]
-        larger_before = larger_before[perm]
+        # high, run and block are free until the next bit, so the columns
+        # are permuted into them and swap places ("clip": no buffer)
+        following, high = np.take(following, perm, out=high, mode="clip"), following
+        weight, run = np.take(weight, perm, out=run, mode="clip"), weight
+        larger_before, block = np.take(larger_before, perm, out=block, mode="clip"), larger_before
     del weight, high, ones, zeros, run, block, perm
 
     seen = np.multiply(sizes, first, dtype=byte)

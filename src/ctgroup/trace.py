@@ -165,10 +165,9 @@ class Trace:
     # (simulator.build_lru_profile of the columns,) once computed; it may be None
     _lru_profile: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    # (table, simulator.group_column of the addresses under it), for the
-    # last GroupTable a group policy replayed this trace with
-    _group_column: tuple | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    # simulator.ReplayRows of the columns, once a cell replays the trace
+    _replay: object | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @classmethod
     def from_records(cls, records: Iterable[AccessRecord], source_label="", skipped=0):

@@ -18,6 +18,14 @@ sits between its peak when the address lookup and the first-access search
 ran over the whole trace at once, 2.4 MiB, and when they take ROW_BLOCK
 accesses at a time, 1.3 MiB; the int32 column itself is 0.3 MiB.
 
+sweep replays that trace under its 60 planted groups, with fifo and the
+two group policies at two capacities and write_allocate off, so it builds
+the trace's replay rows and group rows once. Its bound sits between its
+peak when the rows were whole-column tolist() lists of fresh ints, 7.0
+MiB, and when they hold shared objects built ROW_BLOCK accesses at a
+time, 3.8 MiB. Converting four column blocks in every cell instead
+peaked at 3.5 MiB.
+
 load_trace reads a 100k-line canonical CSV (4.8 MB). Its bound sits
 between its peak when it built four Python int lists of the whole file,
 13.6 MiB, and when it parses 256 KiB blocks with numpy, 4.9 MiB.
@@ -47,6 +55,7 @@ when it sorted the whole values column with an int64 row id per value,
 values with int32 row ids, 8.2 MiB; the mask itself is 1.0 MiB.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -56,7 +65,15 @@ from ctgroup import artifacts
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import build_ctf
 from ctgroup.grouping import compute_legal_relations
-from ctgroup.simulator import GroupTable, build_lru_profile, group_column
+from ctgroup.simulator import (
+    FIFO,
+    GROUP_MERGED,
+    GROUP_PREFETCH,
+    GroupTable,
+    build_lru_profile,
+    group_column,
+    sweep,
+)
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.trace import load_trace
 from ctgroup.transactions import (
@@ -127,6 +144,16 @@ def test_group_column_peak(synthetic):
     assert column.dtype == np.int32 and len(column) == len(trace)
     assert (column < -1).sum() == sum(len(members) for members in truth.groups)
     assert peak <= 2 * MIB, f"group_column peaked at {peak / MIB:.2f} MiB"
+
+
+def test_replay_rows_peak(synthetic):
+    trace, truth = synthetic
+    trace = dataclasses.replace(trace)  # no rows cached by earlier tests
+    rows, peak = traced_peak(sweep, trace, GroupTable(truth.groups), [0.01, 0.05],
+                             [FIFO, GROUP_MERGED, GROUP_PREFETCH],
+                             trace.first_seen_sizes(), False)
+    assert [row.hits for row in rows[:2]] == [718, 23005]
+    assert peak <= 5 * MIB, f"sweep peaked at {peak / MIB:.2f} MiB"
 
 
 def test_load_trace_peak(tmp_path):

@@ -13,6 +13,7 @@ from ctgroup.simulator import (
     GROUP_MERGED,
     GROUP_PREFETCH,
     LRU,
+    POLICIES,
     GroupTable,
     SimConfig,
     metrics_csv_lines,
@@ -368,7 +369,7 @@ class TestOnePassLru:
 
 class TestGroupColumn:
     """The per-access group column the group policies replay from, and its
-    cache on the trace."""
+    cache on the trace's replay rows."""
 
     def test_matches_oracle(self, monkeypatch):
         rng = random.Random(41)
@@ -397,7 +398,7 @@ class TestGroupColumn:
                                                 extra_sizes=extra_sizes,
                                                 write_allocate=write_allocate)
                                 assert simulate(trace, cfg) == ref_simulate(trace, cfg)
-                assert trace._group_column[0] is other_table
+                assert trace._replay.grouped[0] is other_table
 
     def test_new_tables_of_dropped_ones_match_reference(self):
         # a table made after the last one is dropped may reuse its id()
@@ -414,10 +415,13 @@ class TestGroupColumn:
             del cfg  # the table too, unless the trace holds it
 
     def test_built_once_per_trace_in_a_sweep(self, monkeypatch):
-        builds = []
+        builds, row_builds = [], []
         build = simulator.group_column
         monkeypatch.setattr(simulator, "group_column",
                             lambda *args: builds.append(1) or build(*args))
+        build_rows = simulator.ReplayRows
+        monkeypatch.setattr(simulator, "ReplayRows",
+                            lambda *args: row_builds.append(1) or build_rows(*args))
         accesses = random_accesses(random.Random(44), n=400)
         trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
         table = GroupTable([(0, 4, 8), (12, 16), (20,)])
@@ -432,10 +436,10 @@ class TestGroupColumn:
         sweep(trace, table, fractions, [GROUP_MERGED], write_allocate=False)
         assert len(builds) == 1
         sweep(trace, GroupTable([(0, 4)]), fractions, [GROUP_MERGED])
-        assert len(builds) == 2
-        # lru and fifo replays never build it
+        assert len(builds) == 2 and len(row_builds) == 1
+        # lru and fifo replays never build it, but a new trace gets its rows
         sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
-        assert len(builds) == 2
+        assert len(builds) == 2 and len(row_builds) == 2
 
     def test_one_member_groups_take_the_demand_path(self):
         # one-member groups replay as no groups at all, oversized data too
@@ -453,6 +457,102 @@ class TestGroupColumn:
                     got = simulate(trace, cfgs[0])
                     assert got == ref_simulate(trace, cfgs[0])
                     assert got == simulate(trace, cfgs[1])
+
+
+class TestReplayRows:
+    """The dense-id rows every replayed cell iterates, built once per trace,
+    against the replay oracle."""
+
+    @staticmethod
+    def records(rng, addresses, n):
+        """n random accesses to ``addresses``, some writes, some sizes odd."""
+        base = {a: rng.randint(1, 12) for a in addresses}
+        return [AccessRecord(t + 1, a, base[a] if rng.random() < 0.8 else rng.randint(1, 12),
+                             Op.WRITE if rng.random() < 0.3 else Op.READ)
+                for t, a in enumerate(rng.choice(addresses) for _ in range(n))]
+
+    @staticmethod
+    def random_groups(rng, pool):
+        pool = list(pool)
+        rng.shuffle(pool)
+        groups = []
+        while pool:
+            cut = rng.randint(1, 5)
+            groups.append(pool[:cut])
+            pool = pool[cut:]
+        return GroupTable(groups)
+
+    def assert_cells_match(self, rng, trace, table, extra):
+        for policy in POLICIES:
+            for write_allocate in (True, False):
+                cfg = SimConfig(policy, capacity_bytes=rng.randint(1, 60), grouping=table,
+                                extra_sizes=extra, write_allocate=write_allocate)
+                assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+
+    def test_members_never_traced(self):
+        # untraced members lie below, between and above the traced data, so
+        # their ids (after the trace's) do not follow address order
+        rng = random.Random(46)
+        for _ in range(60):
+            traced = rng.sample(range(8, 400, 8), rng.randint(1, 12))
+            untraced = rng.sample(range(3, 420, 8), rng.randint(1, 10))
+            trace = Trace.from_records(self.records(rng, traced, rng.randint(1, 150)))
+            table = self.random_groups(rng, traced + untraced)
+            extra = {a: rng.randint(1, 12) for a in traced + untraced
+                     if rng.random() < 0.7}
+            self.assert_cells_match(rng, trace, table, extra)
+
+    def test_extreme_addresses(self):
+        top = (1 << 63) - 1
+        addresses = [0, 1, 1 << 32, top - 8, top - 1, top]
+        rng = random.Random(47)
+        for _ in range(40):
+            traced = rng.sample(addresses, rng.randint(1, len(addresses)))
+            untraced = [a for a in addresses if a not in traced] + [top - 2, 2]
+            trace = Trace.from_records(self.records(rng, traced, rng.randint(1, 100)))
+            table = self.random_groups(rng, traced + untraced)
+            extra = {a: rng.randint(1, 12) for a in traced + untraced
+                     if rng.random() < 0.7}
+            self.assert_cells_match(rng, trace, table, extra)
+
+    def test_extra_sizes_mutated_between_calls(self):
+        # the caller's mapping is read afresh by every cell
+        rng = random.Random(48)
+        for _ in range(60):
+            trace, table, extra = TestReferenceReplay.random_case(rng)
+            members = [a for group in table.members for a in group]
+            for policy in (GROUP_PREFETCH, GROUP_MERGED):
+                cfg = SimConfig(policy, capacity_bytes=rng.randint(1, 64), grouping=table,
+                                extra_sizes=extra)
+                assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+                for a in rng.sample(members, min(len(members), 4)):
+                    if a in extra and rng.random() < 0.4:
+                        del extra[a]
+                    else:
+                        extra[a] = rng.randint(1, 16)
+                assert simulate(trace, cfg) == ref_simulate(trace, cfg)
+
+    def test_built_once_per_trace(self, monkeypatch):
+        builds = []
+        build = simulator.ReplayRows
+        monkeypatch.setattr(simulator, "ReplayRows",
+                            lambda *args: builds.append(1) or build(*args))
+        rng = random.Random(49)
+        orders = [[LRU, FIFO, GROUP_MERGED, GROUP_PREFETCH],
+                  [GROUP_MERGED, LRU, GROUP_PREFETCH, FIFO],
+                  [GROUP_PREFETCH, GROUP_MERGED, FIFO, LRU]]
+        fractions = [0.05, 0.2, 0.2, 1.0]
+        for case in range(20):
+            trace, table, extra = TestReferenceReplay.random_case(rng)
+            for write_allocate in (True, False, True):
+                for policies in orders:
+                    rows = sweep(trace, table, fractions, policies, extra_sizes=extra,
+                                 write_allocate=write_allocate)
+                    want = [ref_simulate(trace, SimConfig(
+                        p, capacity_fraction=f, grouping=table, extra_sizes=extra,
+                        write_allocate=write_allocate)) for f in fractions for p in policies]
+                    assert rows == want
+            assert len(builds) == case + 1
 
 
 class TestCapacity:
