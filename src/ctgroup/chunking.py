@@ -32,12 +32,11 @@ from .features import (
     SYMMETRIC_DIFF,
     CtfMatrix,
     Partition,
-    build_ctf,
+    ranges,
+    run_starts,
     run_tails,
     shared_run_counts,
-    sorted_distinct,
 )
-from .transactions import TransactionLog
 
 
 @dataclass(frozen=True, order=True)
@@ -53,8 +52,8 @@ class ChunkerConfig:
     sigma: float = 0.1  # strong-relation threshold
 
     def validate(self):
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
+        if not 1 <= self.q < 1 << 63:
+            raise ConfigError(f"q must be in [1, 2**63), got {self.q}")
         if self.p <= 1.0:
             raise ConfigError(f"p must be > 1, got {self.p}")
         if not 0.0 <= self.sigma <= 1.0:
@@ -63,8 +62,6 @@ class ChunkerConfig:
 
 def _log_bin(freq: int, p: float) -> int:
     # floor(log_p(freq)) made robust against float rounding at exact powers.
-    if freq < 1:
-        raise ValueError("frequency must be >= 1")
     b = int(math.floor(math.log(freq) / math.log(p) + 1e-9))
     while p ** (b + 1) <= freq:
         b += 1
@@ -73,11 +70,54 @@ def _log_bin(freq: int, p: float) -> int:
     return b
 
 
+def _address_bins(addresses: np.ndarray, q: int, m: int) -> np.ndarray:
+    """floor(address * q / m) for int64 addresses in [0, m], exactly: a long
+    division over the bits of q, highest first, keeps address * (q's bits so
+    far) = quotient * m + remainder with 0 <= remainder < m, so no value
+    exceeds m or q (address * q itself may overflow int64)."""
+    at_m = addresses == m
+    quotient = at_m.astype(np.int64)
+    remainder = addresses - m * at_m
+    room = m - addresses
+    for bit in bin(q)[3:]:
+        carry = remainder >= m - remainder  # doubling
+        quotient += quotient + carry
+        remainder += remainder - m * carry
+        if bit == "1":  # adding the address
+            carry = remainder >= room
+            quotient += carry
+            remainder += addresses - m * carry
+    return quotient
+
+
+def _areas(addresses: np.ndarray, freqs: np.ndarray, cfg: ChunkerConfig,
+           max_address: int) -> tuple[list[tuple[AreaKey, np.ndarray]], np.ndarray]:
+    """Pre-block data given as int64 (address, frequency) columns: each area
+    in AreaKey order with the positions of its data, ascending by address,
+    and the positions of the data of frequency 0, which are in no area."""
+    cfg.validate()
+    if len(addresses) and not 0 <= addresses.min() <= addresses.max() <= max_address < 1 << 63:
+        raise ConfigError(f"addresses must lie in [0, max_address], below 2**63: "
+                          f"[{addresses.min()}, {addresses.max()}] vs {max_address}")
+    used = np.flatnonzero(freqs >= 1)
+    addr_bins = np.minimum(_address_bins(addresses[used], cfg.q, max(max_address, 1)),
+                           cfg.q - 1)  # address == Q lands in the last bin
+    distinct, inverse = np.unique(freqs[used], return_inverse=True)
+    freq_bins = np.array([_log_bin(f, cfg.p) for f in distinct.tolist()],
+                         dtype=np.int64)[inverse]
+    order = np.lexsort((addresses[used], freq_bins, addr_bins))
+    addr_bins, freq_bins, used = addr_bins[order], freq_bins[order], used[order]
+    starts = np.flatnonzero(np.diff(addr_bins, prepend=-1) | np.diff(freq_bins, prepend=-1))
+    keys = map(AreaKey, addr_bins[starts].tolist(), freq_bins[starts].tolist())
+    return list(zip(keys, np.split(used, starts[1:]))), np.flatnonzero(freqs < 1)
+
+
 def area_key(address: int, freq: int, cfg: ChunkerConfig, max_address: int) -> AreaKey:
-    addr_bin = int(address * cfg.q // max(max_address, 1))
-    if addr_bin >= cfg.q:  # address == Q lands in the last bin
-        addr_bin = cfg.q - 1
-    return AreaKey(addr_bin=addr_bin, freq_bin=_log_bin(freq, cfg.p))
+    if freq < 1:
+        raise ValueError("frequency must be >= 1")
+    [(key, _)], _ = _areas(np.array([address], dtype=np.int64),
+                           np.array([freq], dtype=np.int64), cfg, max_address)
+    return key
 
 
 def pre_block(
@@ -90,22 +130,10 @@ def pre_block(
     Returns (area -> sorted addresses, excluded addresses). Data with
     frequency 0 (never in any transaction) are excluded, not assigned.
     """
-    cfg.validate()
-    areas: dict[AreaKey, list[int]] = {}
-    excluded: list[int] = []
-    for address, freq in data:
-        if address > max_address:
-            raise ConfigError(
-                f"address {address} exceeds max_address {max_address}"
-            )
-        if freq < 1:
-            excluded.append(address)
-            continue
-        areas.setdefault(area_key(address, freq, cfg, max_address), []).append(address)
-    for members in areas.values():
-        members.sort()
-    excluded.sort()
-    return areas, excluded
+    addresses, freqs = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
+    areas, excluded = _areas(addresses, freqs, cfg, max_address)
+    return ({key: addresses[at].tolist() for key, at in areas},
+            np.sort(addresses[excluded]).tolist())
 
 
 @dataclass(frozen=True)
@@ -145,37 +173,55 @@ def cluster_area(
     at = artifacts.find(ctf.addresses, addrs)
     if (at < 0).any():
         raise UnknownDatumError(int(addrs[np.argmin(at)]))
+    return _cluster(ctf, at, sigma, metric, audit)
 
+
+def _cluster(ctf, at, sigma, metric, audit):
+    """cluster_area of the data at the ascending positions ``at`` of ``ctf``."""
+    if not len(at):
+        return []
+    addrs = ctf.addresses[at]
+    flat, offsets = ctf.gather(at)
+    lengths = np.diff(offsets)
     # Identical feature vectors always qualify (distance 0), so they can be
     # collapsed up front: any greedy order over the zero-distance pairs
-    # yields the same clusters and leaves every feature unchanged. The
-    # groups come in order of their smallest address, as addrs ascend. A
-    # vector's key is the bytes of its index row.
-    flat, offsets = ctf.gather(at)
-    bounds = offsets.tolist()
-    by_feature: dict[bytes, list[int]] = {}
-    for a, lo, hi in zip(addrs.tolist(), bounds, bounds[1:]):
-        by_feature.setdefault(flat[lo:hi].tobytes(), []).append(a)
-    groups = list(by_feature.values())
-
-    # Cluster ids: the initial clusters are 0..k-1 in address order, and
-    # each merge makes the next id. Unmerged clusters keep their data's own
-    # vector, a row of ``rows``; merged ones hold their OR feature as a
-    # sorted index array.
-    k = len(groups)
-    members: dict[int, list[int]] = dict(enumerate(groups))
-    merged_bits: dict[int, np.ndarray] = {}
-    heads = [group[0] for group in groups]
-    rows = TransactionLog(*ctf.gather(np.searchsorted(ctf.addresses, heads)))
-    sizes = np.zeros(2 * k, dtype=np.int64)  # popcount per cluster id
-    sizes[:k] = np.diff(rows.offsets)
+    # yields the same clusters and leaves every feature unchanged. A
+    # vector's key is its row of a matrix of the indices, padded with -1,
+    # compared as one void value.
+    n, width = len(at), int(lengths.max()) + 1
+    padded = np.full((n, width), -1, dtype=flat.dtype)
+    padded.reshape(-1)[ranges(np.arange(n) * width, lengths)] = flat
+    _, first, label = np.unique(padded.view(np.dtype((np.void, padded.itemsize * width))),
+                                return_index=True, return_inverse=True)
+    del padded
+    # Cluster ids: the initial clusters are the groups of identical vectors
+    # 0..k-1 in order of their smallest address, and each merge makes the
+    # next id.
+    heads = np.sort(first)
+    k = len(heads)
+    group = np.searchsorted(heads, first)[label.reshape(-1)]
+    members = dict(enumerate(Partition.by_label(group, addrs, k).parts()))
+    sizes = np.append(lengths[heads], np.zeros(k, dtype=np.int64))  # popcount per id
     if audit is not None:
-        for group, size in zip(groups, sizes[:k].tolist()):
-            for extra in group[1:]:
-                audit.append(MergeRecord((group[0],), (extra,), 0.0, size * sigma))
+        for size, (head, *extras) in zip(sizes[:k].tolist(), members.values()):
+            for extra in extras:
+                audit.append(MergeRecord((head,), (extra,), 0.0, size * sigma))
     # Inverting the initial clusters' rows, as build_ctf inverts a log,
-    # gives for each transaction index the clusters holding it, ascending.
-    holding = build_ctf(rows)
+    # gives for each transaction index a holding row: one slot per cluster
+    # holding it, ascending. Slot s lies in row rows[s]; bit b of the
+    # initial clusters' rows fills slot slot_of[b]. A merge hands the two
+    # clusters' slots to the merged one and, in a row holding both, retires
+    # one of them to the dead id 2k - 1, so a live cluster holds one slot
+    # in each row of its feature.
+    bits = flat[ranges(offsets[heads], sizes[:k])]
+    bit_offsets = np.append(0, np.cumsum(sizes[:k]))
+    order = np.argsort(bits, kind="stable")
+    starts = run_starts(bits[order])
+    widths = np.diff(starts, append=len(bits))
+    rows = np.repeat(np.arange(len(starts)), widths)
+    holder = np.repeat(np.arange(k), sizes[:k])[order]
+    slot_of = np.empty_like(order)
+    slot_of[order] = np.arange(len(order))
     euclidean = metric != SYMMETRIC_DIFF
     # Candidates are the pairs that share a transaction index, plus the
     # disjoint pairs (an empty feature among them) whose popcounts total at
@@ -188,78 +234,79 @@ def cluster_area(
         min_disjoint = 4.0 / sigma**2 - 1.0
     else:
         min_disjoint = math.inf
-    heap = _first_heap(holding, sizes[:k], heads, sigma, euclidean, min_disjoint)
-    alive = set(members)
-    cluster_of = np.arange(k)  # initial cluster -> the live cluster holding it
-    parts: dict[int, list[int]] = {i: [i] for i in range(k)}
+    min_addrs = np.append(addrs[heads], np.zeros(k, dtype=np.int64))
+    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma, euclidean,
+                       min_disjoint)
+    live = np.arange(2 * k) < k
+    in_first = np.zeros(len(starts), dtype=bool)  # per merge: rows of its first cluster
+    slots: dict[int, np.ndarray] = {}  # merged cluster -> its slots
     next_id = k
 
-    def take_bits(i):
+    def take_slots(i):
         if i >= k:
-            return merged_bits.pop(i)
-        return rows.members[rows.offsets[i]:rows.offsets[i + 1]]
+            return slots.pop(i)
+        return slot_of[bit_offsets[i]:bit_offsets[i + 1]]
 
     while heap:
-        dval, _lo, _hi, i, j = heapq.heappop(heap)
-        if i not in alive or j not in alive:
+        dval, lo, _hi, i, j = heapq.heappop(heap)
+        if not (live[i] and live[j]):
             continue
         if audit is not None:
             threshold = ((int(sizes[i]) + int(sizes[j])) / 2.0) * sigma
-            audit.append(
-                MergeRecord(tuple(members[i]), tuple(members[j]), dval, threshold)
-            )
+            audit.append(MergeRecord(members[i], members[j], dval, threshold))
         merged = next_id
         next_id += 1
-        members[merged] = sorted(members.pop(i) + members.pop(j))
-        bits = merged_bits[merged] = sorted_distinct(
-            np.concatenate((take_bits(i), take_bits(j)))
-        )
-        size = sizes[merged] = len(bits)
-        parts[merged] = parts.pop(i) + parts.pop(j)
-        cluster_of[parts[merged]] = merged
-        alive.discard(i)
-        alive.discard(j)
+        members[merged] = tuple(sorted(members.pop(i) + members.pop(j)))
+        live[i] = live[j] = False
+        min_addrs[merged] = lo
 
+        first, second = take_slots(i), take_slots(j)
+        in_first[rows[first]] = True
+        twice = in_first[rows[second]]
+        in_first[rows[first]] = False
+        holder[second[twice]] = 2 * k - 1
+        ours = slots[merged] = np.concatenate((first, second[~twice]))
+        holder[ours] = merged
+        size = sizes[merged] = len(ours)
+        # In the merged cluster's rows, each live cluster holds one slot
+        # per shared index.
+        at = rows[ours]
+        shared = np.bincount(holder[ranges(starts[at], widths[at])], minlength=2 * k)[:next_id]
+        shared[merged] = 0
         # |x ^ y| = |x| + |y| - 2|x & y|
-        others, shared = _overlaps(holding, bits, cluster_of)
-        keep = others != merged
-        others, shared = others[keep], shared[keep]
         if min_disjoint < math.inf:
-            live = np.array(sorted(alive), dtype=np.int64)
-            far = live[sizes[live] + size >= min_disjoint]
-            candidates = np.union1d(far, others)
-            overlap = np.zeros(len(candidates), dtype=np.int64)
-            overlap[np.searchsorted(candidates, others)] = shared
-            others, shared = candidates, overlap
+            far = live[:next_id] & (sizes[:next_id] + size >= min_disjoint)
+            others = np.flatnonzero(shared | far)
+        else:
+            others = np.flatnonzero(shared)
+        shared = shared[others]
         total = size + sizes[others]
         d = total - 2 * shared
         dvals = np.sqrt(d) if euclidean else d
         keep = dvals <= total / 2.0 * sigma
-        lo = members[merged][0]
-        for other, dval in zip(others[keep].tolist(), dvals[keep].tolist()):
-            hi = members[other][0]
+        others = others[keep]
+        for other, hi, dval in zip(others.tolist(), min_addrs[others].tolist(),
+                                   dvals[keep].tolist()):
             if lo < hi:
                 heapq.heappush(heap, (dval, lo, hi, merged, other))
             else:
                 heapq.heappush(heap, (dval, hi, lo, other, merged))
-        alive.add(merged)
+        live[merged] = True
 
-    return sorted(tuple(members[i]) for i in alive)
+    return sorted(members[i] for i in np.flatnonzero(live).tolist())
 
 
-def _first_heap(holding, sizes, min_addrs, sigma, euclidean, min_disjoint):
+def _first_heap(rows, holder, sizes, min_addrs, sigma, euclidean, min_disjoint):
     """Heap entries (distance, lo, hi, i, j) for every qualifying pair of
-    initial clusters i < j, given ``holding``, the clusters holding each
-    transaction index, and each cluster's popcount in ``sizes``;
-    ``min_addrs[i]`` is cluster i's smallest member address (ascending in
-    i). A pair's intersection size is the number of transaction indices it
+    initial clusters i < j, given the holding rows (slot s of row rows[s]
+    holds cluster holder[s], ascending within a row) and each cluster's
+    popcount in ``sizes``; ``min_addrs[i]`` is cluster i's smallest member
+    address (ascending in i). A pair's intersection size is the number of transaction indices it
     shares; disjoint pairs are scored only where their popcounts total at
     least ``min_disjoint``."""
-    runs = np.repeat(holding.addresses, np.diff(holding.offsets))
-    batches = shared_run_counts(run_tails(runs), holding.indices)
+    batches = shared_run_counts(run_tails(rows), holder)
     if min_disjoint < math.inf:
         batches = [_with_disjoint_pairs(sizes, min_disjoint, batches)]
-    addrs = np.asarray(min_addrs, dtype=np.int64)
     entries = []
     for i, j, shared in batches:
         total = sizes[i] + sizes[j]
@@ -267,24 +314,10 @@ def _first_heap(holding, sizes, min_addrs, sigma, euclidean, min_disjoint):
         dval = np.sqrt(d) if euclidean else d
         keep = dval <= total / 2.0 * sigma
         i, j = i[keep], j[keep]
-        entries.extend(zip(dval[keep].tolist(), addrs[i].tolist(),
-                           addrs[j].tolist(), i.tolist(), j.tolist()))
+        entries.extend(zip(dval[keep].tolist(), min_addrs[i].tolist(),
+                           min_addrs[j].tolist(), i.tolist(), j.tolist()))
     heapq.heapify(entries)
     return entries
-
-
-def _overlaps(holding, bits, cluster_of):
-    """The live clusters holding any of the sorted indices ``bits`` and how
-    many of them each holds; ``cluster_of`` maps each initial cluster to
-    the live cluster it is part of."""
-    held, offsets = holding.gather(np.searchsorted(holding.addresses, bits))
-    holders = cluster_of[held]
-    # one count per (index, live cluster): merged clusters may hold an
-    # index through several initial ones
-    stride = 2 * holding.num_transactions
-    rows = np.repeat(np.arange(len(bits)), np.diff(offsets))
-    held = sorted_distinct(rows * stride + holders)
-    return np.unique(held % stride, return_counts=True)
 
 
 def _with_disjoint_pairs(sizes, min_total, batches):
@@ -331,17 +364,15 @@ def chunk_all(
     Chunk ids are assigned area by area in AreaKey order, then by smallest
     member address, so identical inputs give identical ids.
     """
-    cfg.validate()
     if max_address is None:
         max_address = int(ctf.addresses[-1]) if len(ctf) else 0
-    data = zip(ctf.addresses.tolist(), np.diff(ctf.offsets).tolist())
-    areas, excluded = pre_block(data, cfg, max_address)
+    areas, excluded = _areas(ctf.addresses, np.diff(ctf.offsets), cfg, max_address)
     audit: list[MergeRecord] = []
-    chunks = [(members, key) for key in sorted(areas)
-              for members in cluster_area(areas[key], ctf, cfg.sigma, metric, audit)]
+    chunks = [(members, key) for key, at in areas
+              for members in _cluster(ctf, at, cfg.sigma, metric, audit)]
     return ChunkSet(Partition.of(members for members, _ in chunks),
                     [key for _, key in chunks], cfg, max_address,
-                    excluded=tuple(excluded), audit=audit)
+                    excluded=tuple(ctf.addresses[excluded].tolist()), audit=audit)
 
 
 def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),

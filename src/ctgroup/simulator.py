@@ -301,11 +301,12 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     return metrics
 
 
-def group_column(addresses: np.ndarray, table: GroupTable) -> np.ndarray:
+def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) -> np.ndarray:
     """The group column of an access sequence (see the module docstring):
     int32, per access the gid of its datum's group when that group has two
     or more members, else -1, and -2 - gid at the first access to each
-    member of such a group."""
+    member of such a group, whose positions ``first`` lists
+    (first_access_positions)."""
     # per gid, then for the -1 of an address in no group
     shared = np.append(np.diff(table.partition.offsets) > 1, False)
     column = np.full(len(addresses), -1, dtype=np.int32)
@@ -316,7 +317,6 @@ def group_column(addresses: np.ndarray, table: GroupTable) -> np.ndarray:
         gids = table.partition.labels(addresses[lo:lo + block])
         gids[~shared[gids]] = -1
         column[lo:lo + block] = gids
-    first = first_access_positions(addresses)
     first = first[column[first] >= 0]
     column[first] = -2 - column[first]
     return column
@@ -328,7 +328,8 @@ class ReplayRows:
 
     def __init__(self, trace: Trace):
         addresses = trace.addresses
-        self.distinct = np.sort(addresses[first_access_positions(addresses)])  # id k: [k]
+        self.first = first_access_positions(addresses)
+        self.distinct = np.sort(addresses[self.first])  # id k: [k]
         self.ids = _pooled(addresses, self.distinct, np.arange(len(self.distinct)).astype(object))
         self.sizes = _pooled(trace.sizes)
         self.grouped = None
@@ -346,8 +347,9 @@ class ReplayRows:
             members = [tuple(flat[lo:hi]) if hi - lo > 1 else None
                        for lo, hi in zip(bounds, bounds[1:])]
             shared = np.repeat(np.diff(part.offsets) > 1, np.diff(part.offsets))
-            self.grouped = (table, _pooled(group_column(addresses, table)), members,
-                            part.members[shared], ids[shared])
+            column = group_column(addresses, table, self.first)
+            self.grouped = (table, _pooled(column), members, part.members[shared],
+                            ids[shared])
         return self.grouped
 
 

@@ -144,6 +144,33 @@ def ref_cluster(vectors, sigma, metric="symmetric_diff"):
     return {tuple(m) for m, _ in clusters}
 
 
+def ref_area_key(address, freq, q, p, max_address):
+    """(address bin, frequency bin) of a datum on Python ints: address * q
+    // max_address, with address == max_address in the last bin, and the
+    largest b with p ** b <= freq."""
+    addr_bin = min(address * q // max(max_address, 1), q - 1)
+    freq_bin = 0
+    while p ** (freq_bin + 1) <= freq:
+        freq_bin += 1
+    return addr_bin, freq_bin
+
+
+def ref_chunk_all(vectors, q, p, sigma, max_address, metric="symmetric_diff"):
+    """Chunking of {addr: index-set} features from its definition: each
+    datum with a non-empty feature goes to the area ref_area_key gives it,
+    each area is clustered by ref_cluster, and chunks come area by area in
+    key order, then by smallest member. Returns ([(area key, members)],
+    the addresses of the empty features, ascending)."""
+    areas = {}
+    for address, bits in sorted(vectors.items()):
+        if bits:
+            key = ref_area_key(address, len(bits), q, p, max_address)
+            areas.setdefault(key, {})[address] = bits
+    chunks = [(key, members) for key in sorted(areas)
+              for members in sorted(ref_cluster(areas[key], sigma, metric))]
+    return chunks, sorted(a for a, bits in vectors.items() if not bits)
+
+
 # The two-step co-occurrence count and alpha filter that grouping shipped
 # with before both were fused on numpy arrays (compute_legal_relations),
 # kept with their behaviour unchanged as its oracle.

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctgroup import features
 from ctgroup.chunking import (
@@ -18,7 +20,7 @@ from ctgroup.errors import ConfigError, UnknownDatumError
 from ctgroup.features import CtfMatrix, CtfVector, build_ctf, distance, strong_relation
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.transactions import CacheTransaction, ExtractorConfig, extract_transactions
-from reference import ref_cluster, replay_audit
+from reference import ref_chunk_all, ref_cluster, replay_audit
 
 
 def matrix(vectors, dim=None):
@@ -85,9 +87,28 @@ class TestPreBlock:
                 freq = dict(data)[a]
                 assert area_key(a, freq, cfg, 1000) == key
 
+    @pytest.mark.parametrize("data, max_address", [
+        ([(-1, 1)], 100),
+        ([(5, 1)], -1),
+        ([(5, 0)], 1 << 63),
+    ])
+    def test_address_range_rejected(self, data, max_address):
+        # addresses lie in [0, max_address] and max_address in int64
+        with pytest.raises(ConfigError, match="must lie in"):
+            pre_block(data, ChunkerConfig(), max_address)
+
+    def test_bins_exact_where_address_times_q_overflows(self):
+        top = (1 << 63) - 1
+        cfg = ChunkerConfig(q=(1 << 62) + 3)
+        for address in (0, 1, 1 << 62, top - 1, top):
+            assert area_key(address, 1, cfg, top).addr_bin == min(
+                address * cfg.q // top, cfg.q - 1)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ChunkerConfig(q=0).validate()
+        with pytest.raises(ConfigError):
+            ChunkerConfig(q=1 << 63).validate()
         with pytest.raises(ConfigError):
             ChunkerConfig(p=1.0).validate()
         with pytest.raises(ConfigError):
@@ -295,6 +316,44 @@ class TestChunkAll:
         # so chunk_all over a matrix reports no exclusions
         chunkset = chunk_all(self.small_matrix(), ChunkerConfig())
         assert chunkset.excluded == ()
+
+
+@st.composite
+def chunk_cases(draw):
+    """{address: index set} over ``dim`` transactions, and the max_address
+    to pass (None: the largest address). Addresses reach 2**62 and beyond,
+    where address * q overflows int64, and may include max_address itself;
+    popcounts favour the exact powers 1, 2, 4, 8 and 10, and include 0."""
+    top = draw(st.sampled_from([40, 1000, 1 << 62, (1 << 62) + 12345, (1 << 63) - 1]))
+    addresses = draw(st.sets(st.integers(0, top), min_size=1, max_size=9))
+    if draw(st.booleans()):
+        addresses.add(top)
+    dim = draw(st.integers(1, 10))
+    popcount = st.one_of(st.sampled_from([0, 1, 2, 4, 8, 10]), st.integers(0, 10))
+    vectors = {a: frozenset(draw(st.permutations(range(dim)))[:draw(popcount)])
+               for a in addresses}
+    return vectors, dim, draw(st.sampled_from([None, top]))
+
+
+class TestChunkAllOracle:
+    @given(chunk_cases(), st.sampled_from([1, 2, 16, 10**6]),
+           st.sampled_from([1.5, 2.0, 10.0]), st.sampled_from([0.0, 0.1, 0.6, 1.0]),
+           st.sampled_from(["symmetric_diff", "euclidean"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case, q, p, sigma, metric):
+        vectors, dim, max_address = case
+        chunkset = chunk_all(matrix(vectors, dim), ChunkerConfig(q=q, p=p, sigma=sigma),
+                             max_address, metric)
+        want, excluded = ref_chunk_all(vectors, q, p, sigma,
+                                       max(vectors) if max_address is None else max_address,
+                                       metric)
+        assert [((key.addr_bin, key.freq_bin), members)
+                for key, members in zip(chunkset.areas, chunkset.partition.parts())] == want
+        assert chunkset.excluded == tuple(excluded)
+        transacted = {a: bits for a, bits in vectors.items() if bits}
+        assert replay_audit(transacted, chunkset.audit) == {members for _, members in want}
+        for rec in chunkset.audit:
+            assert rec.distance <= rec.threshold
 
 
 class TestSerialization:

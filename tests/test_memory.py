@@ -9,6 +9,12 @@ and without their full-size int64 temporaries and unbounded pair batches:
 chunk_all peaked at 5.0 MiB and compute_legal_relations at 16.2 MiB with
 them, and at 2.8 and 6.7 MiB without (numpy 2.4, Python 3.11).
 
+chunk_all also runs at perfbench's planted-300k CTF shape: the 210k-access
+training split of the synthesize_trace instance below, 19,999 data and
+209,872 (datum, transaction) incidences. Its bound is the 6.37 MiB peak
+of the per-datum keying and per-merge bit searches it replaced, plus 10%;
+it peaks at 5.61 MiB, so a new temporary of 1.4 MiB or more crosses it.
+
 build_lru_profile runs on the same instance's 80k-access trace. Its bound
 sits between its peak with int64 positions and byte sums throughout, 5.1
 MiB, and with the int32 ones it ships with, 3.0 MiB.
@@ -75,7 +81,7 @@ from ctgroup.simulator import (
     sweep,
 )
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
-from ctgroup.trace import load_trace
+from ctgroup.trace import first_access_positions, load_trace
 from ctgroup.transactions import (
     ExtractorConfig,
     extract_transactions,
@@ -123,6 +129,16 @@ def test_chunk_all_peak(instance):
     assert peak <= 4 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
 
 
+def test_chunk_all_planted_peak():
+    spec = SyntheticSpec(num_data=20000, num_accesses=300000,
+                         group_structure=[(8, 1.0)] * 2000, rng_seed=1)
+    train = synthesize_trace(spec)[0].split(210000)[0]
+    ctf = build_ctf(extract_transactions(train, ExtractorConfig(65536)))
+    chunkset, peak = traced_peak(chunk_all, ctf, ChunkerConfig())
+    assert len(chunkset) == 12678 and len(chunkset.audit) == 7321
+    assert peak <= 7.0 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
+
+
 def test_compute_legal_relations_peak(instance):
     txns, ctf = instance
     chunks = chunk_all(ctf, ChunkerConfig(sigma=0.6)).partition
@@ -140,7 +156,10 @@ def test_build_lru_profile_peak(trace):
 def test_group_column_peak(synthetic):
     trace, truth = synthetic
     table = GroupTable(truth.groups)
-    column, peak = traced_peak(group_column, trace.addresses, table)
+    # with the first-access search, as ReplayRows runs it for the column
+    column, peak = traced_peak(
+        lambda addresses: group_column(addresses, table, first_access_positions(addresses)),
+        trace.addresses)
     assert column.dtype == np.int32 and len(column) == len(trace)
     assert (column < -1).sum() == sum(len(members) for members in truth.groups)
     assert peak <= 2 * MIB, f"group_column peaked at {peak / MIB:.2f} MiB"

@@ -21,7 +21,7 @@ from ctgroup.simulator import (
     simulate,
     sweep,
 )
-from ctgroup.trace import AccessRecord, Op, Trace
+from ctgroup.trace import AccessRecord, Op, Trace, first_access_positions
 from reference import ref_group_column, ref_lru_hit_rate, ref_simulate
 
 A, B, C = 0, 8, 16
@@ -376,7 +376,8 @@ class TestGroupColumn:
         for case in range(120):
             monkeypatch.setattr(trace_module, "ROW_BLOCK", rng.choice([1, 7, 1 << 15]))
             trace, table, _ = TestReferenceReplay.random_case(rng)
-            got = simulator.group_column(trace.addresses, table)
+            got = simulator.group_column(trace.addresses, table,
+                                          first_access_positions(trace.addresses))
             assert got.dtype == np.int32
             assert got.tolist() == ref_group_column(trace.addresses.tolist(), table.members)
 
@@ -447,7 +448,8 @@ class TestGroupColumn:
         for _ in range(30):
             trace, _, extra = TestReferenceReplay.random_case(rng)
             singles = GroupTable([(a,) for a in set(trace.addresses.tolist())])
-            assert (simulator.group_column(trace.addresses, singles) == -1).all()
+            first = first_access_positions(trace.addresses)
+            assert (simulator.group_column(trace.addresses, singles, first) == -1).all()
             for write_allocate in (True, False):
                 capacity = rng.randint(1, 40)
                 for policy in (GROUP_PREFETCH, GROUP_MERGED):
