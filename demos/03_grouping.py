@@ -37,12 +37,14 @@ grouping = build_grouping(txns, chunkset.partition, GrouperConfig(alpha=0.5, mu=
 report = grouping_report(grouping)
 print(f"-> {report.group_count} groups; sizes {report.size_histogram}")
 
+# group gid's addresses and chunk ids are part gid of two partitions
 print("\nrecovered groups of size > 1:")
-for group in grouping.groups:
-    if len(group.members) > 1:
-        density = report.densities[group.id]
+for gid, (members, chunk_ids) in enumerate(zip(grouping.partition.parts(),
+                                               grouping.chunk_ids.parts())):
+    if len(members) > 1:
+        density = report.densities[gid]
         shown = "n/a" if density is None else f"{density:.2f}"
-        print(f"  group {group.id}: {len(group.members)} data "
-              f"({len(group.chunk_ids)} chunks, edge density {shown})")
+        print(f"  group {gid}: {len(members)} data "
+              f"({len(chunk_ids)} chunks, edge density {shown})")
 print(f"\nplanted: {len(truth.groups)} groups of 6, "
       f"{len(truth.ungrouped)} singletons")

@@ -32,7 +32,7 @@ matrix = build_ctf(txns)
 chunkset = chunk_all(matrix, ChunkerConfig(sigma=0.2))
 grouping = build_grouping(txns, chunkset.partition, GrouperConfig())
 table = GroupTable.from_grouping(grouping)
-print(f"learned {len(table.members)} groups from the training split\n")
+print(f"learned {len(table.partition)} groups from the training split\n")
 
 # Capacity fractions are relative to the workload's distinct-data bytes;
 # at 0.4% of the working set a demand-fetch cache gets almost no hits,

@@ -48,7 +48,7 @@ print(f"\nW(same group) = {same:.1f}   W(cross group) = {cross:.1f}")
 
 # Access-count gaps for co-transacting pairs under increasing W limits.
 txns = extract_transactions(trace, ExtractorConfig(window_bytes=65536))
-pairs = cooccurring_pairs(t for t in txns if not t.partial)
+pairs = cooccurring_pairs(txns)  # full transactions only
 reports = access_count_gap_report(index, pairs, w_limits=[20, 50, 100])
 print()
 for line in gap_report_csv_lines(reports):

@@ -134,7 +134,7 @@ def _fields_equal(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: bytes):
 
 
 @contextmanager
-def _replacing(path):
+def replacing(path):
     """A text file handle whose contents replace ``path`` on success."""
     tmp = f"{path}.tmp"
     try:
@@ -148,7 +148,7 @@ def _replacing(path):
 
 def write(path, header: Mapping[str, object], lines: Iterable[str], columns=None):
     """Write ``# k=v ...``, then ``columns`` (if any), then each data line."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
         if columns is not None:
             fh.write(columns + "\n")
@@ -162,7 +162,7 @@ def list_lines(rows: Iterable[tuple[int, Iterable[int]]]) -> Iterator[str]:
 
 
 def write_json(path, obj):
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

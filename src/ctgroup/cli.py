@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import locality, pipeline, transactions
+from . import artifacts, locality, pipeline, transactions
 from .errors import ConfigError, CtgroupError, DataError
 from .pipeline import PipelineConfig, PipelineStageError
 
@@ -68,7 +68,7 @@ def _out(cfg, name):
 
 
 def _write_lines(cfg, name, lines):
-    with open(_out(cfg, name), "w", encoding="utf-8") as fh:
+    with artifacts.replacing(_out(cfg, name)) as fh:
         fh.writelines(line + "\n" for line in lines)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import DataError, DimensionMismatchError
-from .transactions import CacheTransaction, TransactionLog, ragged_rows
+from .transactions import TransactionLog, ragged_rows
 
 SYMMETRIC_DIFF = "symmetric_diff"
 EUCLIDEAN = "euclidean"
@@ -190,11 +190,10 @@ class Partition:
         return self.members[order], np.append(owners[order], dtype(-1))
 
 
-def build_ctf(transactions: TransactionLog | Iterable[CacheTransaction],
-              include_partial: bool = False) -> CtfMatrix:
+def build_ctf(log: TransactionLog, include_partial: bool = False) -> CtfMatrix:
     """Invert a transaction log into per-datum vectors; the partial
     transaction is included (as the last index) only on request."""
-    members, offsets = TransactionLog.of(transactions).used(include_partial)
+    members, offsets = log.used(include_partial)
     n = len(offsets) - 1
     # A stable sort by address keeps each address's transactions ascending.
     order = np.argsort(members, kind="stable")

@@ -20,15 +20,17 @@ holds and the simulator replays.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import artifacts
 from .errors import ConfigError, UnknownDatumError
 from .features import Partition, run_incidence, shared_run_counts
-from .transactions import CacheTransaction, TransactionLog
+from .trace import column_rows
+from .transactions import TransactionLog
 
 DESCENDING = "descending"
 ASCENDING = "ascending"
@@ -61,7 +63,7 @@ TXN_BATCH = 8192
 
 
 def compute_legal_relations(
-    transactions: TransactionLog | Iterable[CacheTransaction],
+    log: TransactionLog,
     chunks: Partition,
     alpha: float,
     sort: str = DESCENDING,
@@ -79,7 +81,6 @@ def compute_legal_relations(
     that does not raises UnknownDatumError (it indicates the chunking was
     built from a different transaction log).
 
-    A sequence of CacheTransactions is packed by TransactionLog.of first.
     Transactions are resolved to their distinct chunks in batches, kept as
     int32 chunk ids with their run tails; |V_C| counts those ids. The chunk
     pairs within each transaction are then counted in batches of smaller
@@ -88,7 +89,7 @@ def compute_legal_relations(
     held.
     """
     stride = max(len(chunks), 1)
-    members, offsets = TransactionLog.of(transactions).used(include_partial)
+    members, offsets = log.used(include_partial)
     tails, held = [], []  # per batch of transactions
     for lo in range(0, len(offsets) - 1, TXN_BATCH):
         bounds = offsets[lo:lo + TXN_BATCH + 1]
@@ -129,18 +130,10 @@ class GroupMergeRecord:
 
 
 @dataclass
-class Group:
-    id: int
-    chunk_ids: tuple[int, ...]
-    members: tuple[int, ...]  # block addresses, ascending
-    internal_edges: int       # processed cross-relations merged away into this group
-
-
-@dataclass
 class Grouping:
     partition: Partition       # group id -> block addresses
     chunk_ids: Partition       # group id -> chunk ids
-    internal_edges: list[int]  # group id -> its Group.internal_edges
+    internal_edges: list[int]  # group id -> processed cross relations merged into it
     audit: list[GroupMergeRecord] = field(default_factory=list)
     processed_cross: int = 0
     skipped_same_group: int = 0
@@ -148,12 +141,6 @@ class Grouping:
 
     def __len__(self):
         return len(self.partition)
-
-    @property
-    def groups(self) -> list[Group]:
-        """Each group as a Group, built from the partitions."""
-        return [Group(gid, *group) for gid, group in enumerate(zip(
-            self.chunk_ids.parts(), self.partition.parts(), self.internal_edges))]
 
 
 class _DisjointGroups:
@@ -201,17 +188,15 @@ class _DisjointGroups:
 def merge_groups(
     relations: Sequence[Relation],
     chunks: Partition,
-    mu: float,
-    config: GrouperConfig | None = None,
+    config: GrouperConfig,
 ) -> Grouping:
-    """Run the ordered merge procedure over all chunks.
+    """Run the ordered merge procedure over all chunks at ``config.mu``.
 
     Every chunk ends in a group, numbered by smallest chunk id (never-merged
     chunks come out as singleton groups). Relations must already be
     sorted; they are processed in the order given.
     """
-    if config is None:
-        config = GrouperConfig(mu=mu)
+    mu = config.mu
     state = _DisjointGroups(range(len(chunks)))
     audit: list[GroupMergeRecord] = []
     processed_cross = 0
@@ -252,7 +237,7 @@ def merge_groups(
 
 
 def build_grouping(
-    transactions: TransactionLog | Iterable[CacheTransaction],
+    log: TransactionLog,
     chunks: Partition,
     config: GrouperConfig,
     include_partial: bool = False,
@@ -261,9 +246,9 @@ def build_grouping(
     chunk stage's partition, ChunkSet.partition."""
     config.validate()
     relations = compute_legal_relations(
-        transactions, chunks, config.alpha, config.sort, include_partial,
+        log, chunks, config.alpha, config.sort, include_partial,
     )
-    return merge_groups(relations, chunks, config.mu, config)
+    return merge_groups(relations, chunks, config)
 
 
 @dataclass
@@ -278,21 +263,15 @@ class GroupingReport:
 
 
 def grouping_report(grouping: Grouping) -> GroupingReport:
-    size_hist: dict[int, int] = {}
-    chunk_hist: dict[int, int] = {}
-    densities: dict[int, float | None] = {}
-    for group in grouping.groups:
-        size_hist[len(group.members)] = size_hist.get(len(group.members), 0) + 1
-        n = len(group.chunk_ids)
-        chunk_hist[n] = chunk_hist.get(n, 0) + 1
-        if n < 2:
-            densities[group.id] = None
-        else:
-            densities[group.id] = group.internal_edges / (n * (n - 1) / 2)
+    sizes = np.diff(grouping.partition.offsets).tolist()
+    chunk_counts = np.diff(grouping.chunk_ids.offsets).tolist()
+    densities: dict[int, float | None] = {
+        gid: None if n < 2 else edges / (n * (n - 1) / 2)
+        for gid, (n, edges) in enumerate(zip(chunk_counts, grouping.internal_edges))}
     return GroupingReport(
-        group_count=len(grouping.groups),
-        size_histogram=dict(sorted(size_hist.items())),
-        chunk_size_histogram=dict(sorted(chunk_hist.items())),
+        group_count=len(grouping),
+        size_histogram=dict(sorted(Counter(sizes).items())),
+        chunk_size_histogram=dict(sorted(Counter(chunk_counts).items())),
         densities=densities,
     )
 
@@ -306,9 +285,10 @@ def save_grouping(path, grouping: Grouping, metadata: Mapping[str, object] = (),
     cfg = grouping.config
     header = {"alpha": cfg.alpha, "mu": cfg.mu, "sort": cfg.sort,
               "config_hash": config_hash, **dict(metadata)}
-    artifacts.write(path, header, (
-        f"{group.id},{address}" for group in grouping.groups for address in group.members
-    ), columns=COLUMNS)
+    part = grouping.partition
+    gids = np.repeat(np.arange(len(part)), np.diff(part.offsets))
+    artifacts.write(path, header, (f"{gid},{address}" for gid, address
+                                   in column_rows(gids, part.members)), columns=COLUMNS)
 
 
 def load_grouping_members(path, config_hash=None):

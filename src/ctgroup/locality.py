@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UnknownDatumError
 from .features import run_incidence, shared_run_counts
 from .trace import Trace
-from .transactions import CacheTransaction, TransactionLog
+from .transactions import TransactionLog
 
 
 @dataclass
@@ -168,18 +168,15 @@ class GapReport:
         return self.equal_count / self.num_pairs
 
 
-def cooccurring_pairs(
-    transactions: TransactionLog | Iterable[CacheTransaction],
-) -> set[tuple[int, int]]:
+def cooccurring_pairs(log: TransactionLog) -> set[tuple[int, int]]:
     """Unordered address pairs sharing at least one full cache transaction.
 
     This is the scope filter used instead of all-pairs enumeration. The
-    end-of-trace partial transaction is left out, as in every stage, and a
-    sequence of CacheTransactions is packed by TransactionLog.of first.
-    The addresses are numbered densely in ascending order, so the pairs
-    come from the same pair counter as chunk co-occurrence.
+    end-of-trace partial transaction is left out, as in every stage. The
+    addresses are numbered densely in ascending order, so the pairs come
+    from the same pair counter as chunk co-occurrence.
     """
-    members, offsets = TransactionLog.of(transactions).used()
+    members, offsets = log.used()
     addresses, ids = np.unique(members, return_inverse=True)
     txn = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     pairs: set[tuple[int, int]] = set()

@@ -93,6 +93,9 @@ class PipelineConfig:
         self.extractor_config().validate()
         self.chunker_config().validate()
         self.grouper_config().validate()
+        for key in ("capacity_fractions", "policies", "w_limits"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must list at least one value")
         for f in self.capacity_fractions:
             if not 0 < f <= 1:
                 raise ConfigError(f"capacity fraction {f} outside (0,1]")
@@ -134,20 +137,24 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "PipelineConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, val in values.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(val, str):
-                try:
-                    val = known[key].metadata.get("parse", str)(val)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {exc}") from None
-            kwargs[key] = val
-        cfg = cls(**kwargs)
+        cfg = cls(**{key: cls.parse(key, val) for key, val in values.items()})
         cfg.validate()
         return cfg
+
+    @classmethod
+    def parse(cls, key: str, val):
+        """``val`` as the value of config key ``key``: text goes through
+        the key's parser, and other values are taken as they are. An
+        unknown key or text its parser rejects is a ConfigError."""
+        known = {f.name: f for f in fields(cls)}
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}")
+        if not isinstance(val, str):
+            return val
+        try:
+            return known[key].metadata.get("parse", str)(val)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
 class PipelineStageError(CtgroupError):
@@ -321,12 +328,14 @@ def _digest(path) -> str:
 def _collector_paused():
     """Pause CPython's cyclic garbage collector for a batch run.
 
-    The stages allocate millions of long-lived objects that form no
-    reference cycles (trace records, transactions, feature vectors), and
-    the collector would scan them again each time it runs as they pile
-    up: on the 3M-record gate that cost about a quarter of the run time
-    (50 s against 37 s paused, on a 2-CPU host). Reference counting still
-    frees them; the collector's state is restored on exit.
+    The stages hold their data in numpy columns, but some still allocate
+    many Python objects that form no reference cycles: the chunk stage's
+    heap tuples, the group stage's union-find dicts and relations, and
+    the simulate stage's replay rows and cache dicts. The collector would
+    scan them again each time it runs as they pile up; on the 3M-record
+    gate that once cost about a quarter of the run time (50 s against
+    37 s paused, on a 2-CPU host). Reference counting still frees them;
+    the collector's state is restored on exit.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -382,18 +391,23 @@ SWEEP_AXES = ("sigma", "mu", "M")
 def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
     """Rerun the grouping stages per axis value; returns per-value summaries.
 
-    Each summary carries the grouping report (group count, size histogram)
-    and the wall time of the run, for trend plots over sigma / mu / M.
+    Each value is text that the axis key's parser reads, as in a config
+    file. Each summary carries the grouping report (group count, size
+    histogram) and the wall time of the run, for trend plots over
+    sigma / mu / M.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     cfg.validate()
+    points = [replace(cfg, **{axis: cfg.parse(axis, value)}) for value in values]
+    if not points:
+        raise ConfigError(f"no {axis} values to sweep")
+    for point in points:
+        point.validate()
     trace = load_input_trace(cfg)[0]
     stages = STAGE_TABLE[:STAGES.index("group") + 1]
     results = []
-    for value in values:
-        point = replace(cfg, **{axis: int(value) if axis == "M" else float(value)})
-        point.validate()
+    for value, point in zip(values, points):
         start = time.perf_counter()
         grp = run_stages(point, stages, {"trace": trace})
         elapsed = time.perf_counter() - start

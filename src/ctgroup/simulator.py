@@ -75,17 +75,15 @@ GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
 
 class GroupTable:
-    """The grouping for the prefetch policies: ``partition``, and
-    ``members[gid]``, the group's addresses, ascending, as a tuple.
+    """The grouping for the prefetch policies: ``partition``, whose part
+    gid holds the group's addresses, ascending.
 
     A table is not changed once built: the replay rows of a trace keep its
-    group column under the table object itself. Given lists of groups, an
-    address listed twice, in one group or in two, is a DataError.
+    group column under the table object itself.
     """
 
-    def __init__(self, groups: Partition | Iterable[Sequence[int]]):
-        self.partition = groups if isinstance(groups, Partition) else Partition.of(groups)
-        self.members = self.partition.parts()
+    def __init__(self, partition: Partition):
+        self.partition = partition
 
     @classmethod
     def from_grouping(cls, grouping) -> "GroupTable":

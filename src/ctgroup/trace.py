@@ -36,6 +36,7 @@ from .artifacts import (
     _per_line,
     _uint_fields,
     find,
+    replacing,
 )
 from .errors import (
     ConfigError,
@@ -184,19 +185,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def __getitem__(self, i: int) -> AccessRecord:
-        return AccessRecord(
-            int(self.timestamps[i]),
-            int(self.addresses[i]),
-            int(self.sizes[i]),
-            Op(int(self.ops[i])),
-        )
-
-    def __iter__(self) -> Iterator[AccessRecord]:
-        for t, a, s, o in column_rows(self.timestamps, self.addresses, self.sizes,
-                                      self.ops):
-            yield AccessRecord(t, a, s, Op(o))
-
     def split(self, train_count: int) -> tuple["Trace", "Trace"]:
         """Split into (first train_count records, remainder).
 
@@ -249,9 +237,8 @@ class Trace:
             yield f"{t},{host},0,{op_text},{a},{s},0"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.to_csv_lines():
-                fh.write(line + "\n")
+        with replacing(path) as fh:
+            fh.writelines(line + "\n" for line in self.to_csv_lines())
 
 
 def _parse_block(b, starts, ends, filters):

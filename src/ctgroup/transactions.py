@@ -20,9 +20,10 @@ neither grow the byte counter nor re-enter the pending transaction.
 
 The log is a ``TransactionLog``: every transaction's members back to back
 in one int64 array, an offsets array, and a flag for a trailing partial
-transaction, which only ``TransactionLog.used`` leaves out. A
-``CacheTransaction`` is only a view of one transaction of a log, made by
-iterating or indexing it; ``TransactionLog.of`` packs a sequence of them.
+transaction, which only ``TransactionLog.used`` leaves out. Every stage
+takes a log. A ``CacheTransaction`` is only a view of one transaction of
+a log, made by iterating it; ``TransactionLog.of`` packs a sequence of
+them into a log.
 """
 
 from __future__ import annotations
@@ -93,26 +94,18 @@ class TransactionLog:
         n = len(self) - (self.partial and not include_partial)
         return self.members[:self.offsets[n]], self.offsets[:n + 1]
 
-    def __getitem__(self, i: int) -> CacheTransaction:
-        i = range(len(self))[i]
-        members = self.members[self.offsets[i]:self.offsets[i + 1]].tolist()
-        return CacheTransaction(i, tuple(members), self.partial and i == len(self) - 1)
-
     def __iter__(self) -> Iterator[CacheTransaction]:
         last = len(self) - 1
         for i, members in enumerate(ragged_rows(self.members, self.offsets)):
             yield CacheTransaction(i, tuple(members), self.partial and i == last)
 
     @classmethod
-    def of(cls, transactions: "TransactionLog | Iterable[CacheTransaction]"
-           ) -> "TransactionLog":
-        """``transactions`` packed into a log; a log is returned as it is.
+    def of(cls, transactions: Iterable[CacheTransaction]) -> "TransactionLog":
+        """``transactions`` packed into a log.
 
         Indices must be consecutive from 0, and only the last transaction
         may be partial; DimensionMismatchError otherwise.
         """
-        if isinstance(transactions, cls):
-            return transactions
         members, offsets = array("q"), array("q", [0])
         partial = False
         for j, txn in enumerate(transactions):

@@ -303,9 +303,8 @@ def ref_simulate(
     metrics = SimMetrics(cfg.policy, cfg.capacity_fraction, capacity)
     cache = _CacheState(capacity, metrics)
     lru_order = cfg.policy != FIFO
-    table = cfg.grouping
-    group_of = {} if table is None else {
-        a: gid for gid, members in enumerate(table.members) for a in members}
+    groups = [] if cfg.grouping is None else cfg.grouping.partition.parts()
+    group_of = {a: gid for gid, members in enumerate(groups) for a in members}
     extra_sizes = cfg.extra_sizes or {}
     sizes_seen: dict[int, int] = {}
 
@@ -339,7 +338,7 @@ def ref_simulate(
                 gid = group_of.get(address)
                 if gid is not None and allocate:
                     members, total = _group_fetch_plan(
-                        table.members[gid], address, sizes_seen, extra_sizes, metrics
+                        groups[gid], address, sizes_seen, extra_sizes, metrics
                     )
                     if total + size <= capacity:
                         for member, msize in members:
@@ -361,7 +360,7 @@ def ref_simulate(
                 else:
                     metrics.disk_ios += 1  # one fetch covers the whole group
                     members, total = _group_fetch_plan(
-                        table.members[gid], address, sizes_seen, extra_sizes, metrics
+                        groups[gid], address, sizes_seen, extra_sizes, metrics
                     )
                     if allocate:
                         if total + size <= capacity:
@@ -416,6 +415,13 @@ def ref_group_column(addresses, groups):
             gid = -2 - gid
         column.append(gid)
     return column
+
+
+def trace_rows(trace):
+    """(timestamp, address, size, op) per access; equal to the trace's
+    AccessRecords as tuples."""
+    return list(zip(trace.timestamps.tolist(), trace.addresses.tolist(),
+                    trace.sizes.tolist(), trace.ops.tolist()))
 
 
 def ref_first_seen_sizes(trace):

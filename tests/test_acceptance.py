@@ -135,7 +135,7 @@ class TestGroupingInvariants:
         # each transacted datum lands in exactly one chunk and one group
         chunk_members = [a for c in chunkset.chunks for a in c.members]
         assert sorted(chunk_members) == matrix.addresses.tolist()
-        group_members = [a for g in grp.groups for a in g.members]
+        group_members = grp.partition.members.tolist()
         assert sorted(group_members) == matrix.addresses.tolist()
         assert len(group_members) == len(set(group_members))
 
@@ -148,9 +148,7 @@ class TestGroupingInvariants:
         for rec in chunkset.audit:
             assert rec.distance <= rec.threshold
         chunk_ids = [c.id for c in chunkset.chunks]
-        assert replay_group_audit(chunk_ids, grp.audit) == {
-            g.chunk_ids for g in grp.groups
-        }
+        assert replay_group_audit(chunk_ids, grp.audit) == set(grp.chunk_ids.parts())
         for rec in grp.audit:
             assert rec.counter >= rec.threshold
 
@@ -185,11 +183,11 @@ class TestGroupingInvariants:
                 alpha = rng.choice([0.0, 0.3, 0.6])
                 mu = rng.choice([0.0, 0.3, 0.5, 1.0])
                 rels = legal_relations(counts, pops, alpha)
-                grp = merge_groups(rels, singleton_members(n), mu)
+                grp = merge_groups(rels, singleton_members(n), GrouperConfig(mu=mu))
                 expected = ref_merge_groups(
                     [(r.x, r.y) for r in rels], chunk_ids, mu
                 )
-                assert {g.chunk_ids for g in grp.groups} == expected
+                assert set(grp.chunk_ids.parts()) == expected
 
 
 class TestPlantedRecovery:
@@ -209,7 +207,7 @@ class TestPlantedRecovery:
                 grp = build_grouping(
                     txns, chunkset.partition, GrouperConfig(alpha=0.5, mu=0.5)
                 )
-                got = {g.members for g in grp.groups if len(g.members) > 1}
+                got = {members for members in grp.partition.parts() if len(members) > 1}
                 planted = {tuple(g) for g in truth.groups}
                 group_sizes = np.diff(grp.partition.offsets)
                 labels = grp.partition.labels(np.array(truth.ungrouped, dtype=np.int64))

@@ -19,7 +19,12 @@ from ctgroup.chunking import (
 from ctgroup.errors import ConfigError, UnknownDatumError
 from ctgroup.features import CtfMatrix, CtfVector, build_ctf, distance, strong_relation
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
-from ctgroup.transactions import CacheTransaction, ExtractorConfig, extract_transactions
+from ctgroup.transactions import (
+    CacheTransaction,
+    ExtractorConfig,
+    TransactionLog,
+    extract_transactions,
+)
 from reference import ref_chunk_all, ref_cluster, replay_audit
 
 
@@ -247,7 +252,7 @@ class TestChunkAll:
             CacheTransaction(2, (1 << 20,)),
             CacheTransaction(3, (1 << 20, (1 << 20) + 4096)),
         ]
-        return build_ctf(txns)
+        return build_ctf(TransactionLog.of(txns))
 
     def test_partition_of_addresses(self):
         ctf = self.small_matrix()
@@ -359,7 +364,7 @@ class TestChunkAllOracle:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         txns = [CacheTransaction(0, (0, 8)), CacheTransaction(1, (0, 8, 16))]
-        chunkset = chunk_all(build_ctf(txns), ChunkerConfig(q=2, sigma=0.5))
+        chunkset = chunk_all(build_ctf(TransactionLog.of(txns)), ChunkerConfig(q=2, sigma=0.5))
         path = tmp_path / "chunks.tsv"
         save_chunks(path, chunkset, {"window_bytes": 8}, config_hash="qq")
         chunks, header = load_chunk_members(path)

@@ -22,6 +22,7 @@ from ctgroup.transactions import (
     CUMULATIVE,
     CacheTransaction,
     ExtractorConfig,
+    TransactionLog,
     extract_transactions,
 )
 
@@ -38,34 +39,34 @@ def txn(index, *members, partial=False):
 
 class TestBuild:
     def test_direct_inversion(self):
-        matrix = build_ctf([txn(0, 10, 20), txn(1, 20, 30)])
+        matrix = build_ctf(TransactionLog.of([txn(0, 10, 20), txn(1, 20, 30)]))
         assert matrix.num_transactions == 2
         assert matrix[10].bits == (0,)
         assert matrix[20].bits == (0, 1)
         assert matrix[30].bits == (1,)
 
     def test_empty_log(self):
-        matrix = build_ctf([])
+        matrix = build_ctf(TransactionLog.of([]))
         assert matrix.num_transactions == 0
         assert not matrix.rows
 
     def test_reconstruction_roundtrip(self):
         txns = [txn(0, 1, 2, 3), txn(1, 2), txn(2, 3, 1)]
-        matrix = build_ctf(txns)
+        matrix = build_ctf(TransactionLog.of(txns))
         assert reconstruct_transactions(matrix) == [
             set(t.members) for t in txns
         ]
 
     def test_partial_excluded_by_default(self):
         txns = [txn(0, 1), txn(1, 2, partial=True)]
-        assert 2 not in build_ctf(txns)
-        matrix = build_ctf(txns, include_partial=True)
+        assert 2 not in build_ctf(TransactionLog.of(txns))
+        matrix = build_ctf(TransactionLog.of(txns), include_partial=True)
         assert matrix[2].bits == (1,)
         assert matrix.num_transactions == 2
 
     def test_non_consecutive_indices_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            build_ctf([txn(1, 5)])
+            build_ctf(TransactionLog.of([txn(1, 5)]))
 
 
 class TestVectorStorage:
@@ -177,7 +178,7 @@ class TestSizeEffect:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        matrix = build_ctf([txn(0, 5, 9), txn(1, 9), txn(2, 5, 7)])
+        matrix = build_ctf(TransactionLog.of([txn(0, 5, 9), txn(1, 9), txn(2, 5, 7)]))
         path = tmp_path / "ctf.tsv"
         save_ctf(path, matrix, {"window_bytes": 8}, config_hash="xyz")
         loaded, header = load_ctf(path)

@@ -25,6 +25,7 @@ from ctgroup.transactions import (
     SNAPSHOT,
     CacheTransaction,
     ExtractorConfig,
+    TransactionLog,
     extract_transactions,
 )
 from reference import (
@@ -38,6 +39,10 @@ from reference import (
 
 def txn(index, *members, partial=False):
     return CacheTransaction(index, members, partial)
+
+
+def log(*txns):
+    return TransactionLog.of(txns)
 
 
 def singleton_members(count):
@@ -112,7 +117,7 @@ class TestLegalRelations:
             alpha = rng.choice([0.0, 0.3, 0.7])
             counts = count_cooccurrence(txns, lookup)
             expected = legal_relations(counts, pops, alpha)
-            got = compute_legal_relations(txns, members_of(lookup), alpha)
+            got = compute_legal_relations(TransactionLog.of(txns), members_of(lookup), alpha)
             assert got == expected
 
     @staticmethod
@@ -138,7 +143,8 @@ class TestLegalRelations:
                 pops = ref_chunk_popcounts(txns, lookup, include_partial)
                 expected = legal_relations(counts, pops, alpha)
                 got = compute_legal_relations(
-                    txns, members_of(lookup), alpha, include_partial=include_partial
+                    TransactionLog.of(txns), members_of(lookup), alpha,
+                    include_partial=include_partial
                 )
                 assert got == expected
 
@@ -150,7 +156,8 @@ class TestLegalRelations:
             expected = legal_relations(
                 count_cooccurrence(txns, lookup), pops, alpha, sort=ASCENDING
             )
-            got = compute_legal_relations(txns, members_of(lookup), alpha, sort=ASCENDING)
+            got = compute_legal_relations(TransactionLog.of(txns), members_of(lookup), alpha,
+                                          sort=ASCENDING)
             assert got == expected
 
     def test_fused_path_matches_two_step_in_small_batches(self, rng, monkeypatch):
@@ -169,25 +176,26 @@ class TestLegalRelations:
                     count_cooccurrence(txns, lookup, True), pops, alpha, sort
                 )
                 got = compute_legal_relations(
-                    txns, members_of(lookup), alpha, sort, include_partial=True
+                    TransactionLog.of(txns), members_of(lookup), alpha, sort,
+                    include_partial=True
                 )
                 assert got == expected
 
     def test_fused_path_rejects_unknown_address(self, monkeypatch):
         members = Partition.of([(0, 4), (8,)])
         with pytest.raises(UnknownDatumError) as exc:
-            compute_legal_relations([txn(0, 0, 8), txn(1, 4, 999)], members, 0.5)
+            compute_legal_relations(log(txn(0, 0, 8), txn(1, 4, 999)), members, 0.5)
         assert exc.value.address == 999
         # the first unknown address in log order is named, in any batch
         monkeypatch.setattr(grouping, "TXN_BATCH", 1)
         with pytest.raises(UnknownDatumError) as exc:
             compute_legal_relations(
-                [txn(0, 0, 8), txn(1, 4, 12), txn(2, 7, 8)], members, 0.5
+                log(txn(0, 0, 8), txn(1, 4, 12), txn(2, 7, 8)), members, 0.5
             )
         assert exc.value.address == 12
         # an unknown address in a skipped partial transaction is not read
         rels = compute_legal_relations(
-            [txn(0, 0, 8), txn(1, 0, 999, partial=True)], members, 0.5
+            log(txn(0, 0, 8), txn(1, 0, 999, partial=True)), members, 0.5
         )
         assert rels == [Relation(0, 1, 1)]
 
@@ -203,50 +211,50 @@ class TestLegalRelations:
 class TestMergeGroups:
     def test_single_relation_merges_at_mu_one(self):
         rels = [Relation(0, 1, 9)]
-        grouping = merge_groups(rels, singleton_members(2), mu=1.0)
-        assert [g.chunk_ids for g in grouping.groups] == [(0, 1)]
+        grouping = merge_groups(rels, singleton_members(2), GrouperConfig(mu=1.0))
+        assert grouping.chunk_ids.parts() == [(0, 1)]
 
     def test_growing_groups_need_more_edges(self):
         # after (0,1) merge, {0,1} vs {2} needs 2 edges at mu=1: the first
         # cross relation only bumps the counter, the second completes it
         rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
-        assert [g.chunk_ids for g in grouping.groups] == [(0, 1, 2)]
+        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
+        assert grouping.chunk_ids.parts() == [(0, 1, 2)]
         assert grouping.processed_cross == 3
-        assert grouping.groups[0].internal_edges == 3
+        assert grouping.internal_edges[0] == 3
 
     def test_insufficient_edges_leave_groups_apart(self):
         rels = [Relation(0, 1, 9), Relation(0, 2, 8)]
-        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
-        assert [g.chunk_ids for g in grouping.groups] == [(0, 1), (2,)]
+        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
+        assert grouping.chunk_ids.parts() == [(0, 1), (2,)]
 
     def test_mu_zero_merges_on_first_contact(self):
         rels = [Relation(0, 1, 5), Relation(2, 3, 4), Relation(1, 2, 1)]
-        grouping = merge_groups(rels, singleton_members(4), mu=0.0)
-        assert [g.chunk_ids for g in grouping.groups] == [(0, 1, 2, 3)]
+        grouping = merge_groups(rels, singleton_members(4), GrouperConfig(mu=0.0))
+        assert grouping.chunk_ids.parts() == [(0, 1, 2, 3)]
 
     def test_unrelated_chunks_become_singletons(self):
-        grouping = merge_groups([], singleton_members(3), mu=0.5)
-        assert [g.chunk_ids for g in grouping.groups] == [(0,), (1,), (2,)]
-        assert all(g.internal_edges == 0 for g in grouping.groups)
+        grouping = merge_groups([], singleton_members(3), GrouperConfig(mu=0.5))
+        assert grouping.chunk_ids.parts() == [(0,), (1,), (2,)]
+        assert all(edges == 0 for edges in grouping.internal_edges)
 
     def test_groups_ordered_by_smallest_chunk_id(self):
         rels = [Relation(1, 3, 9), Relation(0, 2, 8)]
-        grouping = merge_groups(rels, singleton_members(4), mu=1.0)
-        assert [g.chunk_ids for g in grouping.groups] == [(0, 2), (1, 3)]
-        assert [g.members for g in grouping.groups] == [(0, 16), (8, 24)]
+        grouping = merge_groups(rels, singleton_members(4), GrouperConfig(mu=1.0))
+        assert grouping.chunk_ids.parts() == [(0, 2), (1, 3)]
+        assert grouping.partition.parts() == [(0, 16), (8, 24)]
 
     def test_members_sorted_and_labels_complete(self):
         chunks = Partition.of([(16, 0), (8,)])
-        grouping = merge_groups([Relation(0, 1, 3)], chunks, mu=1.0)
-        (group,) = grouping.groups
-        assert group.members == (0, 8, 16)
+        grouping = merge_groups([Relation(0, 1, 3)], chunks, GrouperConfig(mu=1.0))
+        (members,) = grouping.partition.parts()
+        assert members == (0, 8, 16)
         labels = grouping.partition.labels(np.array([0, 8, 16, 24]))
         assert labels.tolist() == [0, 0, 0, -1]
 
     def test_same_group_relations_skipped(self):
         rels = [Relation(0, 1, 9), Relation(0, 1, 2)]
-        grouping = merge_groups(rels, singleton_members(2), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(2), GrouperConfig(mu=1.0))
         assert grouping.skipped_same_group == 1
         assert grouping.processed_cross == 1
 
@@ -269,17 +277,17 @@ class TestOracle:
     def test_matches_reference(self, rng):
         for _ in range(200):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
-            got = {g.chunk_ids for g in grouping.groups}
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+            got = set(grouping.chunk_ids.parts())
             expected = ref_merge_groups([(r.x, r.y) for r in rels], chunk_ids, mu)
             assert got == expected
 
     def test_audit_replays_partition(self, rng):
         for _ in range(100):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
             replayed = replay_group_audit(chunk_ids, grouping.audit)
-            assert replayed == {g.chunk_ids for g in grouping.groups}
+            assert replayed == set(grouping.chunk_ids.parts())
             for rec in grouping.audit:
                 assert rec.counter >= rec.threshold
 
@@ -288,31 +296,31 @@ class TestOracle:
         # them end up counted as internal edges
         for _ in range(50):
             chunk_ids, rels, _ = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), 0.0)
-            total = sum(g.internal_edges for g in grouping.groups)
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=0.0))
+            total = sum(grouping.internal_edges)
             assert total == grouping.processed_cross
 
     def test_internal_edges_bounded(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
-            assert sum(g.internal_edges for g in grouping.groups) <= grouping.processed_cross
-            for g in grouping.groups:
-                n = len(g.chunk_ids)
-                assert g.internal_edges <= n * (n - 1) // 2
+            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+            assert sum(grouping.internal_edges) <= grouping.processed_cross
+            for group, edges in zip(grouping.chunk_ids.parts(), grouping.internal_edges):
+                n = len(group)
+                assert edges <= n * (n - 1) // 2
 
     def test_deterministic(self, rng):
         chunk_ids, rels, mu = self.random_instance(rng)
-        a = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
-        b = merge_groups(rels, singleton_members(len(chunk_ids)), mu)
-        assert [g.chunk_ids for g in a.groups] == [g.chunk_ids for g in b.groups]
+        a = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+        b = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+        assert a.chunk_ids.parts() == b.chunk_ids.parts()
 
     def test_partition_invariant(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
             chunks = Partition.of((c * 8, c * 8 + 4) for c in chunk_ids)
-            grouping = merge_groups(rels, chunks, mu)
-            covered = [a for g in grouping.groups for a in g.members]
+            grouping = merge_groups(rels, chunks, GrouperConfig(mu=mu))
+            covered = grouping.partition.members.tolist()
             assert sorted(covered) == sorted(chunks.members.tolist())
             assert len(covered) == len(set(covered))
 
@@ -327,14 +335,14 @@ class TestEndToEnd:
             txn(3, 1000, 1008),
             txn(4, 0, 8, 16),
         ]
-        ctf = build_ctf(txns)
+        ctf = build_ctf(log(*txns))
         chunkset = chunk_all(ctf, ChunkerConfig(q=2, sigma=0.0))
-        return build_grouping(txns, chunkset.partition,
+        return build_grouping(log(*txns), chunkset.partition,
                               GrouperConfig(alpha=0.5, mu=mu)), chunkset
 
     def test_clusters_recovered(self):
         grouping, _ = self.build()
-        got = {g.members for g in grouping.groups}
+        got = set(grouping.partition.parts())
         assert got == {(0, 8, 16), (1000, 1008)}
 
     def test_report(self):
@@ -376,7 +384,7 @@ class TestEndToEnd:
 
     def test_report_density_of_merged_chunks(self):
         rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members(3), mu=1.0)
+        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
         report = grouping_report(grouping)
         assert report.chunk_size_histogram == {3: 1}
         assert report.densities[0] == 1.0
@@ -386,11 +394,11 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         rels = [Relation(0, 1, 3)]
         chunks = Partition.of([(0, 4), (8,), (1000,)])
-        grouping = merge_groups(rels, chunks, mu=1.0)
+        grouping = merge_groups(rels, chunks, GrouperConfig(mu=1.0))
         path = tmp_path / "grouping.csv"
         save_grouping(path, grouping, {"window_bytes": 64}, config_hash="gg")
         loaded, header = load_grouping_members(path)
-        assert loaded.parts() == [g.members for g in grouping.groups] == [
+        assert loaded.parts() == grouping.partition.parts() == [
             (0, 4, 8), (1000,)]
         assert header["config_hash"] == "gg"
         assert header["mu"] == "1.0"

@@ -15,7 +15,7 @@ from ctgroup.locality import (
     relation_strength,
     symmetric_relation_strength,
 )
-from ctgroup.transactions import CacheTransaction
+from ctgroup.transactions import CacheTransaction, TransactionLog
 from reference import ref_cooccurring_pairs
 
 
@@ -140,7 +140,7 @@ class TestGapReport:
 class TestScopeFilter:
     def test_cooccurring_pairs(self):
         txns = [CacheTransaction(0, (1, 2, 3)), CacheTransaction(1, (3, 4))]
-        assert cooccurring_pairs(txns) == {(1, 2), (1, 3), (2, 3), (3, 4)}
+        assert cooccurring_pairs(TransactionLog.of(txns)) == {(1, 2), (1, 3), (2, 3), (3, 4)}
 
     @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
     def test_matches_reference(self, monkeypatch, pair_batch):
@@ -155,5 +155,5 @@ class TestScopeFilter:
                 CacheTransaction(i, tuple(rng.sample(universe, rng.randint(0, n))))
                 for i in range(rng.randint(0, 12))
             ]
-            assert cooccurring_pairs(txns) == ref_cooccurring_pairs(txns)
-        assert cooccurring_pairs([]) == set()
+            assert cooccurring_pairs(TransactionLog.of(txns)) == ref_cooccurring_pairs(txns)
+        assert cooccurring_pairs(TransactionLog.of([])) == set()

@@ -69,7 +69,7 @@ import pytest
 
 from ctgroup import artifacts
 from ctgroup.chunking import ChunkerConfig, chunk_all
-from ctgroup.features import build_ctf
+from ctgroup.features import Partition, build_ctf
 from ctgroup.grouping import compute_legal_relations
 from ctgroup.simulator import (
     FIFO,
@@ -155,7 +155,7 @@ def test_build_lru_profile_peak(trace):
 
 def test_group_column_peak(synthetic):
     trace, truth = synthetic
-    table = GroupTable(truth.groups)
+    table = GroupTable(Partition.of(truth.groups))
     # with the first-access search, as ReplayRows runs it for the column
     column, peak = traced_peak(
         lambda addresses: group_column(addresses, table, first_access_positions(addresses)),
@@ -168,7 +168,7 @@ def test_group_column_peak(synthetic):
 def test_replay_rows_peak(synthetic):
     trace, truth = synthetic
     trace = dataclasses.replace(trace)  # no rows cached by earlier tests
-    rows, peak = traced_peak(sweep, trace, GroupTable(truth.groups), [0.01, 0.05],
+    rows, peak = traced_peak(sweep, trace, GroupTable(Partition.of(truth.groups)), [0.01, 0.05],
                              [FIFO, GROUP_MERGED, GROUP_PREFETCH],
                              trace.first_seen_sizes(), False)
     assert [row.hits for row in rows[:2]] == [718, 23005]

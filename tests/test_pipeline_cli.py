@@ -1,13 +1,15 @@
 import json
 import random
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import pytest
 
-from ctgroup import cli, pipeline
+from ctgroup import chunking, cli, features, locality, pipeline, simulator, transactions
 from ctgroup.errors import ConfigError, InvariantError
 from ctgroup.grouping import load_grouping_members
 from ctgroup.pipeline import PipelineConfig, PipelineStageError, run_pipeline
+from ctgroup.trace import Trace
 
 
 @pytest.fixture
@@ -129,6 +131,39 @@ class TestRunPipeline:
         }
         assert planted == got
 
+    def test_views_the_benchmark_traced_round_reads(self, spec_file, tmp_path,
+                                                    monkeypatch):
+        # perfbench's traced round wraps these module attributes and takes
+        # its per-layer counts from these views of what they return
+        returned = {}
+
+        def keep(owner, attr):
+            inner = getattr(owner, attr)
+
+            def call(*args, **kwargs):
+                returned.setdefault(attr, []).append(inner(*args, **kwargs))
+                return returned[attr][-1]
+            monkeypatch.setattr(owner, attr, call)
+
+        keep(transactions, "extract_transactions")
+        keep(features, "build_ctf")
+        keep(chunking, "chunk_all")
+        keep(simulator.GroupTable, "from_grouping")
+        keep(simulator, "simulate")
+        run_pipeline(config_for(spec_file, tmp_path / "out"))
+        (log,), (matrix,), (chunkset,) = (returned[name] for name in (
+            "extract_transactions", "build_ctf", "chunk_all"))
+        full = [t for t in log if not t.partial]
+        assert len(full) == log.full_count
+        assert sum(len(t.members) for t in full) == log.used()[0].size
+        assert len(matrix.rows) == len(matrix)
+        assert sum(v.popcount() for v in matrix.rows.values()) == len(matrix.indices)
+        assert {c.area for c in chunkset.chunks} == set(chunkset.areas)
+        assert isinstance(returned["from_grouping"][0], simulator.GroupTable)
+        cells = returned["simulate"]
+        assert len(cells) == 16
+        assert cells[-1].as_dict()["policy"] == simulator.GROUP_MERGED
+
     def test_failed_stage_marks_partials(self, spec_file, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = config_for(spec_file, out)
@@ -195,6 +230,17 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "max_records" in err
+
+    @pytest.mark.parametrize("command, key", [
+        ("analyze", "w_limits"), ("pipeline", "policies"),
+        ("pipeline", "capacity_fractions"),
+    ])
+    def test_empty_list_exit_two(self, spec_file, tmp_path, capsys, command, key):
+        out = tmp_path / "o"
+        assert self.run(command, *self.base_flags(spec_file, out), f"--{key}", ",") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
 
     def test_missing_source_exit_two(self, capsys):
         assert self.run("pipeline", "--output_dir", "/tmp/none") == 2
@@ -324,6 +370,43 @@ class TestCli:
         assert lines[0] == "axis,value,group_count,groups_ge_4,elapsed_s"
         assert len(lines) == 3
         assert (out / "sweep_sigma_hist.csv").exists()
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("sigma", "abc", "bad value for sigma"), ("M", "1.5", "bad value for M"),
+        ("mu", "0.5,x", "bad value for mu"), ("mu", ",", "no mu values to sweep"),
+    ])
+    def test_sweep_value_the_axis_rejects_exit_two(self, spec_file, tmp_path, capsys,
+                                                   axis, values, message):
+        out = tmp_path / "out"
+        rc = self.run("sweep", *self.base_flags(spec_file, out),
+                      "--axis", axis, "--values", values)
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, owner, attr, name", [
+        ("ingest", Trace, "to_csv_lines", "trace.csv"),
+        ("sweep", pipeline, "sweep_csv_lines", "sweep_mu.csv"),
+        ("analyze", locality, "gap_report_csv_lines", "locality_gap.csv"),
+    ], ids=["ingest", "sweep", "analyze"])
+    def test_interrupted_write_keeps_the_earlier_file(self, spec_file, tmp_path,
+                                                      monkeypatch, command, owner,
+                                                      attr, name):
+        out = tmp_path / "out"
+        extra = ["--axis", "mu", "--values", "0.5"] if command == "sweep" else []
+        argv = [command, *self.base_flags(spec_file, out), *extra]
+        assert self.run(*argv) == 0
+        earlier = (out / name).read_bytes()
+        inner = getattr(owner, attr)
+
+        def interrupted(*args):
+            yield from islice(inner(*args), 2)
+            raise RuntimeError("interrupted")
+        monkeypatch.setattr(owner, attr, interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.run(*argv)
+        assert (out / name).read_bytes() == earlier
+        assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
 
     def test_sweep_bad_axis_rejected_by_parser(self, spec_file, tmp_path):
         with pytest.raises(SystemExit):
@@ -495,8 +578,8 @@ class TestArtifactGuards:
         path.write_text("\n".join(head + rows) + "\n")
         group = next(stage for stage in pipeline.STAGE_TABLE if stage.name == "group")
         table = group.load(path, None, None, {})
-        assert len(table.members) == 3
-        assert [table.members[gid] for gid in range(3)] == [(4, 8), (0, 12, 16), (40,)]
+        assert len(table.partition) == 3
+        assert [table.partition.parts()[gid] for gid in range(3)] == [(4, 8), (0, 12, 16), (40,)]
         assert self.run("simulate", *self.flags(spec_file, out)) == 0
         # an address repeated under another, interleaved gid
         path.write_text("\n".join(head + rows + ["2,0", "9,48"]) + "\n")

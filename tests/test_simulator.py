@@ -8,6 +8,7 @@ from conftest import make_trace, random_accesses
 from ctgroup import simulator
 from ctgroup import trace as trace_module
 from ctgroup.errors import ConfigError, DataError, InvariantError
+from ctgroup.features import Partition
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -86,14 +87,14 @@ class TestBaselines:
 
 class TestGroupPolicies:
     def table(self):
-        return GroupTable([(A, B)])
+        return GroupTable(Partition.of([(A, B)]))
 
     @pytest.mark.parametrize("groups", [[[5, 5, 8]], [[5, 8], [16, 5]]])
     def test_address_listed_twice_rejected(self, groups):
         # the replay would count a repeated member twice where the oracle
         # skips it, so the table refuses it
         with pytest.raises(DataError, match="address 5 is listed twice"):
-            GroupTable(groups)
+            GroupTable(Partition.of(groups))
 
     def test_merged_single_io_fetches_group(self):
         cfg = SimConfig(
@@ -132,7 +133,7 @@ class TestGroupPolicies:
     def test_oversized_group_bypasses_prefetch(self):
         # group total 10 > capacity 4: demand datum still admitted
         cfg = SimConfig(
-            GROUP_MERGED, capacity_bytes=4, grouping=GroupTable([(A, B)]),
+            GROUP_MERGED, capacity_bytes=4, grouping=GroupTable(Partition.of([(A, B)])),
             extra_sizes={B: 9},
         )
         m = simulate(unit_trace(A, A), cfg)
@@ -149,7 +150,7 @@ class TestGroupPolicies:
             trace = make_trace(pairs)
             addrs = sorted(set(a for a, _ in pairs))
             groups = [addrs[i:i + 4] for i in range(0, len(addrs), 4)]
-            table = GroupTable(groups)
+            table = GroupTable(Partition.of(groups))
             capacity = rng.randint(16, 96)
             merged = simulate(
                 trace,
@@ -163,7 +164,7 @@ class TestGroupPolicies:
             pairs = random_accesses(rng, n=150, max_addr=20, max_size=4)
             trace = make_trace(pairs)
             addrs = sorted(set(a for a, _ in pairs))
-            table = GroupTable([addrs[i:i + 4] for i in range(0, len(addrs), 4)])
+            table = GroupTable(Partition.of([addrs[i:i + 4] for i in range(0, len(addrs), 4)]))
             lru = simulate(trace, SimConfig(LRU, capacity_bytes=1 << 30))
             merged = simulate(
                 trace,
@@ -174,7 +175,7 @@ class TestGroupPolicies:
     def test_occupancy_invariant(self):
         rng = random.Random(11)
         pairs = random_accesses(rng, n=200, max_size=8)
-        table = GroupTable([sorted(set(a for a, _ in pairs))[:6]])
+        table = GroupTable(Partition.of([sorted(set(a for a, _ in pairs))[:6]]))
         for policy in (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED):
             cfg = SimConfig(policy, capacity_bytes=24, grouping=table)
             simulate(make_trace(pairs), cfg, check_invariants=True)
@@ -203,7 +204,7 @@ class TestReferenceReplay:
             n = rng.randint(1, 6)
             groups.append(pool[i:i + n])
             i += n
-        table = GroupTable(groups[: rng.randint(0, len(groups))])
+        table = GroupTable(Partition.of(groups[: rng.randint(0, len(groups))]))
         # extra sizes for some data, traced or not (the rest are unknown)
         extra = {a: rng.randint(1, 16) for a in pool if rng.random() < 0.6}
         return trace, table, extra
@@ -345,7 +346,7 @@ class TestOnePassLru:
         monkeypatch.setattr(simulator, "simulate", recording)
         accesses = random_accesses(random.Random(32), n=400)
         trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
-        table = GroupTable([(0, 4, 8), (12, 16)])
+        table = GroupTable(Partition.of([(0, 4, 8), (12, 16)]))
         fractions = [0.05, 0.1, 0.1, 0.2, 0.4, 0.8, 1.0]
         policies = [LRU, GROUP_MERGED, FIFO]
         rows = sweep(trace, table, fractions, policies)
@@ -379,7 +380,8 @@ class TestGroupColumn:
             got = simulator.group_column(trace.addresses, table,
                                           first_access_positions(trace.addresses))
             assert got.dtype == np.int32
-            assert got.tolist() == ref_group_column(trace.addresses.tolist(), table.members)
+            assert got.tolist() == ref_group_column(trace.addresses.tolist(),
+                                                    table.partition.parts())
 
     def test_alternating_keys_match_reference(self):
         # one trace replayed under two tables, two extra-size maps and both
@@ -410,7 +412,7 @@ class TestGroupColumn:
             rng.shuffle(addrs)
             cut = rng.randint(1, len(addrs))
             cfg = SimConfig(GROUP_MERGED, capacity_bytes=rng.randint(1, 64),
-                            grouping=GroupTable([addrs[:cut], addrs[cut:]]),
+                            grouping=GroupTable(Partition.of([addrs[:cut], addrs[cut:]])),
                             extra_sizes=extra)
             assert simulate(trace, cfg) == ref_simulate(trace, cfg)
             del cfg  # the table too, unless the trace holds it
@@ -425,7 +427,7 @@ class TestGroupColumn:
                             lambda *args: row_builds.append(1) or build_rows(*args))
         accesses = random_accesses(random.Random(44), n=400)
         trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
-        table = GroupTable([(0, 4, 8), (12, 16), (20,)])
+        table = GroupTable(Partition.of([(0, 4, 8), (12, 16), (20,)]))
         fractions = [0.05, 0.1, 0.2, 0.4, 1.0]
         policies = [LRU, GROUP_PREFETCH, FIFO, GROUP_MERGED]
         rows = sweep(trace, table, fractions, policies, extra_sizes={40: 3})
@@ -436,7 +438,7 @@ class TestGroupColumn:
         assert rows == want
         sweep(trace, table, fractions, [GROUP_MERGED], write_allocate=False)
         assert len(builds) == 1
-        sweep(trace, GroupTable([(0, 4)]), fractions, [GROUP_MERGED])
+        sweep(trace, GroupTable(Partition.of([(0, 4)])), fractions, [GROUP_MERGED])
         assert len(builds) == 2 and len(row_builds) == 1
         # lru and fifo replays never build it, but a new trace gets its rows
         sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
@@ -447,7 +449,7 @@ class TestGroupColumn:
         rng = random.Random(45)
         for _ in range(30):
             trace, _, extra = TestReferenceReplay.random_case(rng)
-            singles = GroupTable([(a,) for a in set(trace.addresses.tolist())])
+            singles = GroupTable(Partition.of([(a,) for a in set(trace.addresses.tolist())]))
             first = first_access_positions(trace.addresses)
             assert (simulator.group_column(trace.addresses, singles, first) == -1).all()
             for write_allocate in (True, False):
@@ -455,7 +457,7 @@ class TestGroupColumn:
                 for policy in (GROUP_PREFETCH, GROUP_MERGED):
                     cfgs = [SimConfig(policy, capacity_bytes=capacity, grouping=table,
                                       extra_sizes=extra, write_allocate=write_allocate)
-                            for table in (singles, GroupTable([]))]
+                            for table in (singles, GroupTable(Partition.of([])))]
                     got = simulate(trace, cfgs[0])
                     assert got == ref_simulate(trace, cfgs[0])
                     assert got == simulate(trace, cfgs[1])
@@ -482,7 +484,7 @@ class TestReplayRows:
             cut = rng.randint(1, 5)
             groups.append(pool[:cut])
             pool = pool[cut:]
-        return GroupTable(groups)
+        return GroupTable(Partition.of(groups))
 
     def assert_cells_match(self, rng, trace, table, extra):
         for policy in POLICIES:
@@ -522,7 +524,7 @@ class TestReplayRows:
         rng = random.Random(48)
         for _ in range(60):
             trace, table, extra = TestReferenceReplay.random_case(rng)
-            members = [a for group in table.members for a in group]
+            members = [a for group in table.partition.parts() for a in group]
             for policy in (GROUP_PREFETCH, GROUP_MERGED):
                 cfg = SimConfig(policy, capacity_bytes=rng.randint(1, 64), grouping=table,
                                 extra_sizes=extra)
@@ -583,7 +585,7 @@ class TestCapacity:
 class TestSweep:
     def test_row_per_fraction_policy(self):
         trace = unit_trace(A, B, A, C)
-        table = GroupTable([(A, B)])
+        table = GroupTable(Partition.of([(A, B)]))
         rows = sweep(trace, table, [0.25, 0.5], [LRU, GROUP_MERGED])
         assert [(m.policy, m.capacity_fraction) for m in rows] == [
             (LRU, 0.25), (GROUP_MERGED, 0.25), (LRU, 0.5), (GROUP_MERGED, 0.5),

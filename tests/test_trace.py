@@ -13,7 +13,12 @@ from ctgroup.errors import (
 from ctgroup import synthetic
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.trace import AccessRecord, Op, Trace, load_trace, parse_record
-from reference import ref_first_seen_sizes, ref_load_trace, ref_synthesize_trace
+from reference import (
+    ref_first_seen_sizes,
+    ref_load_trace,
+    ref_synthesize_trace,
+    trace_rows,
+)
 
 MSR_LINE = "128166372003061629,hm,0,Read,383496192,32768,1331"
 HEADER = "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime"
@@ -75,7 +80,7 @@ class TestLoadTrace:
         )
         trace = load_trace(path)
         assert len(trace) == 3
-        assert [r.block_address for r in trace] == [0, 4096, 8192]
+        assert trace.addresses.tolist() == [0, 4096, 8192]
         assert trace.skipped == 0
 
     def test_skip_malformed(self, tmp_path):
@@ -124,7 +129,7 @@ class TestLoadTrace:
             load_trace(path)
         assert err.value.line_no == 2
         trace = load_trace(path, skip_malformed=True)
-        assert [r.block_address for r in trace] == [0, 9]
+        assert trace.addresses.tolist() == [0, 9]
         assert trace.skipped == 1
 
     def test_value_beyond_int64_is_a_line_error(self, tmp_path):
@@ -145,7 +150,7 @@ class TestLoadTrace:
         out = tmp_path / "out.csv"
         trace.save(out)
         again = load_trace(out)
-        assert list(again) == list(trace)
+        assert trace_rows(again) == trace_rows(trace)
 
 
 class TestSplit:
@@ -154,8 +159,8 @@ class TestSplit:
             [AccessRecord(i, i * 8, 1, Op.READ) for i in range(10)]
         )
         train, test = trace.split(3)
-        assert [r.timestamp for r in train] == [0, 1, 2]
-        assert [r.timestamp for r in test] == list(range(3, 10))
+        assert train.timestamps.tolist() == [0, 1, 2]
+        assert test.timestamps.tolist() == list(range(3, 10))
 
     def test_full_length_split_rejected(self):
         trace = Trace.from_records([AccessRecord(0, 0, 1, Op.READ)] * 4)
@@ -173,7 +178,7 @@ class TestSplit:
         trace = Trace.from_records(records)
         for count in (1, 10, 36):
             train, test = trace.split(count)
-            assert list(train) + list(test) == records
+            assert trace_rows(train) + trace_rows(test) == records
 
 
 class TestSynthesize:
@@ -200,13 +205,13 @@ class TestSynthesize:
     def test_deterministic(self):
         t1, truth1 = synthesize_trace(self.spec())
         t2, truth2 = synthesize_trace(self.spec())
-        assert list(t1) == list(t2)
+        assert trace_rows(t1) == trace_rows(t2)
         assert truth1.groups == truth2.groups
 
     def test_seed_changes_output(self):
         t1, _ = synthesize_trace(self.spec())
         t2, _ = synthesize_trace(self.spec(rng_seed=6))
-        assert list(t1) != list(t2)
+        assert trace_rows(t1) != trace_rows(t2)
 
     def test_zero_accesses(self):
         with pytest.raises(EmptyTraceError):
@@ -224,7 +229,7 @@ class TestSynthesize:
         spec = SyntheticSpec.from_file(path)
         t1, _ = synthesize_trace(spec)
         t2, _ = synthesize_trace(self.spec())
-        assert list(t1) == list(t2)
+        assert trace_rows(t1) == trace_rows(t2)
 
     @pytest.mark.parametrize("text, message", [
         ("num_data=6\nnum_accesses=60\nsize_mx=8192\n", "unknown synthetic spec key 'size_mx'"),
