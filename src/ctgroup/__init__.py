@@ -18,7 +18,6 @@ from .features import (
     CtfMatrix,
     CtfVector,
     Partition,
-    access_frequency,
     build_ctf,
     distance,
     strong_relation,
@@ -39,7 +38,7 @@ __all__ = [
     "AccessRecord", "Op", "Trace", "load_trace", "parse_record",
     "SyntheticSpec", "SyntheticTruth", "synthesize_trace",
     "CacheTransaction", "ExtractorConfig", "TransactionLog", "extract_transactions",
-    "CtfMatrix", "CtfVector", "Partition", "access_frequency", "build_ctf", "distance",
+    "CtfMatrix", "CtfVector", "Partition", "build_ctf", "distance",
     "strong_relation",
     "Chunk", "ChunkerConfig", "ChunkSet", "chunk_all",
     "Grouping", "GrouperConfig", "build_grouping", "grouping_report",

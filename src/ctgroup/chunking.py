@@ -22,17 +22,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import artifacts
-from .errors import ConfigError, UnknownDatumError
+from .errors import ConfigError
 from .features import (
+    EUCLIDEAN,
+    METRICS,
     SYMMETRIC_DIFF,
     CtfMatrix,
     Partition,
     ranges,
+    relation,
     run_starts,
     run_tails,
     shared_run_counts,
@@ -112,30 +114,6 @@ def _areas(addresses: np.ndarray, freqs: np.ndarray, cfg: ChunkerConfig,
     return list(zip(keys, np.split(used, starts[1:]))), np.flatnonzero(freqs < 1)
 
 
-def area_key(address: int, freq: int, cfg: ChunkerConfig, max_address: int) -> AreaKey:
-    if freq < 1:
-        raise ValueError("frequency must be >= 1")
-    [(key, _)], _ = _areas(np.array([address], dtype=np.int64),
-                           np.array([freq], dtype=np.int64), cfg, max_address)
-    return key
-
-
-def pre_block(
-    data: Iterable[tuple[int, int]],
-    cfg: ChunkerConfig,
-    max_address: int,
-) -> tuple[dict[AreaKey, list[int]], list[int]]:
-    """Partition (address, frequency) pairs into areas.
-
-    Returns (area -> sorted addresses, excluded addresses). Data with
-    frequency 0 (never in any transaction) are excluded, not assigned.
-    """
-    addresses, freqs = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
-    areas, excluded = _areas(addresses, freqs, cfg, max_address)
-    return ({key: addresses[at].tolist() for key, at in areas},
-            np.sort(addresses[excluded]).tolist())
-
-
 @dataclass(frozen=True)
 class Chunk:
     id: int
@@ -153,33 +131,16 @@ class MergeRecord:
     threshold: float
 
 
-def cluster_area(
-    area_addrs: Iterable[int],
-    ctf: CtfMatrix,
-    sigma: float,
-    metric: str = SYMMETRIC_DIFF,
-    audit: list[MergeRecord] | None = None,
-) -> list[tuple[int, ...]]:
-    """Greedy agglomerative clustering of one area's data.
+def _cluster(ctf, at, sigma, metric, audit):
+    """Greedy agglomerative clustering of one area's data: those at the
+    ascending positions ``at`` of ``ctf``, none with an empty feature.
 
     Returns each cluster's members, clusters ordered by smallest member
-    address. Merge order: smallest distance first among qualifying pairs,
-    ties broken by the lexicographically smallest (min-address, min-address)
-    pair, which makes the result deterministic. ``sigma`` must lie in
-    [0, 1], as ChunkerConfig requires.
+    address, and appends each merge to ``audit``. Merge order: smallest
+    distance first among qualifying pairs, ties broken by the
+    lexicographically smallest (min-address, min-address) pair, which
+    makes the result deterministic.
     """
-    ChunkerConfig(sigma=sigma).validate()
-    addrs = np.array(sorted(set(area_addrs)), dtype=np.int64)
-    at = artifacts.find(ctf.addresses, addrs)
-    if (at < 0).any():
-        raise UnknownDatumError(int(addrs[np.argmin(at)]))
-    return _cluster(ctf, at, sigma, metric, audit)
-
-
-def _cluster(ctf, at, sigma, metric, audit):
-    """cluster_area of the data at the ascending positions ``at`` of ``ctf``."""
-    if not len(at):
-        return []
     addrs = ctf.addresses[at]
     flat, offsets = ctf.gather(at)
     lengths = np.diff(offsets)
@@ -202,10 +163,11 @@ def _cluster(ctf, at, sigma, metric, audit):
     group = np.searchsorted(heads, first)[label.reshape(-1)]
     members = dict(enumerate(Partition.by_label(group, addrs, k).parts()))
     sizes = np.append(lengths[heads], np.zeros(k, dtype=np.int64))  # popcount per id
-    if audit is not None:
-        for size, (head, *extras) in zip(sizes[:k].tolist(), members.values()):
-            for extra in extras:
-                audit.append(MergeRecord((head,), (extra,), 0.0, size * sigma))
+    dists, thresholds = relation(2 * sizes[:k], sizes[:k], sigma, metric)
+    for dist, threshold, (head, *extras) in zip(dists.tolist(), thresholds.tolist(),
+                                                members.values()):
+        for extra in extras:
+            audit.append(MergeRecord((head,), (extra,), dist, threshold))
     # Inverting the initial clusters' rows, as build_ctf inverts a log,
     # gives for each transaction index a holding row: one slot per cluster
     # holding it, ascending. Slot s lies in row rows[s]; bit b of the
@@ -222,20 +184,19 @@ def _cluster(ctf, at, sigma, metric, audit):
     holder = np.repeat(np.arange(k), sizes[:k])[order]
     slot_of = np.empty_like(order)
     slot_of[order] = np.arange(len(order))
-    euclidean = metric != SYMMETRIC_DIFF
     # Candidates are the pairs that share a transaction index, plus the
-    # disjoint pairs (an empty feature among them) whose popcounts total at
-    # least min_disjoint. A disjoint pair's count distance is that total
-    # T, which exceeds T/2 * sigma at every sigma <= 1, so the count metric
-    # has none. Its Euclidean distance sqrt(T) is within the threshold once
+    # disjoint pairs whose popcounts total at least min_disjoint. A
+    # disjoint pair's count distance is that total T, which exceeds
+    # T/2 * sigma at every sigma <= 1, so the count metric has none. Its
+    # Euclidean distance sqrt(T) is within the threshold once
     # T >= 4 / sigma**2 (one less covers float rounding; the exact test
     # follows).
-    if euclidean and sigma > 0.0:
+    if metric == EUCLIDEAN and sigma > 0.0:
         min_disjoint = 4.0 / sigma**2 - 1.0
     else:
         min_disjoint = math.inf
     min_addrs = np.append(addrs[heads], np.zeros(k, dtype=np.int64))
-    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma, euclidean,
+    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma, metric,
                        min_disjoint)
     live = np.arange(2 * k) < k
     in_first = np.zeros(len(starts), dtype=bool)  # per merge: rows of its first cluster
@@ -251,9 +212,8 @@ def _cluster(ctf, at, sigma, metric, audit):
         dval, lo, _hi, i, j = heapq.heappop(heap)
         if not (live[i] and live[j]):
             continue
-        if audit is not None:
-            threshold = ((int(sizes[i]) + int(sizes[j])) / 2.0) * sigma
-            audit.append(MergeRecord(members[i], members[j], dval, threshold))
+        threshold = relation(int(sizes[i]) + int(sizes[j]), 0, sigma, metric)[1]
+        audit.append(MergeRecord(members[i], members[j], dval, threshold))
         merged = next_id
         next_id += 1
         members[merged] = tuple(sorted(members.pop(i) + members.pop(j)))
@@ -273,17 +233,13 @@ def _cluster(ctf, at, sigma, metric, audit):
         at = rows[ours]
         shared = np.bincount(holder[ranges(starts[at], widths[at])], minlength=2 * k)[:next_id]
         shared[merged] = 0
-        # |x ^ y| = |x| + |y| - 2|x & y|
         if min_disjoint < math.inf:
             far = live[:next_id] & (sizes[:next_id] + size >= min_disjoint)
             others = np.flatnonzero(shared | far)
         else:
             others = np.flatnonzero(shared)
-        shared = shared[others]
-        total = size + sizes[others]
-        d = total - 2 * shared
-        dvals = np.sqrt(d) if euclidean else d
-        keep = dvals <= total / 2.0 * sigma
+        dvals, thresholds = relation(size + sizes[others], shared[others], sigma, metric)
+        keep = dvals <= thresholds
         others = others[keep]
         for other, hi, dval in zip(others.tolist(), min_addrs[others].tolist(),
                                    dvals[keep].tolist()):
@@ -296,7 +252,7 @@ def _cluster(ctf, at, sigma, metric, audit):
     return sorted(members[i] for i in np.flatnonzero(live).tolist())
 
 
-def _first_heap(rows, holder, sizes, min_addrs, sigma, euclidean, min_disjoint):
+def _first_heap(rows, holder, sizes, min_addrs, sigma, metric, min_disjoint):
     """Heap entries (distance, lo, hi, i, j) for every qualifying pair of
     initial clusters i < j, given the holding rows (slot s of row rows[s]
     holds cluster holder[s], ascending within a row) and each cluster's
@@ -309,10 +265,8 @@ def _first_heap(rows, holder, sizes, min_addrs, sigma, euclidean, min_disjoint):
         batches = [_with_disjoint_pairs(sizes, min_disjoint, batches)]
     entries = []
     for i, j, shared in batches:
-        total = sizes[i] + sizes[j]
-        d = total - 2 * shared
-        dval = np.sqrt(d) if euclidean else d
-        keep = dval <= total / 2.0 * sigma
+        dval, threshold = relation(sizes[i] + sizes[j], shared, sigma, metric)
+        keep = dval <= threshold
         i, j = i[keep], j[keep]
         entries.extend(zip(dval[keep].tolist(), min_addrs[i].tolist(),
                            min_addrs[j].tolist(), i.tolist(), j.tolist()))
@@ -364,6 +318,8 @@ def chunk_all(
     Chunk ids are assigned area by area in AreaKey order, then by smallest
     member address, so identical inputs give identical ids.
     """
+    if metric not in METRICS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     if max_address is None:
         max_address = int(ctf.addresses[-1]) if len(ctf) else 0
     areas, excluded = _areas(ctf.addresses, np.diff(ctf.offsets), cfg, max_address)
@@ -375,13 +331,11 @@ def chunk_all(
                     excluded=tuple(ctf.addresses[excluded].tolist()), audit=audit)
 
 
-def save_chunks(path, chunkset: ChunkSet, metadata: Mapping[str, object] = (),
-                config_hash=""):
+def save_chunks(path, chunkset: ChunkSet, config_hash=""):
     """Serialize as `chunk_id<TAB>addr1,addr2,...` with a metadata header."""
     cfg = chunkset.config
     header = {"q": cfg.q, "p": cfg.p, "sigma": cfg.sigma,
-              "max_address": chunkset.max_address, "config_hash": config_hash,
-              **dict(metadata)}
+              "max_address": chunkset.max_address, "config_hash": config_hash}
     artifacts.write(path, header, artifacts.list_lines(enumerate(chunkset.partition.parts())))
 
 

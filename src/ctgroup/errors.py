@@ -44,10 +44,11 @@ class DimensionMismatchError(CtgroupError):
 
 
 class UnknownDatumError(DataError):
-    """A block address could not be resolved (e.g. no chunk assignment)."""
+    """A block address could not be resolved (e.g. no chunk assignment);
+    the raiser's message says against what."""
 
-    def __init__(self, address):
-        super().__init__(f"no chunk assignment for block address {address}")
+    def __init__(self, address, message):
+        super().__init__(message)
         self.address = address
 
 

@@ -23,7 +23,6 @@ is the default so the strong-relation threshold compares like with like
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from . import artifacts
-from .errors import DataError, DimensionMismatchError
+from .errors import ConfigError, DataError, DimensionMismatchError
 from .transactions import TransactionLog, ragged_rows
 
 SYMMETRIC_DIFF = "symmetric_diff"
@@ -72,11 +71,27 @@ class CtfVector:
         return f"CtfVector({list(self.bits)!r})"
 
 
-def _check_dims(x: CtfVector, y: CtfVector):
+def relation(total, shared, sigma: float, metric: str = SYMMETRIC_DIFF):
+    """The strong-relation rule for vector pairs whose popcounts total
+    ``total`` and which share ``shared`` transaction indices, as numbers or
+    numpy arrays: the distance |x ^ y| = |x| + |y| - 2|x & y| (its square
+    root under metric="euclidean") and the threshold, the mean popcount
+    times ``sigma``. A pair is strongly related iff distance <= threshold.
+    """
+    d = total - 2 * shared
+    if metric == EUCLIDEAN:
+        d = np.sqrt(d)
+    return d, total / 2.0 * sigma
+
+
+def _pair_counts(x: CtfVector, y: CtfVector, metric: str) -> tuple[int, int]:
+    """The two vectors' popcount total and shared index count; an unknown
+    ``metric`` is a ConfigError."""
+    if metric not in METRICS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     if x.dim is not None and y.dim is not None and x.dim != y.dim:
-        raise DimensionMismatchError(
-            f"vectors over {x.dim} vs {y.dim} transactions"
-        )
+        raise DimensionMismatchError(f"vectors over {x.dim} vs {y.dim} transactions")
+    return x.popcount() + y.popcount(), len(x.index_set.intersection(y.bits))
 
 
 def distance(x: CtfVector, y: CtfVector, metric: str = SYMMETRIC_DIFF) -> float:
@@ -84,15 +99,7 @@ def distance(x: CtfVector, y: CtfVector, metric: str = SYMMETRIC_DIFF) -> float:
 
     metric="euclidean" returns the square root of that count.
     """
-    _check_dims(x, y)
-    count = len(x.index_set.symmetric_difference(y.bits))
-    if metric == EUCLIDEAN:
-        return math.sqrt(count)
-    return count
-
-
-def access_frequency(x: CtfVector) -> int:
-    return x.popcount()
+    return relation(*_pair_counts(x, y, metric), 0.0, metric)[0]
 
 
 def strong_relation(
@@ -103,7 +110,8 @@ def strong_relation(
     Non-strict comparison: sigma=0 admits exactly the identical-vector
     pairs.
     """
-    return distance(x, y, metric) <= ((x.popcount() + y.popcount()) / 2.0) * sigma
+    d, threshold = relation(*_pair_counts(x, y, metric), sigma, metric)
+    return bool(d <= threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,11 +319,9 @@ def _pair_keys(values, tails, positions, stride, count):
     return keys
 
 
-def save_ctf(path, matrix: CtfMatrix, metadata: Mapping[str, object] = (),
-             config_hash=""):
+def save_ctf(path, matrix: CtfMatrix, config_hash=""):
     """Serialize as `addr<TAB>idx1,idx2,...` with a metadata header."""
-    header = {"num_transactions": matrix.num_transactions, "config_hash": config_hash,
-              **dict(metadata)}
+    header = {"num_transactions": matrix.num_transactions, "config_hash": config_hash}
     artifacts.write(path, header, artifacts.list_lines(
         zip(matrix.addresses.tolist(), ragged_rows(matrix.indices, matrix.offsets))))
 

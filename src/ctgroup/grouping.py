@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,8 +86,10 @@ def compute_legal_relations(
     pairs within each transaction are then counted in batches of smaller
     chunk ids, and each batch is filtered by alpha at once, so no table of
     every counted pair (most of them noise that the filter drops) is ever
-    held.
+    held. An ``alpha`` or ``sort`` that GrouperConfig rejects is a
+    ConfigError.
     """
+    GrouperConfig(alpha=alpha, sort=sort).validate()
     stride = max(len(chunks), 1)
     members, offsets = log.used(include_partial)
     tails, held = [], []  # per batch of transactions
@@ -97,7 +99,8 @@ def compute_legal_relations(
         lengths = np.diff(bounds)
         labels = chunks.labels(flat)
         if (labels < 0).any():
-            raise UnknownDatumError(int(flat[np.argmin(labels)]))
+            address = int(flat[np.argmin(labels)])
+            raise UnknownDatumError(address, f"no chunk assignment for block address {address}")
         txn = np.repeat(np.arange(len(lengths)), lengths)
         batch_tails, batch_chunks = run_incidence(txn, labels, stride)
         tails.append(batch_tails)
@@ -279,12 +282,11 @@ def grouping_report(grouping: Grouping) -> GroupingReport:
 COLUMNS = "group_id,block_address"
 
 
-def save_grouping(path, grouping: Grouping, metadata: Mapping[str, object] = (),
-                  config_hash=""):
+def save_grouping(path, grouping: Grouping, config_hash=""):
     """CSV contract consumed by the simulator: group_id,block_address rows."""
     cfg = grouping.config
     header = {"alpha": cfg.alpha, "mu": cfg.mu, "sort": cfg.sort,
-              "config_hash": config_hash, **dict(metadata)}
+              "config_hash": config_hash}
     part = grouping.partition
     gids = np.repeat(np.arange(len(part)), np.diff(part.offsets))
     artifacts.write(path, header, (f"{gid},{address}" for gid, address

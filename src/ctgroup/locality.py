@@ -40,7 +40,8 @@ class AccessIndex:
         try:
             return self.seqs[address]
         except KeyError:
-            raise UnknownDatumError(address) from None
+            raise UnknownDatumError(
+                address, f"block address {address} is never accessed in the trace") from None
 
 
 def _min_gap(seq: int, other: Sequence[int]) -> int:
@@ -62,11 +63,6 @@ def relation_strength(index: AccessIndex, x: int, y: int) -> float:
     """
     xs, ys = index.accesses(x), index.accesses(y)
     return sum(_min_gap(s, ys) for s in xs) / len(xs)
-
-
-def symmetric_relation_strength(index: AccessIndex, x: int, y: int) -> float:
-    """min(W_xy, W_yx), offered as the symmetrized variant."""
-    return min(relation_strength(index, x, y), relation_strength(index, y, x))
 
 
 def always_followed_pairs(trace: Trace, min_occurrences: int = 2):
@@ -106,14 +102,6 @@ class Histogram:
         for lo, hi, count, cdf in self.buckets:
             yield f"{lo},{hi},{count},{cdf:.6f}"
 
-    def cdf_at(self, value: int) -> float:
-        """Fraction of mass in buckets whose upper edge is <= value."""
-        best = 0.0
-        for _lo, hi, _count, cdf in self.buckets:
-            if hi <= value:
-                best = cdf
-        return best
-
 
 def _geometric_edges(max_value: int) -> list[int]:
     edges = [0, 1]
@@ -122,12 +110,13 @@ def _geometric_edges(max_value: int) -> list[int]:
     return edges
 
 
-def make_histogram(values: Iterable[int], bucket_edges: Sequence[int] | None = None) -> Histogram:
+def make_histogram(values: Iterable[int]) -> Histogram:
+    """Counts of ``values`` in the buckets [0, 1), [1, 2), [2, 4), ...,
+    from the first non-empty bucket to the last."""
     values = sorted(values)
     if not values:
         return Histogram(buckets=[], total=0)
-    if bucket_edges is None:
-        bucket_edges = _geometric_edges(values[-1])
+    bucket_edges = _geometric_edges(values[-1])
     buckets = []
     total = len(values)
     running = 0
@@ -141,14 +130,10 @@ def make_histogram(values: Iterable[int], bucket_edges: Sequence[int] | None = N
     return Histogram(buckets=buckets, total=total)
 
 
-def related_pair_distance_histogram(
-    trace: Trace,
-    min_occurrences: int = 2,
-    bucket_edges: Sequence[int] | None = None,
-) -> Histogram:
+def related_pair_distance_histogram(trace: Trace, min_occurrences: int = 2) -> Histogram:
     """Distribution of |addr_x - addr_y| over always-sequential pairs."""
     distances = [abs(x - y) for x, y in always_followed_pairs(trace, min_occurrences)]
-    return make_histogram(distances, bucket_edges)
+    return make_histogram(distances)
 
 
 @dataclass
@@ -190,19 +175,17 @@ def access_count_gap_report(
     index: AccessIndex,
     pairs: Iterable[tuple[int, int]],
     w_limits: Sequence[float],
-    symmetric: bool = False,
 ) -> dict[float, GapReport]:
     """Per W limit, the |A_x - A_y| distribution over pairs with W < limit.
 
     ``pairs`` is typically cooccurring_pairs(transactions); W is evaluated
-    in the (x, y) order given unless symmetric is set.
+    in the (x, y) order given.
     """
     if not w_limits:
         raise ValueError("w_limits must be non-empty")
-    strength = symmetric_relation_strength if symmetric else relation_strength
     evaluated = []
     for x, y in pairs:
-        w = strength(index, x, y)
+        w = relation_strength(index, x, y)
         gap = abs(len(index.accesses(x)) - len(index.accesses(y)))
         evaluated.append((w, gap))
     reports = {}

@@ -86,6 +86,11 @@ class PipelineConfig:
             raise ConfigError(f"ops must be read|write|both, got {self.ops!r}")
         if self.max_records is not None and self.max_records < 1:
             raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
+        kind, ignored = (("synthetic=", ("host", "disk", "max_records"))
+                         if self.synthetic is not None else ("trace=", ("rng_seed",)))
+        for key in ignored:
+            if getattr(self, key) is not None:
+                raise ConfigError(f"{key} does not apply to {kind} input")
         if self.train_count is None and not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must be in (0,1)")
         if self.distance not in features.METRICS:
@@ -332,10 +337,11 @@ def _collector_paused():
     many Python objects that form no reference cycles: the chunk stage's
     heap tuples, the group stage's union-find dicts and relations, and
     the simulate stage's replay rows and cache dicts. The collector would
-    scan them again each time it runs as they pile up; on the 3M-record
-    gate that once cost about a quarter of the run time (50 s against
-    37 s paused, on a 2-CPU host). Reference counting still frees them;
-    the collector's state is restored on exit.
+    scan them again each time it runs as they pile up. With it running,
+    collection took 0.16-0.18 s of a 17-18 s run on the 3M-record gate
+    and 0.02-0.11 s of 2-3 s on each benchmark workload (2-CPU host,
+    Python 3.11), so the pause saves little today. Reference counting
+    still frees the objects; the collector's state is restored on exit.
     """
     enabled = gc.isenabled()
     gc.disable()

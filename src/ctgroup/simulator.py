@@ -504,7 +504,6 @@ def sweep(
     policies: Sequence[str],
     extra_sizes: Mapping[int, int] | None = None,
     write_allocate: bool = True,
-    check_invariants: bool = False,
 ) -> list[SimMetrics]:
     """One SimMetrics row per (fraction, policy), in input order."""
     rows = []
@@ -517,7 +516,7 @@ def sweep(
                 extra_sizes=extra_sizes,
                 write_allocate=write_allocate,
             )
-            rows.append(simulate(trace, cfg, check_invariants=check_invariants))
+            rows.append(simulate(trace, cfg))
     return rows
 
 

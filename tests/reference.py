@@ -191,7 +191,8 @@ def count_cooccurrence(transactions, chunk_lookup, include_partial=False):
             try:
                 seen.add(chunk_lookup[address])
             except KeyError:
-                raise UnknownDatumError(address) from None
+                raise UnknownDatumError(
+                    address, f"no chunk assignment for block address {address}") from None
         if len(seen) < 2:
             continue
         chunk_ids = sorted(seen)

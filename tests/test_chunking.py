@@ -9,14 +9,11 @@ from ctgroup import features
 from ctgroup.chunking import (
     AreaKey,
     ChunkerConfig,
-    area_key,
     chunk_all,
-    cluster_area,
     load_chunk_members,
-    pre_block,
     save_chunks,
 )
-from ctgroup.errors import ConfigError, UnknownDatumError
+from ctgroup.errors import ConfigError
 from ctgroup.features import CtfMatrix, CtfVector, build_ctf, distance, strong_relation
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.transactions import (
@@ -25,7 +22,7 @@ from ctgroup.transactions import (
     TransactionLog,
     extract_transactions,
 )
-from reference import ref_chunk_all, ref_cluster, replay_audit
+from reference import ref_area_key, ref_chunk_all, ref_cluster, replay_audit
 
 
 def matrix(vectors, dim=None):
@@ -38,6 +35,20 @@ def matrix(vectors, dim=None):
                      np.array([b for row in rows for b in row], dtype=np.int32))
 
 
+def one_area(vectors, sigma, metric="symmetric_diff", dim=None):
+    """chunk_all of {addr: iterable-of-indices} with every datum in one
+    area: q=1, and p above every popcount."""
+    ctf = matrix(vectors, dim)
+    p = 2.0 + max(map(len, vectors.values()))
+    return chunk_all(ctf, ChunkerConfig(q=1, p=p, sigma=sigma), metric=metric)
+
+
+def area_of(address, freq, cfg, max_address):
+    """The area chunk_all puts a lone datum of popcount ``freq`` in."""
+    (key,) = chunk_all(matrix({address: range(freq)}), cfg, max_address).areas
+    return key
+
+
 def or_feature(ctf, members):
     """The OR of the members' vectors."""
     return CtfVector(sorted(set().union(*(ctf[a].bits for a in members))))
@@ -47,50 +58,51 @@ class TestAreaKey:
     def test_hand_evaluated(self):
         # address 250 of 1000 with q=10 -> bin 2; freq 9 with p=3 -> bin 2
         cfg = ChunkerConfig(q=10, p=3.0)
-        assert area_key(250, 9, cfg, 1000) == AreaKey(2, 2)
+        assert area_of(250, 9, cfg, 1000) == AreaKey(2, 2)
 
     def test_frequency_one_is_bin_zero(self):
         cfg = ChunkerConfig(q=4, p=2.0)
-        assert area_key(0, 1, cfg, 100).freq_bin == 0
+        assert area_of(0, 1, cfg, 100).freq_bin == 0
 
     def test_max_address_lands_in_last_bin(self):
         cfg = ChunkerConfig(q=8)
-        assert area_key(100, 1, cfg, 100).addr_bin == 7
+        assert area_of(100, 1, cfg, 100).addr_bin == 7
 
     def test_log_bins_widen_with_frequency(self):
         cfg = ChunkerConfig(q=1, p=2.0)
-        bins = [area_key(0, f, cfg, 1).freq_bin for f in range(1, 17)]
+        bins = [area_of(0, f, cfg, 1).freq_bin for f in range(1, 17)]
         assert bins == [0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 4]
 
     def test_exact_power_boundaries(self):
         # floor(log_p) must not slip on exact powers despite float log
         cfg = ChunkerConfig(q=1, p=10.0)
-        assert area_key(0, 1000, cfg, 1).freq_bin == 3
-        assert area_key(0, 999, cfg, 1).freq_bin == 2
+        assert area_of(0, 1000, cfg, 1).freq_bin == 3
+        assert area_of(0, 999, cfg, 1).freq_bin == 2
 
 
 class TestPreBlock:
     def test_zero_frequency_excluded(self):
-        areas, excluded = pre_block([(0, 1), (8, 0), (16, 2)], ChunkerConfig(q=2), 16)
-        assert excluded == [8]
-        assert sorted(a for v in areas.values() for a in v) == [0, 16]
+        chunkset = chunk_all(matrix({0: {0}, 8: set(), 16: {0, 1}}), ChunkerConfig(q=2), 16)
+        assert list(chunkset.excluded) == [8]
+        assert sorted(chunkset.partition.members.tolist()) == [0, 16]
 
     def test_address_beyond_range_rejected(self):
         with pytest.raises(ConfigError):
-            pre_block([(200, 1)], ChunkerConfig(), 100)
+            chunk_all(matrix({200: {0}}), ChunkerConfig(), 100)
 
     def test_partition_by_area(self):
         rng = random.Random(6)
         data = [(rng.randrange(1000), rng.randint(0, 40)) for _ in range(200)]
         data = list({a: f for a, f in data}.items())
         cfg = ChunkerConfig(q=7, p=2.5)
-        areas, excluded = pre_block(data, cfg, 1000)
-        seen = sorted(excluded + [a for v in areas.values() for a in v])
+        chunkset = chunk_all(matrix({a: range(f) for a, f in data}), cfg, 1000)
+        excluded = list(chunkset.excluded)
+        seen = sorted(excluded + chunkset.partition.members.tolist())
         assert seen == sorted(a for a, _ in data)
-        for key, addrs in areas.items():
+        for key, addrs in zip(chunkset.areas, chunkset.partition.parts()):
             for a in addrs:
                 freq = dict(data)[a]
-                assert area_key(a, freq, cfg, 1000) == key
+                assert AreaKey(*ref_area_key(a, freq, cfg.q, cfg.p, 1000)) == key
 
     @pytest.mark.parametrize("data, max_address", [
         ([(-1, 1)], 100),
@@ -100,13 +112,13 @@ class TestPreBlock:
     def test_address_range_rejected(self, data, max_address):
         # addresses lie in [0, max_address] and max_address in int64
         with pytest.raises(ConfigError, match="must lie in"):
-            pre_block(data, ChunkerConfig(), max_address)
+            chunk_all(matrix({a: range(f) for a, f in data}), ChunkerConfig(), max_address)
 
     def test_bins_exact_where_address_times_q_overflows(self):
         top = (1 << 63) - 1
         cfg = ChunkerConfig(q=(1 << 62) + 3)
         for address in (0, 1, 1 << 62, top - 1, top):
-            assert area_key(address, 1, cfg, top).addr_bin == min(
+            assert area_of(address, 1, cfg, top).addr_bin == min(
                 address * cfg.q // top, cfg.q - 1)
 
     def test_config_validation(self):
@@ -122,29 +134,29 @@ class TestPreBlock:
 
 class TestClusterArea:
     def test_identical_vectors_collapse(self):
-        ctf = matrix({0: {0, 1}, 4: {0, 1}, 8: {2}})
-        assert cluster_area([0, 4, 8], ctf, sigma=0.0) == [(0, 4), (8,)]
+        vectors = {0: {0, 1}, 4: {0, 1}, 8: {2}}
+        assert one_area(vectors, sigma=0.0).partition.parts() == [(0, 4), (8,)]
 
     def test_qualifying_pair_merges(self):
         # distance 1 <= ((4+3)/2)*0.5
-        ctf = matrix({0: {0, 1, 2, 3}, 4: {0, 1, 2}})
-        assert cluster_area([0, 4], ctf, sigma=0.5) == [(0, 4)]
+        vectors = {0: {0, 1, 2, 3}, 4: {0, 1, 2}}
+        assert one_area(vectors, sigma=0.5).partition.parts() == [(0, 4)]
 
     def test_non_qualifying_pair_stays_split(self):
-        ctf = matrix({0: {0}, 4: {1}})
-        assert cluster_area([0, 4], ctf, sigma=0.9) == [(0,), (4,)]
+        vectors = {0: {0}, 4: {1}}
+        assert one_area(vectors, sigma=0.9).partition.parts() == [(0,), (4,)]
 
     def test_smallest_distance_merges_first(self):
         # b is distance 1 from a and 2 from c; after (a, b) merges the
         # combined feature no longer qualifies with c
-        ctf = matrix({0: {0, 1, 2}, 4: {0, 1, 2, 3}, 8: {0, 1, 4, 5}})
-        assert cluster_area([0, 4, 8], ctf, sigma=0.35) == [(0, 4), (8,)]
+        vectors = {0: {0, 1, 2}, 4: {0, 1, 2, 3}, 8: {0, 1, 4, 5}}
+        assert one_area(vectors, sigma=0.35).partition.parts() == [(0, 4), (8,)]
 
     def test_euclidean_metric_admits_more(self):
         # count 4 > ((4+8)/2)*0.5 = 3, but sqrt(4) = 2 <= 3
-        ctf = matrix({0: set(range(4)), 4: set(range(8))})
-        assert cluster_area([0, 4], ctf, 0.5) == [(0,), (4,)]
-        assert cluster_area([0, 4], ctf, 0.5, metric="euclidean") == [(0, 4)]
+        vectors = {0: set(range(4)), 4: set(range(8))}
+        assert one_area(vectors, 0.5).partition.parts() == [(0,), (4,)]
+        assert one_area(vectors, 0.5, metric="euclidean").partition.parts() == [(0, 4)]
 
     def test_euclidean_disjoint_pair_merges(self):
         # sqrt(8) <= ((4+4)/2)*1: disjoint vectors qualify once
@@ -153,12 +165,16 @@ class TestClusterArea:
         vectors = {0: {0, 1, 2, 3}, 4: {4, 5, 6, 7}}
         assert strong_relation(CtfVector([0, 1, 2, 3]), CtfVector([4, 5, 6, 7]),
                                1.0, "euclidean")
-        assert cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean") == [(0, 4)]
-        assert cluster_area(vectors, matrix(vectors), 1.0) == [(0,), (4,)]
+        assert one_area(vectors, 1.0, metric="euclidean").partition.parts() == [(0, 4)]
+        assert one_area(vectors, 1.0).partition.parts() == [(0,), (4,)]
+        # the empty feature of 12 is left out, as in the pipeline
         vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5, 6, 7, 8}, 12: set()}
-        out = cluster_area(vectors, matrix(vectors), 1.0, metric="euclidean")
-        assert set(out) == ref_cluster(vectors, 1.0, "euclidean")
-        assert out == [(0, 4, 8, 12)]
+        chunkset = one_area(vectors, 1.0, metric="euclidean")
+        out = chunkset.partition.parts()
+        want, excluded = ref_chunk_all(vectors, 1, 5.0, 1.0, 12, "euclidean")
+        assert out == [members for _, members in want]
+        assert chunkset.excluded == tuple(excluded) == (12,)
+        assert out == [(0, 4, 8)]
 
     @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
     def test_matches_reference_euclidean(self, monkeypatch, pair_batch):
@@ -174,15 +190,12 @@ class TestClusterArea:
             }
             sigma = rng.choice([0.0, 0.3, 0.5, 2 / 3, 0.8, 1.0])
             ctf = matrix(vectors, dim=dim)
-            audit = []
-            got = set(cluster_area(vectors, ctf, sigma, "euclidean", audit))
-            assert got == ref_cluster(vectors, sigma, "euclidean")
-            assert replay_audit({a: ctf[a] for a in vectors}, audit) == got
-
-    def test_unknown_address_rejected(self):
-        ctf = matrix({0: {0}})
-        with pytest.raises(UnknownDatumError):
-            cluster_area([0, 4], ctf, sigma=0.1)
+            chunkset = one_area(vectors, sigma, "euclidean", dim=dim)
+            got = set(chunkset.partition.parts())
+            want, _ = ref_chunk_all(vectors, 1, 9.0, sigma, max(vectors), "euclidean")
+            assert got == {members for _, members in want}
+            transacted = {a: ctf[a] for a, bits in vectors.items() if bits}
+            assert replay_audit(transacted, chunkset.audit) == got
 
     def test_matches_reference(self):
         rng = random.Random(77)
@@ -195,8 +208,7 @@ class TestClusterArea:
                 for a in range(n)
             }
             sigma = rng.choice([0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
-            ctf = matrix(vectors, dim=10)
-            got = set(cluster_area(vectors, ctf, sigma))
+            got = set(one_area(vectors, sigma, dim=10).partition.parts())
             assert got == ref_cluster(vectors, sigma)
 
     @pytest.mark.parametrize("sigma", [-0.1, 1.5, 2.0])
@@ -204,7 +216,7 @@ class TestClusterArea:
         # as ChunkerConfig rejects it: no config selects such a sigma
         vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5}, 12: set()}
         with pytest.raises(ConfigError, match="sigma must be in"):
-            cluster_area(vectors, matrix(vectors, dim=6), sigma)
+            one_area(vectors, sigma, dim=6)
 
     @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
     def test_matches_reference_on_ties(self, monkeypatch, pair_batch):
@@ -222,10 +234,10 @@ class TestClusterArea:
             }
             sigma = rng.choice([0.4, 0.5, 2 / 3, 0.8, 1.0])
             ctf = matrix(vectors, dim=dim)
-            audit = []
-            got = set(cluster_area(vectors, ctf, sigma, audit=audit))
+            chunkset = one_area(vectors, sigma, dim=dim)
+            got = set(chunkset.partition.parts())
             assert got == ref_cluster(vectors, sigma)
-            assert replay_audit({a: ctf[a] for a in vectors}, audit) == got
+            assert replay_audit({a: ctf[a] for a in vectors}, chunkset.audit) == got
 
     def test_audit_replays_to_same_clusters(self):
         rng = random.Random(78)
@@ -235,13 +247,18 @@ class TestClusterArea:
                 for a in range(rng.randint(2, 10))
             }
             ctf = matrix(vectors, dim=8)
-            audit = []
-            out = cluster_area(vectors, ctf, 0.6, audit=audit)
+            chunkset = one_area(vectors, 0.6, dim=8)
+            out = chunkset.partition.parts()
             feats = {a: ctf[a] for a in vectors}
-            assert replay_audit(feats, audit) == set(out)
+            assert replay_audit(feats, chunkset.audit) == set(out)
             # every recorded merge satisfied the predicate when executed
-            for rec in audit:
+            for rec in chunkset.audit:
                 assert rec.distance <= rec.threshold
+
+    def test_unknown_metric_rejected(self):
+        # an unknown metric is no silent choice of either rule
+        with pytest.raises(ConfigError, match="metric must be one of"):
+            one_area({0: {0, 1}, 4: {2, 3}}, 1.0, metric="bogus")
 
 
 class TestChunkAll:
@@ -271,7 +288,8 @@ class TestChunkAll:
         cfg = chunkset.config
         for chunk in chunkset.chunks:
             keys = {
-                area_key(a, ctf[a].popcount(), cfg, chunkset.max_address)
+                AreaKey(*ref_area_key(a, ctf[a].popcount(), cfg.q, cfg.p,
+                                      chunkset.max_address))
                 for a in chunk.members
             }
             assert keys == {chunk.area}
@@ -317,7 +335,7 @@ class TestChunkAll:
         ]
 
     def test_unreferenced_data_absent(self):
-        # pre_block excludes freq-0 data; build_ctf never produces them,
+        # chunk_all excludes freq-0 data; build_ctf never produces them,
         # so chunk_all over a matrix reports no exclusions
         chunkset = chunk_all(self.small_matrix(), ChunkerConfig())
         assert chunkset.excluded == ()
@@ -366,11 +384,10 @@ class TestSerialization:
         txns = [CacheTransaction(0, (0, 8)), CacheTransaction(1, (0, 8, 16))]
         chunkset = chunk_all(build_ctf(TransactionLog.of(txns)), ChunkerConfig(q=2, sigma=0.5))
         path = tmp_path / "chunks.tsv"
-        save_chunks(path, chunkset, {"window_bytes": 8}, config_hash="qq")
+        save_chunks(path, chunkset, config_hash="qq")
         chunks, header = load_chunk_members(path)
         assert chunks.parts() == [c.members for c in chunkset.chunks]
         assert chunks.members.tolist() == chunkset.partition.members.tolist()
         assert chunks.offsets.tolist() == chunkset.partition.offsets.tolist()
         assert header["config_hash"] == "qq"
         assert header["q"] == "2"
-        assert header["window_bytes"] == "8"

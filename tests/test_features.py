@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import make_trace
 from reference import reconstruct_transactions
-from ctgroup.errors import DimensionMismatchError
+from ctgroup.errors import ConfigError, DimensionMismatchError
 from ctgroup.features import (
     EUCLIDEAN,
     CtfVector,
-    access_frequency,
     build_ctf,
     distance,
     load_ctf,
@@ -107,6 +106,13 @@ class TestDistance:
         with pytest.raises(DimensionMismatchError):
             distance(CtfVector([0], dim=4), CtfVector([1], dim=5))
 
+    def test_unknown_metric_rejected(self):
+        # as chunk_all rejects it, not counted as the default metric
+        with pytest.raises(ConfigError, match="metric must be one of"):
+            distance(vec(0), vec(1), "bogus")
+        with pytest.raises(ConfigError, match="metric must be one of"):
+            strong_relation(vec(0), vec(1), 1.0, "bogus")
+
     @given(bitsets, bitsets)
     def test_symmetry_and_identity(self, a, b):
         x, y = CtfVector(sorted(a)), CtfVector(sorted(b))
@@ -143,10 +149,10 @@ class TestStrongRelation:
 
 class TestAccessFrequency:
     def test_values(self):
-        assert access_frequency(vec()) == 0
-        assert access_frequency(vec(0, 1)) == 2
+        assert vec().popcount() == 0
+        assert vec(0, 1).popcount() == 2
         n = 57
-        assert access_frequency(CtfVector(range(n))) == n
+        assert CtfVector(range(n)).popcount() == n
 
 
 class TestSizeEffect:
@@ -180,7 +186,7 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         matrix = build_ctf(TransactionLog.of([txn(0, 5, 9), txn(1, 9), txn(2, 5, 7)]))
         path = tmp_path / "ctf.tsv"
-        save_ctf(path, matrix, {"window_bytes": 8}, config_hash="xyz")
+        save_ctf(path, matrix, config_hash="xyz")
         loaded, header = load_ctf(path)
         assert loaded.num_transactions == matrix.num_transactions
         assert {a: v.bits for a, v in loaded.rows.items()} == {

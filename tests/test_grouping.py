@@ -186,6 +186,7 @@ class TestLegalRelations:
         with pytest.raises(UnknownDatumError) as exc:
             compute_legal_relations(log(txn(0, 0, 8), txn(1, 4, 999)), members, 0.5)
         assert exc.value.address == 999
+        assert str(exc.value) == "no chunk assignment for block address 999"
         # the first unknown address in log order is named, in any batch
         monkeypatch.setattr(grouping, "TXN_BATCH", 1)
         with pytest.raises(UnknownDatumError) as exc:
@@ -206,6 +207,15 @@ class TestLegalRelations:
             GrouperConfig(mu=2.0).validate()
         with pytest.raises(ConfigError):
             GrouperConfig(sort="sideways").validate()
+
+    @pytest.mark.parametrize("alpha, sort, match", [
+        (0.5, "bogus", "sort must be"), (1.5, DESCENDING, "alpha must be"),
+        (-0.1, ASCENDING, "alpha must be"),
+    ])
+    def test_compute_legal_relations_validates(self, alpha, sort, match):
+        # an unknown sort is no silent choice of either order
+        with pytest.raises(ConfigError, match=match):
+            compute_legal_relations(log(txn(0, 0, 8)), Partition.of([(0,), (8,)]), alpha, sort)
 
 
 class TestMergeGroups:
@@ -396,10 +406,9 @@ class TestSerialization:
         chunks = Partition.of([(0, 4), (8,), (1000,)])
         grouping = merge_groups(rels, chunks, GrouperConfig(mu=1.0))
         path = tmp_path / "grouping.csv"
-        save_grouping(path, grouping, {"window_bytes": 64}, config_hash="gg")
+        save_grouping(path, grouping, config_hash="gg")
         loaded, header = load_grouping_members(path)
         assert loaded.parts() == grouping.partition.parts() == [
             (0, 4, 8), (1000,)]
         assert header["config_hash"] == "gg"
         assert header["mu"] == "1.0"
-        assert header["window_bytes"] == "64"

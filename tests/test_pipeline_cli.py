@@ -231,6 +231,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "max_records" in err
 
+    @pytest.mark.parametrize("source, key, value", [
+        ("synthetic", "host", "h1"), ("synthetic", "disk", "0"),
+        ("synthetic", "max_records", "100"), ("trace", "rng_seed", "5"),
+    ])
+    def test_key_the_input_ignores_exit_two(self, spec_file, tmp_path, capsys,
+                                            source, key, value):
+        # a key that would move the extract hash without changing the input
+        path = spec_file if source == "synthetic" else tmp_path / "trace.csv"
+        rc = self.run("pipeline", f"--{source}", str(path),
+                      "--output_dir", str(tmp_path / "o"), f"--{key}", value)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} does not apply to {source}= input" in err
+
     @pytest.mark.parametrize("command, key", [
         ("analyze", "w_limits"), ("pipeline", "policies"),
         ("pipeline", "capacity_fractions"),
