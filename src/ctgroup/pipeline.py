@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from . import artifacts, chunking, features, grouping, simulator, transactions
-from .errors import ConfigError, CtgroupError
+from .errors import ConfigError, CtgroupError, EmptyTraceError
 from .synthetic import SyntheticSpec, synthesize_trace
 from .trace import Trace, load_trace
 
@@ -196,10 +196,14 @@ def load_input_trace(cfg: PipelineConfig):
 
 
 def split_for_training(cfg: PipelineConfig, trace: Trace):
+    """(training prefix, test rest) of the input trace; an explicit
+    train_count that leaves either part empty is a ConfigError."""
+    if len(trace) < 2:
+        raise EmptyTraceError(f"{trace.source_label}: a trace of fewer than 2 records "
+                              "cannot be split into training and test parts")
     count = cfg.train_count
     if count is None:
         count = max(1, int(len(trace) * cfg.train_fraction))
-    count = min(count, len(trace) - 1)
     return trace.split(count)
 
 

@@ -38,11 +38,14 @@ the cell is replayed otherwise:
 
 and also no invariant checking is asked for.
 
-The replay rows. Every replayed cell iterates Python rows that
-``ReplayRows`` builds once per trace: each access's datum as a dense id
-(id k is the k-th smallest address) and its size, as objects shared from a
-pool, so no cell converts numpy columns. The cache, plans and sizes seen
-key on ids. Per ``GroupTable`` object, the rows also keep its
+The replay rows. ``ReplayRows`` holds what a trace's cells share, built
+once per trace: its first-access positions, distinct addresses and
+``unique_bytes`` (the sum of first-seen sizes, which capacity fractions are
+taken of); the LRU profile, at the first ``lru`` cell; and at the first
+replayed cell, the rows every replayed cell iterates: each access's datum
+as a dense id (id k is the k-th smallest address) and its size, objects
+shared from a pool, so no cell converts numpy columns. The cache, plans and
+sizes seen key on ids. For the last ``GroupTable``, it also keeps the
 ``group_column`` (the gid of the datum's group when that group has two or
 more members, else -1, and -2 - gid at the first access to each member of
 such a group) and those groups' members as ids, a member the trace never
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -73,6 +77,9 @@ FIFO = "fifo"
 GROUP_PREFETCH = "group_prefetch"
 GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
+# SimMetrics.as_dict's keys, the columns of metrics.csv
+METRIC_COLUMNS = ("policy", "capacity_fraction", "capacity_bytes", "accesses", "hits",
+                  "misses", "hit_rate", "disk_ios", "prefetched_bytes", "evictions")
 
 class GroupTable:
     """The grouping for the prefetch policies: ``partition``, whose part
@@ -131,25 +138,14 @@ class SimMetrics:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "capacity_fraction": self.capacity_fraction,
-            "capacity_bytes": self.capacity_bytes,
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "disk_ios": self.disk_ios,
-            "prefetched_bytes": self.prefetched_bytes,
-            "evictions": self.evictions,
-        }
+        return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
 
 def resolve_capacity(cfg: SimConfig, trace: Trace) -> int:
     """Fractions are taken of the sum of first-seen sizes of distinct data."""
     if cfg.capacity_bytes is not None:
         return cfg.capacity_bytes
-    capacity = int(cfg.capacity_fraction * trace.total_unique_bytes())
+    capacity = int(cfg.capacity_fraction * replay_rows(trace).unique_bytes)
     return max(capacity, 1)
 
 
@@ -170,11 +166,12 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
-    rows = trace._replay = trace._replay or ReplayRows(trace)
+    rows = replay_rows(trace)
     if grouped:
-        _, groups, group_members, addresses, ids = rows.under(cfg.grouping, trace.addresses)
-        extra_size = dict(zip(ids.tolist(), map((cfg.extra_sizes or {}).get,
-                                                addresses.tolist()))).get
+        group = rows.under(cfg.grouping)
+        groups, group_members = group.column, group.members
+        extra_size = dict(zip(group.ids.tolist(), map((cfg.extra_sizes or {}).get,
+                                                      group.addresses.tolist()))).get
     else:
         groups, group_members, extra_size = repeat(-1), [], None
     # A member's fetch size is its first size seen so far in this replay,
@@ -290,13 +287,12 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
         if check_invariants and occupied > capacity:
             raise InvariantError("cache occupancy exceeds capacity")
 
-    metrics = SimMetrics(
+    return SimMetrics(
         cfg.policy, cfg.capacity_fraction, capacity,
         accesses=n, hits=hits, misses=n - hits, disk_ios=disk_ios,
         prefetched_bytes=prefetched, evictions=evictions, bypasses=bypasses,
         unknown_size_skips=unknown,
     )
-    return metrics
 
 
 def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) -> np.ndarray:
@@ -320,23 +316,43 @@ def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) ->
     return column
 
 
+class GroupRows(NamedTuple):
+    """A trace's replay rows under one GroupTable (see the module docstring)."""
+
+    column: list          # the group column, pooled
+    members: list         # member ids per gid, None for a one-member group
+    addresses: np.ndarray  # the members of the other groups
+    ids: np.ndarray       # and their ids
+
+
 class ReplayRows:
-    """A trace's accesses as the Python rows that every replayed cell
-    iterates, built once per trace (see the module docstring)."""
+    """What the cells of one trace share, built once per trace (see the
+    module docstring). It keeps the trace's columns, not the trace, which
+    holds it: run_pipeline pauses the cyclic collector."""
 
     def __init__(self, trace: Trace):
-        addresses = trace.addresses
-        self.first = first_access_positions(addresses)
-        self.distinct = np.sort(addresses[self.first])  # id k: [k]
-        self.ids = _pooled(addresses, self.distinct, np.arange(len(self.distinct)).astype(object))
-        self.sizes = _pooled(trace.sizes)
-        self.grouped = None
+        self.addresses, self.size_column = trace.addresses, trace.sizes
+        self.first = first_access_positions(self.addresses)
+        self.distinct = np.sort(self.addresses[self.first])  # id k: [k]
+        self.unique_bytes = int(self.size_column[self.first].sum())
+        self.table = self.grouped = None
 
-    def under(self, table: GroupTable, addresses: np.ndarray) -> tuple:
-        """(table, group column, member ids per gid or None for a one-member
-        group, the other groups' members, their ids), kept in ``grouped``
-        for the last table: a sweep's group cells share it."""
-        if self.grouped is None or self.grouped[0] is not table:
+    @cached_property
+    def profile(self) -> LruProfile | None:
+        return build_lru_profile(self.addresses, self.size_column)
+
+    @cached_property
+    def ids(self) -> list:
+        return _pooled(self.addresses, self.distinct, np.arange(len(self.distinct)).astype(object))
+
+    @cached_property
+    def sizes(self) -> list:
+        return _pooled(self.size_column)
+
+    def under(self, table: GroupTable) -> GroupRows:
+        """The rows under ``table``, kept for the last table: a sweep's
+        group cells share them."""
+        if self.table is not table:
             part = table.partition
             ids = find(self.distinct, part.members)
             absent = ids < 0
@@ -345,10 +361,16 @@ class ReplayRows:
             members = [tuple(flat[lo:hi]) if hi - lo > 1 else None
                        for lo, hi in zip(bounds, bounds[1:])]
             shared = np.repeat(np.diff(part.offsets) > 1, np.diff(part.offsets))
-            column = group_column(addresses, table, self.first)
-            self.grouped = (table, _pooled(column), members, part.members[shared],
-                            ids[shared])
+            column = group_column(self.addresses, table, self.first)
+            self.table, self.grouped = table, GroupRows(
+                _pooled(column), members, part.members[shared], ids[shared])
         return self.grouped
+
+
+def replay_rows(trace: Trace) -> ReplayRows:
+    """The trace's ReplayRows, built when a cell first asks."""
+    trace._replay = trace._replay or ReplayRows(trace)
+    return trace._replay
 
 
 def _pooled(column: np.ndarray, keys: np.ndarray | None = None, pool=None) -> list:
@@ -483,9 +505,7 @@ def _profiled_lru(trace: Trace, cfg: SimConfig, capacity: int) -> SimMetrics | N
     not apply and the cell must be replayed."""
     if not cfg.write_allocate and (trace.ops == int(Op.WRITE)).any():
         return None
-    if trace._lru_profile is None:  # built once per trace, for every capacity
-        trace._lru_profile = (build_lru_profile(trace.addresses, trace.sizes),)
-    profile = trace._lru_profile[0]
+    profile = replay_rows(trace).profile  # built once per trace, for every capacity
     if profile is None or profile.max_size > capacity:
         return None
     within = np.searchsorted(profile.distances, capacity, "right")
@@ -506,32 +526,17 @@ def sweep(
     write_allocate: bool = True,
 ) -> list[SimMetrics]:
     """One SimMetrics row per (fraction, policy), in input order."""
-    rows = []
-    for fraction in fractions:
-        for policy in policies:
-            cfg = SimConfig(
-                policy=policy,
-                capacity_fraction=fraction,
-                grouping=grouping if policy in (GROUP_PREFETCH, GROUP_MERGED) else None,
-                extra_sizes=extra_sizes,
-                write_allocate=write_allocate,
-            )
-            rows.append(simulate(trace, cfg))
-    return rows
+    return [simulate(trace, SimConfig(
+        policy, capacity_fraction=fraction, extra_sizes=extra_sizes,
+        grouping=grouping if policy in (GROUP_PREFETCH, GROUP_MERGED) else None,
+        write_allocate=write_allocate)) for fraction in fractions for policy in policies]
 
 
-METRIC_COLUMNS = (
-    "policy,capacity_fraction,capacity_bytes,accesses,hits,misses,"
-    "hit_rate,disk_ios,prefetched_bytes,evictions"
-)
+_FORMATS = {"capacity_fraction": lambda v: "" if v is None else repr(v),
+            "hit_rate": "{:.6f}".format}
 
 
 def metrics_csv_lines(rows: Iterable[SimMetrics]):
-    yield METRIC_COLUMNS
+    yield ",".join(METRIC_COLUMNS)
     for m in rows:
-        frac = "" if m.capacity_fraction is None else repr(m.capacity_fraction)
-        yield (
-            f"{m.policy},{frac},{m.capacity_bytes},{m.accesses},{m.hits},"
-            f"{m.misses},{m.hit_rate:.6f},{m.disk_ios},{m.prefetched_bytes},"
-            f"{m.evictions}"
-        )
+        yield ",".join(_FORMATS.get(name, str)(value) for name, value in m.as_dict().items())

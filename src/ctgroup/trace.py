@@ -160,13 +160,7 @@ class Trace:
     ops: np.ndarray
     source_label: str = ""
     skipped: int = 0
-    # total_unique_bytes, once computed; the arrays are never modified
-    _unique_bytes: int | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    # (simulator.build_lru_profile of the columns,) once computed; it may be None
-    _lru_profile: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    # simulator.ReplayRows of the columns, once a cell replays the trace
+    # simulator.ReplayRows of the columns, which are never modified
     _replay: object | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -192,36 +186,27 @@ class Trace:
         input.
         """
         if not 0 < train_count < len(self):
-            raise ConfigError(
-                f"train_count must be in (0, {len(self)}), got {train_count}"
-            )
+            raise ConfigError(f"train_count must be in [1, {len(self) - 1}] for a trace "
+                              f"of {len(self)} records, got {train_count}")
         return self._take(slice(train_count)), self._take(slice(train_count, None))
 
     def filter_ops(self, ops: str) -> "Trace":
-        """Keep only reads, only writes, or both ('read' | 'write' | 'both')."""
+        """Keep only reads, only writes, or both ('read' | 'write' | 'both').
+        A filter that keeps no record is an EmptyTraceError."""
         if ops == "both":
             return self
-        if ops == "read":
-            return self._take(self.ops == int(Op.READ))
-        if ops == "write":
-            return self._take(self.ops == int(Op.WRITE))
-        raise ConfigError(f"ops filter must be read|write|both, got {ops!r}")
+        if ops not in _OP_CODES:
+            raise ConfigError(f"ops filter must be read|write|both, got {ops!r}")
+        kept = self._take(self.ops == _OP_CODES[ops])
+        if not len(kept):
+            raise EmptyTraceError(f"no records left in {self.source_label} after ops={ops} filter")
+        return kept
 
     def _take(self, index) -> "Trace":
-        """The records a slice or boolean mask selects, under the same label."""
+        """The records a slice or boolean mask selects, under the same label
+        and skip count."""
         return Trace(self.timestamps[index], self.addresses[index], self.sizes[index],
-                     self.ops[index], source_label=self.source_label)
-
-    def total_unique_bytes(self) -> int:
-        """Sum of first-seen sizes over distinct block addresses.
-
-        Computed once per trace: every capacity fraction of a sweep is
-        taken of it.
-        """
-        if self._unique_bytes is None:
-            first = first_access_positions(self.addresses)
-            self._unique_bytes = int(self.sizes[first].sum())
-        return self._unique_bytes
+                     self.ops[index], source_label=self.source_label, skipped=self.skipped)
 
     def first_seen_sizes(self) -> dict[int, int]:
         """{address: size at its first access}, in first-access order."""
@@ -386,9 +371,4 @@ def load_trace(
     if not kept.length:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    trace = Trace(*kept.trimmed(), source_label=label, skipped=skipped)
-    if ops != "both":
-        trace = trace.filter_ops(ops)
-        if len(trace) == 0:
-            raise EmptyTraceError(f"no records left in {path} after ops={ops} filter")
-    return trace
+    return Trace(*kept.trimmed(), source_label=label, skipped=skipped).filter_ops(ops)

@@ -533,12 +533,11 @@ def ref_load_trace(
     if not records:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    trace = Trace.from_records(records, source_label=label, skipped=skipped)
     if ops != "both":
-        trace = trace.filter_ops(ops)
-        if len(trace) == 0:
-            raise EmptyTraceError(f"no records left in {path} after ops={ops} filter")
-    return trace
+        records = [r for r in records if r.op == Op[ops.upper()]]
+        if not records:
+            raise EmptyTraceError(f"no records left in {label} after ops={ops} filter")
+    return Trace.from_records(records, source_label=label, skipped=skipped)
 
 
 def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:

@@ -273,6 +273,37 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_synthetic_filtered_to_nothing_exit_three(self, spec_file, tmp_path, capsys):
+        # synthetic traces are all reads
+        rc = self.run("pipeline", *self.base_flags(spec_file, tmp_path / "o"),
+                      "--ops", "write")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert ("stage 'ingest' failed: no records left in synthetic(seed=3) after "
+                "ops=write filter") in err
+
+    THREE_RECORDS = "1,h,0,Read,0,4096,0\n2,h,0,Read,4096,4096,0\n3,h,0,Write,8192,4096,0\n"
+
+    @pytest.mark.parametrize("count", ["0", "3", "100"])
+    def test_train_count_outside_the_trace_exit_two(self, tmp_path, capsys, count):
+        trace = tmp_path / "r.csv"
+        trace.write_text(self.THREE_RECORDS)
+        rc = self.run("pipeline", "--trace", str(trace), "--train_count", count,
+                      "--output_dir", str(tmp_path / "o"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"train_count must be in [1, 2] for a trace of 3 records, got {count}" in err
+
+    def test_one_record_trace_exit_three(self, tmp_path, capsys):
+        # one write is left by the filter, and no train_count is set
+        trace = tmp_path / "r.csv"
+        trace.write_text(self.THREE_RECORDS)
+        rc = self.run("pipeline", "--trace", str(trace), "--ops", "write",
+                      "--output_dir", str(tmp_path / "o"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "fewer than 2 records cannot be split" in err
+
     def test_stagewise_equals_pipeline(self, spec_file, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -277,7 +277,7 @@ class TestOnePassLru:
     def capacities(rng, trace):
         """Fractions with repeats and two that resolve to one byte capacity,
         and byte capacities below, at and above the largest datum."""
-        total = trace.total_unique_bytes()
+        total = simulator.replay_rows(trace).unique_bytes
         fractions = [rng.choice([0.01, 0.1, 0.3, 1.0]) for _ in range(3)]
         fractions.append(fractions[0])
         if total > 1:
@@ -331,10 +331,18 @@ class TestOnePassLru:
         assert served > 1000 and replayed > 500
 
     def test_profile_built_once_per_trace(self, monkeypatch):
-        builds = []
+        builds, searches, pooled = [], [], []
         build = simulator.build_lru_profile
         monkeypatch.setattr(simulator, "build_lru_profile",
                             lambda *args: builds.append(1) or build(*args))
+        for module in (simulator, trace_module):
+            search = module.first_access_positions
+            monkeypatch.setattr(module, "first_access_positions",
+                                lambda addresses, search=search:
+                                searches.append(1) or search(addresses))
+        pool = simulator._pooled
+        monkeypatch.setattr(simulator, "_pooled",
+                            lambda column, *args: pooled.append(column) or pool(column, *args))
         calls = []
         replay = simulator.simulate
 
@@ -344,19 +352,28 @@ class TestOnePassLru:
             return row
 
         monkeypatch.setattr(simulator, "simulate", recording)
-        accesses = random_accesses(random.Random(32), n=400)
-        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
+        accesses = random_accesses(random.Random(32), n=500)
+        # the test split of a trace, as the pipeline replays it
+        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses]).split(100)[1]
         table = GroupTable(Partition.of([(0, 4, 8), (12, 16)]))
         fractions = [0.05, 0.1, 0.1, 0.2, 0.4, 0.8, 1.0]
-        policies = [LRU, GROUP_MERGED, FIFO]
+        policies = [LRU, GROUP_MERGED, FIFO, GROUP_PREFETCH]
         rows = sweep(trace, table, fractions, policies)
-        assert len(builds) == 1 and trace._lru_profile[0] is not None
+        assert len(builds) == 1 and simulator.replay_rows(trace).profile is not None
+        assert len(searches) == 1
+        # the id and size rows once, and the group column under the table
+        assert len(pooled) == 3
+        assert [column is trace.addresses for column in pooled].count(True) == 1
+        assert [column is trace.sizes for column in pooled].count(True) == 1
         # one simulate call per (fraction, policy) cell, returning sweep's row
         assert [(f, p) for f, p, _ in calls] == [(f, p) for f in fractions
                                                  for p in policies]
         assert [row for *_, row in calls] == rows
         sweep(trace, table, fractions, [LRU])
         assert len(builds) == 1
+        # an lru sweep the profile serves replays nothing, so builds no rows
+        sweep(make_trace([(a, 1 + a % 7) for a, _ in accesses]), None, fractions, [LRU])
+        assert len(builds) == 2 and len(searches) == 2 and len(pooled) == 3
 
     def test_invariant_checks_replay(self, monkeypatch):
         def unused(addresses, sizes):
@@ -401,7 +418,7 @@ class TestGroupColumn:
                                                 extra_sizes=extra_sizes,
                                                 write_allocate=write_allocate)
                                 assert simulate(trace, cfg) == ref_simulate(trace, cfg)
-                assert trace._replay.grouped[0] is other_table
+                assert trace._replay.table is other_table
 
     def test_new_tables_of_dropped_ones_match_reference(self):
         # a table made after the last one is dropped may reuse its id()
@@ -425,13 +442,18 @@ class TestGroupColumn:
         build_rows = simulator.ReplayRows
         monkeypatch.setattr(simulator, "ReplayRows",
                             lambda *args: row_builds.append(1) or build_rows(*args))
+        searches = []
+        search = simulator.first_access_positions
+        monkeypatch.setattr(simulator, "first_access_positions",
+                            lambda addresses: searches.append(1) or search(addresses))
         accesses = random_accesses(random.Random(44), n=400)
         trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
         table = GroupTable(Partition.of([(0, 4, 8), (12, 16), (20,)]))
         fractions = [0.05, 0.1, 0.2, 0.4, 1.0]
         policies = [LRU, GROUP_PREFETCH, FIFO, GROUP_MERGED]
         rows = sweep(trace, table, fractions, policies, extra_sizes={40: 3})
-        assert len(builds) == 1
+        # the group column, the replay rows and their first-access search once
+        assert len(builds) == 1 and len(row_builds) == 1 and len(searches) == 1
         want = [ref_simulate(trace, SimConfig(
             p, capacity_fraction=f, grouping=table if p.startswith("group") else None,
             extra_sizes={40: 3})) for f in fractions for p in policies]
@@ -442,7 +464,7 @@ class TestGroupColumn:
         assert len(builds) == 2 and len(row_builds) == 1
         # lru and fifo replays never build it, but a new trace gets its rows
         sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
-        assert len(builds) == 2 and len(row_builds) == 2
+        assert len(builds) == 2 and len(row_builds) == 2 and len(searches) == 2
 
     def test_one_member_groups_take_the_demand_path(self):
         # one-member groups replay as no groups at all, oversized data too

@@ -11,6 +11,7 @@ from ctgroup.errors import (
     TraceParseError,
 )
 from ctgroup import synthetic
+from ctgroup.simulator import replay_rows
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
 from ctgroup.trace import AccessRecord, Op, Trace, load_trace, parse_record
 from reference import (
@@ -120,6 +121,17 @@ class TestLoadTrace:
         assert len(load_trace(path, ops="read")) == 1
         assert len(load_trace(path, ops="write")) == 1
         assert len(load_trace(path, ops="both")) == 2
+
+    def test_ops_filter_that_keeps_nothing_rejected(self, tmp_path):
+        path = self.write(tmp_path, "1,h,0,Read,0,1,0\nbad\n2,h,0,Read,4,1,0\n")
+        with pytest.raises(EmptyTraceError, match=f"no records left in {path} after "
+                                                  "ops=write filter"):
+            load_trace(path, skip_malformed=True, ops="write")
+        trace = load_trace(path, skip_malformed=True, source_label="t")
+        with pytest.raises(EmptyTraceError, match="no records left in t after ops=write"):
+            trace.filter_ops("write")
+        # the malformed line stays counted through a filter
+        assert trace.filter_ops("read").skipped == 1
 
     def test_undecodable_byte_is_a_line_error(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -643,4 +655,4 @@ class TestFirstSeenSizes:
             trace = Trace.from_records(records)
             want = ref_first_seen_sizes(trace)
             assert list(trace.first_seen_sizes().items()) == list(want.items())
-            assert trace.total_unique_bytes() == sum(want.values())
+            assert replay_rows(trace).unique_bytes == sum(want.values())
