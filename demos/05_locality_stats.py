@@ -13,8 +13,8 @@ Two questions about a workload motivate the whole approach:
 """
 
 from ctgroup.locality import (
-    AccessIndex,
     access_count_gap_report,
+    access_index,
     cooccurring_pairs,
     gap_report_csv_lines,
     related_pair_distance_histogram,
@@ -40,15 +40,17 @@ for lo, hi, count, cdf in hist.buckets:
         print(f"  distance [{lo}, {hi}): {count} pairs (cdf {cdf:.2f})")
 
 # Relation strength between two same-group members is small; between
-# members of different groups it is large.
-index = AccessIndex.from_trace(trace)
+# members of different groups it is large. The access index holds each
+# address's access positions: it is the CTF of the log that holds one
+# transaction per access.
+index = access_index(trace)
 same = relation_strength(index, truth.groups[0][0], truth.groups[0][1])
 cross = relation_strength(index, truth.groups[0][0], truth.groups[1][0])
 print(f"\nW(same group) = {same:.1f}   W(cross group) = {cross:.1f}")
 
 # Access-count gaps for co-transacting pairs under increasing W limits.
 txns = extract_transactions(trace, ExtractorConfig(window_bytes=65536))
-pairs = cooccurring_pairs(txns)  # full transactions only
+pairs = cooccurring_pairs(txns)  # (x, y) address arrays, full transactions only
 reports = access_count_gap_report(index, pairs, w_limits=[20, 50, 100])
 print()
 for line in gap_report_csv_lines(reports):

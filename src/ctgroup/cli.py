@@ -5,7 +5,8 @@ Subcommands mirror the pipeline stages; `pipeline` runs everything and
 config-file key has a same-named flag that overrides it.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant
-violation.
+violation. A command whose reader closes stdout early exits 0 without a
+traceback: every command prints only after its files are written.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def cmd_analyze(cfg, args):
     histogram = locality.related_pair_distance_histogram(trace)
     pairs = locality.cooccurring_pairs(
         transactions.extract_transactions(trace, cfg.extractor_config()))
-    reports = locality.access_count_gap_report(locality.AccessIndex.from_trace(trace),
-                                               pairs, cfg.w_limits)
+    reports = locality.access_count_gap_report(locality.access_index(trace), pairs,
+                                               cfg.w_limits)
     _write_lines(cfg, "locality_distance.csv", histogram.to_csv_lines())
     _write_lines(cfg, "locality_gap.csv", locality.gap_report_csv_lines(reports))
     print(f"related pairs: {histogram.total}; reports written to {cfg.output_dir}")
@@ -123,6 +124,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.run(load_config(args), args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the output is complete; stdout now points at devnull, so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except CtgroupError as exc:
         # a failed stage is reported under the kind of error that failed it
         cause = exc.cause if isinstance(exc, PipelineStageError) else exc

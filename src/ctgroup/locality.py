@@ -5,89 +5,91 @@ minimum sequence-number gap to any access of y), the block-address-distance
 distribution of always-sequential pairs, and the access-count-difference
 report under W limits. These reproduce the motivating workload statistics
 qualitatively; exact curves depend on the particular trace.
+
+All of it runs on numpy columns. The access index is the CTF of the log
+that holds one transaction per access (``access_index``), and address pairs
+are two aligned arrays.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from .errors import UnknownDatumError
-from .features import run_incidence, shared_run_counts
+from .features import CtfMatrix, build_ctf, run_incidence, run_starts, shared_run_counts
 from .trace import Trace
 from .transactions import TransactionLog
 
-
-@dataclass
-class AccessIndex:
-    """Per-datum ascending access sequence numbers."""
-
-    seqs: dict[int, list[int]]
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "AccessIndex":
-        seqs: dict[int, list[int]] = {}
-        for i, addr in enumerate(trace.addresses.tolist()):
-            seqs.setdefault(addr, []).append(i)
-        return cls(seqs)
-
-    def accesses(self, address: int) -> list[int]:
-        """The address's access sequence numbers, ascending."""
-        try:
-            return self.seqs[address]
-        except KeyError:
-            raise UnknownDatumError(
-                address, f"block address {address} is never accessed in the trace") from None
+# x-accesses per batch of relation_strengths, each with about 40 bytes of
+# temporaries: a workload's co-occurring pairs can hold 100M x-accesses.
+ACCESS_BATCH = 1 << 16
 
 
-def _min_gap(seq: int, other: Sequence[int]) -> int:
-    pos = bisect_left(other, seq)
-    best = None
-    if pos < len(other):
-        best = other[pos] - seq
-    if pos > 0:
-        gap = seq - other[pos - 1]
-        best = gap if best is None else min(best, gap)
-    return best
+def access_index(trace: Trace) -> CtfMatrix:
+    """Each accessed address's access positions, ascending: the CTF of the
+    log that holds one transaction per access."""
+    return build_ctf(TransactionLog(trace.addresses, np.arange(len(trace) + 1)))
 
 
-def relation_strength(index: AccessIndex, x: int, y: int) -> float:
-    """W_{x,y}: mean over x's accesses of the nearest gap to an access of y.
+def _rows(index: CtfMatrix, addresses) -> np.ndarray:
+    """The index row of each address; an unknown one is an UnknownDatumError."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    rows = artifacts.find(index.addresses, addresses)
+    if (unknown := addresses[rows < 0]).size:
+        raise UnknownDatumError(
+            int(unknown[0]), f"block address {unknown[0]} is never accessed in the trace")
+    return rows
 
-    Asymmetric (normalized by x's access count); relation_strength(x, x)
-    is 0.
-    """
-    xs, ys = index.accesses(x), index.accesses(y)
-    return sum(_min_gap(s, ys) for s in xs) / len(xs)
+
+def relation_strengths(index: CtfMatrix, x, y) -> np.ndarray:
+    """W_{x,y} for each pair of the aligned address arrays ``x`` and ``y``:
+    the mean over x's accesses of the gap to the nearest access of y.
+    Asymmetric (normalized by x's access count); W_{x,x} is 0.
+
+    The keys row * 2n + position of the n accesses (and phantom rows -1
+    and len(index)) lie more than n - 1 apart across rows, so the nearer
+    neighbour key of (y's row, x's position) is in y's row."""
+    kx, ky = _rows(index, x), _rows(index, y)
+    offsets, stride = index.offsets, 2 * len(index.indices)
+    keys = np.concatenate(([-stride], np.repeat(np.arange(len(index)) * stride, np.diff(offsets))
+                           + index.indices, [len(index) * stride]))
+    ends = np.cumsum(offsets[kx + 1] - offsets[kx])  # past each pair's x-accesses
+    total = int(ends[-1]) if len(ends) else 0
+    sums = np.zeros(len(kx))
+    for lo in range(0, total, ACCESS_BATCH):
+        flat = np.arange(lo, min(lo + ACCESS_BATCH, total))
+        pair = np.searchsorted(ends, flat, side="right")
+        query = index.indices[offsets[kx[pair] + 1] - ends[pair] + flat] + ky[pair] * stride
+        at = np.searchsorted(keys, query)
+        gap = np.minimum(keys[at] - query, query - keys[at - 1])
+        # integer gaps: each pair's sum is exact below 2**53
+        sums[pair[0]:pair[-1] + 1] += np.bincount(pair - pair[0], weights=gap)
+    return sums / (offsets[kx + 1] - offsets[kx])
+
+
+def relation_strength(index: CtfMatrix, x: int, y: int) -> float:
+    """W_{x,y} of one pair (see relation_strengths)."""
+    return float(relation_strengths(index, [x], [y])[0])
 
 
 def always_followed_pairs(trace: Trace, min_occurrences: int = 2):
-    """Pairs (x, y) where every access to x is immediately followed by y.
-
-    x must occur at least min_occurrences times; an access to x at the very
-    end of the trace (no successor) disqualifies the pair.
-    """
-    addrs = trace.addresses.tolist()
-    successors: dict[int, set[int]] = {}
-    counts: Counter = Counter()
-    for i, addr in enumerate(addrs):
-        counts[addr] += 1
-        nxt = addrs[i + 1] if i + 1 < len(addrs) else None
-        successors.setdefault(addr, set()).add(nxt)
-    pairs = []
-    for x, succ in successors.items():
-        if counts[x] < min_occurrences:
-            continue
-        if len(succ) == 1:
-            (y,) = succ
-            if y is not None and y != x:
-                pairs.append((x, y))
-    pairs.sort()
-    return pairs
+    """Pairs (x, y), sorted, where every access to x is immediately
+    followed by y. x must occur at least min_occurrences times; an access
+    to x at the very end of the trace disqualifies it (as followed by x)."""
+    addrs = trace.addresses
+    following = np.append(addrs[1:], addrs[-1:])
+    order = np.lexsort((following, addrs))
+    addrs, following = addrs[order], following[order]
+    starts = run_starts(addrs)
+    counts = np.diff(starts, append=len(addrs))
+    x, y = addrs[starts], following[starts]
+    keep = (counts >= min_occurrences) & (following[starts + counts - 1] == y) & (y != x)
+    return list(zip(x[keep].tolist(), y[keep].tolist()))
 
 
 @dataclass
@@ -103,37 +105,30 @@ class Histogram:
             yield f"{lo},{hi},{count},{cdf:.6f}"
 
 
-def _geometric_edges(max_value: int) -> list[int]:
-    edges = [0, 1]
-    while edges[-1] <= max_value:
-        edges.append(edges[-1] * 2)
-    return edges
+# the upper bounds of the buckets [0, 1), [1, 2), ..., [2**61, 2**62); the
+# values from 2**62 up fall in the last bucket, [2**62, 2**63)
+_BUCKET_HIS = 1 << np.arange(63, dtype=np.int64)
 
 
-def make_histogram(values: Iterable[int]) -> Histogram:
-    """Counts of ``values`` in the buckets [0, 1), [1, 2), [2, 4), ...,
-    from the first non-empty bucket to the last."""
-    values = sorted(values)
-    if not values:
+def make_histogram(values) -> Histogram:
+    """Counts of the non-negative int64 ``values`` in the buckets [0, 1),
+    [1, 2), [2, 4), ..., from the first non-empty bucket to the last.
+    Bucket k holds the values of bit length k."""
+    values = np.asarray(values, dtype=np.int64)
+    if not len(values):
         return Histogram(buckets=[], total=0)
-    bucket_edges = _geometric_edges(values[-1])
-    buckets = []
-    total = len(values)
-    running = 0
-    for lo, hi in zip(bucket_edges[:-1], bucket_edges[1:]):
-        count = sum(1 for v in values if lo <= v < hi)
-        running += count
-        if count or buckets:
-            buckets.append((lo, hi, count, running / total))
-    while buckets and buckets[-1][2] == 0:
-        buckets.pop()
-    return Histogram(buckets=buckets, total=total)
+    counts = np.bincount(np.searchsorted(_BUCKET_HIS, values, side="right"))
+    cdf = (np.cumsum(counts) / len(values)).tolist()
+    first = int(np.flatnonzero(counts)[0])
+    buckets = [((1 << k) >> 1, 1 << k, count, cdf[k])
+               for k, count in enumerate(counts.tolist()) if k >= first]
+    return Histogram(buckets=buckets, total=len(values))
 
 
 def related_pair_distance_histogram(trace: Trace, min_occurrences: int = 2) -> Histogram:
     """Distribution of |addr_x - addr_y| over always-sequential pairs."""
-    distances = [abs(x - y) for x, y in always_followed_pairs(trace, min_occurrences)]
-    return make_histogram(distances)
+    pairs = np.array(always_followed_pairs(trace, min_occurrences), dtype=np.int64)
+    return make_histogram(np.abs(np.subtract(*pairs.reshape(-1, 2).T)))
 
 
 @dataclass
@@ -153,8 +148,9 @@ class GapReport:
         return self.equal_count / self.num_pairs
 
 
-def cooccurring_pairs(log: TransactionLog) -> set[tuple[int, int]]:
-    """Unordered address pairs sharing at least one full cache transaction.
+def cooccurring_pairs(log: TransactionLog) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered address pairs sharing at least one full cache transaction,
+    as two aligned int64 arrays (x, y) with x < y, sorted by (x, y).
 
     This is the scope filter used instead of all-pairs enumeration. The
     end-of-trace partial transaction is left out, as in every stage. The
@@ -164,40 +160,30 @@ def cooccurring_pairs(log: TransactionLog) -> set[tuple[int, int]]:
     members, offsets = log.used()
     addresses, ids = np.unique(members, return_inverse=True)
     txn = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    pairs: set[tuple[int, int]] = set()
     incidence = run_incidence(txn, ids, max(len(addresses), 1))
-    for left, right, _count in shared_run_counts(*incidence):
-        pairs.update(zip(addresses[left].tolist(), addresses[right].tolist()))
-    return pairs
+    x, y = np.concatenate([np.empty((2, 0), np.int64)] + [
+        addresses[np.stack(batch[:2])] for batch in shared_run_counts(*incidence)], axis=1)
+    return x, y
 
 
-def access_count_gap_report(
-    index: AccessIndex,
-    pairs: Iterable[tuple[int, int]],
-    w_limits: Sequence[float],
-) -> dict[float, GapReport]:
+def access_count_gap_report(index: CtfMatrix, pairs: tuple[np.ndarray, np.ndarray],
+                            w_limits: Sequence[float]) -> dict[float, GapReport]:
     """Per W limit, the |A_x - A_y| distribution over pairs with W < limit.
 
-    ``pairs`` is typically cooccurring_pairs(transactions); W is evaluated
-    in the (x, y) order given.
+    ``pairs`` is two aligned address arrays (x, y), typically
+    cooccurring_pairs(log); W is evaluated in the (x, y) order given.
     """
     if not w_limits:
         raise ValueError("w_limits must be non-empty")
-    evaluated = []
-    for x, y in pairs:
-        w = relation_strength(index, x, y)
-        gap = abs(len(index.accesses(x)) - len(index.accesses(y)))
-        evaluated.append((w, gap))
+    x, y = pairs
+    w = relation_strengths(index, x, y)
+    counts = np.diff(index.offsets)
+    gaps = np.abs(counts[_rows(index, x)] - counts[_rows(index, y)])
     reports = {}
     for limit in w_limits:
-        report = GapReport(limit=limit, num_pairs=0, equal_count=0)
-        for w, gap in evaluated:
-            if w < limit:
-                report.num_pairs += 1
-                report.gap_counts[gap] += 1
-                if gap == 0:
-                    report.equal_count += 1
-        reports[limit] = report
+        values, tally = np.unique(gaps[w < limit], return_counts=True)
+        counter = Counter(dict(zip(values.tolist(), tally.tolist())))
+        reports[limit] = GapReport(limit, int(tally.sum()), counter[0], counter)
     return reports
 
 

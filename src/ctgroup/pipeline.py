@@ -84,8 +84,9 @@ class PipelineConfig:
             raise ConfigError("trace= and synthetic= are mutually exclusive")
         if self.ops not in ("read", "write", "both"):
             raise ConfigError(f"ops must be read|write|both, got {self.ops!r}")
-        if self.max_records is not None and self.max_records < 1:
-            raise ConfigError(f"max_records must be >= 1, got {self.max_records}")
+        for key in ("max_records", "train_count"):
+            if (value := getattr(self, key)) is not None and value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         kind, ignored = (("synthetic=", ("host", "disk", "max_records"))
                          if self.synthetic is not None else ("trace=", ("rng_seed",)))
         for key in ignored:

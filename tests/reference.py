@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict
+from bisect import bisect_left
+from collections import Counter, OrderedDict
 
 from ctgroup.errors import (
     EmptyTraceError,
@@ -242,6 +243,89 @@ def ref_cooccurring_pairs(transactions):
                 a, b = members[i], members[j]
                 pairs.add((a, b) if a < b else (b, a))
     return pairs
+
+
+# The locality statistics as ctgroup.locality first computed them: a dict
+# of per-address position lists, one bisect per access, one pass over the
+# values per histogram bucket and per W limit.
+
+
+def ref_access_index(addresses):
+    """address -> its ascending access positions in the sequence."""
+    seqs = {}
+    for i, addr in enumerate(addresses):
+        seqs.setdefault(addr, []).append(i)
+    return seqs
+
+
+def _ref_min_gap(seq, other):
+    pos = bisect_left(other, seq)
+    best = None
+    if pos < len(other):
+        best = other[pos] - seq
+    if pos > 0:
+        gap = seq - other[pos - 1]
+        best = gap if best is None else min(best, gap)
+    return best
+
+
+def ref_relation_strength(seqs, x, y):
+    """W_{x,y}: mean over x's accesses of the nearest gap to an access of y."""
+    for address in (x, y):
+        if address not in seqs:
+            raise UnknownDatumError(
+                address, f"block address {address} is never accessed in the trace")
+    xs, ys = seqs[x], seqs[y]
+    return sum(_ref_min_gap(s, ys) for s in xs) / len(xs)
+
+
+def ref_always_followed_pairs(addresses, min_occurrences=2):
+    """Sorted (x, y), y != x, where every access to x is immediately
+    followed by y; an access to x at the very end disqualifies x."""
+    successors, counts = {}, Counter()
+    for i, addr in enumerate(addresses):
+        counts[addr] += 1
+        nxt = addresses[i + 1] if i + 1 < len(addresses) else None
+        successors.setdefault(addr, set()).add(nxt)
+    pairs = []
+    for x, succ in successors.items():
+        if counts[x] >= min_occurrences and len(succ) == 1:
+            (y,) = succ
+            if y is not None and y != x:
+                pairs.append((x, y))
+    return sorted(pairs)
+
+
+def ref_make_histogram(values):
+    """(lo, hi, count, cdf) over the buckets [0, 1), [1, 2), [2, 4), ...,
+    from the first non-empty bucket to the last; and the value count."""
+    values = sorted(values)
+    if not values:
+        return [], 0
+    edges = [0, 1]
+    while edges[-1] <= values[-1]:
+        edges.append(edges[-1] * 2)
+    buckets, running = [], 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        count = sum(1 for v in values if lo <= v < hi)
+        running += count
+        if count or buckets:
+            buckets.append((lo, hi, count, running / len(values)))
+    while buckets and buckets[-1][2] == 0:
+        buckets.pop()
+    return buckets, len(values)
+
+
+def ref_gap_report(seqs, pairs, w_limits):
+    """limit -> (pairs with W < limit, how many of them have equal access
+    counts, Counter of |A_x - A_y| over them), W in the (x, y) order given."""
+    evaluated = [(ref_relation_strength(seqs, x, y), abs(len(seqs[x]) - len(seqs[y])))
+                 for x, y in pairs]
+    reports = {}
+    for limit in w_limits:
+        gaps = Counter(gap for w, gap in evaluated if w < limit)
+        reports[limit] = (sum(gaps.values()), gaps[0], gaps)
+    return reports
 
 
 def ref_lru_hit_rate(accesses, capacity):

@@ -59,6 +59,12 @@ Rows.repeated(within_rows=True), load_transactions' repeat check, runs on
 when it sorted the whole values column with an int64 row id per value,
 23.8 MiB, and when it takes slices of whole rows and about READ_BLOCK
 values with int32 row ids, 8.2 MiB; the mask itself is 1.0 MiB.
+
+access_count_gap_report evaluates W for the instance's 335,706
+co-occurring address pairs, whose x-accesses number 16.9M, about 258
+batches of ACCESS_BATCH. Its bound sits between its peak when it finds
+the nearest y-access of every x-access at once, 916 MiB, and in batches
+of ACCESS_BATCH, 18.0 MiB; batches four times as large peaked at 26.9 MiB.
 """
 
 import dataclasses
@@ -67,7 +73,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctgroup import artifacts
+from ctgroup import artifacts, locality
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import Partition, build_ctf
 from ctgroup.grouping import compute_legal_relations
@@ -224,3 +230,13 @@ def test_synthesize_peak():
     (trace, _truth), peak = traced_peak(synthesize_trace, spec)
     assert len(trace) == 300000
     assert peak <= 14 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
+
+
+def test_access_count_gap_report_peak(trace, instance):
+    txns, _ctf = instance
+    pairs = locality.cooccurring_pairs(txns)
+    index = locality.access_index(trace)
+    reports, peak = traced_peak(locality.access_count_gap_report, index, pairs, [50.0, 150.0])
+    assert len(pairs[0]) == 335706
+    assert [(r.num_pairs, r.equal_count) for r in reports.values()] == [(139, 4), (3018, 314)]
+    assert peak <= 24 * MIB, f"access_count_gap_report peaked at {peak / MIB:.2f} MiB"

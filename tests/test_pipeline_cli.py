@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
@@ -292,7 +296,35 @@ class TestCli:
                       "--output_dir", str(tmp_path / "o"))
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"train_count must be in [1, 2] for a trace of 3 records, got {count}" in err
+        # a count below 1 is refused with the config, before the trace is read
+        assert ("train_count must be >= 1, got 0" if count == "0" else
+                f"train_count must be in [1, 2] for a trace of 3 records, got {count}") in err
+
+    def test_train_count_below_one_refused_before_reading(self, tmp_path, capsys):
+        rc = self.run("pipeline", "--trace", str(tmp_path / "missing.csv"),
+                      "--train_count", "0", "--output_dir", str(tmp_path / "o"))
+        assert rc == 2
+        assert "config error: train_count must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "analyze"])
+    def test_closed_stdout_exit_zero(self, spec_file, tmp_path, command):
+        # the reader is gone before the command prints: its output is
+        # complete on disk, so the command exits 0 without a traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from ctgroup import cli; "
+                 "sys.exit(cli.main(sys.argv[1:]))", command,
+                 *self.base_flags(spec_file, tmp_path / "o")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert (tmp_path / "o" / ("manifest.json" if command == "pipeline"
+                                  else "locality_gap.csv")).exists()
 
     def test_one_record_trace_exit_three(self, tmp_path, capsys):
         # one write is left by the filter, and no train_count is set
@@ -398,11 +430,37 @@ class TestCli:
         assert self.run("pipeline", *flags) == 0
         assert json.loads(capsys.readouterr().out)["records"] == 2000
 
+    # sha256 of (locality_distance.csv, locality_gap.csv) as the per-pair
+    # implementation of the statistics wrote them
+    ANALYZE_DIGESTS = {
+        "synthetic": ("aed2b969bc2083c26e9fca89b1a159cb9accea5155185b91d181b03f3a5db517",
+                      "af62e33947e0b91dd79184a97e48b42fe16e479fdc58a2c07aa852c0e2b68614"),
+        "csv": ("2127789d51e776ca028e6966cbae002fd5567d55abe62183eeb7ed9764db1e1a",
+                "9de66017feff4826c7f9c7bd9fad12de2a609be42cd7ad3d52f9eb1e6076861e"),
+    }
+
     def test_analyze_outputs(self, spec_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert self.run("analyze", *self.base_flags(spec_file, out)) == 0
-        assert (out / "locality_distance.csv").exists()
-        assert (out / "locality_gap.csv").exists()
+        # units of 4 data at strides of 512 B to 512 KiB, and singletons;
+        # about 30% of the accesses are writes
+        rng = random.Random(12)
+        lines = []
+        while len(lines) < 3000:
+            unit = rng.randrange(60)
+            for j in range(4 if unit % 5 else 1):
+                op = "Write" if rng.random() < 0.3 else "Read"
+                lines.append(f"{len(lines) + 1},h,0,{op},{(unit << 20) + (j << unit % 7 * 2 + 9)},"
+                             f"{rng.choice((512, 4096, 8192))},0\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("".join(lines))
+        sources = {"synthetic": ["--synthetic", str(spec_file)],
+                   "csv": ["--trace", str(trace)]}
+        for name, source in sources.items():
+            out = tmp_path / name
+            assert self.run("analyze", *source, "--M", "32768",
+                            "--output_dir", str(out)) == 0
+            digests = tuple(hashlib.sha256((out / csv).read_bytes()).hexdigest()
+                            for csv in ("locality_distance.csv", "locality_gap.csv"))
+            assert digests == self.ANALYZE_DIGESTS[name], name
 
     def test_sweep_outputs(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"
