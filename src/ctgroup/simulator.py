@@ -54,15 +54,32 @@ records the member's size and drops its group's cached plan when the size
 is not its extra size, which each cell maps to ids afresh. Data in
 one-member groups take the demand path: such a group's plan is the datum
 alone, so the group path would admit it alone and prefetch nothing.
+
+The batch and the pool. ``sweep`` makes its cells the trace's batch and
+calls ``simulate`` once per cell, so a caller that wraps ``simulate``
+still sees one call and one row per cell. The first call for a cell that
+the LRU profile does not serve replays every such cell of the batch on
+``pool_map``: a fork pool of at most one worker per CPU this process may
+use (``os.sched_getaffinity``), with no config key. The parent builds the
+id and size rows, the group rows and the extra-size lookup first, so the
+workers inherit them and build nothing; each worker runs the one replay
+loop, ``_replay``, and sends back only the cell's metrics. Later calls
+return their cell's row, and the batch is cleared when ``sweep`` returns
+or raises. A ``simulate`` call outside a sweep, or one checking
+invariants, replays in this process. A worker copies the pages it writes:
+its cache, and those of the pooled ints whose reference counts its
+iteration writes, about 8 MiB per worker at the 3M-record gate.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,28 +169,43 @@ def resolve_capacity(cfg: SimConfig, trace: Trace) -> int:
 def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> SimMetrics:
     """Replay a trace; returns its metrics.
 
+    A cell of the trace's batch is replayed with the batch's other
+    replayed cells at the first call for any of them (see the module
+    docstring). Any other cell, and every cell checking invariants, is
+    replayed in this process by this call.
+    """
+    cfg.validate()
+    capacity = resolve_capacity(cfg, trace)
+    if cfg.policy == LRU and not check_invariants:
+        metrics = _profiled_lru(trace, cfg, capacity)
+        if metrics is not None:
+            return metrics
+    rows = replay_rows(trace)
+    if not check_invariants and any(cell is cfg for cell in rows.batch):
+        if rows.replayed is None:
+            rows.replayed = _replay_batch(trace, rows)
+        return rows.replayed[id(cfg)]
+    return _replay(trace, cfg, capacity, _extra_size(rows, cfg), check_invariants)
+
+
+def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
+            check_invariants: bool = False) -> SimMetrics:
+    """The replay of one cell at ``capacity`` bytes. ``extra_size`` is
+    _extra_size's lookup for the cell, None for a cell without groups.
+
     One loop serves every policy: hits take the short path, and a miss
     admits the demanded datum, then (group policies) the group plan.
     Eviction is inlined and the counters are locals.
     """
-    cfg.validate()
-    capacity = resolve_capacity(cfg, trace)
     policy = cfg.policy
-    if policy == LRU and not check_invariants:
-        metrics = _profiled_lru(trace, cfg, capacity)
-        if metrics is not None:
-            return metrics
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
-    grouped = policy in (GROUP_PREFETCH, GROUP_MERGED)
     rows = replay_rows(trace)
-    if grouped:
+    if extra_size is not None:
         group = rows.under(cfg.grouping)
         groups, group_members = group.column, group.members
-        extra_size = dict(zip(group.ids.tolist(), map((cfg.extra_sizes or {}).get,
-                                                      group.addresses.tolist()))).get
     else:
-        groups, group_members, extra_size = repeat(-1), [], None
+        groups, group_members = repeat(-1), []
     # A member's fetch size is its first size seen so far in this replay,
     # else its extra size; members with neither are skipped and counted.
     # Each group's plan is cached until one of its members is first seen
@@ -295,6 +327,77 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
     )
 
 
+def _extra_size(rows: ReplayRows, cfg: SimConfig):
+    """A group cell's extra-size lookup on its members' ids, read from the
+    caller's mapping as it is now; None for the other cells."""
+    if cfg.policy not in (GROUP_PREFETCH, GROUP_MERGED):
+        return None
+    group = rows.under(cfg.grouping)
+    return dict(zip(group.ids.tolist(), map((cfg.extra_sizes or {}).get,
+                                            group.addresses.tolist()))).get
+
+
+def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
+    """Replay the cells of ``rows.batch`` that the LRU profile does not
+    serve, on pool_map; their rows by id(cell). What the cells share is
+    built first, so the workers inherit it: the id and size rows, the
+    group rows and one extra-size lookup per (grouping, mapping)."""
+    cells, units, extras = [], [], {}
+    for cfg in rows.batch:
+        capacity = resolve_capacity(cfg, trace)
+        if cfg.policy == LRU and _profiled_lru(trace, cfg, capacity) is not None:
+            continue
+        key = id(cfg.grouping), id(cfg.extra_sizes)
+        if key not in extras:
+            extras[key] = _extra_size(rows, cfg)
+        cells.append(cfg)
+        units.append((cfg, capacity, extras[key]))
+    rows.ids, rows.sizes  # built here, so the workers share them
+    metrics = pool_map(lambda unit: _replay(trace, *unit), units)
+    return {id(cfg): m for cfg, m in zip(cells, metrics)}
+
+
+def pool_map(fn: Callable, units: Sequence) -> list:
+    """[fn(unit) for unit in units], in input order, on a fork pool of at
+    most one worker per CPU this process may use; in this process for one
+    CPU or one unit, or when the process runs other threads, which a fork
+    does not copy (one could hold a lock the workers then wait on).
+
+    The workers are forked, so they inherit fn, the units and all they
+    reach, and build nothing: only a unit's index and its result are
+    pickled. A unit that raises raises here; a worker that dies raises
+    BrokenProcessPool. Either way the pool is shut down, and its workers
+    joined, before this returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(units))
+    if workers < 2 or threading.active_count() > 1:
+        return [fn(unit) for unit in units]
+    # imported here, after the earlier stages' peak: at import they add
+    # 1.6 MiB to the process
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(fn, units))
+    try:
+        return list(pool.map(_run_unit, range(len(units))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_work: tuple | None = None  # a pool worker's (fn, units), set as it starts
+
+
+def _inherit(fn, units):
+    global _work
+    _work = fn, units
+
+
+def _run_unit(index):
+    fn, units = _work
+    return fn(units[index])
+
+
 def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) -> np.ndarray:
     """The group column of an access sequence (see the module docstring):
     int32, per access the gid of its datum's group when that group has two
@@ -336,6 +439,8 @@ class ReplayRows:
         self.distinct = np.sort(self.addresses[self.first])  # id k: [k]
         self.unique_bytes = int(self.size_column[self.first].sum())
         self.table = self.grouped = None
+        self.batch: list[SimConfig] = []    # the cells of the running sweep
+        self.replayed: dict | None = None  # their replayed rows, by id(cell)
 
     @cached_property
     def profile(self) -> LruProfile | None:
@@ -525,11 +630,17 @@ def sweep(
     extra_sizes: Mapping[int, int] | None = None,
     write_allocate: bool = True,
 ) -> list[SimMetrics]:
-    """One SimMetrics row per (fraction, policy), in input order."""
-    return [simulate(trace, SimConfig(
+    """One SimMetrics row per (fraction, policy), in input order, from one
+    simulate call per cell; the cells are the trace's batch meanwhile."""
+    rows = replay_rows(trace)
+    rows.batch = [SimConfig(
         policy, capacity_fraction=fraction, extra_sizes=extra_sizes,
         grouping=grouping if policy in (GROUP_PREFETCH, GROUP_MERGED) else None,
-        write_allocate=write_allocate)) for fraction in fractions for policy in policies]
+        write_allocate=write_allocate) for fraction in fractions for policy in policies]
+    try:
+        return [simulate(trace, cfg) for cfg in rows.batch]
+    finally:
+        rows.batch, rows.replayed = [], None
 
 
 _FORMATS = {"capacity_fraction": lambda v: "" if v is None else repr(v),

@@ -30,7 +30,9 @@ the trace's replay rows and group rows once. Its bound sits between its
 peak when the rows were whole-column tolist() lists of fresh ints, 7.0
 MiB, and when they hold shared objects built ROW_BLOCK accesses at a
 time, 3.8 MiB. Converting four column blocks in every cell instead
-peaked at 3.5 MiB.
+peaked at 3.5 MiB. The bound is taken with one CPU, so the cells replay
+in this process and their caches count; on a pool, tracemalloc sees only
+this process, and its peak may be no higher than that one.
 
 load_trace reads a 100k-line canonical CSV (4.8 MB). Its bound sits
 between its peak when it built four Python int lists of the whole file,
@@ -68,6 +70,7 @@ of ACCESS_BATCH, 18.0 MiB; batches four times as large peaked at 26.9 MiB.
 """
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -84,6 +87,7 @@ from ctgroup.simulator import (
     GroupTable,
     build_lru_profile,
     group_column,
+    pool_map,
     sweep,
 )
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
@@ -171,14 +175,36 @@ def test_group_column_peak(synthetic):
     assert peak <= 2 * MIB, f"group_column peaked at {peak / MIB:.2f} MiB"
 
 
-def test_replay_rows_peak(synthetic):
+def sweep_peak(synthetic, cpus):
+    """(sweep's rows, its traced peak) with ``cpus`` CPUs for the cells'
+    pool, on a copy of the trace that has no rows cached."""
     trace, truth = synthetic
-    trace = dataclasses.replace(trace)  # no rows cached by earlier tests
-    rows, peak = traced_peak(sweep, trace, GroupTable(Partition.of(truth.groups)), [0.01, 0.05],
-                             [FIFO, GROUP_MERGED, GROUP_PREFETCH],
-                             trace.first_seen_sizes(), False)
+    trace = dataclasses.replace(trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return traced_peak(sweep, trace, GroupTable(Partition.of(truth.groups)), [0.01, 0.05],
+                           [FIFO, GROUP_MERGED, GROUP_PREFETCH],
+                           trace.first_seen_sizes(), False)
+
+
+@pytest.fixture(scope="module")
+def in_process_sweep(synthetic):
+    return sweep_peak(synthetic, 1)
+
+
+def test_replay_rows_peak(in_process_sweep):
+    rows, peak = in_process_sweep
     assert [row.hits for row in rows[:2]] == [718, 23005]
     assert peak <= 5 * MIB, f"sweep peaked at {peak / MIB:.2f} MiB"
+
+
+def test_replay_rows_pool_peak(synthetic, in_process_sweep):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pool_map(abs, [-1, 2])  # the pool's modules are imported before the peak is taken
+    rows, peak = sweep_peak(synthetic, 2)
+    assert rows == in_process_sweep[0]
+    assert peak <= in_process_sweep[1], f"sweep peaked at {peak / MIB:.2f} MiB"
 
 
 def test_load_trace_peak(tmp_path):

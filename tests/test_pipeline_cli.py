@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -400,6 +401,30 @@ class TestCli:
         capsys.readouterr()
         assert self.run("chunk", *self.base_flags(spec_file, out)) == 4
         assert "error: stage 'chunk' failed: forced failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_failed_replay_worker_exit_four(self, spec_file, tmp_path, capfd, monkeypatch,
+                                            fault):
+        # every group_merged cell replays on a pool of two workers, and fails
+        parent, replay = os.getpid(), simulator._replay
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if fault == "exit":
+                    os._exit(1)
+                raise InvariantError("forced failure")
+            return replay(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(simulator, "_replay", failing)
+        assert self.run("pipeline", *self.base_flags(spec_file, tmp_path / "out")) == 4
+        err = capfd.readouterr().err
+        assert "internal error: stage 'simulate' failed: " in err
+        assert ("forced failure" in err) == (fault == "raise")
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child process, live or exited
+            os.waitpid(-1, os.WNOHANG)
 
     def test_hash_guard_exit_four(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"

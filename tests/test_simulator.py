@@ -1,5 +1,9 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from ctgroup.simulator import (
     GroupTable,
     SimConfig,
     metrics_csv_lines,
+    pool_map,
     resolve_capacity,
     simulate,
     sweep,
@@ -627,3 +632,112 @@ class TestSweep:
         assert lines[0].startswith("policy,capacity_fraction")
         assert len(lines) == 2
         assert lines[1].startswith("lru,0.5,")
+
+
+class TestPool:
+    """A sweep's replayed cells on pool_map's fork pool, against the same
+    sweep in this process and the replay oracle."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs this process may use, as pool_map sees them."""
+        return lambda n: monkeypatch.setattr(os, "sched_getaffinity",
+                                             lambda pid: set(range(n)))
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the process pools built."""
+        built = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        def counted(workers, **kwargs):
+            built.append(workers)
+            return executor(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        return built
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+
+    def test_pool_map_in_order_on_workers(self, cpus, pools):
+        cpus(2)
+        parent = os.getpid()
+        got = pool_map(lambda unit: (unit, os.getpid()), list(range(9)))
+        assert [unit for unit, _ in got] == list(range(9)) and pools == [2]
+        assert parent not in {pid for _, pid in got}
+
+        def failing(unit):
+            if unit == 3:
+                raise InvariantError("forced failure")
+            return unit
+
+        with pytest.raises(InvariantError, match="forced failure"):
+            pool_map(failing, list(range(6)))
+        assert pools == [2, 2] and multiprocessing.active_children() == []
+
+    def test_pool_rows_equal_in_process_rows(self, cpus, pools):
+        rng = random.Random(62)
+        fractions = [0.05, 0.2, 0.2, 1.0]
+        for case in range(8):
+            trace, table, extra = TestReferenceReplay.random_case(rng)
+            for write_allocate in (True, False):
+                want = [ref_simulate(trace, SimConfig(
+                    p, capacity_fraction=f, grouping=table, extra_sizes=extra,
+                    write_allocate=write_allocate)) for f in fractions for p in POLICIES]
+                for n in (1, 2):
+                    cpus(n)
+                    assert sweep(trace, table, fractions, POLICIES, extra_sizes=extra,
+                                 write_allocate=write_allocate) == want
+            # on the pool, the sweep reads the caller's mapping as it is then
+            for a in list(extra)[:3]:
+                extra[a] += 1
+            rows = sweep(trace, table, fractions, POLICIES, extra_sizes=extra)
+            assert rows == [ref_simulate(trace, SimConfig(
+                p, capacity_fraction=f, grouping=table, extra_sizes=extra))
+                for f in fractions for p in POLICIES]
+        # every sweep on two CPUs replayed at least the fifo cells on a pool
+        assert pools == [2] * 3 * 8
+
+    def test_direct_and_checking_calls_replay_in_process(self, cpus, no_pool, monkeypatch):
+        cpus(2)
+        trace, table, extra = TestReferenceReplay.random_case(random.Random(63))
+        fractions, policies = [0.1, 0.5], [FIFO, GROUP_PREFETCH, GROUP_MERGED]
+        cfgs = [SimConfig(p, capacity_fraction=f, grouping=table, extra_sizes=extra)
+                for f in fractions for p in policies]
+        want = [ref_simulate(trace, cfg) for cfg in cfgs]
+        assert [simulate(trace, cfg) for cfg in cfgs] == want
+        replay = simulator.simulate
+        monkeypatch.setattr(simulator, "simulate",
+                            lambda trace, cfg: replay(trace, cfg, check_invariants=True))
+        assert sweep(trace, table, fractions, policies, extra_sizes=extra) == want
+
+    def test_one_cpu_one_replayed_cell_or_threads_start_no_process(self, cpus, no_pool):
+        accesses = random_accesses(random.Random(64), n=300)
+        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
+        table = GroupTable(Partition.of([(0, 4, 8), (12, 16)]))
+
+        def check(fractions, policies):
+            assert sweep(trace, table, fractions, policies) == [
+                ref_simulate(trace, SimConfig(p, capacity_fraction=f, grouping=table))
+                for f in fractions for p in policies]
+
+        cpus(1)
+        check([0.2, 0.6], POLICIES)
+        cpus(2)
+        # the profile serves the lru cell, so one cell is replayed
+        check([0.6], [LRU, GROUP_MERGED])
+        # a fork copies only the thread that makes it
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        waiting.start()
+        try:
+            check([0.2, 0.6], POLICIES)
+        finally:
+            done.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
