@@ -133,10 +133,15 @@ def _fields_equal(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: bytes):
     return equal
 
 
+def temporary(path) -> str:
+    """The file a write to ``path`` fills before it replaces ``path``."""
+    return f"{path}.tmp"
+
+
 @contextmanager
 def replacing(path):
     """A text file handle whose contents replace ``path`` on success."""
-    tmp = f"{path}.tmp"
+    tmp = temporary(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

@@ -10,7 +10,9 @@ Within each area, data are clustered greedily: starting from singletons,
 the pair of clusters with the smallest feature distance among the pairs
 passing the strong-relation predicate is merged (cluster feature = bitwise
 OR of member vectors) until no pair qualifies. Cross-area pairs are never
-considered here; the grouping stage handles them.
+considered here; the grouping stage handles them. So the areas are
+clustered independently, on forks.fork_map: this process and at most one
+forked child per further CPU it may use, with no config key.
 
 The chunks are one ``Partition`` of the transacted addresses (chunk id =
 part id), which the grouping stage reads and ``chunks.tsv`` holds; the OR
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, forks
 from .errors import ConfigError
 from .features import (
     EUCLIDEAN,
@@ -131,12 +133,12 @@ class MergeRecord:
     threshold: float
 
 
-def _cluster(ctf, at, sigma, metric, audit):
+def _cluster(ctf, at, sigma, metric):
     """Greedy agglomerative clustering of one area's data: those at the
     ascending positions ``at`` of ``ctf``, none with an empty feature.
 
     Returns each cluster's members, clusters ordered by smallest member
-    address, and appends each merge to ``audit``. Merge order: smallest
+    address, and the merges in the order made. Merge order: smallest
     distance first among qualifying pairs, ties broken by the
     lexicographically smallest (min-address, min-address) pair, which
     makes the result deterministic.
@@ -162,6 +164,7 @@ def _cluster(ctf, at, sigma, metric, audit):
     k = len(heads)
     group = np.searchsorted(heads, first)[label.reshape(-1)]
     members = dict(enumerate(Partition.by_label(group, addrs, k).parts()))
+    audit = []
     sizes = np.append(lengths[heads], np.zeros(k, dtype=np.int64))  # popcount per id
     dists, thresholds = relation(2 * sizes[:k], sizes[:k], sigma, metric)
     for dist, threshold, (head, *extras) in zip(dists.tolist(), thresholds.tolist(),
@@ -249,7 +252,7 @@ def _cluster(ctf, at, sigma, metric, audit):
                 heapq.heappush(heap, (dval, hi, lo, other, merged))
         live[merged] = True
 
-    return sorted(members[i] for i in np.flatnonzero(live).tolist())
+    return sorted(members[i] for i in np.flatnonzero(live).tolist()), audit
 
 
 def _first_heap(rows, holder, sizes, min_addrs, sigma, metric, min_disjoint):
@@ -316,19 +319,28 @@ def chunk_all(
     """Pre-block all transacted data and cluster each area into chunks.
 
     Chunk ids are assigned area by area in AreaKey order, then by smallest
-    member address, so identical inputs give identical ids.
+    member address, so identical inputs give identical ids. The areas go
+    to forks.fork_map largest first; the chunks and the audit are
+    assembled in AreaKey order, as one process would make them.
     """
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     if max_address is None:
         max_address = int(ctf.addresses[-1]) if len(ctf) else 0
-    areas, excluded = _areas(ctf.addresses, np.diff(ctf.offsets), cfg, max_address)
-    audit: list[MergeRecord] = []
-    chunks = [(members, key) for key, at in areas
-              for members in _cluster(ctf, at, cfg.sigma, metric, audit)]
+    lengths = np.diff(ctf.offsets)
+    areas, excluded = _areas(ctf.addresses, lengths, cfg, max_address)
+    # largest first by incidences, so no process starts a large area late
+    order = sorted(range(len(areas)), key=lambda a: -int(lengths[areas[a][1]].sum()))
+    clustered = [None] * len(areas)
+    for a, result in zip(order, forks.fork_map(
+            lambda at: _cluster(ctf, at, cfg.sigma, metric), [areas[a][1] for a in order])):
+        clustered[a] = result
+    chunks = [(members, key) for (key, _), (parts, _) in zip(areas, clustered)
+              for members in parts]
     return ChunkSet(Partition.of(members for members, _ in chunks),
                     [key for _, key in chunks], cfg, max_address,
-                    excluded=tuple(ctf.addresses[excluded].tolist()), audit=audit)
+                    excluded=tuple(ctf.addresses[excluded].tolist()),
+                    audit=[merge for _, audit in clustered for merge in audit])
 
 
 def save_chunks(path, chunkset: ChunkSet, config_hash=""):

@@ -64,7 +64,7 @@ def load_config(args) -> PipelineConfig:
 
 
 def _out(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    pipeline.make_output_dir(cfg)
     return os.path.join(cfg.output_dir, name)
 
 

@@ -5,8 +5,24 @@ anything else from this hierarchy -> 4.
 """
 
 
+def _rebuilt(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
+
 class CtgroupError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    An error pickles as its class, args and attributes and is rebuilt
+    without calling ``__init__``, whose parameters may differ from its
+    args, so one raised in a forked worker raises again in the parent as
+    itself (forks.py).
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args, self.__dict__)
 
 
 class ConfigError(CtgroupError):
@@ -50,6 +66,10 @@ class UnknownDatumError(DataError):
     def __init__(self, address, message):
         super().__init__(message)
         self.address = address
+
+
+class WorkerError(CtgroupError):
+    """A forked worker process died, or sent back what could not be read."""
 
 
 class InvariantError(CtgroupError):

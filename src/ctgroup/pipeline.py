@@ -12,6 +12,12 @@ grouping.csv, while `simulate --sigma 0.3` rejects it. The metrics and the
 manifest carry the simulate stage's hash, which covers every key but
 output_dir and w_limits. Reruns with the same config and inputs, in one go
 or stage by stage, produce byte-identical artifacts.
+
+Work spreads over the CPUs this process may use through forks.py, with no
+config key: the chunk stage clusters its areas on fork_map, simulate
+replays its cells on it, and run_stages writes each stage's artifacts in
+a forked child while the next stage runs (one CPU, or a running thread,
+keeps all of it in this process).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from . import artifacts, chunking, features, grouping, simulator, transactions
+from . import artifacts, chunking, features, forks, grouping, simulator, transactions
 from .errors import ConfigError, CtgroupError, EmptyTraceError
 from .synthetic import SyntheticSpec, synthesize_trace
 from .trace import Trace, load_trace
@@ -108,6 +114,12 @@ class PipelineConfig:
         for policy in self.policies:
             if policy not in simulator.POLICIES:
                 raise ConfigError(f"unknown policy {policy!r}")
+        existing = os.path.abspath(self.output_dir)  # its longest part that exists
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"output_dir {self.output_dir!r} cannot be a directory: "
+                              f"{existing!r} is not one")
 
     def extractor_config(self) -> transactions.ExtractorConfig:
         return transactions.ExtractorConfig(window_bytes=self.M, mode=self.mode)
@@ -284,6 +296,15 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 ARTIFACTS = tuple(name for stage in STAGE_TABLE for name in stage.artifacts)
 
 
+def make_output_dir(cfg: PipelineConfig):
+    """Make cfg.output_dir if it is missing; failing to is a ConfigError."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} cannot be made: "
+                          f"{exc.strerror}") from None
+
+
 def run_stages(cfg: PipelineConfig, stages, held: dict, saved: dict | None = None):
     """Run ``stages``, consecutive entries of STAGE_TABLE, and return the
     last one's output.
@@ -296,34 +317,72 @@ def run_stages(cfg: PipelineConfig, stages, held: dict, saved: dict | None = Non
     counts there under its name. Each output is dropped as soon as no
     later stage reads it. A failure is a PipelineStageError naming the
     stage.
+
+    Every stage but the last writes on forks.start, in a child that
+    overlaps the next stage's run; the last writes in this process. A
+    write is joined when the next stage's run ends, before that stage
+    writes, and before this returns or raises. So the stage reported is
+    the earliest whose run or write failed, no later stage has written,
+    and a failed write leaves no temporary file.
     """
     if saved is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    for i, stage in enumerate(stages):
-        later = {name for s in stages[i + 1:] for name in s.reads}
-        with _failing_as(stage.name):
-            for name in stage.reads:
-                if name in held:
-                    continue
-                if name == "trace":
-                    held[name] = load_input_trace(cfg)[0]
-                else:
-                    source = STAGE_TABLE[STAGES.index(name)]
-                    path = os.path.join(cfg.output_dir, source.artifacts[0])
-                    held[name] = source.load(path, cfg.stage_hash(name), cfg, held)
-            inputs = [held.pop(name) if name not in later else held[name]
-                      for name in stage.reads]
-            output = stage.run(cfg, *inputs)
-            if saved is not None:
-                paths = [os.path.join(cfg.output_dir, name) for name in stage.artifacts]
-                stage.save(paths, output, cfg.stage_hash(stage.name), cfg, *inputs)
-                saved[stage.name] = stage.counts(output)
-            del inputs
-            if stage.name in later:
-                held[stage.name] = stage.hand_on(output)
-        if i < len(stages) - 1:
-            del output
+        make_output_dir(cfg)
+    writing = None  # the write in flight: (stage name, paths, counts, forks.Started)
+    try:
+        for i, stage in enumerate(stages):
+            later = {name for s in stages[i + 1:] for name in s.reads}
+            with _failing_as(stage.name):
+                try:
+                    for name in stage.reads:
+                        if name in held:
+                            continue
+                        if name == "trace":
+                            held[name] = load_input_trace(cfg)[0]
+                        else:
+                            source = STAGE_TABLE[STAGES.index(name)]
+                            path = os.path.join(cfg.output_dir, source.artifacts[0])
+                            held[name] = source.load(path, cfg.stage_hash(name), cfg, held)
+                    inputs = [held.pop(name) if name not in later else held[name]
+                              for name in stage.reads]
+                    output = stage.run(cfg, *inputs)
+                finally:
+                    done, writing = writing, None
+                    _joined(done, saved)
+                if saved is not None:
+                    paths = [os.path.join(cfg.output_dir, name) for name in stage.artifacts]
+                    chash = cfg.stage_hash(stage.name)
+                    if i < len(stages) - 1:
+                        writing = (stage.name, paths, stage.counts(output),
+                                   forks.start(stage.save, paths, output, chash, cfg, *inputs))
+                    else:
+                        stage.save(paths, output, chash, cfg, *inputs)
+                        saved[stage.name] = stage.counts(output)
+                del inputs
+                if stage.name in later:
+                    held[stage.name] = stage.hand_on(output)
+            if i < len(stages) - 1:
+                del output
+    finally:
+        _joined(writing, saved)
     return output
+
+
+def _joined(writing, saved: dict):
+    """Wait for a write begun by run_stages, then record its counts in
+    ``saved``; a failed one raises naming its stage, and its temporary
+    files are removed (a child that died left them)."""
+    if writing is None:
+        return
+    name, paths, counts, started = writing
+    with _failing_as(name):
+        try:
+            forks.join(started)
+        except Exception:
+            for path in paths:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(artifacts.temporary(path))
+            raise
+    saved[name] = counts
 
 
 def _digest(path) -> str:

@@ -55,34 +55,34 @@ is not its extra size, which each cell maps to ids afresh. Data in
 one-member groups take the demand path: such a group's plan is the datum
 alone, so the group path would admit it alone and prefetch nothing.
 
-The batch and the pool. ``sweep`` makes its cells the trace's batch and
-calls ``simulate`` once per cell, so a caller that wraps ``simulate``
+The batch and the workers. ``sweep`` makes its cells the trace's batch
+and calls ``simulate`` once per cell, so a caller that wraps ``simulate``
 still sees one call and one row per cell. The first call for a cell that
 the LRU profile does not serve replays every such cell of the batch on
-``pool_map``: a fork pool of at most one worker per CPU this process may
-use (``os.sched_getaffinity``), with no config key. The parent builds the
-id and size rows, the group rows and the extra-size lookup first, so the
-workers inherit them and build nothing; each worker runs the one replay
-loop, ``_replay``, and sends back only the cell's metrics. Later calls
-return their cell's row, and the batch is cleared when ``sweep`` returns
-or raises. A ``simulate`` call outside a sweep, or one checking
-invariants, replays in this process. A worker copies the pages it writes:
-its cache, and those of the pooled ints whose reference counts its
-iteration writes, about 8 MiB per worker at the 3M-record gate.
+``forks.fork_map``: this process and at most one forked child per further
+CPU it may use (``os.sched_getaffinity``), with no config key. This
+process builds the id and size rows, the group rows and the extra-size
+lookup first, so the children inherit them and build nothing; each
+process runs the one replay loop, ``_replay``, on the cells it takes, and
+a child sends back only their metrics. Later calls return their cell's
+row, and the batch is cleared when ``sweep`` returns or raises. A
+``simulate`` call outside a sweep, or one checking invariants, replays in
+this process. A child copies the pages it writes: its cache, and those of
+the pooled ints whose reference counts its iteration writes, about 8 MiB
+per child at the 3M-record gate.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import forks
 from .artifacts import find
 from .errors import ConfigError, InvariantError
 from . import trace as _trace
@@ -339,7 +339,7 @@ def _extra_size(rows: ReplayRows, cfg: SimConfig):
 
 def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
     """Replay the cells of ``rows.batch`` that the LRU profile does not
-    serve, on pool_map; their rows by id(cell). What the cells share is
+    serve, on forks.fork_map; their rows by id(cell). What the cells share is
     built first, so the workers inherit it: the id and size rows, the
     group rows and one extra-size lookup per (grouping, mapping)."""
     cells, units, extras = [], [], {}
@@ -353,49 +353,8 @@ def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
         cells.append(cfg)
         units.append((cfg, capacity, extras[key]))
     rows.ids, rows.sizes  # built here, so the workers share them
-    metrics = pool_map(lambda unit: _replay(trace, *unit), units)
+    metrics = forks.fork_map(lambda unit: _replay(trace, *unit), units)
     return {id(cfg): m for cfg, m in zip(cells, metrics)}
-
-
-def pool_map(fn: Callable, units: Sequence) -> list:
-    """[fn(unit) for unit in units], in input order, on a fork pool of at
-    most one worker per CPU this process may use; in this process for one
-    CPU or one unit, or when the process runs other threads, which a fork
-    does not copy (one could hold a lock the workers then wait on).
-
-    The workers are forked, so they inherit fn, the units and all they
-    reach, and build nothing: only a unit's index and its result are
-    pickled. A unit that raises raises here; a worker that dies raises
-    BrokenProcessPool. Either way the pool is shut down, and its workers
-    joined, before this returns or raises.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(units))
-    if workers < 2 or threading.active_count() > 1:
-        return [fn(unit) for unit in units]
-    # imported here, after the earlier stages' peak: at import they add
-    # 1.6 MiB to the process
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_inherit, initargs=(fn, units))
-    try:
-        return list(pool.map(_run_unit, range(len(units))))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-_work: tuple | None = None  # a pool worker's (fn, units), set as it starts
-
-
-def _inherit(fn, units):
-    global _work
-    _work = fn, units
-
-
-def _run_unit(index):
-    fn, units = _work
-    return fn(units[index])
 
 
 def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) -> np.ndarray:

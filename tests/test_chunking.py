@@ -22,6 +22,7 @@ from ctgroup.transactions import (
     TransactionLog,
     extract_transactions,
 )
+from conftest import chunkset_fields
 from reference import ref_area_key, ref_chunk_all, ref_cluster, replay_audit
 
 
@@ -339,6 +340,28 @@ class TestChunkAll:
         # so chunk_all over a matrix reports no exclusions
         chunkset = chunk_all(self.small_matrix(), ChunkerConfig())
         assert chunkset.excluded == ()
+
+
+class TestForkedAreas:
+    """chunk_all with its areas on one CPU and on two."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.6])
+    @pytest.mark.parametrize("q, p", [(16, 2.0), (1, 1e9)], ids=["areas", "one-area"])
+    def test_same_chunkset(self, cpus, forked, sigma, q, p):
+        # groups at probability 1.0 give identical vectors: merges at distance 0
+        spec = SyntheticSpec(num_data=300, num_accesses=8000, rng_seed=5,
+                             group_structure=[(8, 1.0)] * 10 + [(8, 0.7)] * 10)
+        ctf = build_ctf(extract_transactions(synthesize_trace(spec)[0],
+                                             ExtractorConfig(32768)))
+        got = []
+        for n in (1, 2):
+            cpus(n)
+            got.append(chunkset_fields(chunk_all(ctf, ChunkerConfig(q=q, p=p, sigma=sigma))))
+        assert got[0] == got[1]
+        _parts, areas, audit, *_ = got[0]
+        assert any(merge.distance == 0 for merge in audit)
+        assert (len(set(areas)) > 1) == (q > 1)
+        assert len(forked) == (q > 1)  # one area is clustered in this process
 
 
 @st.composite

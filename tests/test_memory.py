@@ -9,6 +9,16 @@ and without their full-size int64 temporaries and unbounded pair batches:
 chunk_all peaked at 5.0 MiB and compute_legal_relations at 16.2 MiB with
 them, and at 2.8 and 6.7 MiB without (numpy 2.4, Python 3.11).
 
+chunk_all's peak is that of clustering its largest area, 534 data
+here. Its bound is taken with one CPU, so every area is clustered in this
+process. On two CPUs this process takes the largest area first, so its
+peak is that area's again, and the two differ only by fork_map's
+bookkeeping: by up to 0.2 KiB either way over repeated runs. The twin
+allows FORK_BOOKKEEPING, 16 KiB, above the one-CPU peak. The child's
+results for the other 33 areas, 23 KB pickled and 0.2 MiB unpickled,
+arrive after this process's share; either would cross it if it were held
+at the peak.
+
 chunk_all also runs at perfbench's planted-300k CTF shape: the 210k-access
 training split of the synthesize_trace instance below, 19,999 data and
 209,872 (datum, transaction) incidences. Its bound is the 6.37 MiB peak
@@ -76,6 +86,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import chunkset_fields
 from ctgroup import artifacts, locality
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import Partition, build_ctf
@@ -87,7 +98,6 @@ from ctgroup.simulator import (
     GroupTable,
     build_lru_profile,
     group_column,
-    pool_map,
     sweep,
 )
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
@@ -100,6 +110,7 @@ from ctgroup.transactions import (
 )
 
 MIB = 1 << 20
+FORK_BOOKKEEPING = 16 << 10
 
 
 def traced_peak(fn, *args):
@@ -132,11 +143,30 @@ def instance(trace):
     return txns, build_ctf(txns)
 
 
-def test_chunk_all_peak(instance):
-    _txns, ctf = instance
-    chunkset, peak = traced_peak(chunk_all, ctf, ChunkerConfig(sigma=0.6))
+def chunk_all_peak(ctf, cpus):
+    """(chunk_all's result, its traced peak) at sigma 0.6 with ``cpus``
+    CPUs for its areas."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return traced_peak(chunk_all, ctf, ChunkerConfig(sigma=0.6))
+
+
+@pytest.fixture(scope="module")
+def in_process_chunk_all(instance):
+    return chunk_all_peak(instance[1], 1)
+
+
+def test_chunk_all_peak(in_process_chunk_all):
+    chunkset, peak = in_process_chunk_all
     assert len(chunkset) == 866
     assert peak <= 4 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
+
+
+def test_chunk_all_forked_peak(instance, in_process_chunk_all):
+    chunkset, peak = chunk_all_peak(instance[1], 2)
+    assert chunkset_fields(chunkset) == chunkset_fields(in_process_chunk_all[0])
+    assert peak <= in_process_chunk_all[1] + FORK_BOOKKEEPING, (
+        f"chunk_all peaked at {peak / MIB:.2f} MiB")
 
 
 def test_chunk_all_planted_peak():
@@ -199,9 +229,6 @@ def test_replay_rows_peak(in_process_sweep):
 
 
 def test_replay_rows_pool_peak(synthetic, in_process_sweep):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        pool_map(abs, [-1, 2])  # the pool's modules are imported before the peak is taken
     rows, peak = sweep_peak(synthetic, 2)
     assert rows == in_process_sweep[0]
     assert peak <= in_process_sweep[1], f"sweep peaked at {peak / MIB:.2f} MiB"

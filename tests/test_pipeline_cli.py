@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -10,8 +9,9 @@ from itertools import islice
 
 import pytest
 
-from ctgroup import chunking, cli, features, locality, pipeline, simulator, transactions
-from ctgroup.errors import ConfigError, InvariantError
+from conftest import both_take_a_unit, no_child_left
+from ctgroup import artifacts, chunking, cli, features, locality, pipeline, simulator, transactions
+from ctgroup.errors import ConfigError, DataError, InvariantError
 from ctgroup.grouping import load_grouping_members
 from ctgroup.pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from ctgroup.trace import Trace
@@ -122,6 +122,19 @@ class TestRunPipeline:
         second = read_artifacts(out)
         second["manifest.json"] = (out / "manifest.json").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("extra", [{}, {"sigma": 0.6}, {"q": 1, "p": 1e9}],
+                             ids=["sigma-0.1", "sigma-0.6", "one-area"])
+    def test_one_and_two_cpus_write_the_same_bytes(self, spec_file, tmp_path, cpus, extra):
+        # the planted groups give identical vectors, merged at distance 0
+        written = []
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"cpus-{n}"
+            run_pipeline(config_for(spec_file, out, **extra))
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+        assert set(written[0]) == {*pipeline.ARTIFACTS, "manifest.json"}
 
     def test_planted_groups_recovered(self, spec_file, tmp_path):
         out = tmp_path / "out"
@@ -405,7 +418,8 @@ class TestCli:
     @pytest.mark.parametrize("fault", ["raise", "exit"])
     def test_failed_replay_worker_exit_four(self, spec_file, tmp_path, capfd, monkeypatch,
                                             fault):
-        # every group_merged cell replays on a pool of two workers, and fails
+        # every group_merged cell replays on this process and one child, and
+        # fails in the child
         parent, replay = os.getpid(), simulator._replay
 
         def failing(*args):
@@ -416,15 +430,69 @@ class TestCli:
             return replay(*args)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(simulator, "_replay", failing)
+        monkeypatch.setattr(simulator, "_replay",
+                            both_take_a_unit(failing, tmp_path))
         assert self.run("pipeline", *self.base_flags(spec_file, tmp_path / "out")) == 4
         err = capfd.readouterr().err
         assert "internal error: stage 'simulate' failed: " in err
         assert ("forced failure" in err) == (fault == "raise")
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ChildProcessError):  # no child process, live or exited
-            os.waitpid(-1, os.WNOHANG)
+        assert no_child_left()
+
+    # (fault, exit code, CPUs): a child's exit only where the write runs in one
+    WRITE_FAULTS = [("data", 3, 1), ("os", 4, 1), ("data", 3, 2), ("os", 4, 2), ("exit", 4, 2)]
+
+    @pytest.mark.parametrize("fault, code, n", WRITE_FAULTS,
+                             ids=[f"{f}-{n}cpu" for f, _, n in WRITE_FAULTS])
+    @pytest.mark.parametrize("module, attr, stage", [
+        ("transactions", "save_transactions", "extract"), ("features", "save_ctf", "ctf"),
+        ("chunking", "save_chunks", "chunk"), ("grouping", "save_grouping", "group"),
+    ], ids=["extract", "ctf", "chunk", "group"])
+    def test_failed_write(self, spec_file, tmp_path, capfd, monkeypatch, cpus,
+                          module, attr, stage, fault, code, n):
+        out = tmp_path / "out"
+        flags = self.base_flags(spec_file, out)
+        assert self.run("pipeline", *flags) == 0  # files for the failed run to flag
+        cpus(n)
+        parent = os.getpid()
+
+        def failing(path, *args, **kwargs):
+            # a pipeline stage but the last writes in a child on two CPUs
+            assert (os.getpid() != parent) == (n == 2), "written in the wrong process"
+            with artifacts.replacing(path) as fh:
+                fh.write("half a file")
+                if fault == "exit":
+                    os._exit(1)
+                raise (DataError("forced failure") if fault == "data"
+                       else OSError(28, "No space left on device", str(path)))
+
+        monkeypatch.setattr(getattr(pipeline, module), attr, failing)
+        capfd.readouterr()
+        assert self.run("pipeline", *flags) == code
+        err = capfd.readouterr().err
+        assert f"error: stage {stage!r} failed: " in err and "Traceback" not in err
+        # the earlier stages' artifacts are kept, this stage's and later
+        # ones flagged; the earlier run's manifest is left as it was
+        earlier = pipeline.STAGE_TABLE[:pipeline.STAGES.index(stage)]
+        kept = {name for s in earlier for name in s.artifacts}
+        assert {path.name for path in out.iterdir()} == kept | {"manifest.json"} | {
+            f"{name}.partial" for name in pipeline.ARTIFACTS if name not in kept}
+        assert no_child_left()
+
+    @pytest.mark.parametrize("command", ["pipeline", "extract", "ingest", "analyze",
+                                         "sweep", "simulate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_output_dir_that_cannot_be_a_directory_exit_two(self, spec_file, tmp_path,
+                                                            capfd, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file\n")
+        out = taken / "out" if below else taken
+        extra = ["--axis", "mu", "--values", "0.5"] if command == "sweep" else []
+        assert self.run(command, *self.base_flags(spec_file, out), *extra) == 2
+        err = capfd.readouterr().err
+        assert f"config error: output_dir {str(out)!r} cannot be a directory" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "a regular file\n"
 
     def test_hash_guard_exit_four(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,4 @@
-import concurrent.futures
 import dataclasses
-import multiprocessing
 import os
 import random
 import threading
@@ -8,11 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import make_trace, random_accesses
+from conftest import both_take_a_unit, make_trace, no_child_left, random_accesses
 from ctgroup import simulator
 from ctgroup import trace as trace_module
 from ctgroup.errors import ConfigError, DataError, InvariantError
 from ctgroup.features import Partition
+from ctgroup.forks import fork_map
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -22,7 +21,6 @@ from ctgroup.simulator import (
     GroupTable,
     SimConfig,
     metrics_csv_lines,
-    pool_map,
     resolve_capacity,
     simulate,
     sweep,
@@ -635,41 +633,17 @@ class TestSweep:
 
 
 class TestPool:
-    """A sweep's replayed cells on pool_map's fork pool, against the same
-    sweep in this process and the replay oracle."""
+    """A sweep's replayed cells on forks.fork_map, against the same sweep
+    in this process and the replay oracle."""
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the CPUs this process may use, as pool_map sees them."""
-        return lambda n: monkeypatch.setattr(os, "sched_getaffinity",
-                                             lambda pid: set(range(n)))
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the process pools built."""
-        built = []
-        executor = concurrent.futures.ProcessPoolExecutor
-
-        def counted(workers, **kwargs):
-            built.append(workers)
-            return executor(workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        return built
-
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("a process pool was built")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
-
-    def test_pool_map_in_order_on_workers(self, cpus, pools):
+    def test_pool_map_in_order_on_workers(self, cpus, forked, tmp_path):
         cpus(2)
         parent = os.getpid()
-        got = pool_map(lambda unit: (unit, os.getpid()), list(range(9)))
-        assert [unit for unit, _ in got] == list(range(9)) and pools == [2]
-        assert parent not in {pid for _, pid in got}
+        got = fork_map(both_take_a_unit(lambda unit: (unit, os.getpid()),
+                                          tmp_path), list(range(9)))
+        assert [unit for unit, _ in got] == list(range(9)) and len(forked) == 1
+        # this process works next to its one child
+        assert {pid for _, pid in got} == {parent, *forked}
 
         def failing(unit):
             if unit == 3:
@@ -677,10 +651,10 @@ class TestPool:
             return unit
 
         with pytest.raises(InvariantError, match="forced failure"):
-            pool_map(failing, list(range(6)))
-        assert pools == [2, 2] and multiprocessing.active_children() == []
+            fork_map(failing, list(range(6)))
+        assert len(forked) == 2 and no_child_left()
 
-    def test_pool_rows_equal_in_process_rows(self, cpus, pools):
+    def test_pool_rows_equal_in_process_rows(self, cpus, forked):
         rng = random.Random(62)
         fractions = [0.05, 0.2, 0.2, 1.0]
         for case in range(8):
@@ -700,10 +674,10 @@ class TestPool:
             assert rows == [ref_simulate(trace, SimConfig(
                 p, capacity_fraction=f, grouping=table, extra_sizes=extra))
                 for f in fractions for p in POLICIES]
-        # every sweep on two CPUs replayed at least the fifo cells on a pool
-        assert pools == [2] * 3 * 8
+        # every sweep on two CPUs replayed at least the fifo cells with one child
+        assert len(forked) == 3 * 8
 
-    def test_direct_and_checking_calls_replay_in_process(self, cpus, no_pool, monkeypatch):
+    def test_direct_and_checking_calls_replay_in_process(self, cpus, no_fork, monkeypatch):
         cpus(2)
         trace, table, extra = TestReferenceReplay.random_case(random.Random(63))
         fractions, policies = [0.1, 0.5], [FIFO, GROUP_PREFETCH, GROUP_MERGED]
@@ -716,7 +690,7 @@ class TestPool:
                             lambda trace, cfg: replay(trace, cfg, check_invariants=True))
         assert sweep(trace, table, fractions, policies, extra_sizes=extra) == want
 
-    def test_one_cpu_one_replayed_cell_or_threads_start_no_process(self, cpus, no_pool):
+    def test_one_cpu_one_replayed_cell_or_threads_start_no_process(self, cpus, no_fork):
         accesses = random_accesses(random.Random(64), n=300)
         trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
         table = GroupTable(Partition.of([(0, 4, 8), (12, 16)]))
