@@ -30,9 +30,6 @@ import numpy as np
 from . import artifacts, forks
 from .errors import ConfigError
 from .features import (
-    EUCLIDEAN,
-    METRICS,
-    SYMMETRIC_DIFF,
     CtfMatrix,
     Partition,
     ranges,
@@ -129,11 +126,11 @@ class MergeRecord:
 
     members_a: tuple[int, ...]
     members_b: tuple[int, ...]
-    distance: float
+    distance: int
     threshold: float
 
 
-def _cluster(ctf, at, sigma, metric):
+def _cluster(ctf, at, sigma):
     """Greedy agglomerative clustering of one area's data: those at the
     ascending positions ``at`` of ``ctf``, none with an empty feature.
 
@@ -166,7 +163,7 @@ def _cluster(ctf, at, sigma, metric):
     members = dict(enumerate(Partition.by_label(group, addrs, k).parts()))
     audit = []
     sizes = np.append(lengths[heads], np.zeros(k, dtype=np.int64))  # popcount per id
-    dists, thresholds = relation(2 * sizes[:k], sizes[:k], sigma, metric)
+    dists, thresholds = relation(2 * sizes[:k], sizes[:k], sigma)
     for dist, threshold, (head, *extras) in zip(dists.tolist(), thresholds.tolist(),
                                                 members.values()):
         for extra in extras:
@@ -187,20 +184,8 @@ def _cluster(ctf, at, sigma, metric):
     holder = np.repeat(np.arange(k), sizes[:k])[order]
     slot_of = np.empty_like(order)
     slot_of[order] = np.arange(len(order))
-    # Candidates are the pairs that share a transaction index, plus the
-    # disjoint pairs whose popcounts total at least min_disjoint. A
-    # disjoint pair's count distance is that total T, which exceeds
-    # T/2 * sigma at every sigma <= 1, so the count metric has none. Its
-    # Euclidean distance sqrt(T) is within the threshold once
-    # T >= 4 / sigma**2 (one less covers float rounding; the exact test
-    # follows).
-    if metric == EUCLIDEAN and sigma > 0.0:
-        min_disjoint = 4.0 / sigma**2 - 1.0
-    else:
-        min_disjoint = math.inf
     min_addrs = np.append(addrs[heads], np.zeros(k, dtype=np.int64))
-    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma, metric,
-                       min_disjoint)
+    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma)
     live = np.arange(2 * k) < k
     in_first = np.zeros(len(starts), dtype=bool)  # per merge: rows of its first cluster
     slots: dict[int, np.ndarray] = {}  # merged cluster -> its slots
@@ -215,7 +200,7 @@ def _cluster(ctf, at, sigma, metric):
         dval, lo, _hi, i, j = heapq.heappop(heap)
         if not (live[i] and live[j]):
             continue
-        threshold = relation(int(sizes[i]) + int(sizes[j]), 0, sigma, metric)[1]
+        threshold = relation(int(sizes[i]) + int(sizes[j]), 0, sigma)[1]
         audit.append(MergeRecord(members[i], members[j], dval, threshold))
         merged = next_id
         next_id += 1
@@ -236,12 +221,8 @@ def _cluster(ctf, at, sigma, metric):
         at = rows[ours]
         shared = np.bincount(holder[ranges(starts[at], widths[at])], minlength=2 * k)[:next_id]
         shared[merged] = 0
-        if min_disjoint < math.inf:
-            far = live[:next_id] & (sizes[:next_id] + size >= min_disjoint)
-            others = np.flatnonzero(shared | far)
-        else:
-            others = np.flatnonzero(shared)
-        dvals, thresholds = relation(size + sizes[others], shared[others], sigma, metric)
+        others = np.flatnonzero(shared)
+        dvals, thresholds = relation(size + sizes[others], shared[others], sigma)
         keep = dvals <= thresholds
         others = others[keep]
         for other, hi, dval in zip(others.tolist(), min_addrs[others].tolist(),
@@ -255,40 +236,23 @@ def _cluster(ctf, at, sigma, metric):
     return sorted(members[i] for i in np.flatnonzero(live).tolist()), audit
 
 
-def _first_heap(rows, holder, sizes, min_addrs, sigma, metric, min_disjoint):
+def _first_heap(rows, holder, sizes, min_addrs, sigma):
     """Heap entries (distance, lo, hi, i, j) for every qualifying pair of
     initial clusters i < j, given the holding rows (slot s of row rows[s]
     holds cluster holder[s], ascending within a row) and each cluster's
     popcount in ``sizes``; ``min_addrs[i]`` is cluster i's smallest member
-    address (ascending in i). A pair's intersection size is the number of transaction indices it
-    shares; disjoint pairs are scored only where their popcounts total at
-    least ``min_disjoint``."""
-    batches = shared_run_counts(run_tails(rows), holder)
-    if min_disjoint < math.inf:
-        batches = [_with_disjoint_pairs(sizes, min_disjoint, batches)]
+    address (ascending in i). Only pairs that share a transaction index
+    can qualify: a disjoint pair's distance, its popcount total T, exceeds
+    T/2 * sigma at every sigma <= 1."""
     entries = []
-    for i, j, shared in batches:
-        dval, threshold = relation(sizes[i] + sizes[j], shared, sigma, metric)
+    for i, j, shared in shared_run_counts(run_tails(rows), holder):
+        dval, threshold = relation(sizes[i] + sizes[j], shared, sigma)
         keep = dval <= threshold
         i, j = i[keep], j[keep]
         entries.extend(zip(dval[keep].tolist(), min_addrs[i].tolist(),
                            min_addrs[j].tolist(), i.tolist(), j.tolist()))
     heapq.heapify(entries)
     return entries
-
-
-def _with_disjoint_pairs(sizes, min_total, batches):
-    """The pairs i < j in ``batches`` with their shared counts, plus every
-    other pair whose ``sizes`` total at least ``min_total``, with 0."""
-    k = len(sizes)
-    none = (np.empty(0, dtype=np.int64),) * 3
-    left, right, shared = (np.concatenate(column) for column in zip(none, *batches))
-    eligible = np.flatnonzero(sizes + sizes.max(initial=0) >= min_total)
-    i, j = (eligible[side] for side in np.triu_indices(len(eligible), 1))
-    far = sizes[i] + sizes[j] >= min_total
-    disjoint = np.setdiff1d(i[far] * k + j[far], left * k + right, assume_unique=True)
-    return (np.concatenate((left, disjoint // k)), np.concatenate((right, disjoint % k)),
-            np.concatenate((shared, np.zeros(len(disjoint), dtype=np.int64))))
 
 
 @dataclass
@@ -314,7 +278,6 @@ def chunk_all(
     ctf: CtfMatrix,
     cfg: ChunkerConfig,
     max_address: int | None = None,
-    metric: str = SYMMETRIC_DIFF,
 ) -> ChunkSet:
     """Pre-block all transacted data and cluster each area into chunks.
 
@@ -323,8 +286,6 @@ def chunk_all(
     to forks.fork_map largest first; the chunks and the audit are
     assembled in AreaKey order, as one process would make them.
     """
-    if metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     if max_address is None:
         max_address = int(ctf.addresses[-1]) if len(ctf) else 0
     lengths = np.diff(ctf.offsets)
@@ -333,7 +294,7 @@ def chunk_all(
     order = sorted(range(len(areas)), key=lambda a: -int(lengths[areas[a][1]].sum()))
     clustered = [None] * len(areas)
     for a, result in zip(order, forks.fork_map(
-            lambda at: _cluster(ctf, at, cfg.sigma, metric), [areas[a][1] for a in order])):
+            lambda at: _cluster(ctf, at, cfg.sigma), [areas[a][1] for a in order])):
         clustered[a] = result
     chunks = [(members, key) for (key, _), (parts, _) in zip(areas, clustered)
               for members in parts]

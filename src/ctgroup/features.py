@@ -14,11 +14,9 @@ on demand by ``matrix[address]``; two vectors are equal iff their tuples
 are.
 
 The relationship distance between two vectors is the symmetric-difference
-count of their index sets. The alternative form (Euclidean distance on
-the binary vectors) is the square root of that count; it is
-available as metric="euclidean" for sensitivity checks, but the count form
-is the default so the strong-relation threshold compares like with like
-(both sides are transaction counts).
+count of their index sets: the number of cache transactions that hold one
+of the two data but not the other. The strong-relation threshold is a
+transaction count too, so the rule compares like with like.
 """
 
 from __future__ import annotations
@@ -32,13 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from . import artifacts
-from .errors import ConfigError, DataError, DimensionMismatchError
+from .errors import DataError, DimensionMismatchError
 from .transactions import TransactionLog, ragged_rows
-
-SYMMETRIC_DIFF = "symmetric_diff"
-EUCLIDEAN = "euclidean"
-METRICS = (SYMMETRIC_DIFF, EUCLIDEAN)
-
 
 class CtfVector:
     """Sparse feature vector: the transaction indices where a datum appears.
@@ -71,46 +64,35 @@ class CtfVector:
         return f"CtfVector({list(self.bits)!r})"
 
 
-def relation(total, shared, sigma: float, metric: str = SYMMETRIC_DIFF):
+def relation(total, shared, sigma: float):
     """The strong-relation rule for vector pairs whose popcounts total
     ``total`` and which share ``shared`` transaction indices, as numbers or
-    numpy arrays: the distance |x ^ y| = |x| + |y| - 2|x & y| (its square
-    root under metric="euclidean") and the threshold, the mean popcount
-    times ``sigma``. A pair is strongly related iff distance <= threshold.
+    numpy arrays: the distance |x ^ y| = |x| + |y| - 2|x & y| and the
+    threshold, the mean popcount times ``sigma``. A pair is strongly
+    related iff distance <= threshold.
     """
-    d = total - 2 * shared
-    if metric == EUCLIDEAN:
-        d = np.sqrt(d)
-    return d, total / 2.0 * sigma
+    return total - 2 * shared, total / 2.0 * sigma
 
 
-def _pair_counts(x: CtfVector, y: CtfVector, metric: str) -> tuple[int, int]:
-    """The two vectors' popcount total and shared index count; an unknown
-    ``metric`` is a ConfigError."""
-    if metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+def _pair_counts(x: CtfVector, y: CtfVector) -> tuple[int, int]:
+    """The two vectors' popcount total and shared index count."""
     if x.dim is not None and y.dim is not None and x.dim != y.dim:
         raise DimensionMismatchError(f"vectors over {x.dim} vs {y.dim} transactions")
     return x.popcount() + y.popcount(), len(x.index_set.intersection(y.bits))
 
 
-def distance(x: CtfVector, y: CtfVector, metric: str = SYMMETRIC_DIFF) -> float:
-    """Number of transaction indices where the two vectors differ.
-
-    metric="euclidean" returns the square root of that count.
-    """
-    return relation(*_pair_counts(x, y, metric), 0.0, metric)[0]
+def distance(x: CtfVector, y: CtfVector) -> int:
+    """Number of transaction indices where the two vectors differ."""
+    return relation(*_pair_counts(x, y), 0.0)[0]
 
 
-def strong_relation(
-    x: CtfVector, y: CtfVector, sigma: float, metric: str = SYMMETRIC_DIFF
-) -> bool:
+def strong_relation(x: CtfVector, y: CtfVector, sigma: float) -> bool:
     """True iff distance(x, y) <= mean(popcounts) * sigma.
 
     Non-strict comparison: sigma=0 admits exactly the identical-vector
     pairs.
     """
-    d, threshold = relation(*_pair_counts(x, y, metric), sigma, metric)
+    d, threshold = relation(*_pair_counts(x, y), sigma)
     return bool(d <= threshold)
 
 

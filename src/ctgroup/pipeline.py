@@ -73,7 +73,6 @@ class PipelineConfig:
     sigma: float = config_key("chunk", 0.1, float)
     alpha: float = config_key("group", 0.5, float)
     mu: float = config_key("group", 0.5, float)
-    distance: str = config_key("chunk", features.SYMMETRIC_DIFF)
     sort: str = config_key("group", grouping.DESCENDING)
     capacity_fractions: tuple = config_key("simulate", DEFAULT_FRACTIONS, _items(float))
     policies: tuple = config_key("simulate", (simulator.LRU, simulator.GROUP_MERGED),
@@ -100,8 +99,6 @@ class PipelineConfig:
                 raise ConfigError(f"{key} does not apply to {kind} input")
         if self.train_count is None and not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must be in (0,1)")
-        if self.distance not in features.METRICS:
-            raise ConfigError(f"distance must be one of {features.METRICS}")
         self.extractor_config().validate()
         self.chunker_config().validate()
         self.grouper_config().validate()
@@ -269,8 +266,7 @@ STAGE_TABLE = (
           counts=lambda matrix: {"data": len(matrix)},
           load=lambda path, chash, *_: features.load_ctf(path, chash)[0]),
     Stage("chunk", ("chunks.tsv",), ("ctf",),
-          run=lambda cfg, matrix: chunking.chunk_all(matrix, cfg.chunker_config(),
-                                                     metric=cfg.distance),
+          run=lambda cfg, matrix: chunking.chunk_all(matrix, cfg.chunker_config()),
           save=lambda paths, chunkset, chash, *_: chunking.save_chunks(
               paths[0], chunkset, config_hash=chash),
           counts=lambda chunkset: {"chunks": len(chunkset)},

@@ -8,7 +8,6 @@ wrong.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from collections import Counter, OrderedDict
@@ -111,13 +110,13 @@ def ref_merge_groups(relations, chunk_ids, mu):
     return {tuple(sorted(g)) for g in set(group_of.values())}
 
 
-def ref_cluster(vectors, sigma, metric="symmetric_diff"):
+def ref_cluster(vectors, sigma):
     """Naive greedy agglomerative clustering of {addr: index-set} features.
 
     Repeatedly scans all cluster pairs, merging the qualifying pair with
     the smallest distance (ties: smallest min-address pair). The distance
-    is the symmetric-difference count, or its square root under
-    metric="euclidean". Returns the set of sorted member tuples.
+    is the symmetric-difference count. Returns the set of sorted member
+    tuples.
     """
     clusters = [([a], set(bits)) for a, bits in sorted(vectors.items())]
     while True:
@@ -127,8 +126,6 @@ def ref_cluster(vectors, sigma, metric="symmetric_diff"):
                 mi, fi = clusters[i]
                 mj, fj = clusters[j]
                 d = len(fi ^ fj)
-                if metric == "euclidean":
-                    d = math.sqrt(d)
                 if d <= ((len(fi) + len(fj)) / 2.0) * sigma:
                     lo, hi = sorted((min(mi), min(mj)))
                     key = (d, lo, hi)
@@ -156,7 +153,7 @@ def ref_area_key(address, freq, q, p, max_address):
     return addr_bin, freq_bin
 
 
-def ref_chunk_all(vectors, q, p, sigma, max_address, metric="symmetric_diff"):
+def ref_chunk_all(vectors, q, p, sigma, max_address):
     """Chunking of {addr: index-set} features from its definition: each
     datum with a non-empty feature goes to the area ref_area_key gives it,
     each area is clustered by ref_cluster, and chunks come area by area in
@@ -168,7 +165,7 @@ def ref_chunk_all(vectors, q, p, sigma, max_address, metric="symmetric_diff"):
             key = ref_area_key(address, len(bits), q, p, max_address)
             areas.setdefault(key, {})[address] = bits
     chunks = [(key, members) for key in sorted(areas)
-              for members in sorted(ref_cluster(areas[key], sigma, metric))]
+              for members in sorted(ref_cluster(areas[key], sigma))]
     return chunks, sorted(a for a, bits in vectors.items() if not bits)
 
 

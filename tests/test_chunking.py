@@ -36,12 +36,12 @@ def matrix(vectors, dim=None):
                      np.array([b for row in rows for b in row], dtype=np.int32))
 
 
-def one_area(vectors, sigma, metric="symmetric_diff", dim=None):
+def one_area(vectors, sigma, dim=None):
     """chunk_all of {addr: iterable-of-indices} with every datum in one
     area: q=1, and p above every popcount."""
     ctf = matrix(vectors, dim)
     p = 2.0 + max(map(len, vectors.values()))
-    return chunk_all(ctf, ChunkerConfig(q=1, p=p, sigma=sigma), metric=metric)
+    return chunk_all(ctf, ChunkerConfig(q=1, p=p, sigma=sigma))
 
 
 def area_of(address, freq, cfg, max_address):
@@ -146,57 +146,15 @@ class TestClusterArea:
     def test_non_qualifying_pair_stays_split(self):
         vectors = {0: {0}, 4: {1}}
         assert one_area(vectors, sigma=0.9).partition.parts() == [(0,), (4,)]
+        # disjoint: distance 8 > ((4+4)/2)*1, however large the popcounts
+        vectors = {0: {0, 1, 2, 3}, 4: {4, 5, 6, 7}}
+        assert one_area(vectors, sigma=1.0).partition.parts() == [(0,), (4,)]
 
     def test_smallest_distance_merges_first(self):
         # b is distance 1 from a and 2 from c; after (a, b) merges the
         # combined feature no longer qualifies with c
         vectors = {0: {0, 1, 2}, 4: {0, 1, 2, 3}, 8: {0, 1, 4, 5}}
         assert one_area(vectors, sigma=0.35).partition.parts() == [(0, 4), (8,)]
-
-    def test_euclidean_metric_admits_more(self):
-        # count 4 > ((4+8)/2)*0.5 = 3, but sqrt(4) = 2 <= 3
-        vectors = {0: set(range(4)), 4: set(range(8))}
-        assert one_area(vectors, 0.5).partition.parts() == [(0,), (4,)]
-        assert one_area(vectors, 0.5, metric="euclidean").partition.parts() == [(0, 4)]
-
-    def test_euclidean_disjoint_pair_merges(self):
-        # sqrt(8) <= ((4+4)/2)*1: disjoint vectors qualify once
-        # |x| + |y| >= 4 / sigma**2, with or without a shared-index pair
-        # merged first
-        vectors = {0: {0, 1, 2, 3}, 4: {4, 5, 6, 7}}
-        assert strong_relation(CtfVector([0, 1, 2, 3]), CtfVector([4, 5, 6, 7]),
-                               1.0, "euclidean")
-        assert one_area(vectors, 1.0, metric="euclidean").partition.parts() == [(0, 4)]
-        assert one_area(vectors, 1.0).partition.parts() == [(0,), (4,)]
-        # the empty feature of 12 is left out, as in the pipeline
-        vectors = {0: {0, 1}, 4: {0, 1, 2}, 8: {5, 6, 7, 8}, 12: set()}
-        chunkset = one_area(vectors, 1.0, metric="euclidean")
-        out = chunkset.partition.parts()
-        want, excluded = ref_chunk_all(vectors, 1, 5.0, 1.0, 12, "euclidean")
-        assert out == [members for _, members in want]
-        assert chunkset.excluded == tuple(excluded) == (12,)
-        assert out == [(0, 4, 8)]
-
-    @pytest.mark.parametrize("pair_batch", [features.PAIR_BATCH, 3])
-    def test_matches_reference_euclidean(self, monkeypatch, pair_batch):
-        # popcounts up to 8 reach 4 / sigma**2 from sigma 0.5 on, so
-        # disjoint pairs qualify both in the first heap and after merges
-        monkeypatch.setattr(features, "PAIR_BATCH", pair_batch)
-        rng = random.Random(83)
-        for _ in range(150):
-            dim = rng.randint(3, 16)
-            vectors = {
-                a * 4: frozenset(rng.sample(range(dim), rng.randint(0, min(dim, 8))))
-                for a in rng.sample(range(60), rng.randint(2, 20))
-            }
-            sigma = rng.choice([0.0, 0.3, 0.5, 2 / 3, 0.8, 1.0])
-            ctf = matrix(vectors, dim=dim)
-            chunkset = one_area(vectors, sigma, "euclidean", dim=dim)
-            got = set(chunkset.partition.parts())
-            want, _ = ref_chunk_all(vectors, 1, 9.0, sigma, max(vectors), "euclidean")
-            assert got == {members for _, members in want}
-            transacted = {a: ctf[a] for a, bits in vectors.items() if bits}
-            assert replay_audit(transacted, chunkset.audit) == got
 
     def test_matches_reference(self):
         rng = random.Random(77)
@@ -255,11 +213,6 @@ class TestClusterArea:
             # every recorded merge satisfied the predicate when executed
             for rec in chunkset.audit:
                 assert rec.distance <= rec.threshold
-
-    def test_unknown_metric_rejected(self):
-        # an unknown metric is no silent choice of either rule
-        with pytest.raises(ConfigError, match="metric must be one of"):
-            one_area({0: {0, 1}, 4: {2, 3}}, 1.0, metric="bogus")
 
 
 class TestChunkAll:
@@ -383,16 +336,17 @@ def chunk_cases(draw):
 
 class TestChunkAllOracle:
     @given(chunk_cases(), st.sampled_from([1, 2, 16, 10**6]),
-           st.sampled_from([1.5, 2.0, 10.0]), st.sampled_from([0.0, 0.1, 0.6, 1.0]),
-           st.sampled_from(["symmetric_diff", "euclidean"]))
+           st.sampled_from([1.5, 2.0, 10.0]),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 1.0]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, case, q, p, sigma, metric):
+    def test_matches_reference(self, case, q, p, sigma):
+        # at sigma 0.5 and 1.0 some thresholds are whole numbers, which
+        # the distance may equal
         vectors, dim, max_address = case
         chunkset = chunk_all(matrix(vectors, dim), ChunkerConfig(q=q, p=p, sigma=sigma),
-                             max_address, metric)
+                             max_address)
         want, excluded = ref_chunk_all(vectors, q, p, sigma,
-                                       max(vectors) if max_address is None else max_address,
-                                       metric)
+                                       max(vectors) if max_address is None else max_address)
         assert [((key.addr_bin, key.freq_bin), members)
                 for key, members in zip(chunkset.areas, chunkset.partition.parts())] == want
         assert chunkset.excluded == tuple(excluded)

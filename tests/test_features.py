@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import make_trace
 from reference import reconstruct_transactions
-from ctgroup.errors import ConfigError, DimensionMismatchError
+from ctgroup.errors import DimensionMismatchError
 from ctgroup.features import (
-    EUCLIDEAN,
     CtfVector,
     build_ctf,
     distance,
@@ -99,19 +97,9 @@ class TestDistance:
         # symmetric difference of {0,1,2} and {1,2,3} is {0,3}
         assert distance(vec(0, 1, 2), vec(1, 2, 3)) == 2
 
-    def test_euclidean_is_sqrt_of_count(self):
-        assert distance(vec(0, 1, 2), vec(1, 2, 3), EUCLIDEAN) == math.sqrt(2)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             distance(CtfVector([0], dim=4), CtfVector([1], dim=5))
-
-    def test_unknown_metric_rejected(self):
-        # as chunk_all rejects it, not counted as the default metric
-        with pytest.raises(ConfigError, match="metric must be one of"):
-            distance(vec(0), vec(1), "bogus")
-        with pytest.raises(ConfigError, match="metric must be one of"):
-            strong_relation(vec(0), vec(1), 1.0, "bogus")
 
     @given(bitsets, bitsets)
     def test_symmetry_and_identity(self, a, b):

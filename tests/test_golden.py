@@ -28,9 +28,9 @@ CASES = {
     "defaults": {},
     "snapshot": {"mode": "snapshot"},
     "include_partial": {"include_partial": "true"},
-    "euclidean": {"distance": "euclidean", "sigma": "0.3"},
     "ascending": {"sort": "ascending"},
     "no_write_allocate": {"M": "131072", "write_allocate": "false", "policies": POLICIES},
+    "sigma_0_3": {"sigma": "0.3"},
 }
 # cases that read a CSV trace with writes; the others a synthetic spec
 CSV_CASES = {"no_write_allocate"}
@@ -54,15 +54,6 @@ DIGESTS = {
         "metrics.json": "3be2eacd60d4f872eb25f6c475148df5ff8b66792ca7e4152d93a22159e22358",
         "transactions.tsv": "d87ae37eb4011cedb9190482dea6d5e55744ac507bec2c19ff49f8049f224738",
     },
-    "euclidean": {
-        "chunks.tsv": "40e8206846fe2fb0741cfd63f3145ec9e2b442c3b6a5abfa21fa847ddb4ffd1a",
-        "ctf.tsv": "1867af9493124a1e4b4121ea13e82656dc4dac1f51ffb2f57c39bcb6834ccc71",
-        "grouping.csv": "a4703f6cafcf3c49b519097d54a4eedcd3b4e4bdf7b079ede3b20e38ff098a4b",
-        "manifest.json": "aad97cb200d49775cd6192ce0b96e4ba8122fd97c4eb91e9c01a893be021ebdb",
-        "metrics.csv": "b4d99efdd21f1986818c1cdbc6ce7c526aba93f7afdea4e8fb4e9d30d017526a",
-        "metrics.json": "97bc2ffa3ada5bbe3473a4463da4fad26004eee00b1554bc5f69a7163a6fec80",
-        "transactions.tsv": "d87ae37eb4011cedb9190482dea6d5e55744ac507bec2c19ff49f8049f224738",
-    },
     "include_partial": {
         "chunks.tsv": "044c8c7b8bd92a293ee7e283346c479bbabedc2d1ba3af168c3478ca52a0e104",
         "ctf.tsv": "9357b163c640a0e387ce78b73655e4df984fcdfa6bcba8fc586e51c35d6d09fa",
@@ -80,6 +71,15 @@ DIGESTS = {
         "metrics.csv": "60ddb879cf9e56276957e4f70af000fc3e755f00df0854d32d2f1e36125f20c4",
         "metrics.json": "e723debb13dabf1355524ec7d4627dd9958f308a91218ae8782e365c9170f1b9",
         "transactions.tsv": "41d69be97364276c257e80103d8ae248aa72e2136d09ce645747d1db4b2b9203",
+    },
+    "sigma_0_3": {
+        "chunks.tsv": "b66d4412b6c229c970bad8f97fb5996322537365718cdce37ce77237ca7846ff",
+        "ctf.tsv": "1867af9493124a1e4b4121ea13e82656dc4dac1f51ffb2f57c39bcb6834ccc71",
+        "grouping.csv": "7cea53dd0c593c4dec5614eaf33b323d30a820fd80e9b3c0e6b7ec1ddbf9b54e",
+        "manifest.json": "50f2ffa7b19ad389ea08a87b5500334a14c34ab90ad23acc63c9baf7ea0aa444",
+        "metrics.csv": "d75c28ed74b5f2db7e62d079e610a87e1ce6339228aacd2cf52679cb9700cc2c",
+        "metrics.json": "3be2eacd60d4f872eb25f6c475148df5ff8b66792ca7e4152d93a22159e22358",
+        "transactions.tsv": "d87ae37eb4011cedb9190482dea6d5e55744ac507bec2c19ff49f8049f224738",
     },
     "snapshot": {
         "chunks.tsv": "baea8ea57372abacea4446ff7e0ae9aae3e95f80856b2d7858f6bc2b2cb6dbed",

@@ -366,14 +366,13 @@ class TestEndToEnd:
         assert set(report.densities.values()) == {None}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("mode, include_partial, metric, sigma", [
-        (CUMULATIVE, False, features.SYMMETRIC_DIFF, 0.1),
-        (CUMULATIVE, True, features.SYMMETRIC_DIFF, 0.1),
-        (SNAPSHOT, False, features.SYMMETRIC_DIFF, 0.1),
-        (CUMULATIVE, False, features.EUCLIDEAN, 0.3),
+    @pytest.mark.parametrize("mode, include_partial, sigma", [
+        (CUMULATIVE, False, 0.1),
+        (CUMULATIVE, True, 0.1),
+        (SNAPSHOT, False, 0.1),
+        (CUMULATIVE, False, 0.3),
     ])
-    def test_popcounts_are_or_feature_popcounts(self, seed, mode, include_partial,
-                                                metric, sigma):
+    def test_popcounts_are_or_feature_popcounts(self, seed, mode, include_partial, sigma):
         # |V_C| counted from the transactions equals the popcount of the
         # chunk's OR feature, so the relations equal those filtered by it
         spec = SyntheticSpec(num_data=300, num_accesses=8000, rng_seed=seed,
@@ -381,7 +380,7 @@ class TestEndToEnd:
         trace, _truth = synthesize_trace(spec)
         txns = extract_transactions(trace, ExtractorConfig(32768, mode))
         ctf = build_ctf(txns, include_partial=include_partial)
-        chunkset = chunk_all(ctf, ChunkerConfig(sigma=sigma), metric=metric)
+        chunkset = chunk_all(ctf, ChunkerConfig(sigma=sigma))
         # the popcount of each chunk's OR feature, from the CTF
         pops = {c.id: len(set().union(*(ctf[a].bits for a in c.members)))
                 for c in chunkset.chunks}

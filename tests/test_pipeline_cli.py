@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import islice, takewhile
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +222,15 @@ class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
 
+    def run_child(self, *argv, **kwargs):
+        """The command run in a new interpreter, as from a shell."""
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from ctgroup import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", *argv],
+            stderr=subprocess.PIPE, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+            **kwargs)
+
     def base_flags(self, spec_file, out):
         return [
             "--synthetic", str(spec_file), "--M", "32768",
@@ -277,6 +287,22 @@ class TestCli:
     def test_missing_source_exit_two(self, capsys):
         assert self.run("pipeline", "--output_dir", "/tmp/none") == 2
 
+    @pytest.mark.parametrize("source", ["config file", "flag"])
+    def test_distance_key_exit_two(self, spec_file, tmp_path, source):
+        # the chunk distance is the symmetric-difference count, with no
+        # key; a config that still names one is refused, not run
+        out = tmp_path / "o"
+        if source == "flag":
+            extra, message = ["--distance", "euclidean"], "unrecognized arguments: --distance"
+        else:
+            (tmp_path / "run.cfg").write_text("distance=euclidean\n")
+            extra, message = ["--config", str(tmp_path / "run.cfg")], "config key 'distance'"
+        done = self.run_child("pipeline", *self.base_flags(spec_file, out), *extra,
+                              stdout=subprocess.DEVNULL)
+        assert done.returncode == 2
+        assert message in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_unknown_spec_key_exit_two(self, spec_file, tmp_path, capsys):
         spec_file.write_text(spec_file.read_text() + "size_mx=8192\n")
         assert self.run("pipeline", *self.base_flags(spec_file, tmp_path / "o")) == 2
@@ -327,12 +353,8 @@ class TestCli:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, "-c", "import sys; from ctgroup import cli; "
-                 "sys.exit(cli.main(sys.argv[1:]))", command,
-                 *self.base_flags(spec_file, tmp_path / "o")],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
-                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+            done = self.run_child(command, *self.base_flags(spec_file, tmp_path / "o"),
+                                  stdout=write_end)
         finally:
             os.close(write_end)
         assert done.returncode == 0, done.stderr
@@ -816,7 +838,7 @@ STAGE_KEYS = {
     "extract": {"trace", "synthetic", "rng_seed", "ops", "host", "disk", "max_records",
                 "train_count", "train_fraction", "M", "mode"},
     "ctf": {"include_partial"},
-    "chunk": {"q", "p", "sigma", "distance"},
+    "chunk": {"q", "p", "sigma"},
     "group": {"alpha", "mu", "sort"},
     "simulate": {"capacity_fractions", "policies", "write_allocate"},
 }
@@ -828,6 +850,18 @@ class TestStageHashes:
         assert {s: set(cfg.stage_keys(s)) for s in pipeline.STAGES} == STAGE_KEYS
         assert {f.name for f in fields(cfg)} - set().union(*STAGE_KEYS.values()) == {
             "output_dir", "w_limits"}
+
+    def test_readme_stage_table(self, spec_file, tmp_path):
+        # the README's table of each stage's keys is the config's, key
+        # for key, so neither can change without the other
+        cfg = config_for(spec_file, tmp_path / "o")
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| stage | reads | artifact | keys |") + 2
+        table = {}
+        for line in takewhile(lambda line: line.startswith("|"), lines[start:]):
+            stage, _reads, _artifact, keys = (cell.strip() for cell in line.split("|")[1:-1])
+            table[stage] = sorted(key.strip(" `") for key in keys.split(","))
+        assert table == {s: sorted(cfg.stage_keys(s)) for s in pipeline.STAGES}
 
     @pytest.mark.parametrize("key", sorted(set().union(*STAGE_KEYS.values()))
                              + ["output_dir", "w_limits"])
