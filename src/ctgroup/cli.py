@@ -74,7 +74,7 @@ def _write_lines(cfg, name, lines):
 
 
 def cmd_ingest(cfg, args):
-    trace, _ = pipeline.load_input_trace(cfg)
+    trace, _ = pipeline.load_input_trace(cfg, timestamps=True)
     trace.save(_out(cfg, "trace.csv"))
     print(f"wrote {len(trace)} records ({trace.skipped} skipped) to "
           f"{os.path.join(cfg.output_dir, 'trace.csv')}")

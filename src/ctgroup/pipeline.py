@@ -190,8 +190,13 @@ def _failing_as(stage):
         raise PipelineStageError(stage, exc) from exc
 
 
-def load_input_trace(cfg: PipelineConfig):
-    """Returns (trace, truth-or-None). Applies the ops/host/disk filters."""
+def load_input_trace(cfg: PipelineConfig, timestamps: bool = False):
+    """Returns (trace, truth-or-None). Applies the ops/host/disk filters.
+
+    The trace holds what the stages read: addresses, sizes and op codes.
+    With ``timestamps``, a CSV trace also keeps its own (for ``ctgroup
+    ingest``); a synthetic trace has none and saves its positions.
+    """
     if cfg.synthetic is not None:
         spec = SyntheticSpec.from_file(cfg.synthetic)
         if cfg.rng_seed is not None:
@@ -201,7 +206,7 @@ def load_input_trace(cfg: PipelineConfig):
             trace = trace.filter_ops(cfg.ops)
         return trace, truth
     trace = load_trace(cfg.trace, skip_malformed=True, ops=cfg.ops, host=cfg.host,
-                       disk=cfg.disk, max_records=cfg.max_records)
+                       disk=cfg.disk, max_records=cfg.max_records, timestamps=timestamps)
     return trace, None
 
 

@@ -51,9 +51,13 @@ more members, else -1, and -2 - gid at the first access to each member of
 such a group) and those groups' members as ids, a member the trace never
 accesses taking an id after the trace's. At that first access the loop
 records the member's size and drops its group's cached plan when the size
-is not its extra size, which each cell maps to ids afresh. Data in
-one-member groups take the demand path: such a group's plan is the datum
-alone, so the group path would admit it alone and prefetch nothing.
+is not its extra size. Each group cell reads the caller's extra-size
+mapping afresh, as two columns (``SizeColumns``): one binary search of
+the members' addresses gives a list indexed by datum id, None where the
+mapping has no size, whose entries are objects shared from a pool of the
+distinct sizes. Data in one-member groups take the demand path: such a
+group's plan is the datum alone, so the group path would admit it alone
+and prefetch nothing.
 
 The batch and the workers. ``sweep`` makes its cells the trace's batch
 and calls ``simulate`` once per cell, so a caller that wraps ``simulate``
@@ -62,7 +66,7 @@ the LRU profile does not serve replays every such cell of the batch on
 ``forks.fork_map``: this process and at most one forked child per further
 CPU it may use (``os.sched_getaffinity``), with no config key. This
 process builds the id and size rows, the group rows and the extra-size
-lookup first, so the children inherit them and build nothing; each
+list first, so the children inherit them and build nothing; each
 process runs the one replay loop, ``_replay``, on the cells it takes, and
 a child sends back only their metrics. Later calls return their cell's
 row, and the batch is cleared when ``sweep`` returns or raises. A
@@ -86,8 +90,8 @@ from . import forks
 from .artifacts import find
 from .errors import ConfigError, InvariantError
 from . import trace as _trace
-from .features import Partition
-from .trace import Op, Trace, first_access_positions
+from .features import Partition, sorted_distinct
+from .trace import Op, SizeColumns, Trace, first_access_positions
 
 LRU = "lru"
 FIFO = "fifo"
@@ -191,7 +195,7 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
 def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
             check_invariants: bool = False) -> SimMetrics:
     """The replay of one cell at ``capacity`` bytes. ``extra_size`` is
-    _extra_size's lookup for the cell, None for a cell without groups.
+    _extra_size's list for the cell, None for a cell without groups.
 
     One loop serves every policy: hits take the short path, and a miss
     admits the demanded datum, then (group policies) the group plan.
@@ -228,7 +232,7 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
         if gid < -1:  # the first access to a member of a group
             gid = -2 - gid
             sizes_seen[datum] = size
-            if extra_size(datum) != size:
+            if extra_size[datum] != size:
                 plans[gid] = None
         if datum in entries:
             hits += 1
@@ -327,21 +331,29 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
     )
 
 
-def _extra_size(rows: ReplayRows, cfg: SimConfig):
-    """A group cell's extra-size lookup on its members' ids, read from the
-    caller's mapping as it is now; None for the other cells."""
+def _extra_size(rows: ReplayRows, cfg: SimConfig) -> list | None:
+    """A group cell's extra sizes of its members, read from the caller's
+    mapping as it is now: a list indexed by datum id, None where the
+    mapping has no size. None for the other cells."""
     if cfg.policy not in (GROUP_PREFETCH, GROUP_MERGED):
         return None
     group = rows.under(cfg.grouping)
-    return dict(zip(group.ids.tolist(), map((cfg.extra_sizes or {}).get,
-                                            group.addresses.tolist()))).get
+    known = SizeColumns.of(cfg.extra_sizes or {})
+    at = find(known.addresses, group.addresses)
+    found = at >= 0
+    sizes = known.sizes[at[found]]
+    distinct = sorted_distinct(sizes)
+    # each id's slot in the pool of sizes, whose last slot holds None
+    slots = np.full(int(group.ids.max(initial=-1)) + 1, len(distinct))
+    slots[group.ids[found]] = distinct.searchsorted(sizes)
+    return np.append(distinct.astype(object), None)[slots].tolist()
 
 
 def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
     """Replay the cells of ``rows.batch`` that the LRU profile does not
     serve, on forks.fork_map; their rows by id(cell). What the cells share is
     built first, so the workers inherit it: the id and size rows, the
-    group rows and one extra-size lookup per (grouping, mapping)."""
+    group rows and one extra-size list per (grouping, mapping)."""
     cells, units, extras = [], [], {}
     for cfg in rows.batch:
         capacity = resolve_capacity(cfg, trace)
@@ -442,7 +454,7 @@ def _pooled(column: np.ndarray, keys: np.ndarray | None = None, pool=None) -> li
     object array ``pool`` (by default the column's distinct values), taken
     ROW_BLOCK values at a time: no whole-column temporary is made."""
     if keys is None:
-        keys = np.unique(column)
+        keys = sorted_distinct(column)
         pool = keys.astype(object)
     rows = [None] * len(column)
     block = _trace.ROW_BLOCK
@@ -459,7 +471,7 @@ def _fetch_plan(members, sizes_seen, extra_size):
     for member in members:
         msize = sizes_seen.get(member)
         if msize is None:
-            msize = extra_size(member)
+            msize = extra_size[member]
             if msize is None:
                 unknown += 1
                 continue

@@ -143,7 +143,8 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
     """Generate a trace and its planted partition. Deterministic per seed.
 
     The trace's columns are filled a block of runs at a time; no Python
-    code runs per access.
+    code runs per access. It has no timestamps: an access's position is
+    its time, and ``Trace.save`` writes positions 1..n.
     """
     spec.validate()
     if spec.num_accesses == 0:
@@ -176,7 +177,6 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
         np.take(size, picked, out=sizes_column[fill], mode="clip")
         at += len(picked)
     trace = Trace(
-        timestamps=np.arange(1, n + 1, dtype=np.int64),
         addresses=addresses_column,
         sizes=sizes_column,
         ops=np.full(n, int(Op.READ), dtype=np.uint8),

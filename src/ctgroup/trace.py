@@ -21,8 +21,9 @@ so the rules for errors, skips and filters are those of that parser.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -146,18 +147,52 @@ def parse_record(line: str, line_no: int | None = None) -> AccessRecord:
     return AccessRecord(timestamp, offset, size, Op(op))
 
 
+@dataclass(frozen=True, eq=False)
+class SizeColumns(Mapping):
+    """Sizes by address, as two aligned columns. As a read-only Mapping it
+    takes ``addresses[k]`` to ``sizes[k]``."""
+
+    addresses: np.ndarray  # int64, strictly ascending
+    sizes: np.ndarray      # int64
+
+    @classmethod
+    def of(cls, sizes: Mapping[int, int]) -> "SizeColumns":
+        """The columns of a mapping; SizeColumns are their own."""
+        if isinstance(sizes, cls):
+            return sizes
+        addresses = np.fromiter(sizes.keys(), np.int64, len(sizes))
+        order = np.argsort(addresses)
+        return cls(addresses[order], np.fromiter(sizes.values(), np.int64, len(sizes))[order])
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __iter__(self):
+        return iter(self.addresses.tolist())
+
+    def __getitem__(self, address: int) -> int:
+        k = int(find(self.addresses, [address])[0])
+        if k < 0:
+            raise KeyError(address)
+        return int(self.sizes[k])
+
+
 @dataclass
 class Trace:
-    """An ordered access sequence, stored column-wise.
+    """An ordered access sequence, stored column-wise: each access's block
+    address, size and op code (Op), and optionally its timestamp.
 
-    The position of a record is its access sequence number, used by the
-    locality statistics.
+    The position of a record is its access sequence number, which is all
+    the stages and the locality statistics read of time. A trace built
+    from records, or loaded with timestamps, keeps them so that ``save``
+    writes them back; a trace without them, as the pipeline's stages take
+    it, saves its positions 1..n in their place.
     """
 
-    timestamps: np.ndarray
     addresses: np.ndarray
     sizes: np.ndarray
     ops: np.ndarray
+    timestamps: np.ndarray | None = None
     source_label: str = ""
     skipped: int = 0
     # simulator.ReplayRows of the columns, which are never modified
@@ -168,10 +203,10 @@ class Trace:
     def from_records(cls, records: Iterable[AccessRecord], source_label="", skipped=0):
         records = list(records)
         return cls(
-            timestamps=np.array([r.timestamp for r in records], dtype=np.int64),
             addresses=np.array([r.block_address for r in records], dtype=np.int64),
             sizes=np.array([r.size for r in records], dtype=np.int64),
             ops=np.array([int(r.op) for r in records], dtype=np.uint8),
+            timestamps=np.array([r.timestamp for r in records], dtype=np.int64),
             source_label=source_label,
             skipped=skipped,
         )
@@ -205,19 +240,24 @@ class Trace:
     def _take(self, index) -> "Trace":
         """The records a slice or boolean mask selects, under the same label
         and skip count."""
-        return Trace(self.timestamps[index], self.addresses[index], self.sizes[index],
-                     self.ops[index], source_label=self.source_label, skipped=self.skipped)
+        stamps = None if self.timestamps is None else self.timestamps[index]
+        return Trace(self.addresses[index], self.sizes[index], self.ops[index], stamps,
+                     source_label=self.source_label, skipped=self.skipped)
 
-    def first_seen_sizes(self) -> dict[int, int]:
-        """{address: size at its first access}, in first-access order."""
+    def first_seen_sizes(self) -> SizeColumns:
+        """Each distinct address and its size at its first access, by
+        ascending address."""
         first = first_access_positions(self.addresses)
-        return dict(zip(self.addresses[first].tolist(), self.sizes[first].tolist()))
+        addresses = self.addresses[first]
+        order = np.argsort(addresses)
+        return SizeColumns(addresses[order], self.sizes[first[order]])
 
     def to_csv_lines(self) -> Iterator[str]:
         host = self.source_label or "trace"
         host = host.replace(",", "_")
-        for t, a, s, o in column_rows(self.timestamps, self.addresses, self.sizes,
-                                      self.ops):
+        stamps = (count(1) if self.timestamps is None
+                  else (t for (t,) in column_rows(self.timestamps)))
+        for t, (a, s, o) in zip(stamps, column_rows(self.addresses, self.sizes, self.ops)):
             op_text = "Read" if o == int(Op.READ) else "Write"
             yield f"{t},{host},0,{op_text},{a},{s},0"
 
@@ -289,6 +329,7 @@ def load_trace(
     disk: str | None = None,
     max_records: int | None = None,
     source_label: str | None = None,
+    timestamps: bool = True,
 ) -> Trace:
     """Load an MSR-convention CSV trace.
 
@@ -306,7 +347,8 @@ def load_trace(
     per-line parser, which decides the blank lines, the header, the errors
     and the skips. No line after the max_records-th record is parsed.
     Each block's records go straight into the columns, which are trimmed
-    once at the end.
+    once at the end. Without ``timestamps`` the trace keeps no timestamp
+    column, though every timestamp is still parsed and checked.
     """
     filters = [(k, value.encode("utf-8")) for k, value in ((1, host), (2, disk))
                if value is not None]
@@ -314,12 +356,13 @@ def load_trace(
     # first one always
     limit = None if max_records is None else max(max_records, 1)
     skipped = line_count = read = 0
+    stored = slice(0 if timestamps else 1, None)  # of the four columns
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise TraceParseError(f"cannot read trace file {path}: {exc}") from None
     with fh:
-        kept = _Columns(fh, (np.int64, np.int64, np.int64, np.uint8), limit)
+        kept = _Columns(fh, (np.int64, np.int64, np.int64, np.uint8)[stored], limit)
         for block in _blocks(fh, READ_BLOCK):
             b = np.frombuffer(block, np.uint8)
             starts, ends = _line_bounds(b)
@@ -363,7 +406,7 @@ def load_trace(
             if limit is not None:
                 rows = rows[:limit - kept.length]
             read += len(block)
-            for out, column in zip(kept.extend(read, len(rows)), columns):
+            for out, column in zip(kept.extend(read, len(rows)), columns[stored]):
                 np.take(column, rows, out=out, mode="clip")  # unbuffered
             line_count += len(starts)
             if kept.length == limit:
@@ -371,4 +414,6 @@ def load_trace(
     if not kept.length:
         raise EmptyTraceError(f"no valid records in {path}")
     label = source_label if source_label is not None else str(path)
-    return Trace(*kept.trimmed(), source_label=label, skipped=skipped).filter_ops(ops)
+    *stamps, addresses, sizes, op_codes = kept.trimmed()
+    return Trace(addresses, sizes, op_codes, *stamps, source_label=label,
+                 skipped=skipped).filter_ops(ops)

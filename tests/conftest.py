@@ -2,17 +2,19 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
-from ctgroup.trace import AccessRecord, Op, Trace
+from ctgroup.trace import Op, Trace
 
 
 def make_trace(pairs, label="test"):
-    """Trace from (addr, size) pairs; timestamps count up from 1."""
-    return Trace.from_records(
-        [AccessRecord(i + 1, a, s, Op.READ) for i, (a, s) in enumerate(pairs)],
-        source_label=label,
-    )
+    """Trace of reads from (addr, size) pairs. Like the pipeline's traces,
+    it keeps no timestamps."""
+    pairs = list(pairs)
+    return Trace(np.array([a for a, _ in pairs], dtype=np.int64),
+                 np.array([s for _, s in pairs], dtype=np.int64),
+                 np.full(len(pairs), int(Op.READ), dtype=np.uint8), source_label=label)
 
 
 def random_accesses(rng: random.Random, n=None, max_addr=40, max_size=16):

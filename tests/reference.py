@@ -12,6 +12,8 @@ import random
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 
+import numpy as np
+
 from ctgroup.errors import (
     EmptyTraceError,
     InvariantError,
@@ -499,10 +501,18 @@ def ref_group_column(addresses, groups):
     return column
 
 
+def timestamps_of(trace):
+    """The trace's timestamps, or its positions 1..n where it keeps none
+    (what Trace.save writes)."""
+    if trace.timestamps is None:
+        return np.arange(1, len(trace) + 1, dtype=np.int64)
+    return trace.timestamps
+
+
 def trace_rows(trace):
     """(timestamp, address, size, op) per access; equal to the trace's
     AccessRecords as tuples."""
-    return list(zip(trace.timestamps.tolist(), trace.addresses.tolist(),
+    return list(zip(timestamps_of(trace).tolist(), trace.addresses.tolist(),
                     trace.sizes.tolist(), trace.ops.tolist()))
 
 

@@ -61,10 +61,20 @@ the columns are reserved while the first block's temporaries peak, so
 this bound stays as it was.
 
 synthesize_trace runs at perfbench's planted-300k shape (20,000 data,
-2,000 groups of 8 at probability 1.0, 300k accesses; 7.2 MiB of trace
-columns). Its bound sits between its peak when it drew one access at a
-time into a Python list, 15.7 MiB, and when it decodes blocks of
-WORD_BLOCK words into columns filled in place, 11.5 MiB.
+2,000 groups of 8 at probability 1.0, 300k accesses). Its bound sits
+between its peak when it drew one access at a time into a Python list,
+15.7 MiB, and when it decodes blocks of WORD_BLOCK words into columns
+filled in place, 11.5 MiB. What it still holds when it returns, the
+trace's 4.9 MiB of columns and the truth, was 9.2 MiB with a timestamp
+column and is 6.9 MiB without. The peak is the same either way, since
+that column was made after the decoding.
+
+Trace.first_seen_sizes runs on the same trace. Its bound sits between
+its peak when it built a dict of the 20,000 data, 2.5 MiB, and as two
+columns, 1.5 MiB.
+
+The trace that load_input_trace hands to the stages holds 17 bytes per
+record: an int64 address and size and a uint8 op code, and no timestamp.
 
 Rows.repeated(within_rows=True), load_transactions' repeat check, runs on
 50,000 rows of 20 values built in memory. Its bound sits between its peak
@@ -87,7 +97,7 @@ import numpy as np
 import pytest
 
 from conftest import chunkset_fields
-from ctgroup import artifacts, locality
+from ctgroup import artifacts, locality, pipeline
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import Partition, build_ctf
 from ctgroup.grouping import compute_legal_relations
@@ -169,10 +179,14 @@ def test_chunk_all_forked_peak(instance, in_process_chunk_all):
         f"chunk_all peaked at {peak / MIB:.2f} MiB")
 
 
-def test_chunk_all_planted_peak():
-    spec = SyntheticSpec(num_data=20000, num_accesses=300000,
+def planted_spec():
+    """perfbench's planted-300k shape."""
+    return SyntheticSpec(num_data=20000, num_accesses=300000,
                          group_structure=[(8, 1.0)] * 2000, rng_seed=1)
-    train = synthesize_trace(spec)[0].split(210000)[0]
+
+
+def test_chunk_all_planted_peak():
+    train = synthesize_trace(planted_spec())[0].split(210000)[0]
     ctf = build_ctf(extract_transactions(train, ExtractorConfig(65536)))
     chunkset, peak = traced_peak(chunk_all, ctf, ChunkerConfig())
     assert len(chunkset) == 12678 and len(chunkset.audit) == 7321
@@ -278,11 +292,38 @@ def test_repeated_within_rows_peak():
 
 
 def test_synthesize_peak():
-    spec = SyntheticSpec(num_data=20000, num_accesses=300000,
-                         group_structure=[(8, 1.0)] * 2000, rng_seed=1)
-    (trace, _truth), peak = traced_peak(synthesize_trace, spec)
+    tracemalloc.start()
+    try:
+        trace, _truth = synthesize_trace(planted_spec())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert len(trace) == 300000
-    assert peak <= 14 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
+    assert peak <= 12 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
+    assert held <= 8 * MIB, f"synthesize_trace returned {held / MIB:.2f} MiB"
+
+
+def test_first_seen_sizes_peak():
+    trace = synthesize_trace(planted_spec())[0]
+    sizes, peak = traced_peak(trace.first_seen_sizes)
+    assert len(sizes) == 20000
+    assert peak <= 2 * MIB, f"first_seen_sizes peaked at {peak / MIB:.2f} MiB"
+
+
+@pytest.mark.parametrize("source", ["synthetic", "trace"])
+def test_pipeline_trace_bytes_per_record(tmp_path, source):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("num_data=200\nnum_accesses=5000\ngroups=8x0.8,4x1.0\n"
+                    "size_min=512\nsize_max=8192\n")
+    cfg = pipeline.PipelineConfig.from_mapping({"synthetic": str(spec)})
+    if source == "trace":
+        pipeline.load_input_trace(cfg, timestamps=True)[0].save(tmp_path / "trace.csv")
+        cfg = pipeline.PipelineConfig.from_mapping({"trace": str(tmp_path / "trace.csv")})
+    trace = pipeline.load_input_trace(cfg)[0]
+    held = sum(value.nbytes for value in vars(trace).values()
+               if isinstance(value, np.ndarray))
+    assert len(trace) == 5000 and trace.timestamps is None
+    assert held <= 17 * len(trace), f"{held / len(trace):.1f} bytes per record"
 
 
 def test_access_count_gap_report_peak(trace, instance):

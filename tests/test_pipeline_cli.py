@@ -94,6 +94,21 @@ class TestConfig:
 
 
 class TestRunPipeline:
+    def test_leaves_numpy_ma_unimported(self, spec_file, tmp_path):
+        # np.unique's hash path imports numpy.ma at its first call, which
+        # took 17-21 ms of every run
+        code = ("import sys; from ctgroup import pipeline; "
+                "pipeline.run_pipeline(pipeline.PipelineConfig.from_mapping({"
+                "'synthetic': sys.argv[1], 'output_dir': sys.argv[2], "
+                "'policies': 'lru,fifo,group_prefetch,group_merged'})); "
+                "print('numpy.ma' in sys.modules)")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(spec_file), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
     def test_manifest_and_artifacts(self, spec_file, tmp_path):
         out = tmp_path / "out"
         manifest = run_pipeline(config_for(spec_file, out))
@@ -525,6 +540,34 @@ class TestCli:
         )
         assert rc == 4
         assert "config hash" in capsys.readouterr().err
+
+    # sha256 of the trace.csv that ingest wrote for these inputs when every
+    # trace carried a timestamp column; the host column is the path given
+    INGEST_INPUTS = {
+        "trace.csv": "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n"
+                     "128166372003061629,hm,0,Read,4096,512,10\n"
+                     "128166372003061700,hm,0,Write,8192,4096,12\n"
+                     "128166372003061650,hm,0,Read,4096,512,3\n"
+                     "not,a,valid,line\n"
+                     "128166372003070000,hm,1,Read,0,8192,0\n"
+                     "5,web,0,Write,12288,1024,7\n"
+                     "128166372003069999,hm,0,Read,8192,4096,1\n",
+        "spec.cfg": "num_data=40\nnum_accesses=500\ngroups=4x1.0,6x0.5\n"
+                    "size_min=512\nsize_max=8192\nrng_seed=3\n",
+    }
+
+    @pytest.mark.parametrize("flag, name, digest", [
+        ("--trace", "trace.csv",
+         "1cd968a7511fe9798430270e96d34c7397860bc45c6ac26dc882e5f008a3d94c"),
+        ("--synthetic", "spec.cfg",
+         "0c0f78b8437a437c5b8f9036168b01a36349c9a6529c5bb6fdceffc7f673be3c"),
+    ])
+    def test_ingest_output_unchanged(self, tmp_path, monkeypatch, flag, name, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(self.INGEST_INPUTS[name])
+        assert self.run("ingest", flag, name, "--output_dir", "out") == 0
+        written = (tmp_path / "out" / "trace.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
     def test_ingest_writes_normalized_trace(self, spec_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -13,11 +13,12 @@ from ctgroup.errors import (
 from ctgroup import synthetic
 from ctgroup.simulator import replay_rows
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
-from ctgroup.trace import AccessRecord, Op, Trace, load_trace, parse_record
+from ctgroup.trace import AccessRecord, Op, SizeColumns, Trace, load_trace, parse_record
 from reference import (
     ref_first_seen_sizes,
     ref_load_trace,
     ref_synthesize_trace,
+    timestamps_of,
     trace_rows,
 )
 
@@ -118,9 +119,24 @@ class TestLoadTrace:
 
     def test_ops_filter(self, tmp_path):
         path = self.write(tmp_path, "1,h,0,Read,0,1,0\n2,h,0,Write,4,1,0\n")
-        assert len(load_trace(path, ops="read")) == 1
-        assert len(load_trace(path, ops="write")) == 1
+        assert load_trace(path, ops="read").timestamps.tolist() == [1]
+        assert load_trace(path, ops="write").timestamps.tolist() == [2]
         assert len(load_trace(path, ops="both")) == 2
+        without = load_trace(path, ops="write", timestamps=False)
+        assert without.timestamps is None and without.addresses.tolist() == [4]
+
+    def test_without_timestamps(self, tmp_path):
+        # every timestamp is still checked, but none is kept
+        path = self.write(tmp_path, "9,h,0,Read,0,1,0\nx,h,0,Read,4,1,0\n"
+                                    "3,h,0,Write,8,2,0\n")
+        with pytest.raises(TraceParseError, match="line 2: non-numeric timestamp"):
+            load_trace(path, timestamps=False)
+        kept = load_trace(path, skip_malformed=True)
+        dropped = load_trace(path, skip_malformed=True, timestamps=False)
+        assert dropped.timestamps is None and kept.timestamps.tolist() == [9, 3]
+        for column in ("addresses", "sizes", "ops"):
+            assert np.array_equal(getattr(dropped, column), getattr(kept, column))
+        assert dropped.skipped == kept.skipped == 1
 
     def test_ops_filter_that_keeps_nothing_rejected(self, tmp_path):
         path = self.write(tmp_path, "1,h,0,Read,0,1,0\nbad\n2,h,0,Read,4,1,0\n")
@@ -173,6 +189,11 @@ class TestSplit:
         train, test = trace.split(3)
         assert train.timestamps.tolist() == [0, 1, 2]
         assert test.timestamps.tolist() == list(range(3, 10))
+        # a trace without timestamps splits into halves without them
+        trace.timestamps = None
+        train, test = trace.split(3)
+        assert train.timestamps is None and test.timestamps is None
+        assert train.addresses.tolist() == [0, 8, 16]
 
     def test_full_length_split_rejected(self):
         trace = Trace.from_records([AccessRecord(0, 0, 1, Op.READ)] * 4)
@@ -199,6 +220,11 @@ class TestSynthesize:
                     group_structure=[(3, 1.0), (3, 1.0)], rng_seed=5)
         base.update(kw)
         return SyntheticSpec(**base)
+
+    def test_no_timestamps(self):
+        trace, _ = synthesize_trace(self.spec())
+        assert trace.timestamps is None
+        assert next(trace.to_csv_lines()).startswith("1,synthetic(seed=5),0,Read,")
 
     def test_runs_cover_exactly_one_group(self):
         trace, truth = synthesize_trace(self.spec())
@@ -266,8 +292,10 @@ def assert_same_outcome(got, want, kwargs=None):
 
 
 def assert_same_trace(got, want):
-    for column in ("timestamps", "addresses", "sizes", "ops"):
-        a, b = getattr(got, column), getattr(want, column)
+    """Equal columns; a trace without timestamps stands for its positions."""
+    for a, b, column in ((timestamps_of(got), timestamps_of(want), "timestamps"),
+                         *((getattr(got, c), getattr(want, c), c)
+                           for c in ("addresses", "sizes", "ops"))):
         assert a.dtype == b.dtype, column
         assert np.array_equal(a, b), column
     assert got.source_label == want.source_label
@@ -625,6 +653,17 @@ class TestLoadTraceOracle:
 
 
 class TestFirstSeenSizes:
+    def test_size_columns_mapping(self):
+        sizes = SizeColumns.of({40: 3, 1 << 40: 7, 0: 3})
+        assert sizes.addresses.tolist() == [0, 40, 1 << 40]
+        assert sizes.sizes.tolist() == [3, 3, 7]
+        assert SizeColumns.of(sizes) is sizes
+        assert sizes[40] == 3 and sizes.get(41) is None and 41 not in sizes
+        with pytest.raises(KeyError):
+            sizes[-1]
+        assert list(sizes) == [0, 40, 1 << 40] and sizes == {0: 3, 40: 3, 1 << 40: 7}
+        assert len(SizeColumns.of({})) == 0 and SizeColumns.of({}).get(0) is None
+
     def test_matches_first_access_loop(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -637,7 +676,8 @@ class TestFirstSeenSizes:
             trace = Trace.from_records(records)
             got = trace.first_seen_sizes()
             want = ref_first_seen_sizes(trace)
-            assert list(got.items()) == list(want.items())
+            assert list(got.items()) == sorted(want.items())
+            assert got == want and len(got) == len(want)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_matches_first_access_loop_in_small_blocks(self, monkeypatch, block):
@@ -654,5 +694,5 @@ class TestFirstSeenSizes:
             ]
             trace = Trace.from_records(records)
             want = ref_first_seen_sizes(trace)
-            assert list(trace.first_seen_sizes().items()) == list(want.items())
+            assert list(trace.first_seen_sizes().items()) == sorted(want.items())
             assert replay_rows(trace).unique_bytes == sum(want.values())
