@@ -41,7 +41,11 @@ DEFAULT_FRACTIONS = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128)
 
 
 def _flag(text):
-    return text.lower() in ("1", "true", "yes", "on")
+    """A boolean key's value: 1, true, yes or on, or 0, false, no or off, in any case."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return value in ("1", "true", "yes", "on")
 
 
 def _items(parse):

@@ -39,25 +39,28 @@ the cell is replayed otherwise:
 and also no invariant checking is asked for.
 
 The replay rows. ``ReplayRows`` holds what a trace's cells share, built
-once per trace: its first-access positions, distinct addresses and
-``unique_bytes`` (the sum of first-seen sizes, which capacity fractions are
-taken of); the LRU profile, at the first ``lru`` cell; and at the first
-replayed cell, the rows every replayed cell iterates: each access's datum
-as a dense id (id k is the k-th smallest address) and its size, objects
-shared from a pool, so no cell converts numpy columns. The cache, plans and
-sizes seen key on ids. For the last ``GroupTable``, it also keeps the
-``group_column`` (the gid of the datum's group when that group has two or
-more members, else -1, and -2 - gid at the first access to each member of
-such a group) and those groups' members as ids, a member the trace never
-accesses taking an id after the trace's. At that first access the loop
-records the member's size and drops its group's cached plan when the size
-is not its extra size. Each group cell reads the caller's extra-size
-mapping afresh, as two columns (``SizeColumns``): one binary search of
-the members' addresses gives a list indexed by datum id, None where the
-mapping has no size, whose entries are objects shared from a pool of the
-distinct sizes. Data in one-member groups take the demand path: such a
-group's plan is the datum alone, so the group path would admit it alone
-and prefetch nothing.
+once per trace: each datum's first-access position by dense id (id k is
+the k-th smallest address), the distinct addresses and ``unique_bytes``
+(the sum of first-seen sizes, which capacity fractions are taken of); the
+LRU profile, at the first ``lru`` cell; and at the first replayed cell,
+the rows every replayed cell iterates: each access's datum as an id and
+its size, objects shared from a pool, so no cell converts numpy columns.
+The cache keys on ids.
+
+The plan column. A group member's fetch size is its extra size until its
+first access in the replay, and the size of that access afterwards;
+members with neither are skipped and counted. ``plan_column`` states that
+rule once, as data, for a (``GroupTable``, extra-size mapping): per
+access, None for a datum in no group of two or more members, else the
+``Plan`` of its datum's group as it stands at that access. A plan holds
+the member ids (a member the trace never accesses taking an id after the
+trace's), the (member, size) pairs of known size in ascending address
+order, their total and the count of the others. A group gets a new plan
+at each first access that changes a member's size, and the accesses take
+their plan by one binary search of (group, position) keys, so the replay
+loop keeps no size or plan state. Data in one-member groups take the
+demand path: such a group's plan is the datum alone, so the group path
+would admit it alone and prefetch nothing.
 
 The batch and the workers. ``sweep`` makes its cells the trace's batch
 and calls ``simulate`` once per cell, so a caller that wraps ``simulate``
@@ -65,15 +68,15 @@ still sees one call and one row per cell. The first call for a cell that
 the LRU profile does not serve replays every such cell of the batch on
 ``forks.fork_map``: this process and at most one forked child per further
 CPU it may use (``os.sched_getaffinity``), with no config key. This
-process builds the id and size rows, the group rows and the extra-size
-list first, so the children inherit them and build nothing; each
+process builds the id and size rows and the batch's one plan column
+first, so the children inherit them and build nothing; each
 process runs the one replay loop, ``_replay``, on the cells it takes, and
 a child sends back only their metrics. Later calls return their cell's
 row, and the batch is cleared when ``sweep`` returns or raises. A
 ``simulate`` call outside a sweep, or one checking invariants, replays in
 this process. A child copies the pages it writes: its cache, and those of
-the pooled ints whose reference counts its iteration writes, about 8 MiB
-per child at the 3M-record gate.
+the pooled ints and the plans whose reference counts its iteration
+writes, about 8 MiB per child at the 3M-record gate.
 """
 
 from __future__ import annotations
@@ -104,11 +107,7 @@ METRIC_COLUMNS = ("policy", "capacity_fraction", "capacity_bytes", "accesses", "
 
 class GroupTable:
     """The grouping for the prefetch policies: ``partition``, whose part
-    gid holds the group's addresses, ascending.
-
-    A table is not changed once built: the replay rows of a trace keep its
-    group column under the table object itself.
-    """
+    gid holds the group's addresses, ascending."""
 
     def __init__(self, partition: Partition):
         self.partition = partition
@@ -189,13 +188,15 @@ def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> Si
         if rows.replayed is None:
             rows.replayed = _replay_batch(trace, rows)
         return rows.replayed[id(cfg)]
-    return _replay(trace, cfg, capacity, _extra_size(rows, cfg), check_invariants)
+    plans = (plan_column(rows, cfg.grouping, cfg.extra_sizes)
+             if cfg.policy in (GROUP_PREFETCH, GROUP_MERGED) else None)
+    return _replay(trace, cfg, capacity, plans, check_invariants)
 
 
-def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
+def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
             check_invariants: bool = False) -> SimMetrics:
-    """The replay of one cell at ``capacity`` bytes. ``extra_size`` is
-    _extra_size's list for the cell, None for a cell without groups.
+    """The replay of one cell at ``capacity`` bytes. ``plans`` is the
+    cell's plan column, None for a cell without groups.
 
     One loop serves every policy: hits take the short path, and a miss
     admits the demanded datum, then (group policies) the group plan.
@@ -205,18 +206,7 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
     rows = replay_rows(trace)
-    if extra_size is not None:
-        group = rows.under(cfg.grouping)
-        groups, group_members = group.column, group.members
-    else:
-        groups, group_members = repeat(-1), []
-    # A member's fetch size is its first size seen so far in this replay,
-    # else its extra size; members with neither are skipped and counted.
-    # Each group's plan is cached until one of its members is first seen
-    # with a size other than its extra size.
-    sizes_seen: dict[int, int] = {}
-    plans: list[tuple | None] = [None] * len(group_members)
-
+    first_sizes = rows.first_sizes if plans is not None else None
     entries: OrderedDict[int, int] = OrderedDict()  # datum id -> resident size
     pop_oldest = entries.popitem
     pop_entry = entries.pop
@@ -228,12 +218,8 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
     # bytes iterate as the cached ints 0 and 1, so the flags make no objects
     allocates = (repeat(True) if cfg.write_allocate
                  else (trace.ops != int(Op.WRITE)).tobytes())
-    for datum, size, allocate, gid in zip(rows.ids, rows.sizes, allocates, groups):
-        if gid < -1:  # the first access to a member of a group
-            gid = -2 - gid
-            sizes_seen[datum] = size
-            if extra_size[datum] != size:
-                plans[gid] = None
+    for datum, size, allocate, plan in zip(rows.ids, rows.sizes, allocates,
+                                           repeat(None) if plans is None else plans):
         if datum in entries:
             hits += 1
             if lru_order:
@@ -241,7 +227,7 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
             continue
 
         disk_ios += 1
-        if gid < 0 or (prefetch and not allocate):
+        if plan is None or (prefetch and not allocate):
             # demand fetch only
             if size > capacity:
                 if allocate or prefetch:
@@ -256,31 +242,26 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
                 raise InvariantError("cache occupancy exceeds capacity")
             continue
 
-        cached = plans[gid]
-        if cached is None:
-            cached = plans[gid] = _fetch_plan(
-                group_members[gid], sizes_seen, extra_size
-            )
-        # The plan lists the demanded datum too: it has been seen.
-        plan, total, skips = cached
-        total -= sizes_seen[datum]
+        # The plan lists the demanded datum too, at its first size.
+        members, known, total, skips = plan
+        total -= first_sizes[datum]
         unknown += skips
         if not allocate:  # group_merged: nothing is admitted
             pass
-        elif total + size <= capacity and keys.isdisjoint(group_members[gid]):
+        elif total + size <= capacity and keys.isdisjoint(members):
             # No member is resident (a member of unknown size never
             # is), so admitting the demanded datum and then the others
             # and evicting after all gives the same cache as evicting
             # after each. The plan rewrites the demanded datum's size
             # in place, so it is set again.
             entries[datum] = size
-            for member, msize in plan:
+            for member, msize in known:
                 entries[member] = msize
             entries[datum] = size
             occupied += size + total
             prefetched += total
             if prefetch:
-                disk_ios += len(plan) - 1
+                disk_ios += len(known) - 1
             while occupied > capacity:
                 occupied -= pop_oldest(False)[1]
                 evictions += 1
@@ -293,11 +274,11 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
                     evictions += 1
             if total + size > capacity:
                 if prefetch:
-                    bypasses += (size > capacity) + (len(plan) > 1)
+                    bypasses += (size > capacity) + (len(known) > 1)
                 else:
                     bypasses += 1
             elif prefetch:  # one I/O per non-resident member
-                for member, msize in plan:
+                for member, msize in known:
                     if member in entries:  # so is the demanded datum
                         continue
                     disk_ios += 1
@@ -309,7 +290,7 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
                         evictions += 1
             else:  # the demand I/O fetched the whole group
                 prefetched += total
-                for member, msize in plan:
+                for member, msize in known:
                     if member == datum:
                         continue
                     old = pop_entry(member, None)
@@ -331,72 +312,95 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, extra_size,
     )
 
 
-def _extra_size(rows: ReplayRows, cfg: SimConfig) -> list | None:
-    """A group cell's extra sizes of its members, read from the caller's
-    mapping as it is now: a list indexed by datum id, None where the
-    mapping has no size. None for the other cells."""
-    if cfg.policy not in (GROUP_PREFETCH, GROUP_MERGED):
-        return None
-    group = rows.under(cfg.grouping)
-    known = SizeColumns.of(cfg.extra_sizes or {})
-    at = find(known.addresses, group.addresses)
-    found = at >= 0
-    sizes = known.sizes[at[found]]
-    distinct = sorted_distinct(sizes)
-    # each id's slot in the pool of sizes, whose last slot holds None
-    slots = np.full(int(group.ids.max(initial=-1)) + 1, len(distinct))
-    slots[group.ids[found]] = distinct.searchsorted(sizes)
-    return np.append(distinct.astype(object), None)[slots].tolist()
-
-
 def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
     """Replay the cells of ``rows.batch`` that the LRU profile does not
     serve, on forks.fork_map; their rows by id(cell). What the cells share is
-    built first, so the workers inherit it: the id and size rows, the
-    group rows and one extra-size list per (grouping, mapping)."""
-    cells, units, extras = [], [], {}
+    built first, so the workers inherit it: the id and size rows, and the
+    one plan column of the group cells, which sweep gives one grouping and
+    one extra-size mapping."""
+    cells, units, plans = [], [], None
     for cfg in rows.batch:
         capacity = resolve_capacity(cfg, trace)
         if cfg.policy == LRU and _profiled_lru(trace, cfg, capacity) is not None:
             continue
-        key = id(cfg.grouping), id(cfg.extra_sizes)
-        if key not in extras:
-            extras[key] = _extra_size(rows, cfg)
+        grouped = cfg.policy in (GROUP_PREFETCH, GROUP_MERGED)
+        if grouped and plans is None:
+            plans = plan_column(rows, cfg.grouping, cfg.extra_sizes)
+            rows.first_sizes  # built here, so the workers share it
         cells.append(cfg)
-        units.append((cfg, capacity, extras[key]))
+        units.append((cfg, capacity, plans if grouped else None))
     rows.ids, rows.sizes  # built here, so the workers share them
     metrics = forks.fork_map(lambda unit: _replay(trace, *unit), units)
     return {id(cfg): m for cfg, m in zip(cells, metrics)}
 
 
-def group_column(addresses: np.ndarray, table: GroupTable, first: np.ndarray) -> np.ndarray:
-    """The group column of an access sequence (see the module docstring):
-    int32, per access the gid of its datum's group when that group has two
-    or more members, else -1, and -2 - gid at the first access to each
-    member of such a group, whose positions ``first`` lists
-    (first_access_positions)."""
-    # per gid, then for the -1 of an address in no group
-    shared = np.append(np.diff(table.partition.offsets) > 1, False)
-    column = np.full(len(addresses), -1, dtype=np.int32)
-    if not shared.any():
-        return column
+class Plan(NamedTuple):
+    """A group's fetch plan at one access (see the module docstring)."""
+
+    members: tuple  # the member ids, ascending address
+    known: tuple    # (member id, size) of the members of known size, likewise
+    total: int      # the sum of those sizes
+    unknown: int    # the count of the other members
+
+
+def plan_column(rows: ReplayRows, table: GroupTable,
+                extra_sizes: Mapping[int, int] | None) -> list:
+    """The plan column of the trace of ``rows`` under ``table`` and the
+    caller's extra-size mapping as it is now (see the module docstring):
+    per access, None or the Plan of its datum's group at that access."""
+    part = table.partition
+    counts = np.diff(part.offsets)
+    shared = counts > 1
+    count = counts[shared]
+    members = part.members[np.repeat(shared, counts)]  # of the shared groups, by group
+    group = np.repeat(np.arange(len(count)), count)
+    ids = find(rows.distinct, members)
+    traced = ids >= 0
+    ids[~traced] = len(rows.distinct) + np.arange(np.count_nonzero(~traced))
+    known = SizeColumns.of(extra_sizes or {})
+    at = find(known.addresses, members)
+    extra = np.append(known.sizes, 0)[at]  # where at is -1, unknown
+    first_size = np.zeros(len(members), np.int64)
+    first_size[traced] = rows.size_column[rows.first[ids[traced]]]
+    # The changes: first accesses whose size is not the member's extra size.
+    # A plan's key is (group, 0) with the extra sizes, and (group, p + 1)
+    # after the change at position p; an access at p takes the last plan
+    # whose key is at most (its group, p + 1).
+    changes = np.flatnonzero(traced & ((at < 0) | (first_size != extra)))
+    n = len(rows.addresses)
+    keys = group[changes] * (n + 1) + rows.first[ids[changes]] + 1
+    changes = changes[np.argsort(keys)]
+    plan_keys = np.sort(np.concatenate((np.arange(len(count)) * (n + 1), keys)))
+
+    def plan(member_ids, pairs):
+        known = tuple(pair for pair in pairs if pair is not None)
+        return Plan(member_ids, known, sum(s for _, s in known), len(pairs) - len(known))
+
+    plans = [None]  # for the accesses in no shared group
+    ids, first_size = ids.tolist(), first_size.tolist()
+    extra = np.where(at >= 0, extra.astype(object), None).tolist()
+    bounds = np.append(0, np.cumsum(count)).tolist()
+    runs = np.searchsorted(group[changes], np.arange(len(bounds))).tolist()
+    changes = changes.tolist()
+    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # a group's plans share their pairs, and a change makes one new pair
+        member_ids = tuple(ids[lo:hi])
+        pairs = [None if s is None else (m, s) for m, s in zip(member_ids, extra[lo:hi])]
+        plans.append(plan(member_ids, pairs))
+        for j in changes[runs[g]:runs[g + 1]]:
+            pairs[j - lo] = ids[j], first_size[j]
+            plans.append(plan(member_ids, pairs))
+    pool = np.fromiter(plans, dtype=object, count=len(plans))
+    # each gid's rank among the shared groups, then the -1 of no group
+    rank = np.append(np.where(shared, np.cumsum(shared) - 1, -1), -1)
+    column = [None] * n
     block = _trace.ROW_BLOCK
-    for lo in range(0, len(addresses), block):
-        gids = table.partition.labels(addresses[lo:lo + block])
-        gids[~shared[gids]] = -1
-        column[lo:lo + block] = gids
-    first = first[column[first] >= 0]
-    column[first] = -2 - column[first]
+    for lo in range(0, n, block):
+        access_keys = rank[part.labels(rows.addresses[lo:lo + block])]
+        access_keys *= n + 1
+        access_keys += np.arange(lo + 1, lo + 1 + len(access_keys))
+        column[lo:lo + block] = pool[plan_keys.searchsorted(access_keys, "right")].tolist()
     return column
-
-
-class GroupRows(NamedTuple):
-    """A trace's replay rows under one GroupTable (see the module docstring)."""
-
-    column: list          # the group column, pooled
-    members: list         # member ids per gid, None for a one-member group
-    addresses: np.ndarray  # the members of the other groups
-    ids: np.ndarray       # and their ids
 
 
 class ReplayRows:
@@ -406,10 +410,10 @@ class ReplayRows:
 
     def __init__(self, trace: Trace):
         self.addresses, self.size_column = trace.addresses, trace.sizes
-        self.first = first_access_positions(self.addresses)
-        self.distinct = np.sort(self.addresses[self.first])  # id k: [k]
+        first = first_access_positions(self.addresses)
+        self.first = first[np.argsort(self.addresses[first])]  # by id
+        self.distinct = self.addresses[self.first]  # id k: [k]
         self.unique_bytes = int(self.size_column[self.first].sum())
-        self.table = self.grouped = None
         self.batch: list[SimConfig] = []    # the cells of the running sweep
         self.replayed: dict | None = None  # their replayed rows, by id(cell)
 
@@ -425,22 +429,10 @@ class ReplayRows:
     def sizes(self) -> list:
         return _pooled(self.size_column)
 
-    def under(self, table: GroupTable) -> GroupRows:
-        """The rows under ``table``, kept for the last table: a sweep's
-        group cells share them."""
-        if self.table is not table:
-            part = table.partition
-            ids = find(self.distinct, part.members)
-            absent = ids < 0
-            ids[absent] = len(self.distinct) + np.arange(np.count_nonzero(absent))
-            bounds, flat = part.offsets.tolist(), ids.tolist()
-            members = [tuple(flat[lo:hi]) if hi - lo > 1 else None
-                       for lo, hi in zip(bounds, bounds[1:])]
-            shared = np.repeat(np.diff(part.offsets) > 1, np.diff(part.offsets))
-            column = group_column(self.addresses, table, self.first)
-            self.table, self.grouped = table, GroupRows(
-                _pooled(column), members, part.members[shared], ids[shared])
-        return self.grouped
+    @cached_property
+    def first_sizes(self) -> list:
+        """Each datum's size at its first access, by id."""
+        return _pooled(self.size_column[self.first])
 
 
 def replay_rows(trace: Trace) -> ReplayRows:
@@ -461,23 +453,6 @@ def _pooled(column: np.ndarray, keys: np.ndarray | None = None, pool=None) -> li
     for lo in range(0, len(column), block):
         rows[lo:lo + block] = pool[keys.searchsorted(column[lo:lo + block])].tolist()
     return rows
-
-
-def _fetch_plan(members, sizes_seen, extra_size):
-    """(member, size) for the group members of known size, in ascending
-    address order; their total size; the count of the others."""
-    plan = []
-    total = unknown = 0
-    for member in members:
-        msize = sizes_seen.get(member)
-        if msize is None:
-            msize = extra_size[member]
-            if msize is None:
-                unknown += 1
-                continue
-        plan.append((member, msize))
-        total += msize
-    return plan, total, unknown
 
 
 class LruProfile(NamedTuple):

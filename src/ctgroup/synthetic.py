@@ -136,7 +136,6 @@ class SyntheticTruth:
 
     groups: list[tuple[int, ...]]  # planted groups, member block addresses
     ungrouped: tuple[int, ...]
-    sizes: dict[int, int]
 
 
 def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
@@ -162,11 +161,11 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
     address = (region * spec.region_gap
                + (np.arange(spec.num_data) - first[region]) * spec.address_stride)
     drawn, words = _randint(rng, spec.size_min, spec.size_max, spec.num_data)
-    addresses = address.tolist()
     # An address shared by two data (regions overlapping when
-    # region_gap < size * address_stride) takes the size drawn last.
-    sizes = dict(zip(addresses, drawn.tolist()))
-    size = np.fromiter(map(sizes.__getitem__, addresses), np.int64, len(addresses))
+    # region_gap < size * address_stride) takes the size drawn last: the
+    # last of its data in a stable sort.
+    order = np.argsort(address, kind="stable")
+    size = drawn[order[np.searchsorted(address[order], address, "right") - 1]]
 
     n = spec.num_accesses
     addresses_column, sizes_column = np.empty(n, np.int64), np.empty(n, np.int64)
@@ -182,11 +181,11 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
         ops=np.full(n, int(Op.READ), dtype=np.uint8),
         source_label=f"synthetic(seed={spec.rng_seed})",
     )
+    addresses = address.tolist()
     truth = SyntheticTruth(
         groups=[tuple(addresses[lo:lo + count])
                 for lo, count in zip(first.tolist(), group_size.tolist())],
         ungrouped=tuple(addresses[spec.num_data - singles:]),
-        sizes=sizes,
     )
     return trace, truth
 

@@ -483,21 +483,40 @@ def _group_fetch_plan(members, demand, sizes_seen, extra_sizes, metrics):
     return plan, total
 
 
-def ref_group_column(addresses, groups):
-    """Per access: the index of its datum's group in ``groups`` when that
-    group has two or more members, else -1; -2 - index at the first access
-    to each member of such a group."""
+def ref_plan_column(trace, table, extra_sizes):
+    """Per access: None for a datum in no group of two or more members,
+    else the plan of its group at that access, recomputed from the sizes
+    seen so far as ref_simulate does: (the member ids, the (id, size) pairs
+    of the members of known size, their total, the count of the others).
+    Id k is the k-th smallest traced address; the untraced members of such
+    groups take the next ids, in group order."""
+    addresses = trace.addresses.tolist()
+    id_of = {a: k for k, a in enumerate(sorted(set(addresses)))}
+    groups = [members for members in table.partition.parts() if len(members) > 1]
+    for members in groups:
+        for member in members:
+            if member not in id_of:
+                id_of[member] = len(id_of)
+    group_of = {a: members for members in groups for a in members}
+    extra_sizes = extra_sizes or {}
+    sizes_seen: dict[int, int] = {}
     column = []
-    seen = set()
-    for address in addresses:
-        gid = -1
-        for index, members in enumerate(groups):
-            if address in members and len(members) > 1:
-                gid = index
-        if gid >= 0 and address not in seen:
-            seen.add(address)
-            gid = -2 - gid
-        column.append(gid)
+    for address, size in zip(addresses, trace.sizes.tolist()):
+        if address not in sizes_seen:
+            sizes_seen[address] = size
+        members = group_of.get(address)
+        if members is None:
+            column.append(None)
+            continue
+        known = []
+        for member in members:
+            msize = sizes_seen.get(member)
+            if msize is None:
+                msize = extra_sizes.get(member)
+            if msize is not None:
+                known.append((id_of[member], msize))
+        column.append((tuple(id_of[m] for m in members), tuple(known),
+                       sum(s for _, s in known), len(members) - len(known)))
     return column
 
 
@@ -686,7 +705,6 @@ def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
     truth = SyntheticTruth(
         groups=[tuple(g) for g in groups],
         ungrouped=tuple(ungrouped),
-        sizes=sizes,
     )
     return trace, truth
 

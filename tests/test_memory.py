@@ -29,14 +29,17 @@ build_lru_profile runs on the same instance's 80k-access trace. Its bound
 sits between its peak with int64 positions and byte sums throughout, 5.1
 MiB, and with the int32 ones it ships with, 3.0 MiB.
 
-group_column runs on that trace under its 60 planted groups. Its bound
-sits between its peak when the address lookup and the first-access search
-ran over the whole trace at once, 2.4 MiB, and when they take ROW_BLOCK
-accesses at a time, 1.3 MiB; the int32 column itself is 0.3 MiB.
+plan_column runs on that trace under its 60 planted groups with no extra
+sizes, so each member's first access gives its group a new plan: 940
+plans, 880 of them taken by an access. It peaks at 1.8 MiB, of which the
+list it returns is 0.6 MiB. When every plan made its own (member, size)
+pairs, instead of sharing its group's, it peaked at 2.3 MiB. The int32
+group column it replaced peaked at 1.3 MiB, and at 2.4 MiB when its
+address lookup and first-access search ran over the whole trace at once.
 
 sweep replays that trace under its 60 planted groups, with fifo and the
 two group policies at two capacities and write_allocate off, so it builds
-the trace's replay rows and group rows once. Its bound sits between its
+the trace's replay rows and one plan column. Its bound sits between its
 peak when the rows were whole-column tolist() lists of fresh ints, 7.0
 MiB, and when they hold shared objects built ROW_BLOCK accesses at a
 time, 3.8 MiB. Converting four column blocks in every cell instead
@@ -62,12 +65,12 @@ this bound stays as it was.
 
 synthesize_trace runs at perfbench's planted-300k shape (20,000 data,
 2,000 groups of 8 at probability 1.0, 300k accesses). Its bound sits
-between its peak when it drew one access at a time into a Python list,
-15.7 MiB, and when it decodes blocks of WORD_BLOCK words into columns
-filled in place, 11.5 MiB. What it still holds when it returns, the
-trace's 4.9 MiB of columns and the truth, was 9.2 MiB with a timestamp
-column and is 6.9 MiB without. The peak is the same either way, since
-that column was made after the decoding.
+between its peak when it built the data's sizes through a dict by
+address, 11.5 MiB, and with one sorted search, 9.7 MiB (15.7 MiB when it
+drew one access at a time into a Python list). What it still holds when
+it returns, the trace's 4.9 MiB of columns and the truth, was 6.9 MiB
+while the truth kept that dict and is 5.7 MiB without it (9.2 MiB with a
+timestamp column).
 
 Trace.first_seen_sizes runs on the same trace. Its bound sits between
 its peak when it built a dict of the 20,000 data, 2.5 MiB, and as two
@@ -106,18 +109,20 @@ from ctgroup.simulator import (
     GROUP_MERGED,
     GROUP_PREFETCH,
     GroupTable,
+    ReplayRows,
     build_lru_profile,
-    group_column,
+    plan_column,
     sweep,
 )
 from ctgroup.synthetic import SyntheticSpec, synthesize_trace
-from ctgroup.trace import first_access_positions, load_trace
+from ctgroup.trace import load_trace
 from ctgroup.transactions import (
     ExtractorConfig,
     extract_transactions,
     load_transactions,
     save_transactions,
 )
+from reference import ref_plan_column
 
 MIB = 1 << 20
 FORK_BOOKKEEPING = 16 << 10
@@ -210,13 +215,13 @@ def test_build_lru_profile_peak(trace):
 def test_group_column_peak(synthetic):
     trace, truth = synthetic
     table = GroupTable(Partition.of(truth.groups))
-    # with the first-access search, as ReplayRows runs it for the column
-    column, peak = traced_peak(
-        lambda addresses: group_column(addresses, table, first_access_positions(addresses)),
-        trace.addresses)
-    assert column.dtype == np.int32 and len(column) == len(trace)
-    assert (column < -1).sum() == sum(len(members) for members in truth.groups)
-    assert peak <= 2 * MIB, f"group_column peaked at {peak / MIB:.2f} MiB"
+    # with the replay rows' first-access search, and no extra sizes, so
+    # that every member's first access makes its group a new plan
+    column, peak = traced_peak(lambda t: plan_column(ReplayRows(t), table, {}), trace)
+    assert column == ref_plan_column(trace, table, {})
+    assert (len({id(plan) for plan in column if plan is not None})
+            == sum(len(members) for members in truth.groups))
+    assert peak <= 2 * MIB, f"plan_column peaked at {peak / MIB:.2f} MiB"
 
 
 def sweep_peak(synthetic, cpus):
@@ -299,8 +304,8 @@ def test_synthesize_peak():
     finally:
         tracemalloc.stop()
     assert len(trace) == 300000
-    assert peak <= 12 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
-    assert held <= 8 * MIB, f"synthesize_trace returned {held / MIB:.2f} MiB"
+    assert peak <= 10.5 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
+    assert held <= 6.5 * MIB, f"synthesize_trace returned {held / MIB:.2f} MiB"
 
 
 def test_first_seen_sizes_peak():

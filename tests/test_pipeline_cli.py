@@ -70,6 +70,18 @@ class TestConfig:
         assert cfg.policies == ("lru", "fifo")
         assert cfg.include_partial is True
 
+    def test_flag_words(self, spec_file, tmp_path):
+        for words, value in ((("1", "true", "Yes", "ON"), True),
+                             (("0", "FALSE", "no", "Off"), False)):
+            for word in words:
+                cfg = config_for(spec_file, tmp_path / "o", include_partial=word,
+                                 write_allocate=word)
+                assert cfg.include_partial is value and cfg.write_allocate is value
+        for key, word in (("write_allocate", "ture"), ("include_partial", "maybe"),
+                          ("write_allocate", "")):
+            with pytest.raises(ConfigError, match=f"bad value for {key}"):
+                config_for(spec_file, tmp_path / "o", **{key: word})
+
     def test_bad_value_reported_as_config_error(self, spec_file, tmp_path):
         with pytest.raises(ConfigError):
             config_for(spec_file, tmp_path / "o", M="lots")
@@ -316,6 +328,18 @@ class TestCli:
                               stdout=subprocess.DEVNULL)
         assert done.returncode == 2
         assert message in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config file", "flag"])
+    def test_bad_flag_exit_two(self, spec_file, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        if source == "flag":
+            extra = ["--include_partial", "maybe"]
+        else:
+            (tmp_path / "run.cfg").write_text("include_partial=maybe\n")
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        assert self.run("pipeline", *self.base_flags(spec_file, out), *extra) == 2
+        assert "bad value for include_partial" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_spec_key_exit_two(self, spec_file, tmp_path, capsys):

@@ -3,7 +3,6 @@ import os
 import random
 import threading
 
-import numpy as np
 import pytest
 
 from conftest import both_take_a_unit, make_trace, no_child_left, random_accesses
@@ -25,8 +24,8 @@ from ctgroup.simulator import (
     simulate,
     sweep,
 )
-from ctgroup.trace import AccessRecord, Op, Trace, first_access_positions
-from reference import ref_group_column, ref_lru_hit_rate, ref_simulate
+from ctgroup.trace import AccessRecord, Op, Trace
+from reference import ref_lru_hit_rate, ref_plan_column, ref_simulate
 
 A, B, C = 0, 8, 16
 
@@ -364,7 +363,7 @@ class TestOnePassLru:
         rows = sweep(trace, table, fractions, policies)
         assert len(builds) == 1 and simulator.replay_rows(trace).profile is not None
         assert len(searches) == 1
-        # the id and size rows once, and the group column under the table
+        # the id and size rows once, and the first sizes by id
         assert len(pooled) == 3
         assert [column is trace.addresses for column in pooled].count(True) == 1
         assert [column is trace.sizes for column in pooled].count(True) == 1
@@ -389,19 +388,24 @@ class TestOnePassLru:
 
 
 class TestGroupColumn:
-    """The per-access group column the group policies replay from, and its
-    cache on the trace's replay rows."""
+    """The per-access plan column the group policies replay from, built
+    once per sweep, against its oracle and the replay oracle."""
+
+    @staticmethod
+    def plan_column(trace, table, extra):
+        return simulator.plan_column(simulator.ReplayRows(trace), table, extra)
 
     def test_matches_oracle(self, monkeypatch):
         rng = random.Random(41)
         for case in range(120):
             monkeypatch.setattr(trace_module, "ROW_BLOCK", rng.choice([1, 7, 1 << 15]))
-            trace, table, _ = TestReferenceReplay.random_case(rng)
-            got = simulator.group_column(trace.addresses, table,
-                                          first_access_positions(trace.addresses))
-            assert got.dtype == np.int32
-            assert got.tolist() == ref_group_column(trace.addresses.tolist(),
-                                                    table.partition.parts())
+            trace, table, extra = TestReferenceReplay.random_case(rng)
+            got = self.plan_column(trace, table, extra)
+            want = ref_plan_column(trace, table, extra)
+            assert got == want
+            # one object per plan, shared by the accesses that take it
+            assert (len({id(plan) for plan in got if plan is not None})
+                    == len({plan for plan in want if plan is not None}))
 
     def test_alternating_keys_match_reference(self):
         # one trace replayed under two tables, two extra-size maps and both
@@ -421,7 +425,9 @@ class TestGroupColumn:
                                                 extra_sizes=extra_sizes,
                                                 write_allocate=write_allocate)
                                 assert simulate(trace, cfg) == ref_simulate(trace, cfg)
-                assert trace._replay.table is other_table
+                        assert (simulator.plan_column(simulator.replay_rows(trace),
+                                                      grouping, extra_sizes)
+                                == ref_plan_column(trace, grouping, extra_sizes))
 
     def test_new_tables_of_dropped_ones_match_reference(self):
         # a table made after the last one is dropped may reuse its id()
@@ -438,10 +444,14 @@ class TestGroupColumn:
             del cfg  # the table too, unless the trace holds it
 
     def test_built_once_per_trace_in_a_sweep(self, monkeypatch):
-        builds, row_builds = [], []
-        build = simulator.group_column
-        monkeypatch.setattr(simulator, "group_column",
-                            lambda *args: builds.append(1) or build(*args))
+        columns, row_builds = [], []
+        build = simulator.plan_column
+
+        def recording(*args):
+            columns.append((args, build(*args)))
+            return columns[-1][1]
+
+        monkeypatch.setattr(simulator, "plan_column", recording)
         build_rows = simulator.ReplayRows
         monkeypatch.setattr(simulator, "ReplayRows",
                             lambda *args: row_builds.append(1) or build_rows(*args))
@@ -455,19 +465,21 @@ class TestGroupColumn:
         fractions = [0.05, 0.1, 0.2, 0.4, 1.0]
         policies = [LRU, GROUP_PREFETCH, FIFO, GROUP_MERGED]
         rows = sweep(trace, table, fractions, policies, extra_sizes={40: 3})
-        # the group column, the replay rows and their first-access search once
-        assert len(builds) == 1 and len(row_builds) == 1 and len(searches) == 1
+        # the plan column, the replay rows and their first-access search once
+        assert len(columns) == 1 and len(row_builds) == 1 and len(searches) == 1
         want = [ref_simulate(trace, SimConfig(
             p, capacity_fraction=f, grouping=table if p.startswith("group") else None,
             extra_sizes={40: 3})) for f in fractions for p in policies]
         assert rows == want
+        # each sweep builds its own column, and the trace keeps none
         sweep(trace, table, fractions, [GROUP_MERGED], write_allocate=False)
-        assert len(builds) == 1
         sweep(trace, GroupTable(Partition.of([(0, 4)])), fractions, [GROUP_MERGED])
-        assert len(builds) == 2 and len(row_builds) == 1
+        assert len(columns) == 3 and len(row_builds) == 1
+        for (_rows, grouping, extra), column in columns:
+            assert column == ref_plan_column(trace, grouping, extra)
         # lru and fifo replays never build it, but a new trace gets its rows
         sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
-        assert len(builds) == 2 and len(row_builds) == 2 and len(searches) == 2
+        assert len(columns) == 3 and len(row_builds) == 2 and len(searches) == 2
 
     def test_one_member_groups_take_the_demand_path(self):
         # one-member groups replay as no groups at all, oversized data too
@@ -475,8 +487,7 @@ class TestGroupColumn:
         for _ in range(30):
             trace, _, extra = TestReferenceReplay.random_case(rng)
             singles = GroupTable(Partition.of([(a,) for a in set(trace.addresses.tolist())]))
-            first = first_access_positions(trace.addresses)
-            assert (simulator.group_column(trace.addresses, singles, first) == -1).all()
+            assert self.plan_column(trace, singles, extra) == [None] * len(trace)
             for write_allocate in (True, False):
                 capacity = rng.randint(1, 40)
                 for policy in (GROUP_PREFETCH, GROUP_MERGED):
@@ -486,6 +497,32 @@ class TestGroupColumn:
                     got = simulate(trace, cfgs[0])
                     assert got == ref_simulate(trace, cfgs[0])
                     assert got == simulate(trace, cfgs[1])
+
+    def test_first_sizes_differ_from_extra_sizes(self, cpus, forked):
+        # In the group (8, 16, 24, 32), 8 and 16 are first replayed at
+        # sizes other than their extra sizes, 24 has no extra size and 32
+        # is never replayed, so its plan changes at three accesses.
+        records = [(8, 6), (40, 3), (16, 2), (8, 1), (24, 5), (48, 2), (16, 7), (8, 6),
+                   (40, 3), (24, 5), (48, 2), (16, 2), (8, 6), (24, 5)]
+        trace = Trace.from_records([
+            AccessRecord(t + 1, a, size, Op.WRITE if t % 3 == 1 else Op.READ)
+            for t, (a, size) in enumerate(records)])
+        table = GroupTable(Partition.of([(8, 16, 24, 32), (40, 48)]))
+        extra = {8: 4, 16: 3, 32: 2, 40: 3}
+        column = self.plan_column(trace, table, extra)
+        assert column == ref_plan_column(trace, table, extra)
+        assert len({id(plan) for plan in column if plan is not None}) == 5
+        fractions = [0.2, 0.35, 0.5, 0.8, 1.0]
+        for write_allocate in (True, False):
+            want = [ref_simulate(trace, SimConfig(
+                p, capacity_fraction=f, grouping=table, extra_sizes=extra,
+                write_allocate=write_allocate)) for f in fractions for p in POLICIES]
+            assert sum(row.prefetched_bytes for row in want) > 0
+            for n in (1, 2):
+                cpus(n)
+                assert sweep(trace, table, fractions, POLICIES, extra_sizes=extra,
+                             write_allocate=write_allocate) == want
+        assert len(forked) == 2  # one child per sweep on two CPUs
 
 
 class TestReplayRows:

@@ -335,7 +335,6 @@ class TestSynthesizeOracle:
         want, want_truth = ref_synthesize_trace(spec)
         assert_same_trace(got, want)
         assert got_truth == want_truth
-        assert list(got_truth.sizes.items()) == list(want_truth.sizes.items())
 
     def test_random_specs(self):
         rng = random.Random(2024)
