@@ -13,6 +13,11 @@ merged group's counters toward third parties are the sums of the
 constituents' counters. Processing order plus immediate merging guarantees
 every chunk (hence every transacted datum) ends up in exactly one group.
 
+The relations reach the merge as three columns, and the merge keeps flat
+state: lists by chunk and a counter dict per group root that has a cross
+relation. It logs each executed merge as its relation and counter; the
+audit records are built from that log when first read.
+
 The chunks come in as a ``Partition`` (chunk id = part id), and the groups
 go out as another, numbered by smallest chunk id, which ``grouping.csv``
 holds and the simulator replays.
@@ -20,9 +25,10 @@ holds and the simulator replays.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -51,15 +57,8 @@ class GrouperConfig:
             raise ConfigError(f"sort must be descending|ascending, got {self.sort!r}")
 
 
-@dataclass(frozen=True)
-class Relation:
-    x: int  # chunk id, x < y
-    y: int
-    count: int
-
-
 # Transactions resolved to chunks per numpy batch in compute_legal_relations.
-TXN_BATCH = 8192
+TXN_BATCH = 2048
 
 
 def compute_legal_relations(
@@ -68,8 +67,9 @@ def compute_legal_relations(
     alpha: float,
     sort: str = DESCENDING,
     include_partial: bool = False,
-) -> list[Relation]:
-    """The legal relations of a transaction log, strongest first.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The legal relations of a transaction log, strongest first, as three
+    aligned int64 columns (x, y, count), x < y chunk ids.
 
     ``chunks`` holds each chunk's addresses (chunk id = part id). A chunk
     pair's count is the number of transactions holding both (each
@@ -118,8 +118,7 @@ def compute_legal_relations(
     x, y, counts = (np.concatenate(column) for column in zip(*kept))
     strength = -counts if sort == DESCENDING else counts
     order = np.lexsort((y, x, strength))
-    x, y, counts = x[order].tolist(), y[order].tolist(), counts[order].tolist()
-    return [Relation(*relation) for relation in zip(x, y, counts)]
+    return x[order], y[order], counts[order]
 
 
 @dataclass
@@ -137,7 +136,7 @@ class Grouping:
     partition: Partition       # group id -> block addresses
     chunk_ids: Partition       # group id -> chunk ids
     internal_edges: list[int]  # group id -> processed cross relations merged into it
-    audit: list[GroupMergeRecord] = field(default_factory=list)
+    merges: array              # x, y, counter of each executed merge, back to back
     processed_cross: int = 0
     skipped_same_group: int = 0
     config: GrouperConfig = field(default_factory=GrouperConfig)
@@ -145,94 +144,93 @@ class Grouping:
     def __len__(self):
         return len(self.partition)
 
-
-class _DisjointGroups:
-    """Union-find over chunks with inter-group counters and edge totals."""
-
-    def __init__(self, chunk_ids):
-        self.parent = {c: c for c in chunk_ids}
-        self.chunks = {c: [c] for c in chunk_ids}
-        self.neighbors: dict[int, dict[int, int]] = {c: {} for c in chunk_ids}
-        self.internal = {c: 0 for c in chunk_ids}
-
-    def find(self, c):
-        root = c
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[c] != root:
-            self.parent[c], c = root, self.parent[c]
-        return root
-
-    def counter(self, ra, rb) -> int:
-        return self.neighbors[ra].get(rb, 0)
-
-    def bump(self, ra, rb):
-        self.neighbors[ra][rb] = self.neighbors[ra].get(rb, 0) + 1
-        self.neighbors[rb][ra] = self.neighbors[ra][rb]
-
-    def merge(self, ra, rb) -> int:
-        # Fold the smaller neighbor table into the larger one.
-        if len(self.neighbors[ra]) < len(self.neighbors[rb]):
-            ra, rb = rb, ra
-        cross = self.neighbors[ra].pop(rb, 0)
-        self.neighbors[rb].pop(ra, None)
-        for other, count in self.neighbors[rb].items():
-            del self.neighbors[other][rb]
-            new = self.neighbors[ra].get(other, 0) + count
-            self.neighbors[ra][other] = new
-            self.neighbors[other][ra] = new
-        del self.neighbors[rb]
-        self.parent[rb] = ra
-        self.chunks[ra].extend(self.chunks.pop(rb))
-        self.internal[ra] += self.internal.pop(rb) + cross
-        return ra
+    @cached_property
+    def audit(self) -> list[GroupMergeRecord]:
+        """The executed merges in order, built on first read by replaying
+        ``merges``: each merge's relation (x, y) and counter."""
+        groups = [[c] for c in range(len(self.chunk_ids.members))]
+        audit = []
+        merges = iter(self.merges)
+        for x, y, counter in zip(merges, merges, merges):
+            a, b = groups[x], groups[y]
+            audit.append(GroupMergeRecord(tuple(sorted(a)), tuple(sorted(b)), counter,
+                                          len(a) * len(b) * self.config.mu))
+            if len(a) < len(b):
+                a, b = b, a
+            a.extend(b)
+            for c in b:
+                groups[c] = a
+        return audit
 
 
 def merge_groups(
-    relations: Sequence[Relation],
+    relations: tuple[np.ndarray, np.ndarray, np.ndarray],
     chunks: Partition,
     config: GrouperConfig,
 ) -> Grouping:
     """Run the ordered merge procedure over all chunks at ``config.mu``.
 
-    Every chunk ends in a group, numbered by smallest chunk id (never-merged
-    chunks come out as singleton groups). Relations must already be
-    sorted; they are processed in the order given.
+    ``relations`` are the (x, y, count) columns compute_legal_relations
+    returns, already sorted; they are processed in the order given. Every
+    chunk ends in a group, numbered by smallest chunk id (never-merged
+    chunks come out as singleton groups).
+
+    The union-find keeps lists by chunk: the parent, and by root the group
+    size and internal edge count. A root's counters toward other roots are
+    a dict made at its first cross relation; a merge folds the smaller
+    dict into the larger.
     """
     mu = config.mu
-    state = _DisjointGroups(range(len(chunks)))
-    audit: list[GroupMergeRecord] = []
+    parent = list(range(len(chunks)))
+    size = [1] * len(chunks)
+    internal = [0] * len(chunks)
+    neighbors: dict[int, dict[int, int]] = {}
+    merges = array("q")
     processed_cross = 0
     skipped_same = 0
-    for rel in relations:
-        ra, rb = state.find(rel.x), state.find(rel.y)
+
+    def find(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    for x, y in zip(relations[0].tolist(), relations[1].tolist()):
+        ra, rb = find(x), find(y)
         if ra == rb:
             skipped_same += 1
             continue
         processed_cross += 1
-        state.bump(ra, rb)
-        counter = state.counter(ra, rb)
-        threshold = len(state.chunks[ra]) * len(state.chunks[rb]) * mu
-        if counter >= threshold:
-            audit.append(
-                GroupMergeRecord(
-                    tuple(sorted(state.chunks[ra])),
-                    tuple(sorted(state.chunks[rb])),
-                    counter,
-                    threshold,
-                )
-            )
-            state.merge(ra, rb)
+        if (na := neighbors.get(ra)) is None:
+            na = neighbors[ra] = {}
+        if (nb := neighbors.get(rb)) is None:
+            nb = neighbors[rb] = {}
+        counter = na[rb] = nb[ra] = na.get(rb, 0) + 1
+        if counter >= size[ra] * size[rb] * mu:
+            merges.extend((x, y, counter))
+            if len(na) < len(nb):
+                ra, rb, na, nb = rb, ra, nb, na
+            del na[rb], nb[ra]
+            for other, count in nb.items():
+                counts = neighbors[other]
+                del counts[rb]
+                na[other] = counts[ra] = na.get(other, 0) + count
+            del neighbors[rb]
+            parent[rb] = ra
+            size[ra] += size[rb]
+            internal[ra] += internal[rb] + counter
 
     gids: dict[int, int] = {}  # root -> group id, in order of smallest chunk id
-    group_of = np.array([gids.setdefault(state.find(c), len(gids)) for c in range(len(chunks))],
+    group_of = np.array([gids.setdefault(find(c), len(gids)) for c in range(len(chunks))],
                         dtype=np.int64)
     return Grouping(
         partition=Partition.by_label(np.repeat(group_of, np.diff(chunks.offsets)),
                                      chunks.members, len(gids)),
         chunk_ids=Partition.by_label(group_of, np.arange(len(chunks)), len(gids)),
-        internal_edges=[state.internal[root] for root in gids],
-        audit=audit,
+        internal_edges=[internal[root] for root in gids],
+        merges=merges,
         processed_cross=processed_cross,
         skipped_same_group=skipped_same,
         config=config,

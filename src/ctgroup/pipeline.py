@@ -23,7 +23,6 @@ keeps all of it in this process).
 from __future__ import annotations
 
 import contextlib
-import gc
 import hashlib
 import json
 import os
@@ -398,30 +397,6 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause CPython's cyclic garbage collector for a batch run.
-
-    The stages hold their data in numpy columns, but some still allocate
-    many Python objects that form no reference cycles: the chunk stage's
-    heap tuples, the group stage's union-find dicts and relations, and
-    the simulate stage's replay rows and cache dicts. The collector would
-    scan them again each time it runs as they pile up. With it running,
-    collection took 0.16-0.18 s of a 17-18 s run on the 3M-record gate
-    and 0.02-0.11 s of 2-3 s on each benchmark workload (2-CPU host,
-    Python 3.11), so the pause saves little today. Reference counting
-    still frees the objects; the collector's state is restored on exit.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute all stages, persist artifacts, return the manifest."""
     cfg.validate()
@@ -462,7 +437,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 SWEEP_AXES = ("sigma", "mu", "M")
 
 
-@_collector_paused()
 def sweep_parameters(cfg: PipelineConfig, axis: str, values) -> list[dict]:
     """Rerun the grouping stages per axis value; returns per-value summaries.
 

@@ -21,10 +21,9 @@ from ctgroup.errors import (
     TraceParseError,
     UnknownDatumError,
 )
-from ctgroup.grouping import DESCENDING, Relation
+from ctgroup.grouping import DESCENDING
 from ctgroup.simulator import (
     FIFO,
-    GROUP_MERGED,
     GROUP_PREFETCH,
     LRU,
     SimConfig,
@@ -217,18 +216,25 @@ def ref_chunk_popcounts(transactions, chunk_lookup, include_partial=False):
 
 
 def legal_relations(counts, chunk_popcounts, alpha, sort=DESCENDING):
-    """Filter pairs by the alpha threshold and order them by strength.
+    """Filter pairs by the alpha threshold and order them by strength, as
+    (x, y, count) tuples.
 
     Ties are broken by (smaller chunk id, larger chunk id) ascending.
     """
     kept = [
-        Relation(x, y, count)
+        (x, y, count)
         for (x, y), count in counts.items()
         if count >= max(chunk_popcounts[x], chunk_popcounts[y]) * alpha
     ]
     reverse = sort == DESCENDING
-    kept.sort(key=lambda r: ((-r.count if reverse else r.count), r.x, r.y))
+    kept.sort(key=lambda r: ((-r[2] if reverse else r[2]), r[0], r[1]))
     return kept
+
+
+def relation_columns(relations):
+    """(x, y, count) tuples as the three int64 columns that
+    compute_legal_relations returns and merge_groups takes."""
+    return tuple(np.array(relations, dtype=np.int64).reshape(-1, 3).T)
 
 
 def ref_cooccurring_pairs(transactions):

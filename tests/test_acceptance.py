@@ -45,6 +45,7 @@ from reference import (
     reconstruct_transactions,
     ref_extract,
     ref_merge_groups,
+    relation_columns,
     replay_audit,
     replay_group_audit,
 )
@@ -183,9 +184,10 @@ class TestGroupingInvariants:
                 alpha = rng.choice([0.0, 0.3, 0.6])
                 mu = rng.choice([0.0, 0.3, 0.5, 1.0])
                 rels = legal_relations(counts, pops, alpha)
-                grp = merge_groups(rels, singleton_members(n), GrouperConfig(mu=mu))
+                grp = merge_groups(relation_columns(rels), singleton_members(n),
+                                   GrouperConfig(mu=mu))
                 expected = ref_merge_groups(
-                    [(r.x, r.y) for r in rels], chunk_ids, mu
+                    [(x, y) for x, y, _ in rels], chunk_ids, mu
                 )
                 assert set(grp.chunk_ids.parts()) == expected
 

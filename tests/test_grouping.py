@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from ctgroup.grouping import (
     ASCENDING,
     DESCENDING,
     GrouperConfig,
-    Relation,
     build_grouping,
     compute_legal_relations,
     grouping_report,
@@ -33,6 +30,7 @@ from reference import (
     legal_relations,
     ref_chunk_popcounts,
     ref_merge_groups,
+    relation_columns,
     replay_group_audit,
 )
 
@@ -48,6 +46,11 @@ def log(*txns):
 def singleton_members(count):
     """Chunks 0..count-1, chunk c holding address c * 8 alone."""
     return Partition.of((c * 8,) for c in range(count))
+
+
+def triples(columns):
+    """compute_legal_relations' columns as (x, y, count) tuples."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def members_of(lookup):
@@ -87,13 +90,13 @@ class TestLegalRelations:
         counts = {(0, 1): 2, (0, 2): 1}
         pops = {0: 4, 1: 2, 2: 1}
         rels = legal_relations(counts, pops, alpha=0.5)
-        assert rels == [Relation(0, 1, 2)]
+        assert rels == [(0, 1, 2)]
 
     def test_descending_order_with_id_tiebreak(self):
         counts = {(2, 3): 5, (0, 1): 5, (1, 2): 7}
         pops = {0: 1, 1: 1, 2: 1, 3: 1}
         rels = legal_relations(counts, pops, alpha=0.0)
-        assert [(r.x, r.y, r.count) for r in rels] == [
+        assert rels == [
             (1, 2, 7), (0, 1, 5), (2, 3, 5)
         ]
 
@@ -101,7 +104,7 @@ class TestLegalRelations:
         counts = {(0, 1): 5, (1, 2): 7}
         pops = {0: 1, 1: 1, 2: 1}
         rels = legal_relations(counts, pops, alpha=0.0, sort=ASCENDING)
-        assert [r.count for r in rels] == [5, 7]
+        assert [count for _, _, count in rels] == [5, 7]
 
     def test_fused_path_matches_two_step(self, rng):
         # compute_legal_relations must agree with count + filter + sort
@@ -118,7 +121,7 @@ class TestLegalRelations:
             counts = count_cooccurrence(txns, lookup)
             expected = legal_relations(counts, pops, alpha)
             got = compute_legal_relations(TransactionLog.of(txns), members_of(lookup), alpha)
-            assert got == expected
+            assert triples(got) == expected
 
     @staticmethod
     def random_log(rng, n_chunks, n_txns, partial_share=0.0):
@@ -146,7 +149,7 @@ class TestLegalRelations:
                     TransactionLog.of(txns), members_of(lookup), alpha,
                     include_partial=include_partial
                 )
-                assert got == expected
+                assert triples(got) == expected
 
     def test_fused_path_matches_two_step_ascending(self, rng):
         for _ in range(50):
@@ -158,7 +161,7 @@ class TestLegalRelations:
             )
             got = compute_legal_relations(TransactionLog.of(txns), members_of(lookup), alpha,
                                           sort=ASCENDING)
-            assert got == expected
+            assert triples(got) == expected
 
     def test_fused_path_matches_two_step_in_small_batches(self, rng, monkeypatch):
         # batches of 3 transactions and about 5 pair occurrences, so counts
@@ -179,7 +182,7 @@ class TestLegalRelations:
                     TransactionLog.of(txns), members_of(lookup), alpha, sort,
                     include_partial=True
                 )
-                assert got == expected
+                assert triples(got) == expected
 
     def test_fused_path_rejects_unknown_address(self, monkeypatch):
         members = Partition.of([(0, 4), (8,)])
@@ -198,7 +201,7 @@ class TestLegalRelations:
         rels = compute_legal_relations(
             log(txn(0, 0, 8), txn(1, 0, 999, partial=True)), members, 0.5
         )
-        assert rels == [Relation(0, 1, 1)]
+        assert triples(rels) == [(0, 1, 1)]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -220,51 +223,51 @@ class TestLegalRelations:
 
 class TestMergeGroups:
     def test_single_relation_merges_at_mu_one(self):
-        rels = [Relation(0, 1, 9)]
-        grouping = merge_groups(rels, singleton_members(2), GrouperConfig(mu=1.0))
+        rels = [(0, 1, 9)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(2), GrouperConfig(mu=1.0))
         assert grouping.chunk_ids.parts() == [(0, 1)]
 
     def test_growing_groups_need_more_edges(self):
         # after (0,1) merge, {0,1} vs {2} needs 2 edges at mu=1: the first
         # cross relation only bumps the counter, the second completes it
-        rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
+        rels = [(0, 1, 9), (0, 2, 8), (1, 2, 7)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(3), GrouperConfig(mu=1.0))
         assert grouping.chunk_ids.parts() == [(0, 1, 2)]
         assert grouping.processed_cross == 3
         assert grouping.internal_edges[0] == 3
 
     def test_insufficient_edges_leave_groups_apart(self):
-        rels = [Relation(0, 1, 9), Relation(0, 2, 8)]
-        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
+        rels = [(0, 1, 9), (0, 2, 8)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(3), GrouperConfig(mu=1.0))
         assert grouping.chunk_ids.parts() == [(0, 1), (2,)]
 
     def test_mu_zero_merges_on_first_contact(self):
-        rels = [Relation(0, 1, 5), Relation(2, 3, 4), Relation(1, 2, 1)]
-        grouping = merge_groups(rels, singleton_members(4), GrouperConfig(mu=0.0))
+        rels = [(0, 1, 5), (2, 3, 4), (1, 2, 1)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(4), GrouperConfig(mu=0.0))
         assert grouping.chunk_ids.parts() == [(0, 1, 2, 3)]
 
     def test_unrelated_chunks_become_singletons(self):
-        grouping = merge_groups([], singleton_members(3), GrouperConfig(mu=0.5))
+        grouping = merge_groups(relation_columns([]), singleton_members(3), GrouperConfig(mu=0.5))
         assert grouping.chunk_ids.parts() == [(0,), (1,), (2,)]
         assert all(edges == 0 for edges in grouping.internal_edges)
 
     def test_groups_ordered_by_smallest_chunk_id(self):
-        rels = [Relation(1, 3, 9), Relation(0, 2, 8)]
-        grouping = merge_groups(rels, singleton_members(4), GrouperConfig(mu=1.0))
+        rels = [(1, 3, 9), (0, 2, 8)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(4), GrouperConfig(mu=1.0))
         assert grouping.chunk_ids.parts() == [(0, 2), (1, 3)]
         assert grouping.partition.parts() == [(0, 16), (8, 24)]
 
     def test_members_sorted_and_labels_complete(self):
         chunks = Partition.of([(16, 0), (8,)])
-        grouping = merge_groups([Relation(0, 1, 3)], chunks, GrouperConfig(mu=1.0))
+        grouping = merge_groups(relation_columns([(0, 1, 3)]), chunks, GrouperConfig(mu=1.0))
         (members,) = grouping.partition.parts()
         assert members == (0, 8, 16)
         labels = grouping.partition.labels(np.array([0, 8, 16, 24]))
         assert labels.tolist() == [0, 0, 0, -1]
 
     def test_same_group_relations_skipped(self):
-        rels = [Relation(0, 1, 9), Relation(0, 1, 2)]
-        grouping = merge_groups(rels, singleton_members(2), GrouperConfig(mu=1.0))
+        rels = [(0, 1, 9), (0, 1, 2)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(2), GrouperConfig(mu=1.0))
         assert grouping.skipped_same_group == 1
         assert grouping.processed_cross == 1
 
@@ -287,15 +290,17 @@ class TestOracle:
     def test_matches_reference(self, rng):
         for _ in range(200):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+            grouping = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                                    GrouperConfig(mu=mu))
             got = set(grouping.chunk_ids.parts())
-            expected = ref_merge_groups([(r.x, r.y) for r in rels], chunk_ids, mu)
+            expected = ref_merge_groups([(x, y) for x, y, _ in rels], chunk_ids, mu)
             assert got == expected
 
     def test_audit_replays_partition(self, rng):
         for _ in range(100):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+            grouping = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                                    GrouperConfig(mu=mu))
             replayed = replay_group_audit(chunk_ids, grouping.audit)
             assert replayed == set(grouping.chunk_ids.parts())
             for rec in grouping.audit:
@@ -306,14 +311,16 @@ class TestOracle:
         # them end up counted as internal edges
         for _ in range(50):
             chunk_ids, rels, _ = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=0.0))
+            grouping = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                                    GrouperConfig(mu=0.0))
             total = sum(grouping.internal_edges)
             assert total == grouping.processed_cross
 
     def test_internal_edges_bounded(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
-            grouping = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+            grouping = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                                    GrouperConfig(mu=mu))
             assert sum(grouping.internal_edges) <= grouping.processed_cross
             for group, edges in zip(grouping.chunk_ids.parts(), grouping.internal_edges):
                 n = len(group)
@@ -321,15 +328,17 @@ class TestOracle:
 
     def test_deterministic(self, rng):
         chunk_ids, rels, mu = self.random_instance(rng)
-        a = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
-        b = merge_groups(rels, singleton_members(len(chunk_ids)), GrouperConfig(mu=mu))
+        a = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                         GrouperConfig(mu=mu))
+        b = merge_groups(relation_columns(rels), singleton_members(len(chunk_ids)),
+                         GrouperConfig(mu=mu))
         assert a.chunk_ids.parts() == b.chunk_ids.parts()
 
     def test_partition_invariant(self, rng):
         for _ in range(50):
             chunk_ids, rels, mu = self.random_instance(rng)
             chunks = Partition.of((c * 8, c * 8 + 4) for c in chunk_ids)
-            grouping = merge_groups(rels, chunks, GrouperConfig(mu=mu))
+            grouping = merge_groups(relation_columns(rels), chunks, GrouperConfig(mu=mu))
             covered = grouping.partition.members.tolist()
             assert sorted(covered) == sorted(chunks.members.tolist())
             assert len(covered) == len(set(covered))
@@ -389,11 +398,37 @@ class TestEndToEnd:
         counts = count_cooccurrence(txns, lookup, include_partial)
         got = compute_legal_relations(txns, chunkset.partition, 0.5,
                                       include_partial=include_partial)
-        assert got == legal_relations(counts, pops, 0.5)
+        assert triples(got) == legal_relations(counts, pops, 0.5)
+
+    def test_int64_index_dtype_matches_int32(self, monkeypatch):
+        # no tier-1 input reaches 2**31 positions or pair occurrences, so
+        # index_dtype's int64 branch runs only when patched in
+        spec = SyntheticSpec(num_data=300, num_accesses=8000, rng_seed=1,
+                             group_structure=[(8, 0.8)] * 10 + [(4, 1.0)] * 10)
+        txns = extract_transactions(synthesize_trace(spec)[0], ExtractorConfig(32768))
+        chunks = chunk_all(build_ctf(txns), ChunkerConfig(sigma=0.3)).partition
+        monkeypatch.setattr(grouping, "TXN_BATCH", 50)
+        monkeypatch.setattr(features, "PAIR_BATCH", 64)
+
+        def run():
+            fresh = Partition(chunks.members, chunks.offsets)  # no cached int32 index
+            return (compute_legal_relations(txns, fresh, 0.5),
+                    build_grouping(txns, fresh, GrouperConfig(alpha=0.5, mu=0.5)))
+
+        (narrow, narrow_grp), bounds = run(), []
+        monkeypatch.setattr(features, "index_dtype",
+                            lambda bound: bounds.append(bound) or np.int64)
+        wide, wide_grp = run()
+        assert bounds
+        assert [column.dtype for column in wide] == [np.int64] * 3
+        assert triples(wide) == triples(narrow) and len(narrow[0]) > 50
+        assert wide_grp.partition.parts() == narrow_grp.partition.parts()
+        assert wide_grp.internal_edges == narrow_grp.internal_edges
+        assert wide_grp.audit == narrow_grp.audit and narrow_grp.audit
 
     def test_report_density_of_merged_chunks(self):
-        rels = [Relation(0, 1, 9), Relation(0, 2, 8), Relation(1, 2, 7)]
-        grouping = merge_groups(rels, singleton_members(3), GrouperConfig(mu=1.0))
+        rels = [(0, 1, 9), (0, 2, 8), (1, 2, 7)]
+        grouping = merge_groups(relation_columns(rels), singleton_members(3), GrouperConfig(mu=1.0))
         report = grouping_report(grouping)
         assert report.chunk_size_histogram == {3: 1}
         assert report.densities[0] == 1.0
@@ -401,9 +436,9 @@ class TestEndToEnd:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        rels = [Relation(0, 1, 3)]
+        rels = [(0, 1, 3)]
         chunks = Partition.of([(0, 4), (8,), (1000,)])
-        grouping = merge_groups(rels, chunks, GrouperConfig(mu=1.0))
+        grouping = merge_groups(relation_columns(rels), chunks, GrouperConfig(mu=1.0))
         path = tmp_path / "grouping.csv"
         save_grouping(path, grouping, config_hash="gg")
         loaded, header = load_grouping_members(path)

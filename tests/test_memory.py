@@ -8,6 +8,11 @@ transactions. The bounds sit between the peaks of the numpy kernels with
 and without their full-size int64 temporaries and unbounded pair batches:
 chunk_all peaked at 5.0 MiB and compute_legal_relations at 16.2 MiB with
 them, and at 2.8 and 6.7 MiB without (numpy 2.4, Python 3.11).
+compute_legal_relations then peaked at 5.7 MiB while shared_run_counts'
+setup made int64 arrays as long as its input, with 8,192-transaction
+labeling batches and 65,536-occurrence pair batches, and peaks at 2.0
+MiB with the setup in the index dtype, batches of 2,048 and 16,384, and
+no Relation objects; its bound sits between the two.
 
 chunk_all's peak is that of clustering its largest area, 534 data
 here. Its bound is taken with one CPU, so every area is clustered in this
@@ -24,6 +29,13 @@ training split of the synthesize_trace instance below, 19,999 data and
 209,872 (datum, transaction) incidences. Its bound is the 6.37 MiB peak
 of the per-datum keying and per-merge bit searches it replaced, plus 10%;
 it peaks at 5.61 MiB, so a new temporary of 1.4 MiB or more crosses it.
+
+build_grouping runs at that planted-300k shape too, on the chunks
+chunk_all makes there: 12,678 chunks, 15,346 legal relations and 6,636
+merges. It peaked at 9.6 MiB with those full-size setup arrays, larger
+batches, Relation objects and per-chunk union-find dicts, and peaks at
+4.3 MiB on flat lists; its bound sits between the two. Its merge audit is
+built only when read.
 
 build_lru_profile runs on the same instance's 80k-access trace. Its bound
 sits between its peak with int64 positions and byte sums throughout, 5.1
@@ -103,7 +115,7 @@ from conftest import chunkset_fields
 from ctgroup import artifacts, locality, pipeline
 from ctgroup.chunking import ChunkerConfig, chunk_all
 from ctgroup.features import Partition, build_ctf
-from ctgroup.grouping import compute_legal_relations
+from ctgroup.grouping import GrouperConfig, build_grouping, compute_legal_relations
 from ctgroup.simulator import (
     FIFO,
     GROUP_MERGED,
@@ -190,20 +202,37 @@ def planted_spec():
                          group_structure=[(8, 1.0)] * 2000, rng_seed=1)
 
 
-def test_chunk_all_planted_peak():
+@pytest.fixture(scope="module")
+def planted_log():
     train = synthesize_trace(planted_spec())[0].split(210000)[0]
-    ctf = build_ctf(extract_transactions(train, ExtractorConfig(65536)))
-    chunkset, peak = traced_peak(chunk_all, ctf, ChunkerConfig())
+    return extract_transactions(train, ExtractorConfig(65536))
+
+
+@pytest.fixture(scope="module")
+def planted_chunk_all(planted_log):
+    return traced_peak(chunk_all, build_ctf(planted_log), ChunkerConfig())
+
+
+def test_chunk_all_planted_peak(planted_chunk_all):
+    chunkset, peak = planted_chunk_all
     assert len(chunkset) == 12678 and len(chunkset.audit) == 7321
     assert peak <= 7.0 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
+
+
+def test_build_grouping_planted_peak(planted_log, planted_chunk_all):
+    chunks = planted_chunk_all[0].partition
+    grp, peak = traced_peak(build_grouping, planted_log, chunks, GrouperConfig())
+    assert len(grp) == 6042 and grp.processed_cross + grp.skipped_same_group == 15346
+    assert "audit" not in vars(grp) and len(grp.audit) == 6636
+    assert peak <= 7.0 * MIB, f"build_grouping peaked at {peak / MIB:.2f} MiB"
 
 
 def test_compute_legal_relations_peak(instance):
     txns, ctf = instance
     chunks = chunk_all(ctf, ChunkerConfig(sigma=0.6)).partition
-    relations, peak = traced_peak(compute_legal_relations, txns, chunks, 0.5)
-    assert len(relations) == 78
-    assert peak <= 10 * MIB, f"compute_legal_relations peaked at {peak / MIB:.2f} MiB"
+    (x, _y, _counts), peak = traced_peak(compute_legal_relations, txns, chunks, 0.5)
+    assert len(x) == 78
+    assert peak <= 4 * MIB, f"compute_legal_relations peaked at {peak / MIB:.2f} MiB"
 
 
 def test_build_lru_profile_peak(trace):
