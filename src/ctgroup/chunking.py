@@ -14,16 +14,25 @@ considered here; the grouping stage handles them. So the areas are
 clustered independently, on forks.fork_map: this process and at most one
 forked child per further CPU it may use, with no config key.
 
-The chunks are one ``Partition`` of the transacted addresses (chunk id =
-part id), which the grouping stage reads and ``chunks.tsv`` holds; the OR
-features live only while an area is clustered.
+The chunk stage keeps flat state. An area's merge loop works on cluster
+ids and logs each merge as (id, id, distance, popcount total) in an
+array('q'); the area sends back only numpy columns and that log: each
+datum's final cluster and its identical-vector cluster, and each of the
+latter's popcount. chunk_all labels the chunks area by area in AreaKey
+order into one ``Partition`` of the transacted addresses (chunk id = part
+id), which the grouping stage reads and ``chunks.tsv`` holds. The OR
+features live only while an area is clustered, and no member tuple or
+MergeRecord is made until ``ChunkSet.audit`` is first read, which replays
+the logs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .errors import ConfigError
 from .features import (
     CtfMatrix,
     Partition,
+    index_dtype,
     ranges,
     relation,
     run_starts,
@@ -134,11 +144,15 @@ def _cluster(ctf, at, sigma):
     """Greedy agglomerative clustering of one area's data: those at the
     ascending positions ``at`` of ``ctf``, none with an empty feature.
 
-    Returns each cluster's members, clusters ordered by smallest member
-    address, and the merges in the order made. Merge order: smallest
-    distance first among qualifying pairs, ties broken by the
-    lexicographically smallest (min-address, min-address) pair, which
-    makes the result deterministic.
+    Merge order: smallest distance first among qualifying pairs, ties
+    broken by the lexicographically smallest (min-address, min-address)
+    pair, which makes the result deterministic. Returns four flat
+    columns: each datum's final cluster, clusters ranked by smallest
+    member address; each datum's initial cluster, the groups of identical
+    vectors ranked likewise; each initial cluster's popcount; and the
+    merge log, an array('q') of (id, id, distance, popcount total) for
+    each merge in the order made. Initial clusters are ids 0..k-1, and
+    each merge makes the next id.
     """
     addrs = ctf.addresses[at]
     flat, offsets = ctf.gather(at)
@@ -154,20 +168,11 @@ def _cluster(ctf, at, sigma):
     _, first, label = np.unique(padded.view(np.dtype((np.void, padded.itemsize * width))),
                                 return_index=True, return_inverse=True)
     del padded
-    # Cluster ids: the initial clusters are the groups of identical vectors
-    # 0..k-1 in order of their smallest address, and each merge makes the
-    # next id.
     heads = np.sort(first)
     k = len(heads)
-    group = np.searchsorted(heads, first)[label.reshape(-1)]
-    members = dict(enumerate(Partition.by_label(group, addrs, k).parts()))
-    audit = []
-    sizes = np.append(lengths[heads], np.zeros(k, dtype=np.int64))  # popcount per id
-    dists, thresholds = relation(2 * sizes[:k], sizes[:k], sigma)
-    for dist, threshold, (head, *extras) in zip(dists.tolist(), thresholds.tolist(),
-                                                members.values()):
-        for extra in extras:
-            audit.append(MergeRecord((head,), (extra,), dist, threshold))
+    group = np.searchsorted(heads, first).astype(index_dtype(k))[label.reshape(-1)]
+    popcounts = lengths[heads]
+    sizes = np.append(popcounts, np.zeros(k, dtype=np.int64))  # popcount per id
     # Inverting the initial clusters' rows, as build_ctf inverts a log,
     # gives for each transaction index a holding row: one slot per cluster
     # holding it, ascending. Slot s lies in row rows[s]; bit b of the
@@ -175,20 +180,21 @@ def _cluster(ctf, at, sigma):
     # clusters' slots to the merged one and, in a row holding both, retires
     # one of them to the dead id 2k - 1, so a live cluster holds one slot
     # in each row of its feature.
-    bits = flat[ranges(offsets[heads], sizes[:k])]
-    bit_offsets = np.append(0, np.cumsum(sizes[:k]))
+    bits = flat[ranges(offsets[heads], popcounts)]
+    bit_offsets = np.append(0, np.cumsum(popcounts))
     order = np.argsort(bits, kind="stable")
     starts = run_starts(bits[order])
     widths = np.diff(starts, append=len(bits))
     rows = np.repeat(np.arange(len(starts)), widths)
-    holder = np.repeat(np.arange(k), sizes[:k])[order]
+    holder = np.repeat(np.arange(k), popcounts)[order]
     slot_of = np.empty_like(order)
     slot_of[order] = np.arange(len(order))
     min_addrs = np.append(addrs[heads], np.zeros(k, dtype=np.int64))
-    heap = _first_heap(rows, holder, sizes[:k], min_addrs[:k], sigma)
+    heap = _first_heap(rows, holder, popcounts, min_addrs[:k], sigma)
     live = np.arange(2 * k) < k
     in_first = np.zeros(len(starts), dtype=bool)  # per merge: rows of its first cluster
     slots: dict[int, np.ndarray] = {}  # merged cluster -> its slots
+    merges = array("q")
     next_id = k
 
     def take_slots(i):
@@ -200,11 +206,9 @@ def _cluster(ctf, at, sigma):
         dval, lo, _hi, i, j = heapq.heappop(heap)
         if not (live[i] and live[j]):
             continue
-        threshold = relation(int(sizes[i]) + int(sizes[j]), 0, sigma)[1]
-        audit.append(MergeRecord(members[i], members[j], dval, threshold))
+        merges.extend((i, j, dval, int(sizes[i]) + int(sizes[j])))
         merged = next_id
         next_id += 1
-        members[merged] = tuple(sorted(members.pop(i) + members.pop(j)))
         live[i] = live[j] = False
         min_addrs[merged] = lo
 
@@ -233,7 +237,20 @@ def _cluster(ctf, at, sigma):
                 heapq.heappush(heap, (dval, hi, lo, other, merged))
         live[merged] = True
 
-    return sorted(members[i] for i in np.flatnonzero(live).tolist()), audit
+    # Each id's root: a merge makes the merged id the parent of its two,
+    # and replacing each parent by its own until none changes reaches the
+    # roots.
+    log = np.frombuffer(merges, dtype=np.int64).reshape(-1, 4)
+    root = np.arange(next_id)
+    root[log[:, 0]] = root[log[:, 1]] = np.arange(k, next_id)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    root = root[:k]
+    # A final cluster's rank is that of its first initial cluster.
+    firsts = np.sort(np.unique(root, return_index=True)[1])
+    rank = np.empty(next_id, dtype=index_dtype(k))
+    rank[root[firsts]] = np.arange(len(firsts))
+    return rank[root][group], group, popcounts, merges
 
 
 def _first_heap(rows, holder, sizes, min_addrs, sigma):
@@ -255,14 +272,17 @@ def _first_heap(rows, holder, sizes, min_addrs, sigma):
     return entries
 
 
-@dataclass
+@dataclass(eq=False)
 class ChunkSet:
     partition: Partition    # chunk id -> block addresses
     areas: list[AreaKey]    # chunk id -> its area
     config: ChunkerConfig
     max_address: int
     excluded: tuple[int, ...] = ()
-    audit: list[MergeRecord] = field(default_factory=list)
+    # per area, in AreaKey order: each datum's initial cluster (data
+    # ascending by address), each initial cluster's popcount, and the
+    # merge log, as _cluster returns them
+    logs: list[tuple[np.ndarray, np.ndarray, array]] = field(default_factory=list)
 
     def __len__(self):
         return len(self.partition)
@@ -272,6 +292,28 @@ class ChunkSet:
         """Each chunk as a Chunk, built from the partition."""
         return [Chunk(cid, members, area)
                 for cid, (members, area) in enumerate(zip(self.partition.parts(), self.areas))]
+
+    @cached_property
+    def audit(self) -> list[MergeRecord]:
+        """The executed merges in order, built on first read by replaying
+        ``logs``: area by area, each identical vector's merge into the
+        first of its initial cluster at distance 0, then the merge log."""
+        sigma = self.config.sigma
+        audit = []
+        end = 0  # an area's chunks, and so its data, are consecutive
+        for group, popcounts, merges in self.logs:
+            begin, end = end, end + len(group)
+            addrs = np.sort(self.partition.members[begin:end])
+            clusters = Partition.by_label(group, addrs, len(popcounts)).parts()
+            for (head, *extras), popcount in zip(clusters, popcounts.tolist()):
+                threshold = relation(2 * popcount, 0, sigma)[1]
+                audit.extend(MergeRecord((head,), (extra,), 0, threshold) for extra in extras)
+            merges = iter(merges)
+            for i, j, dist, total in zip(merges, merges, merges, merges):
+                a, b = clusters[i], clusters[j]
+                audit.append(MergeRecord(a, b, dist, relation(total, 0, sigma)[1]))
+                clusters.append(tuple(sorted(a + b)))
+        return audit
 
 
 def chunk_all(
@@ -283,8 +325,9 @@ def chunk_all(
 
     Chunk ids are assigned area by area in AreaKey order, then by smallest
     member address, so identical inputs give identical ids. The areas go
-    to forks.fork_map largest first; the chunks and the audit are
-    assembled in AreaKey order, as one process would make them.
+    to forks.fork_map largest first; each sends back only _cluster's flat
+    columns, and the chunks are labelled in AreaKey order, as one process
+    would make them.
     """
     if max_address is None:
         max_address = int(ctf.addresses[-1]) if len(ctf) else 0
@@ -296,12 +339,16 @@ def chunk_all(
     for a, result in zip(order, forks.fork_map(
             lambda at: _cluster(ctf, at, cfg.sigma), [areas[a][1] for a in order])):
         clustered[a] = result
-    chunks = [(members, key) for (key, _), (parts, _) in zip(areas, clustered)
-              for members in parts]
-    return ChunkSet(Partition.of(members for members, _ in chunks),
-                    [key for _, key in chunks], cfg, max_address,
+    chunk_of = np.zeros(len(ctf), dtype=np.int64)
+    keys = []
+    for (key, at), (labels, *_) in zip(areas, clustered):
+        chunk_of[at] = len(keys) + labels.astype(np.int64)
+        keys += [key] * (int(labels.max()) + 1)
+    used = lengths >= 1
+    return ChunkSet(Partition.by_label(chunk_of[used], ctf.addresses[used], len(keys)),
+                    keys, cfg, max_address,
                     excluded=tuple(ctf.addresses[excluded].tolist()),
-                    audit=[merge for _, audit in clustered for merge in audit])
+                    logs=[result[1:] for result in clustered])
 
 
 def save_chunks(path, chunkset: ChunkSet, config_hash=""):

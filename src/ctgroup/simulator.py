@@ -93,7 +93,7 @@ from . import forks
 from .artifacts import find
 from .errors import ConfigError, InvariantError
 from . import trace as _trace
-from .features import Partition, sorted_distinct
+from .features import Partition, index_dtype, sorted_distinct
 from .trace import Op, SizeColumns, Trace, first_access_positions
 
 LRU = "lru"
@@ -482,8 +482,8 @@ def build_lru_profile(addresses: np.ndarray, sizes: np.ndarray) -> LruProfile | 
     n = len(addresses)
     # int32 positions and byte sums where they fit: the profile's working
     # set is what simulate adds to the process's peak
-    index = np.int32 if n < 1 << 31 else np.int64
-    byte = np.int32 if int(sizes.sum()) < 1 << 31 else np.int64
+    index = index_dtype(n)
+    byte = index_dtype(int(sizes.sum()))
     order = np.argsort(addresses, kind="stable").astype(index)
     ordered = addresses[order]
     repeat = ordered[1:] == ordered[:-1]

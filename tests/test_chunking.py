@@ -1,14 +1,16 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctgroup import features
+from ctgroup import features, forks
 from ctgroup.chunking import (
     AreaKey,
     ChunkerConfig,
+    MergeRecord,
     chunk_all,
     load_chunk_members,
     save_chunks,
@@ -86,6 +88,12 @@ class TestPreBlock:
         chunkset = chunk_all(matrix({0: {0}, 8: set(), 16: {0, 1}}), ChunkerConfig(q=2), 16)
         assert list(chunkset.excluded) == [8]
         assert sorted(chunkset.partition.members.tolist()) == [0, 16]
+
+    def test_no_area(self):
+        # every popcount is 0, so no datum is in an area
+        chunkset = chunk_all(matrix({0: set(), 8: set()}, dim=2), ChunkerConfig(q=2), 16)
+        assert len(chunkset) == 0 and chunkset.partition.offsets.tolist() == [0]
+        assert chunkset.excluded == (0, 8) and chunkset.areas == [] and chunkset.audit == []
 
     def test_address_beyond_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -214,6 +222,17 @@ class TestClusterArea:
             for rec in chunkset.audit:
                 assert rec.distance <= rec.threshold
 
+    def test_audit_order(self):
+        # per area, in area order: the distance-0 merges into the first of
+        # each identical-vector cluster, then the merges as made
+        vectors = {0: {0, 1}, 2: {0, 1}, 4: {0, 1, 2}, 10: {3}, 12: {3}, 14: {3, 4}}
+        chunkset = chunk_all(matrix(vectors), ChunkerConfig(q=2, p=10.0, sigma=0.5), 16)
+        assert chunkset.partition.parts() == [(0, 2, 4), (10, 12), (14,)]
+        assert chunkset.areas == [AreaKey(0, 0), AreaKey(1, 0), AreaKey(1, 0)]
+        assert chunkset.audit == [MergeRecord((0,), (2,), 0, 1.0),
+                                  MergeRecord((0, 2), (4,), 1, 1.25),
+                                  MergeRecord((10,), (12,), 0, 0.5)]
+
 
 class TestChunkAll:
     def small_matrix(self):
@@ -315,6 +334,29 @@ class TestForkedAreas:
         assert any(merge.distance == 0 for merge in audit)
         assert (len(set(areas)) > 1) == (q > 1)
         assert len(forked) == (q > 1)  # one area is clustered in this process
+
+    def test_sends_flat_columns(self, cpus, forked, monkeypatch):
+        # an area comes back as numpy and array columns, with no address
+        # tuples or MergeRecords, and the audit is built when first read
+        spec = SyntheticSpec(num_data=300, num_accesses=8000, rng_seed=5,
+                             group_structure=[(8, 1.0)] * 10 + [(8, 0.7)] * 10)
+        ctf = build_ctf(extract_transactions(synthesize_trace(spec)[0],
+                                             ExtractorConfig(32768)))
+        sent, fork_map = [], forks.fork_map
+
+        def recording(fn, units):
+            results = fork_map(fn, units)
+            sent.extend(results)
+            return results
+
+        monkeypatch.setattr(forks, "fork_map", recording)
+        cpus(2)
+        chunkset = chunk_all(ctf, ChunkerConfig(sigma=0.6))
+        assert forked and len(sent) == len(set(chunkset.areas)) > 1
+        assert all(isinstance(column, (np.ndarray, array))
+                   for result in sent for column in result)
+        assert "audit" not in vars(chunkset)
+        assert len(chunkset.audit) == len(ctf) - len(chunkset) and "audit" in vars(chunkset)
 
 
 @st.composite

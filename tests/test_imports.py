@@ -1,5 +1,5 @@
-"""Every name a module of the package or a test file imports is used in
-that file, so a deletion cannot leave a dead import behind.
+"""Every name a module of the package, a test file or a demo imports is
+used in that file, so a deletion cannot leave a dead import behind.
 ``__init__.py`` is left out: its imports are the package's public names.
 
 Every top-level function or class of the package is named somewhere
@@ -18,6 +18,7 @@ MODULES = sorted(p for p in Path(ctgroup.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
 TESTS = sorted((REPO / "tests").glob("*.py"))
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 READERS = sorted(p for folder in ("src", "tests", "demos", "perfbench")
                  for p in (REPO / folder).rglob("*.py"))
 
@@ -35,7 +36,7 @@ def unused_imports(source: str) -> list[str]:
     return sorted(set(imported) - read)
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TESTS + DEMOS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -20,15 +20,24 @@ process. On two CPUs this process takes the largest area first, so its
 peak is that area's again, and the two differ only by fork_map's
 bookkeeping: by up to 0.2 KiB either way over repeated runs. The twin
 allows FORK_BOOKKEEPING, 16 KiB, above the one-CPU peak. The child's
-results for the other 33 areas, 23 KB pickled and 0.2 MiB unpickled,
+results for the other 33 areas, 30 KB pickled and 43 KB unpickled as
+flat columns (23 KB and 0.2 MiB as member tuples and MergeRecords),
 arrive after this process's share; either would cross it if it were held
 at the peak.
 
+chunk_all peaked at 2.45 MiB while each merge built a sorted member tuple
+and a MergeRecord, and peaks at 2.38 MiB on flat merge logs, its audit
+built only when read; its bound sits above both, as the largest area's
+clustering dominates both.
+
 chunk_all also runs at perfbench's planted-300k CTF shape: the 210k-access
 training split of the synthesize_trace instance below, 19,999 data and
-209,872 (datum, transaction) incidences. Its bound is the 6.37 MiB peak
-of the per-datum keying and per-merge bit searches it replaced, plus 10%;
-it peaks at 5.61 MiB, so a new temporary of 1.4 MiB or more crosses it.
+209,872 (datum, transaction) incidences. It peaked at 6.37 MiB with
+per-datum keying and per-merge bit searches, and at 5.5-5.8 MiB with one
+CPU and 5.9-6.0 MiB with two while each merge built member tuples and a
+MergeRecord and chunk_all rebuilt the partition from the tuples. On flat
+label columns and merge logs it peaks at 2.10 MiB with one CPU or two;
+its bound sits between.
 
 build_grouping runs at that planted-300k shape too, on the chunks
 chunk_all makes there: 12,678 chunks, 15,346 legal relations and 6,636
@@ -186,7 +195,7 @@ def in_process_chunk_all(instance):
 def test_chunk_all_peak(in_process_chunk_all):
     chunkset, peak = in_process_chunk_all
     assert len(chunkset) == 866
-    assert peak <= 4 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
+    assert peak <= 3 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
 
 
 def test_chunk_all_forked_peak(instance, in_process_chunk_all):
@@ -215,8 +224,9 @@ def planted_chunk_all(planted_log):
 
 def test_chunk_all_planted_peak(planted_chunk_all):
     chunkset, peak = planted_chunk_all
+    assert "audit" not in vars(chunkset)
     assert len(chunkset) == 12678 and len(chunkset.audit) == 7321
-    assert peak <= 7.0 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
+    assert peak <= 4.0 * MIB, f"chunk_all peaked at {peak / MIB:.2f} MiB"
 
 
 def test_build_grouping_planted_peak(planted_log, planted_chunk_all):

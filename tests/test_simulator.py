@@ -3,6 +3,7 @@ import os
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from conftest import both_take_a_unit, make_trace, no_child_left, random_accesses
@@ -376,6 +377,21 @@ class TestOnePassLru:
         # an lru sweep the profile serves replays nothing, so builds no rows
         sweep(make_trace([(a, 1 + a % 7) for a, _ in accesses]), None, fractions, [LRU])
         assert len(builds) == 2 and len(searches) == 2 and len(pooled) == 3
+
+    def test_int64_index_dtype_matches_int32(self, monkeypatch):
+        # no tier-1 input reaches 2**31 positions, so the profile's int64
+        # positions run only when index_dtype's int64 branch is patched in
+        accesses = random_accesses(random.Random(34), n=500)
+        trace = make_trace([(a, 1 + a % 7) for a, _ in accesses])
+        narrow = simulator.build_lru_profile(trace.addresses, trace.sizes)
+        bounds = []
+        monkeypatch.setattr(simulator, "index_dtype",
+                            lambda bound: bounds.append(bound) or np.int64)
+        wide = simulator.build_lru_profile(trace.addresses, trace.sizes)
+        assert bounds == [len(trace), int(trace.sizes.sum())]
+        assert narrow.max_size == wide.max_size and len(narrow.distances) > 1
+        for got, want in zip(wide[1:], narrow[1:]):
+            assert np.array_equal(got, want)
 
     def test_invariant_checks_replay(self, monkeypatch):
         def unused(addresses, sizes):
