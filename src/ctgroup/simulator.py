@@ -22,7 +22,7 @@ fits is a stack algorithm (Mattson et al., 1970): after every access the
 cache holds the longest prefix of the recency stack that fits. So an access
 hits at capacity C iff its reuse distance is at most C: its size plus the
 bytes of the distinct data touched since the previous access to its
-address. ``build_lru_profile`` computes those distances once per trace with
+address. ``build_lru_profile`` computes those distances once per sweep with
 numpy and keeps only their sorted distinct values with cumulative counts,
 plus the cumulative bytes of the final recency stack. An ``lru`` cell then
 costs two binary searches: hits are the reuses at distance <= C, and
@@ -34,18 +34,18 @@ the cell is replayed otherwise:
   writes;
 * each address keeps one size throughout the trace, so its resident size
   does not depend on C;
-* no datum is larger than C, so nothing bypasses the cache;
+* no datum is larger than C, so nothing bypasses the cache.
 
-and also no invariant checking is asked for.
-
-The replay rows. ``ReplayRows`` holds what a trace's cells share, built
-once per trace: each datum's first-access position by dense id (id k is
-the k-th smallest address), the distinct addresses and ``unique_bytes``
-(the sum of first-seen sizes, which capacity fractions are taken of); the
-LRU profile, at the first ``lru`` cell; and at the first replayed cell,
-the rows every replayed cell iterates: each access's datum as an id and
-its size, objects shared from a pool, so no cell converts numpy columns.
-The cache keys on ids.
+The replay rows. ``ReplayRows`` holds what the cells of one sweep share:
+``sweep`` builds it once and hands it to each cell's ``simulate`` call,
+and a call without it is a sweep of its one cell; the trace keeps none of
+it. It holds each datum's first-access position by dense id (id k is the
+k-th smallest address), the distinct addresses and ``unique_bytes`` (the
+sum of first-seen sizes, which capacity fractions are taken of); the LRU
+profile, at the first ``lru`` cell; and at the first replayed cell, the
+rows every replayed cell iterates: each access's datum as an id and its
+size, objects shared from a pool, so no cell converts numpy columns. The
+cache keys on ids.
 
 The plan column. A group member's fetch size is its extra size until its
 first access in the replay, and the size of that access afterwards;
@@ -62,21 +62,20 @@ loop keeps no size or plan state. Data in one-member groups take the
 demand path: such a group's plan is the datum alone, so the group path
 would admit it alone and prefetch nothing.
 
-The batch and the workers. ``sweep`` makes its cells the trace's batch
-and calls ``simulate`` once per cell, so a caller that wraps ``simulate``
-still sees one call and one row per cell. The first call for a cell that
-the LRU profile does not serve replays every such cell of the batch on
-``forks.fork_map``: this process and at most one forked child per further
-CPU it may use (``os.sched_getaffinity``), with no config key. This
-process builds the id and size rows and the batch's one plan column
-first, so the children inherit them and build nothing; each
-process runs the one replay loop, ``_replay``, on the cells it takes, and
-a child sends back only their metrics. Later calls return their cell's
-row, and the batch is cleared when ``sweep`` returns or raises. A
-``simulate`` call outside a sweep, or one checking invariants, replays in
-this process. A child copies the pages it writes: its cache, and those of
-the pooled ints and the plans whose reference counts its iteration
-writes, about 8 MiB per child at the 3M-record gate.
+The cells and the workers. ``sweep`` calls ``simulate`` once per cell,
+in order, so a caller that wraps ``simulate`` still sees one call and one
+row per cell. The first call for a cell that the LRU profile does not
+serve replays every such cell of its ``ReplayRows`` on ``forks.fork_map``:
+this process and at most one forked child per further CPU it may use
+(``os.sched_getaffinity``), with no config key. A sweep of one cell is a
+map of one unit, which forks nothing. This process builds the id and
+size rows and the sweep's one plan column first, reading the extra-size
+mapping as it is then, so the children inherit them and build nothing;
+each process runs the one replay loop, ``_replay``, on the cells it
+takes, and a child sends back only their metrics. Later calls return
+their cell's row. A child copies the pages it writes: its cache, and
+those of the pooled ints and the plans whose reference counts its
+iteration writes, about 8 MiB per child at the 3M-record gate.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ import numpy as np
 
 from . import forks
 from .artifacts import find
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from . import trace as _trace
 from .features import Partition, index_dtype, sorted_distinct
 from .trace import Op, SizeColumns, Trace, first_access_positions
@@ -161,51 +160,30 @@ class SimMetrics:
         return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
 
-def resolve_capacity(cfg: SimConfig, trace: Trace) -> int:
-    """Fractions are taken of the sum of first-seen sizes of distinct data."""
-    if cfg.capacity_bytes is not None:
-        return cfg.capacity_bytes
-    capacity = int(cfg.capacity_fraction * replay_rows(trace).unique_bytes)
-    return max(capacity, 1)
+def simulate(trace: Trace, cfg: SimConfig, rows: ReplayRows | None = None) -> SimMetrics:
+    """Replay one cell of a trace; returns its metrics.
 
-
-def simulate(trace: Trace, cfg: SimConfig, check_invariants: bool = False) -> SimMetrics:
-    """Replay a trace; returns its metrics.
-
-    A cell of the trace's batch is replayed with the batch's other
-    replayed cells at the first call for any of them (see the module
-    docstring). Any other cell, and every cell checking invariants, is
-    replayed in this process by this call.
+    ``rows`` is the ReplayRows of the sweep that ``cfg`` is a cell of. A
+    call without it is a sweep of this one cell (see the module docstring).
     """
     cfg.validate()
-    capacity = resolve_capacity(cfg, trace)
-    if cfg.policy == LRU and not check_invariants:
-        metrics = _profiled_lru(trace, cfg, capacity)
-        if metrics is not None:
-            return metrics
-    rows = replay_rows(trace)
-    if not check_invariants and any(cell is cfg for cell in rows.batch):
-        if rows.replayed is None:
-            rows.replayed = _replay_batch(trace, rows)
-        return rows.replayed[id(cfg)]
-    plans = (plan_column(rows, cfg.grouping, cfg.extra_sizes)
-             if cfg.policy in (GROUP_PREFETCH, GROUP_MERGED) else None)
-    return _replay(trace, cfg, capacity, plans, check_invariants)
+    rows = rows or ReplayRows(trace, [cfg])
+    return rows.profiled_lru(cfg) or rows.replayed_cells[id(cfg)]
 
 
-def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
-            check_invariants: bool = False) -> SimMetrics:
+def _replay(rows: ReplayRows, cfg: SimConfig, capacity: int, plans: list | None) -> SimMetrics:
     """The replay of one cell at ``capacity`` bytes. ``plans`` is the
     cell's plan column, None for a cell without groups.
 
     One loop serves every policy: hits take the short path, and a miss
     admits the demanded datum, then (group policies) the group plan.
-    Eviction is inlined and the counters are locals.
+    Eviction is inlined and the counters are locals. Every admission is
+    followed by the eviction loop, so the occupancy never exceeds the
+    capacity.
     """
     policy = cfg.policy
     lru_order = policy != FIFO
     prefetch = policy == GROUP_PREFETCH
-    rows = replay_rows(trace)
     first_sizes = rows.first_sizes if plans is not None else None
     entries: OrderedDict[int, int] = OrderedDict()  # datum id -> resident size
     pop_oldest = entries.popitem
@@ -214,10 +192,10 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
     move_to_end = entries.move_to_end
     occupied = hits = disk_ios = prefetched = evictions = bypasses = unknown = 0
 
-    n = len(trace)
+    n = len(rows.addresses)
     # bytes iterate as the cached ints 0 and 1, so the flags make no objects
     allocates = (repeat(True) if cfg.write_allocate
-                 else (trace.ops != int(Op.WRITE)).tobytes())
+                 else (rows.ops != int(Op.WRITE)).tobytes())
     for datum, size, allocate, plan in zip(rows.ids, rows.sizes, allocates,
                                            repeat(None) if plans is None else plans):
         if datum in entries:
@@ -238,8 +216,6 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
                 while occupied > capacity:
                     occupied -= pop_oldest(False)[1]
                     evictions += 1
-            if check_invariants and occupied > capacity:
-                raise InvariantError("cache occupancy exceeds capacity")
             continue
 
         # The plan lists the demanded datum too, at its first size.
@@ -301,8 +277,6 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
                     while occupied > capacity:
                         occupied -= pop_oldest(False)[1]
                         evictions += 1
-        if check_invariants and occupied > capacity:
-            raise InvariantError("cache occupancy exceeds capacity")
 
     return SimMetrics(
         cfg.policy, cfg.capacity_fraction, capacity,
@@ -310,28 +284,6 @@ def _replay(trace: Trace, cfg: SimConfig, capacity: int, plans: list | None,
         prefetched_bytes=prefetched, evictions=evictions, bypasses=bypasses,
         unknown_size_skips=unknown,
     )
-
-
-def _replay_batch(trace: Trace, rows: ReplayRows) -> dict:
-    """Replay the cells of ``rows.batch`` that the LRU profile does not
-    serve, on forks.fork_map; their rows by id(cell). What the cells share is
-    built first, so the workers inherit it: the id and size rows, and the
-    one plan column of the group cells, which sweep gives one grouping and
-    one extra-size mapping."""
-    cells, units, plans = [], [], None
-    for cfg in rows.batch:
-        capacity = resolve_capacity(cfg, trace)
-        if cfg.policy == LRU and _profiled_lru(trace, cfg, capacity) is not None:
-            continue
-        grouped = cfg.policy in (GROUP_PREFETCH, GROUP_MERGED)
-        if grouped and plans is None:
-            plans = plan_column(rows, cfg.grouping, cfg.extra_sizes)
-            rows.first_sizes  # built here, so the workers share it
-        cells.append(cfg)
-        units.append((cfg, capacity, plans if grouped else None))
-    rows.ids, rows.sizes  # built here, so the workers share them
-    metrics = forks.fork_map(lambda unit: _replay(trace, *unit), units)
-    return {id(cfg): m for cfg, m in zip(cells, metrics)}
 
 
 class Plan(NamedTuple):
@@ -404,18 +356,61 @@ def plan_column(rows: ReplayRows, table: GroupTable,
 
 
 class ReplayRows:
-    """What the cells of one trace share, built once per trace (see the
-    module docstring). It keeps the trace's columns, not the trace, which
-    holds it: run_pipeline pauses the cyclic collector."""
+    """What the cells of one sweep share, built once per sweep (see the
+    module docstring): the trace's columns, its data by dense id, and the
+    rows of the cells it replays."""
 
-    def __init__(self, trace: Trace):
-        self.addresses, self.size_column = trace.addresses, trace.sizes
+    def __init__(self, trace: Trace, cells: Sequence[SimConfig]):
+        self.cells = cells
+        self.addresses, self.size_column, self.ops = trace.addresses, trace.sizes, trace.ops
         first = first_access_positions(self.addresses)
         self.first = first[np.argsort(self.addresses[first])]  # by id
         self.distinct = self.addresses[self.first]  # id k: [k]
         self.unique_bytes = int(self.size_column[self.first].sum())
-        self.batch: list[SimConfig] = []    # the cells of the running sweep
-        self.replayed: dict | None = None  # their replayed rows, by id(cell)
+
+    def capacity(self, cfg: SimConfig) -> int:
+        """Fractions are taken of the sum of first-seen sizes of distinct data."""
+        if cfg.capacity_bytes is not None:
+            return cfg.capacity_bytes
+        return max(int(cfg.capacity_fraction * self.unique_bytes), 1)
+
+    def profiled_lru(self, cfg: SimConfig) -> SimMetrics | None:
+        """An lru cell from the LRU profile, or None where the profile does
+        not serve the cell and it must be replayed."""
+        if cfg.policy != LRU or (not cfg.write_allocate and (self.ops == int(Op.WRITE)).any()):
+            return None
+        capacity = self.capacity(cfg)
+        profile = self.profile  # built once per sweep, for every capacity
+        if profile is None or profile.max_size > capacity:
+            return None
+        n = len(self.addresses)
+        hits = int(profile.reuses_upto[np.searchsorted(profile.distances, capacity, "right")])
+        residents = int(np.searchsorted(profile.stack_bytes, capacity, "right"))
+        return SimMetrics(LRU, cfg.capacity_fraction, capacity, accesses=n, hits=hits,
+                          misses=n - hits, disk_ios=n - hits, evictions=n - hits - residents)
+
+    @cached_property
+    def replayed_cells(self) -> dict[int, SimMetrics]:
+        """The rows of the cells the profile does not serve, by id(cell),
+        replayed on forks.fork_map. What they share is built first, so the
+        workers inherit it: the id and size rows, and a plan column per
+        (grouping, extra-size mapping) of the group cells, one in a sweep."""
+        cells, units, columns = [], [], {}
+        for cfg in self.cells:
+            if self.profiled_lru(cfg) is not None:
+                continue
+            plans = None
+            if cfg.policy in (GROUP_PREFETCH, GROUP_MERGED):
+                key = id(cfg.grouping), id(cfg.extra_sizes)
+                if key not in columns:
+                    columns[key] = plan_column(self, cfg.grouping, cfg.extra_sizes)
+                    self.first_sizes  # built here, so the workers share it
+                plans = columns[key]
+            cells.append(cfg)
+            units.append((cfg, self.capacity(cfg), plans))
+        self.ids, self.sizes  # built here, so the workers share them
+        metrics = forks.fork_map(lambda unit: _replay(self, *unit), units)
+        return {id(cfg): m for cfg, m in zip(cells, metrics)}
 
     @cached_property
     def profile(self) -> LruProfile | None:
@@ -433,12 +428,6 @@ class ReplayRows:
     def first_sizes(self) -> list:
         """Each datum's size at its first access, by id."""
         return _pooled(self.size_column[self.first])
-
-
-def replay_rows(trace: Trace) -> ReplayRows:
-    """The trace's ReplayRows, built when a cell first asks."""
-    trace._replay = trace._replay or ReplayRows(trace)
-    return trace._replay
 
 
 def _pooled(column: np.ndarray, keys: np.ndarray | None = None, pool=None) -> list:
@@ -551,23 +540,6 @@ def build_lru_profile(addresses: np.ndarray, sizes: np.ndarray) -> LruProfile | 
     return LruProfile(int(sizes.max(initial=0)), distances, reuses_upto, stack_bytes)
 
 
-def _profiled_lru(trace: Trace, cfg: SimConfig, capacity: int) -> SimMetrics | None:
-    """An lru cell from the trace's profile, or None where the profile does
-    not apply and the cell must be replayed."""
-    if not cfg.write_allocate and (trace.ops == int(Op.WRITE)).any():
-        return None
-    profile = replay_rows(trace).profile  # built once per trace, for every capacity
-    if profile is None or profile.max_size > capacity:
-        return None
-    within = np.searchsorted(profile.distances, capacity, "right")
-    hits = int(profile.reuses_upto[within])
-    misses = len(trace) - hits
-    residents = int(np.searchsorted(profile.stack_bytes, capacity, "right"))
-    return SimMetrics(LRU, cfg.capacity_fraction, capacity, accesses=len(trace),
-                      hits=hits, misses=misses, disk_ios=misses,
-                      evictions=misses - residents)
-
-
 def sweep(
     trace: Trace,
     grouping: GroupTable | None,
@@ -577,16 +549,13 @@ def sweep(
     write_allocate: bool = True,
 ) -> list[SimMetrics]:
     """One SimMetrics row per (fraction, policy), in input order, from one
-    simulate call per cell; the cells are the trace's batch meanwhile."""
-    rows = replay_rows(trace)
-    rows.batch = [SimConfig(
+    simulate call per cell; the cells share one ReplayRows."""
+    cells = [SimConfig(
         policy, capacity_fraction=fraction, extra_sizes=extra_sizes,
         grouping=grouping if policy in (GROUP_PREFETCH, GROUP_MERGED) else None,
         write_allocate=write_allocate) for fraction in fractions for policy in policies]
-    try:
-        return [simulate(trace, cfg) for cfg in rows.batch]
-    finally:
-        rows.batch, rows.replayed = [], None
+    rows = ReplayRows(trace, cells)
+    return [simulate(trace, cfg, rows) for cfg in cells]
 
 
 _FORMATS = {"capacity_fraction": lambda v: "" if v is None else repr(v),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -132,10 +133,37 @@ def parse_group_structure(text: str) -> list[tuple[int, float]]:
 
 @dataclass
 class SyntheticTruth:
-    """Ground truth accompanying a synthetic trace."""
+    """Ground truth accompanying a synthetic trace: its planted partition,
+    which the spec's layout alone decides. ``groups`` and ``ungrouped``
+    are built from the spec on first read."""
 
-    groups: list[tuple[int, ...]]  # planted groups, member block addresses
-    ungrouped: tuple[int, ...]
+    spec: SyntheticSpec
+
+    @cached_property
+    def groups(self) -> list[tuple[int, ...]]:
+        """The planted groups' member block addresses, ascending."""
+        first, _size, address = _layout(self.spec)
+        addresses = address.tolist()
+        return [tuple(addresses[lo:lo + size])
+                for lo, (size, _prob) in zip(first.tolist(), self.spec.group_structure)]
+
+    @cached_property
+    def ungrouped(self) -> tuple[int, ...]:
+        grouped = sum(size for size, _prob in self.spec.group_structure)
+        return tuple(_layout(self.spec)[2][grouped:].tolist())
+
+
+def _layout(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, size, address) of the selection units, each planted group
+    and then each ungrouped datum: unit u gets its own region and holds the
+    data first[u] .. first[u] + size[u] - 1, and datum i lies at address[i]."""
+    group_size = np.array([size for size, _prob in spec.group_structure], np.int64)
+    size = np.concatenate((group_size, np.ones(spec.num_data - int(group_size.sum()), np.int64)))
+    first = np.cumsum(size) - size
+    region = np.repeat(np.arange(len(size)), size)
+    address = (region * spec.region_gap
+               + (np.arange(spec.num_data) - first[region]) * spec.address_stride)
+    return first, size, address
 
 
 def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
@@ -149,17 +177,9 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
     if spec.num_accesses == 0:
         raise EmptyTraceError("num_accesses is 0")
     rng = random.Random(spec.rng_seed)
-    # Selection units: each planted group, then each ungrouped datum. Each
-    # unit gets a region; unit u holds the data first[u] .. first[u] + size[u] - 1.
-    group_size = np.array([size for size, _prob in spec.group_structure], np.int64)
-    singles = spec.num_data - int(group_size.sum())
-    unit_size = np.concatenate((group_size, np.ones(singles, np.int64)))
+    first, unit_size, address = _layout(spec)
     unit_prob = np.concatenate(([prob for _size, prob in spec.group_structure],
-                                np.ones(singles)))
-    first = np.cumsum(unit_size) - unit_size
-    region = np.repeat(np.arange(len(unit_size)), unit_size)
-    address = (region * spec.region_gap
-               + (np.arange(spec.num_data) - first[region]) * spec.address_stride)
+                                np.ones(len(unit_size) - len(spec.group_structure))))
     drawn, words = _randint(rng, spec.size_min, spec.size_max, spec.num_data)
     # An address shared by two data (regions overlapping when
     # region_gap < size * address_stride) takes the size drawn last: the
@@ -181,13 +201,7 @@ def synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
         ops=np.full(n, int(Op.READ), dtype=np.uint8),
         source_label=f"synthetic(seed={spec.rng_seed})",
     )
-    addresses = address.tolist()
-    truth = SyntheticTruth(
-        groups=[tuple(addresses[lo:lo + count])
-                for lo, count in zip(first.tolist(), group_size.tolist())],
-        ungrouped=tuple(addresses[spec.num_data - singles:]),
-    )
-    return trace, truth
+    return trace, SyntheticTruth(spec)
 
 
 # Runs are decoded from this many words of the stream at a time (more while

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator, NamedTuple
 
@@ -195,9 +195,6 @@ class Trace:
     timestamps: np.ndarray | None = None
     source_label: str = ""
     skipped: int = 0
-    # simulator.ReplayRows of the columns, which are never modified
-    _replay: object | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     @classmethod
     def from_records(cls, records: Iterable[AccessRecord], source_label="", skipped=0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter, OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,8 @@ from ctgroup.simulator import (
     LRU,
     SimConfig,
     SimMetrics,
-    resolve_capacity,
 )
-from ctgroup.synthetic import SyntheticSpec, SyntheticTruth
+from ctgroup.synthetic import SyntheticSpec
 from ctgroup.trace import AccessRecord, Op, Trace
 
 
@@ -382,6 +382,18 @@ class _CacheState:
             self.metrics.evictions += 1
 
 
+def ref_capacity(trace: Trace, cfg: SimConfig) -> int:
+    """The cell's capacity in bytes: a fraction is taken of the sum of each
+    address's size at its first access, with a floor of one byte."""
+    if cfg.capacity_bytes is not None:
+        return cfg.capacity_bytes
+    first_sizes: dict[int, int] = {}
+    for address, size in zip(trace.addresses.tolist(), trace.sizes.tolist()):
+        if address not in first_sizes:
+            first_sizes[address] = size
+    return max(int(cfg.capacity_fraction * sum(first_sizes.values())), 1)
+
+
 def ref_simulate(
     trace: Trace,
     cfg: SimConfig,
@@ -389,7 +401,7 @@ def ref_simulate(
 ) -> SimMetrics:
     """Replay a trace; returns its metrics."""
     cfg.validate()
-    capacity = resolve_capacity(cfg, trace)
+    capacity = ref_capacity(trace, cfg)
     metrics = SimMetrics(cfg.policy, cfg.capacity_fraction, capacity)
     cache = _CacheState(capacity, metrics)
     lru_order = cfg.policy != FIFO
@@ -656,7 +668,15 @@ def ref_load_trace(
     return Trace.from_records(records, source_label=label, skipped=skipped)
 
 
-def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
+class RefTruth(NamedTuple):
+    """The planted partition: each group's member addresses, and the
+    ungrouped data's."""
+
+    groups: list
+    ungrouped: tuple
+
+
+def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, RefTruth]:
     """Generate a trace and its planted partition through one AccessRecord
     per access. Deterministic per seed."""
     spec.validate()
@@ -708,11 +728,7 @@ def ref_synthesize_trace(spec: SyntheticSpec) -> tuple[Trace, SyntheticTruth]:
             records.append(AccessRecord(ts, addr, sizes[addr], Op.READ))
 
     trace = Trace.from_records(records, source_label=f"synthetic(seed={spec.rng_seed})")
-    truth = SyntheticTruth(
-        groups=[tuple(g) for g in groups],
-        ungrouped=tuple(ungrouped),
-    )
-    return trace, truth
+    return trace, RefTruth([tuple(g) for g in groups], tuple(ungrouped))
 
 
 def replay_audit(addr_features, audit):

@@ -90,8 +90,10 @@ between its peak when it built the data's sizes through a dict by
 address, 11.5 MiB, and with one sorted search, 9.7 MiB (15.7 MiB when it
 drew one access at a time into a Python list). What it still holds when
 it returns, the trace's 4.9 MiB of columns and the truth, was 6.9 MiB
-while the truth kept that dict and is 5.7 MiB without it (9.2 MiB with a
-timestamp column).
+while the truth kept that dict, 5.7 MiB without it (9.2 MiB with a
+timestamp column), and 4.9 MiB since the truth keeps the spec and builds
+its groups from the spec's layout on first read; the peak fell from 9.7
+to 9.6 MiB with that.
 
 Trace.first_seen_sizes runs on the same trace. Its bound sits between
 its peak when it built a dict of the 20,000 data, 2.5 MiB, and as two
@@ -113,7 +115,6 @@ the nearest y-access of every x-access at once, 916 MiB, and in batches
 of ACCESS_BATCH, 18.0 MiB; batches four times as large peaked at 26.9 MiB.
 """
 
-import dataclasses
 import os
 import tracemalloc
 
@@ -256,7 +257,7 @@ def test_group_column_peak(synthetic):
     table = GroupTable(Partition.of(truth.groups))
     # with the replay rows' first-access search, and no extra sizes, so
     # that every member's first access makes its group a new plan
-    column, peak = traced_peak(lambda t: plan_column(ReplayRows(t), table, {}), trace)
+    column, peak = traced_peak(lambda t: plan_column(ReplayRows(t, []), table, {}), trace)
     assert column == ref_plan_column(trace, table, {})
     assert (len({id(plan) for plan in column if plan is not None})
             == sum(len(members) for members in truth.groups))
@@ -265,9 +266,8 @@ def test_group_column_peak(synthetic):
 
 def sweep_peak(synthetic, cpus):
     """(sweep's rows, its traced peak) with ``cpus`` CPUs for the cells'
-    pool, on a copy of the trace that has no rows cached."""
+    pool."""
     trace, truth = synthetic
-    trace = dataclasses.replace(trace)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         return traced_peak(sweep, trace, GroupTable(Partition.of(truth.groups)), [0.01, 0.05],
@@ -338,13 +338,13 @@ def test_repeated_within_rows_peak():
 def test_synthesize_peak():
     tracemalloc.start()
     try:
-        trace, _truth = synthesize_trace(planted_spec())
+        trace, truth = synthesize_trace(planted_spec())
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(trace) == 300000
-    assert peak <= 10.5 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
-    assert held <= 6.5 * MIB, f"synthesize_trace returned {held / MIB:.2f} MiB"
+    assert len(trace) == 300000 and "groups" not in vars(truth)
+    assert peak <= 10 * MIB, f"synthesize_trace peaked at {peak / MIB:.2f} MiB"
+    assert held <= 5 * MIB, f"synthesize_trace returned {held / MIB:.2f} MiB"
 
 
 def test_first_seen_sizes_peak():

@@ -19,9 +19,9 @@ from ctgroup.simulator import (
     LRU,
     POLICIES,
     GroupTable,
+    ReplayRows,
     SimConfig,
     metrics_csv_lines,
-    resolve_capacity,
     simulate,
     sweep,
 )
@@ -33,6 +33,13 @@ A, B, C = 0, 8, 16
 
 def unit_trace(*addrs):
     return make_trace([(a, 1) for a in addrs])
+
+
+def replay_cells(trace, cfgs):
+    """simulate's row for each cell of ``cfgs``, the cells sharing one
+    ReplayRows as a sweep's do."""
+    rows = ReplayRows(trace, cfgs)
+    return [simulate(trace, cfg, rows) for cfg in cfgs]
 
 
 class TestBaselines:
@@ -179,9 +186,10 @@ class TestGroupPolicies:
         rng = random.Random(11)
         pairs = random_accesses(rng, n=200, max_size=8)
         table = GroupTable(Partition.of([sorted(set(a for a, _ in pairs))[:6]]))
+        trace = make_trace(pairs)
         for policy in (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED):
             cfg = SimConfig(policy, capacity_bytes=24, grouping=table)
-            simulate(make_trace(pairs), cfg, check_invariants=True)
+            assert simulate(trace, cfg) == ref_simulate(trace, cfg, check_invariants=True)
 
 
 class TestReferenceReplay:
@@ -216,22 +224,25 @@ class TestReferenceReplay:
         for _ in range(cases):
             trace, table, extra = self.random_case(rng)
             capacity = rng.randint(1, 64)  # data and groups exceed it
+            cfgs, checks = [], []
             for policy in (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED):
                 for write_allocate in (True, False):
-                    cfg = SimConfig(
+                    cfgs.append(SimConfig(
                         policy, capacity_bytes=capacity, grouping=table,
                         extra_sizes=extra, write_allocate=write_allocate,
-                    )
-                    check = rng.random() < 0.5
-                    got = simulate(trace, cfg, check)
-                    want = ref_simulate(trace, cfg, check)
-                    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+                    ))
+                    checks.append(rng.random() < 0.5)
+            for got, cfg, check in zip(replay_cells(trace, cfgs), cfgs, checks):
+                want = ref_simulate(trace, cfg, check)
+                assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
-    def test_matches_reference_replay(self):
+    def test_matches_reference_replay(self, cpus):
+        cpus(1)
         self.check_against_reference(random.Random(15), 150)
 
-    def test_replay_blocks_match_reference(self, monkeypatch):
+    def test_replay_blocks_match_reference(self, cpus, monkeypatch):
         # traces cut into many column blocks
+        cpus(1)
         monkeypatch.setattr(trace_module, "ROW_BLOCK", 7)
         self.check_against_reference(random.Random(17), 60)
 
@@ -280,13 +291,14 @@ class TestOnePassLru:
     def capacities(rng, trace):
         """Fractions with repeats and two that resolve to one byte capacity,
         and byte capacities below, at and above the largest datum."""
-        total = simulator.replay_rows(trace).unique_bytes
+        rows = ReplayRows(trace, [])
+        total = rows.unique_bytes
         fractions = [rng.choice([0.01, 0.1, 0.3, 1.0]) for _ in range(3)]
         fractions.append(fractions[0])
         if total > 1:
             c = rng.randint(1, total - 1)
             fractions += [(c + 0.2) / total, (c + 0.7) / total]
-            same = [resolve_capacity(SimConfig(LRU, capacity_fraction=f), trace)
+            same = [rows.capacity(SimConfig(LRU, capacity_fraction=f))
                     for f in fractions[-2:]]
             assert same == [c, c]
         largest = int(trace.sizes.max(initial=0))
@@ -297,7 +309,8 @@ class TestOnePassLru:
     def assert_equal(got, want):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
-    def test_matches_replay_oracles(self):
+    def test_matches_replay_oracles(self, cpus):
+        cpus(1)
         rng = random.Random(31)
         served = replayed = 0
         for case in range(200):
@@ -313,15 +326,16 @@ class TestOnePassLru:
                         for f in fractions]
                 cfgs += [SimConfig(LRU, capacity_bytes=c, write_allocate=allocate)
                          for c in byte_capacities]
+                cells = ReplayRows(trace, cfgs)
                 for cfg in cfgs:
-                    capacity = resolve_capacity(cfg, trace)
+                    capacity = cells.capacity(cfg)
                     applies = (one_size and (allocate or not has_writes)
                                and trace.sizes.max(initial=0) <= capacity)
-                    profiled = simulator._profiled_lru(trace, cfg, capacity)
+                    profiled = cells.profiled_lru(cfg)
                     assert (profiled is not None) == applies, (shape, capacity)
                     served += applies
                     replayed += not applies
-                    got = simulate(trace, cfg)
+                    got = simulate(trace, cfg, cells)
                     self.assert_equal(got, ref_simulate(trace, cfg))
                     if not has_writes:
                         want = ref_lru_hit_rate(pairs, capacity)
@@ -333,11 +347,11 @@ class TestOnePassLru:
                     self.assert_equal(row, ref_simulate(trace, cfg))
         assert served > 1000 and replayed > 500
 
-    def test_profile_built_once_per_trace(self, monkeypatch):
+    def test_profile_built_once_per_sweep(self, monkeypatch):
         builds, searches, pooled = [], [], []
         build = simulator.build_lru_profile
         monkeypatch.setattr(simulator, "build_lru_profile",
-                            lambda *args: builds.append(1) or build(*args))
+                            lambda *args: builds.append(build(*args)) or builds[-1])
         for module in (simulator, trace_module):
             search = module.first_access_positions
             monkeypatch.setattr(module, "first_access_positions",
@@ -362,7 +376,7 @@ class TestOnePassLru:
         fractions = [0.05, 0.1, 0.1, 0.2, 0.4, 0.8, 1.0]
         policies = [LRU, GROUP_MERGED, FIFO, GROUP_PREFETCH]
         rows = sweep(trace, table, fractions, policies)
-        assert len(builds) == 1 and simulator.replay_rows(trace).profile is not None
+        assert len(builds) == 1 and builds[0] is not None
         assert len(searches) == 1
         # the id and size rows once, and the first sizes by id
         assert len(pooled) == 3
@@ -372,11 +386,12 @@ class TestOnePassLru:
         assert [(f, p) for f, p, _ in calls] == [(f, p) for f in fractions
                                                  for p in policies]
         assert [row for *_, row in calls] == rows
+        # each sweep builds its own; an lru sweep the profile serves
+        # replays nothing, so builds no rows
         sweep(trace, table, fractions, [LRU])
-        assert len(builds) == 1
-        # an lru sweep the profile serves replays nothing, so builds no rows
-        sweep(make_trace([(a, 1 + a % 7) for a, _ in accesses]), None, fractions, [LRU])
         assert len(builds) == 2 and len(searches) == 2 and len(pooled) == 3
+        sweep(make_trace([(a, 1 + a % 7) for a, _ in accesses]), None, fractions, [LRU])
+        assert len(builds) == 3 and len(searches) == 3 and len(pooled) == 3
 
     def test_int64_index_dtype_matches_int32(self, monkeypatch):
         # no tier-1 input reaches 2**31 positions, so the profile's int64
@@ -393,14 +408,15 @@ class TestOnePassLru:
         for got, want in zip(wide[1:], narrow[1:]):
             assert np.array_equal(got, want)
 
-    def test_invariant_checks_replay(self, monkeypatch):
-        def unused(addresses, sizes):
-            raise AssertionError("profile used")
-
-        monkeypatch.setattr(simulator, "build_lru_profile", unused)
-        trace = make_trace(random_accesses(random.Random(33), n=120, max_size=4))
-        cfg = SimConfig(LRU, capacity_bytes=40)
-        assert simulate(trace, cfg, check_invariants=True) == ref_simulate(trace, cfg)
+    def test_invariant_checks_replay(self):
+        # lru cells the profile does not serve, as a datum is larger than
+        # the capacity, against the oracle checking its occupancy
+        trace = make_trace(random_accesses(random.Random(33), n=120, max_size=4) + [(4, 50)])
+        for capacity in (8, 40, 49):
+            cfg = SimConfig(LRU, capacity_bytes=capacity)
+            rows = ReplayRows(trace, [cfg])
+            assert rows.profiled_lru(cfg) is None
+            assert simulate(trace, cfg, rows) == ref_simulate(trace, cfg, check_invariants=True)
 
 
 class TestGroupColumn:
@@ -409,7 +425,7 @@ class TestGroupColumn:
 
     @staticmethod
     def plan_column(trace, table, extra):
-        return simulator.plan_column(simulator.ReplayRows(trace), table, extra)
+        return simulator.plan_column(ReplayRows(trace, []), table, extra)
 
     def test_matches_oracle(self, monkeypatch):
         rng = random.Random(41)
@@ -423,27 +439,26 @@ class TestGroupColumn:
             assert (len({id(plan) for plan in got if plan is not None})
                     == len({plan for plan in want if plan is not None}))
 
-    def test_alternating_keys_match_reference(self):
-        # one trace replayed under two tables, two extra-size maps and both
-        # write_allocate values in turn, so a stale column or plan shows
+    def test_alternating_keys_match_reference(self, cpus):
+        # one ReplayRows for cells under two tables, two extra-size maps and
+        # both write_allocate values in turn, so a column of another key shows
+        cpus(1)
         rng = random.Random(42)
         for _ in range(40):
             trace, table, extra = TestReferenceReplay.random_case(rng)
             _, other_table, other_extra = TestReferenceReplay.random_case(rng)
             capacity = rng.randint(1, 64)
-            for _ in range(3):
-                for grouping in (table, other_table):
-                    for extra_sizes in (extra, other_extra):
-                        for write_allocate in (True, False):
-                            for policy in (GROUP_PREFETCH, GROUP_MERGED):
-                                cfg = SimConfig(policy, capacity_bytes=capacity,
-                                                grouping=grouping,
-                                                extra_sizes=extra_sizes,
-                                                write_allocate=write_allocate)
-                                assert simulate(trace, cfg) == ref_simulate(trace, cfg)
-                        assert (simulator.plan_column(simulator.replay_rows(trace),
-                                                      grouping, extra_sizes)
-                                == ref_plan_column(trace, grouping, extra_sizes))
+            keys = [(grouping, extra_sizes) for grouping in (table, other_table)
+                    for extra_sizes in (extra, other_extra)]
+            cfgs = [SimConfig(policy, capacity_bytes=capacity, grouping=grouping,
+                              extra_sizes=extra_sizes, write_allocate=write_allocate)
+                    for _ in range(3) for grouping, extra_sizes in keys
+                    for write_allocate in (True, False)
+                    for policy in (GROUP_PREFETCH, GROUP_MERGED)]
+            assert replay_cells(trace, cfgs) == [ref_simulate(trace, cfg) for cfg in cfgs]
+            for grouping, extra_sizes in keys:
+                assert (self.plan_column(trace, grouping, extra_sizes)
+                        == ref_plan_column(trace, grouping, extra_sizes))
 
     def test_new_tables_of_dropped_ones_match_reference(self):
         # a table made after the last one is dropped may reuse its id()
@@ -459,7 +474,7 @@ class TestGroupColumn:
             assert simulate(trace, cfg) == ref_simulate(trace, cfg)
             del cfg  # the table too, unless the trace holds it
 
-    def test_built_once_per_trace_in_a_sweep(self, monkeypatch):
+    def test_built_once_per_sweep(self, monkeypatch):
         columns, row_builds = [], []
         build = simulator.plan_column
 
@@ -487,15 +502,15 @@ class TestGroupColumn:
             p, capacity_fraction=f, grouping=table if p.startswith("group") else None,
             extra_sizes={40: 3})) for f in fractions for p in policies]
         assert rows == want
-        # each sweep builds its own column, and the trace keeps none
+        # each sweep builds its own rows and column, and the trace keeps none
         sweep(trace, table, fractions, [GROUP_MERGED], write_allocate=False)
         sweep(trace, GroupTable(Partition.of([(0, 4)])), fractions, [GROUP_MERGED])
-        assert len(columns) == 3 and len(row_builds) == 1
+        assert len(columns) == 3 and len(row_builds) == 3 and len(searches) == 3
         for (_rows, grouping, extra), column in columns:
             assert column == ref_plan_column(trace, grouping, extra)
-        # lru and fifo replays never build it, but a new trace gets its rows
+        # lru and fifo replays never build it
         sweep(make_trace(accesses), None, fractions, [LRU, FIFO], write_allocate=False)
-        assert len(columns) == 3 and len(row_builds) == 2 and len(searches) == 2
+        assert len(columns) == 3 and len(row_builds) == 4 and len(searches) == 4
 
     def test_one_member_groups_take_the_demand_path(self):
         # one-member groups replay as no groups at all, oversized data too
@@ -542,7 +557,7 @@ class TestGroupColumn:
 
 
 class TestReplayRows:
-    """The dense-id rows every replayed cell iterates, built once per trace,
+    """The dense-id rows every replayed cell iterates, built once per sweep,
     against the replay oracle."""
 
     @staticmethod
@@ -614,7 +629,7 @@ class TestReplayRows:
                         extra[a] = rng.randint(1, 16)
                 assert simulate(trace, cfg) == ref_simulate(trace, cfg)
 
-    def test_built_once_per_trace(self, monkeypatch):
+    def test_built_once_per_sweep(self, monkeypatch):
         builds = []
         build = simulator.ReplayRows
         monkeypatch.setattr(simulator, "ReplayRows",
@@ -634,18 +649,34 @@ class TestReplayRows:
                         p, capacity_fraction=f, grouping=table, extra_sizes=extra,
                         write_allocate=write_allocate)) for f in fractions for p in policies]
                     assert rows == want
-            assert len(builds) == case + 1
+            assert len(builds) == 9 * (case + 1)
+
+    def test_sweeps_leave_the_trace_as_it_was(self, monkeypatch):
+        # the trace is its columns and labels: no sweep keeps state on it
+        assert [f.name for f in dataclasses.fields(Trace)] == [
+            "addresses", "sizes", "ops", "timestamps", "source_label", "skipped"]
+        builds = []
+        build = simulator.ReplayRows
+        monkeypatch.setattr(simulator, "ReplayRows",
+                            lambda *args: builds.append(build(*args)) or builds[-1])
+        trace, table, extra = TestReferenceReplay.random_case(random.Random(50))
+        before = dict(vars(trace))
+        for _ in range(2):
+            sweep(trace, table, [0.1, 0.5], POLICIES, extra_sizes=extra)
+        assert len(builds) == 2 and builds[0] is not builds[1]
+        assert vars(trace).keys() == before.keys()
+        assert all(vars(trace)[name] is value for name, value in before.items())
 
 
 class TestCapacity:
     def test_fraction_of_first_seen_unique_bytes(self):
         trace = make_trace([(A, 10), (B, 6), (A, 2)])
         cfg = SimConfig(LRU, capacity_fraction=0.5)
-        assert resolve_capacity(cfg, trace) == 8  # (10 + 6) / 2
+        assert ReplayRows(trace, [cfg]).capacity(cfg) == 8  # (10 + 6) / 2
 
     def test_fraction_floor_is_one_byte(self):
-        trace = make_trace([(A, 10)])
-        assert resolve_capacity(SimConfig(LRU, capacity_fraction=0.01), trace) == 1
+        cfg = SimConfig(LRU, capacity_fraction=0.01)
+        assert ReplayRows(make_trace([(A, 10)]), [cfg]).capacity(cfg) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -730,18 +761,15 @@ class TestPool:
         # every sweep on two CPUs replayed at least the fifo cells with one child
         assert len(forked) == 3 * 8
 
-    def test_direct_and_checking_calls_replay_in_process(self, cpus, no_fork, monkeypatch):
+    def test_lone_calls_replay_in_process(self, cpus, no_fork):
+        # a call without rows is a sweep of its one cell: a map of one unit
         cpus(2)
         trace, table, extra = TestReferenceReplay.random_case(random.Random(63))
         fractions, policies = [0.1, 0.5], [FIFO, GROUP_PREFETCH, GROUP_MERGED]
         cfgs = [SimConfig(p, capacity_fraction=f, grouping=table, extra_sizes=extra)
                 for f in fractions for p in policies]
-        want = [ref_simulate(trace, cfg) for cfg in cfgs]
-        assert [simulate(trace, cfg) for cfg in cfgs] == want
-        replay = simulator.simulate
-        monkeypatch.setattr(simulator, "simulate",
-                            lambda trace, cfg: replay(trace, cfg, check_invariants=True))
-        assert sweep(trace, table, fractions, policies, extra_sizes=extra) == want
+        assert [simulate(trace, cfg) for cfg in cfgs] == [ref_simulate(trace, cfg)
+                                                          for cfg in cfgs]
 
     def test_one_cpu_one_replayed_cell_or_threads_start_no_process(self, cpus, no_fork):
         accesses = random_accesses(random.Random(64), n=300)
