@@ -108,12 +108,9 @@ class PipelineConfig:
         for key in ("capacity_fractions", "policies", "w_limits"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must list at least one value")
-        for f in self.capacity_fractions:
-            if not 0 < f <= 1:
-                raise ConfigError(f"capacity fraction {f} outside (0,1]")
         for policy in self.policies:
-            if policy not in simulator.POLICIES:
-                raise ConfigError(f"unknown policy {policy!r}")
+            for f in self.capacity_fractions:
+                simulator.check_cell(policy, f)
         existing = os.path.abspath(self.output_dir)  # its longest part that exists
         while not os.path.lexists(existing):
             existing = os.path.dirname(existing)
@@ -410,7 +407,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             trace = load_input_trace(cfg)[0]  # the synthetic truth is not kept
         run_stages(cfg, STAGE_TABLE, {"trace": trace}, saved)
     except PipelineStageError:
-        # Leave whatever the failing stage produced flagged as partial.
+        # Writes are atomic, so every file here is whole; flag those of each
+        # stage this run did not finish (mostly an earlier run's) as partial.
         written = {name for stage in STAGE_TABLE if stage.name in saved
                    for name in stage.artifacts}
         for name in ARTIFACTS:

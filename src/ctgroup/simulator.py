@@ -53,9 +53,9 @@ members with neither are skipped and counted. ``plan_column`` states that
 rule once, as data, for a (``GroupTable``, extra-size mapping): per
 access, None for a datum in no group of two or more members, else the
 ``Plan`` of its datum's group as it stands at that access. A plan holds
-the member ids (a member the trace never accesses taking an id after the
-trace's), the (member, size) pairs of known size in ascending address
-order, their total and the count of the others. A group gets a new plan
+the (member id, size) pairs of the members of known size in ascending
+address order (a member the trace never accesses takes an id after the
+trace's), their total and the count of the others. A group gets a new plan
 at each first access that changes a member's size, and the accesses take
 their plan by one binary search of (group, position) keys, so the replay
 loop keeps no size or plan state. Data in one-member groups take the
@@ -100,6 +100,7 @@ FIFO = "fifo"
 GROUP_PREFETCH = "group_prefetch"
 GROUP_MERGED = "group_merged"
 POLICIES = (LRU, FIFO, GROUP_PREFETCH, GROUP_MERGED)
+GROUP_POLICIES = (GROUP_PREFETCH, GROUP_MERGED)
 # SimMetrics.as_dict's keys, the columns of metrics.csv
 METRIC_COLUMNS = ("policy", "capacity_fraction", "capacity_bytes", "accesses", "hits",
                   "misses", "hit_rate", "disk_ios", "prefetched_bytes", "evictions")
@@ -122,20 +123,25 @@ class SimConfig:
     capacity_bytes: int | None = None
     capacity_fraction: float | None = None
     grouping: GroupTable | None = None
-    extra_sizes: Mapping[int, int] | None = None  # sizes for never-traced members
+    extra_sizes: Mapping[int, int] | None = None  # member sizes until first accessed
     write_allocate: bool = True
 
     def validate(self):
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        check_cell(self.policy, self.capacity_fraction)
         if (self.capacity_bytes is None) == (self.capacity_fraction is None):
             raise ConfigError("exactly one of capacity_bytes/capacity_fraction required")
         if self.capacity_bytes is not None and self.capacity_bytes <= 0:
             raise ConfigError("capacity_bytes must be positive")
-        if self.capacity_fraction is not None and not 0 < self.capacity_fraction <= 1:
-            raise ConfigError("capacity_fraction must be in (0,1]")
-        if self.policy in (GROUP_PREFETCH, GROUP_MERGED) and self.grouping is None:
+        if self.policy in GROUP_POLICIES and self.grouping is None:
             raise ConfigError(f"policy {self.policy} requires a grouping")
+
+
+def check_cell(policy: str, capacity_fraction: float | None) -> None:
+    """Refuse a policy name or a capacity fraction (None passes) that no cell takes."""
+    if policy not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
+    if capacity_fraction is not None and not 0 < capacity_fraction <= 1:
+        raise ConfigError(f"capacity_fraction must be in (0,1], got {capacity_fraction!r}")
 
 
 @dataclass
@@ -176,10 +182,9 @@ def _replay(rows: ReplayRows, cfg: SimConfig, capacity: int, plans: list | None)
     cell's plan column, None for a cell without groups.
 
     One loop serves every policy: hits take the short path, and a miss
-    admits the demanded datum, then (group policies) the group plan.
-    Eviction is inlined and the counters are locals. Every admission is
-    followed by the eviction loop, so the occupancy never exceeds the
-    capacity.
+    admits its datum, then prefetches or re-admits its plan's others. The
+    inlined eviction loop follows every admission, so the occupancy never
+    exceeds the capacity. The counters are locals.
     """
     policy = cfg.policy
     lru_order = policy != FIFO
@@ -188,7 +193,6 @@ def _replay(rows: ReplayRows, cfg: SimConfig, capacity: int, plans: list | None)
     entries: OrderedDict[int, int] = OrderedDict()  # datum id -> resident size
     pop_oldest = entries.popitem
     pop_entry = entries.pop
-    keys = entries.keys()
     move_to_end = entries.move_to_end
     occupied = hits = disk_ios = prefetched = evictions = bypasses = unknown = 0
 
@@ -219,64 +223,44 @@ def _replay(rows: ReplayRows, cfg: SimConfig, capacity: int, plans: list | None)
             continue
 
         # The plan lists the demanded datum too, at its first size.
-        members, known, total, skips = plan
+        known, total, skips = plan
         total -= first_sizes[datum]
         unknown += skips
         if not allocate:  # group_merged: nothing is admitted
-            pass
-        elif total + size <= capacity and keys.isdisjoint(members):
-            # No member is resident (a member of unknown size never
-            # is), so admitting the demanded datum and then the others
-            # and evicting after all gives the same cache as evicting
-            # after each. The plan rewrites the demanded datum's size
-            # in place, so it is set again.
+            continue
+        if size <= capacity:
             entries[datum] = size
-            for member, msize in known:
-                entries[member] = msize
-            entries[datum] = size
-            occupied += size + total
-            prefetched += total
-            if prefetch:
-                disk_ios += len(known) - 1
+            occupied += size
             while occupied > capacity:
                 occupied -= pop_oldest(False)[1]
                 evictions += 1
-        else:
-            if size <= capacity:
-                entries[datum] = size
-                occupied += size
+        if total + size > capacity:
+            if prefetch:
+                bypasses += (size > capacity) + (len(known) > 1)
+            else:
+                bypasses += 1
+        elif prefetch:  # one I/O per non-resident member
+            for member, msize in known:
+                if member in entries:  # so is the demanded datum
+                    continue
+                disk_ios += 1
+                prefetched += msize
+                entries[member] = msize
+                occupied += msize
                 while occupied > capacity:
                     occupied -= pop_oldest(False)[1]
                     evictions += 1
-            if total + size > capacity:
-                if prefetch:
-                    bypasses += (size > capacity) + (len(known) > 1)
-                else:
-                    bypasses += 1
-            elif prefetch:  # one I/O per non-resident member
-                for member, msize in known:
-                    if member in entries:  # so is the demanded datum
-                        continue
-                    disk_ios += 1
-                    prefetched += msize
-                    entries[member] = msize
-                    occupied += msize
-                    while occupied > capacity:
-                        occupied -= pop_oldest(False)[1]
-                        evictions += 1
-            else:  # the demand I/O fetched the whole group
-                prefetched += total
-                for member, msize in known:
-                    if member == datum:
-                        continue
-                    old = pop_entry(member, None)
-                    if old is not None:
-                        occupied -= old
-                    entries[member] = msize
-                    occupied += msize
-                    while occupied > capacity:
-                        occupied -= pop_oldest(False)[1]
-                        evictions += 1
+        else:  # the demand I/O fetched the whole group
+            prefetched += total
+            for member, msize in known:
+                if member == datum:
+                    continue
+                occupied -= pop_entry(member, 0)  # a resident member moves to the end
+                entries[member] = msize
+                occupied += msize
+                while occupied > capacity:
+                    occupied -= pop_oldest(False)[1]
+                    evictions += 1
 
     return SimMetrics(
         cfg.policy, cfg.capacity_fraction, capacity,
@@ -289,10 +273,9 @@ def _replay(rows: ReplayRows, cfg: SimConfig, capacity: int, plans: list | None)
 class Plan(NamedTuple):
     """A group's fetch plan at one access (see the module docstring)."""
 
-    members: tuple  # the member ids, ascending address
-    known: tuple    # (member id, size) of the members of known size, likewise
-    total: int      # the sum of those sizes
-    unknown: int    # the count of the other members
+    known: tuple  # (member id, size) of the members of known size, ascending address
+    total: int    # the sum of those sizes
+    unknown: int  # the count of the other members
 
 
 def plan_column(rows: ReplayRows, table: GroupTable,
@@ -324,9 +307,9 @@ def plan_column(rows: ReplayRows, table: GroupTable,
     changes = changes[np.argsort(keys)]
     plan_keys = np.sort(np.concatenate((np.arange(len(count)) * (n + 1), keys)))
 
-    def plan(member_ids, pairs):
+    def plan(pairs):
         known = tuple(pair for pair in pairs if pair is not None)
-        return Plan(member_ids, known, sum(s for _, s in known), len(pairs) - len(known))
+        return Plan(known, sum(s for _, s in known), len(pairs) - len(known))
 
     plans = [None]  # for the accesses in no shared group
     ids, first_size = ids.tolist(), first_size.tolist()
@@ -336,12 +319,11 @@ def plan_column(rows: ReplayRows, table: GroupTable,
     changes = changes.tolist()
     for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         # a group's plans share their pairs, and a change makes one new pair
-        member_ids = tuple(ids[lo:hi])
-        pairs = [None if s is None else (m, s) for m, s in zip(member_ids, extra[lo:hi])]
-        plans.append(plan(member_ids, pairs))
+        pairs = [None if s is None else (m, s) for m, s in zip(ids[lo:hi], extra[lo:hi])]
+        plans.append(plan(pairs))
         for j in changes[runs[g]:runs[g + 1]]:
             pairs[j - lo] = ids[j], first_size[j]
-            plans.append(plan(member_ids, pairs))
+            plans.append(plan(pairs))
     pool = np.fromiter(plans, dtype=object, count=len(plans))
     # each gid's rank among the shared groups, then the -1 of no group
     rank = np.append(np.where(shared, np.cumsum(shared) - 1, -1), -1)
@@ -400,7 +382,7 @@ class ReplayRows:
             if self.profiled_lru(cfg) is not None:
                 continue
             plans = None
-            if cfg.policy in (GROUP_PREFETCH, GROUP_MERGED):
+            if cfg.policy in GROUP_POLICIES:
                 key = id(cfg.grouping), id(cfg.extra_sizes)
                 if key not in columns:
                     columns[key] = plan_column(self, cfg.grouping, cfg.extra_sizes)
@@ -552,7 +534,7 @@ def sweep(
     simulate call per cell; the cells share one ReplayRows."""
     cells = [SimConfig(
         policy, capacity_fraction=fraction, extra_sizes=extra_sizes,
-        grouping=grouping if policy in (GROUP_PREFETCH, GROUP_MERGED) else None,
+        grouping=grouping if policy in GROUP_POLICIES else None,
         write_allocate=write_allocate) for fraction in fractions for policy in policies]
     rows = ReplayRows(trace, cells)
     return [simulate(trace, cfg, rows) for cfg in cells]

@@ -504,8 +504,8 @@ def _group_fetch_plan(members, demand, sizes_seen, extra_sizes, metrics):
 def ref_plan_column(trace, table, extra_sizes):
     """Per access: None for a datum in no group of two or more members,
     else the plan of its group at that access, recomputed from the sizes
-    seen so far as ref_simulate does: (the member ids, the (id, size) pairs
-    of the members of known size, their total, the count of the others).
+    seen so far as ref_simulate does: (the (id, size) pairs of the members
+    of known size, their total, the count of the others).
     Id k is the k-th smallest traced address; the untraced members of such
     groups take the next ids, in group order."""
     addresses = trace.addresses.tolist()
@@ -533,8 +533,7 @@ def ref_plan_column(trace, table, extra_sizes):
                 msize = extra_sizes.get(member)
             if msize is not None:
                 known.append((id_of[member], msize))
-        column.append((tuple(id_of[m] for m in members), tuple(known),
-                       sum(s for _, s in known), len(members) - len(known)))
+        column.append((tuple(known), sum(s for _, s in known), len(members) - len(known)))
     return column
 
 

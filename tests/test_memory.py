@@ -66,7 +66,10 @@ MiB, and when they hold shared objects built ROW_BLOCK accesses at a
 time, 3.8 MiB. Converting four column blocks in every cell instead
 peaked at 3.5 MiB. The bound is taken with one CPU, so the cells replay
 in this process and their caches count; on a pool, tracemalloc sees only
-this process, and its peak may be no higher than that one.
+this process, and its peak may be no higher than that one but for
+FORK_BOOKKEEPING: when this process takes the costliest cell, its peak
+is that cell's again plus fork_map's bookkeeping, which read 51 bytes
+above the one-CPU peak in some full runs.
 
 load_trace reads a 100k-line canonical CSV (4.8 MB). Its bound sits
 between its peak when it built four Python int lists of the whole file,
@@ -289,7 +292,8 @@ def test_replay_rows_peak(in_process_sweep):
 def test_replay_rows_pool_peak(synthetic, in_process_sweep):
     rows, peak = sweep_peak(synthetic, 2)
     assert rows == in_process_sweep[0]
-    assert peak <= in_process_sweep[1], f"sweep peaked at {peak / MIB:.2f} MiB"
+    assert peak <= in_process_sweep[1] + FORK_BOOKKEEPING, (
+        f"sweep peaked at {peak / MIB:.2f} MiB")
 
 
 def test_load_trace_peak(tmp_path):

@@ -311,6 +311,18 @@ class TestCli:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("policies", "lru,mru", "policy must be one of"),
+        ("capacity_fractions", "0.5,1.5", "capacity_fraction must be in (0,1], got 1.5"),
+    ])
+    def test_cell_value_no_cell_takes_exit_two(self, spec_file, tmp_path, capsys,
+                                               key, value, message):
+        out = tmp_path / "o"
+        assert self.run("pipeline", *self.base_flags(spec_file, out), f"--{key}", value) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_source_exit_two(self, capsys):
         assert self.run("pipeline", "--output_dir", "/tmp/none") == 2
 
